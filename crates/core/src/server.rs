@@ -12,30 +12,23 @@
 //!
 //! [`Transport`]: menos_split::Transport
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::ops::Range;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use menos_adapters::FineTuneConfig;
-use menos_models::{stacked_model, CausalLm, ModelConfig};
-use menos_net::{negotiate, Codec, ROLE_ACTIVATIONS, ROLE_GRADIENTS};
+use menos_models::ModelConfig;
+use menos_net::{negotiate, Codec};
 use menos_split::{
     dispatch_session, encode_server_message, BatchHandler, ClientId, ClientMessage, ForwardMode,
     MessageHandler, ProtocolError, ServerMessage, ServerSession, SplitSpec,
 };
-use menos_tensor::{no_grad, CheckpointError, ParamStore, Tensor};
+use menos_tensor::{CheckpointError, ParamStore};
 
 use crate::profiler::{profile_client, MemoryDemands};
 use crate::sharing::SharedBaseRegistry;
 use crate::state::{ServerState, SessionRecord};
 use crate::workload::ServerSpec;
-
-/// Most sessions one fused stacked step will carry. Beyond this the
-/// reverse pass's per-band scatter contributions (each the size of the
-/// whole stacked activation) cost more in transient memory and copy
-/// bandwidth than the larger matmul saves.
-pub const MAX_STACK_MEMBERS: usize = 32;
 
 struct ClientState {
     session: ServerSession,
@@ -100,8 +93,8 @@ pub struct MenosServer {
     /// instead of admitted. `usize::MAX` never sheds.
     capacity: usize,
     /// GPU-pool utilization percentage at or past which the server
-    /// reports pressure and shrinks its stacked-batch cap. 100 =
-    /// degrade only when the pool is completely reserved.
+    /// reports pressure. 100 = only when the pool is completely
+    /// reserved.
     pressure_watermark: u8,
     /// The reconnect hint carried in [`ProtocolError::Busy`] sheds.
     busy_retry_after_ms: u64,
@@ -150,13 +143,10 @@ impl MenosServer {
         self.capacity = capacity;
     }
 
-    /// Sets the GPU-pool utilization percentage at which the server
-    /// starts degrading gracefully: [`MenosServer::under_pressure`]
-    /// turns true (event-loop accepts are deferred) and the stacked
-    /// dispatch cap shrinks below [`MAX_STACK_MEMBERS`] so fused steps
-    /// stop growing the transient footprint. Values above 100 are
-    /// clamped to 100; the default 100 degrades only at full
-    /// reservation.
+    /// Sets the GPU-pool utilization percentage at which
+    /// [`MenosServer::under_pressure`] turns true and the event loop
+    /// defers accepts. Values above 100 are clamped to 100; the
+    /// default 100 reports pressure only at full reservation.
     pub fn set_pressure_watermark(&mut self, pct: u8) {
         self.pressure_watermark = pct.min(100);
     }
@@ -179,20 +169,6 @@ impl MenosServer {
     /// degradation.
     pub fn under_pressure(&self) -> bool {
         self.utilization_pct() >= u64::from(self.pressure_watermark)
-    }
-
-    /// The stacked-dispatch member cap currently in force:
-    /// [`MAX_STACK_MEMBERS`] normally, a quarter of it under memory
-    /// pressure. Shrinking the stack never changes results — stacking
-    /// is byte-identical to solo dispatch at any grouping — it only
-    /// bounds the fused step's transient memory while the pool is
-    /// tight.
-    pub fn effective_stack_cap(&self) -> usize {
-        if self.utilization_pct() >= u64::from(self.pressure_watermark) {
-            (MAX_STACK_MEMBERS / 4).max(1)
-        } else {
-            MAX_STACK_MEMBERS
-        }
     }
 
     /// Overrides the tensor-codec mask this server is willing to
@@ -457,43 +433,23 @@ impl MenosServer {
         })
     }
 
-    /// Dispatches a whole ready-set of tensor messages as (at most) one
-    /// stacked forward / re-forward+backward per compatible group —
-    /// the server step behind the event-driven pump.
+    /// Dispatches a whole ready-set — everything the event loop found
+    /// readable in one sweep — by calling [`MenosServer::handle`] on
+    /// each message in arrival order. One admitted session runs at a
+    /// time, so Algorithm 2's `Σ m_b ≤ pool` holds trivially and only
+    /// one activation footprint is alive (the paper's Eq. 3).
     ///
-    /// Grouping: messages batch together when they are the same
-    /// protocol step (forward or backward) over the same server block
-    /// range with the same `[seq, hidden]` activation geometry, the
-    /// server runs Menos' no-grad/re-forward policy, and no member
-    /// carries a KV prefix in the range (prefix tuning changes the
-    /// attention sequence structure and is not stackable). Everything
-    /// else — control messages, undecodable frames, unknown clients,
-    /// cached-mode traffic — takes the exact solo path of
-    /// [`MenosServer::handle`].
-    ///
-    /// Backward groups are additionally chunked by Algorithm 2's
-    /// admissibility rule: members join a chunk while the sum of their
-    /// profiled backward demands `m_b` fits the GPU pool, so one fused
-    /// re-forward+backward never exceeds the budget that admission
-    /// control promised each client individually.
-    ///
-    /// Per-client results are bit-identical to the solo path: every
-    /// `menos-tensor` kernel is row-bitwise-invariant, adapters are
-    /// per-band additive paths, and each session's optimizer steps on
-    /// its own gradients only.
+    /// The ready-set remains the unit a durable snapshot covers, and
+    /// the scope of the duplicate-frame rejection below.
     pub fn handle_batch(
         &mut self,
         msgs: Vec<ClientMessage>,
     ) -> Vec<(ClientId, Result<Option<ServerMessage>, ProtocolError>)> {
         let mut out = Vec::with_capacity(msgs.len());
-        // Group key: protocol step + server range + activation
-        // geometry. BTreeMap keeps dispatch order deterministic.
-        type GroupKey = (bool, usize, usize, usize, usize);
-        let mut groups: BTreeMap<GroupKey, Vec<(ClientId, Tensor)>> = BTreeMap::new();
         // Lock-step allows one tensor frame in flight per client; a
         // second in the same ready-set is a replayed or forged frame.
-        // Reject it here, before staging, so a duplicate can never
-        // join a fused step — let alone reach an optimizer twice.
+        // Reject it here, before dispatch, so a duplicate can never
+        // reach an optimizer twice.
         let mut tensor_seen: HashSet<ClientId> = HashSet::new();
         for msg in msgs {
             let is_tensor = matches!(
@@ -510,231 +466,10 @@ impl MenosServer {
                 ));
                 continue;
             }
-            match self.stage_for_batch(&msg) {
-                Some((is_backward, range, t)) => {
-                    let key = (
-                        is_backward,
-                        range.start,
-                        range.end,
-                        t.dims()[1],
-                        t.dims()[2],
-                    );
-                    groups.entry(key).or_default().push((msg.client(), t));
-                }
-                None => {
-                    let client = msg.client();
-                    out.push((client, self.handle(msg)));
-                }
-            }
-        }
-        for ((is_backward, start, end, _, _), mut members) in groups {
-            // A control message above may have removed a member (e.g.
-            // a hostile caller mixing Disconnect into the batch).
-            members.retain(|(client, _)| {
-                let alive = self.clients.contains_key(client);
-                if !alive {
-                    out.push((*client, Err(ProtocolError::UnknownClient(*client))));
-                }
-                alive
-            });
-            if is_backward {
-                for chunk in self.admissible_chunks(members) {
-                    self.batched_backward(chunk, start..end, &mut out);
-                }
-            } else {
-                for chunk in self.admissible_chunks(members) {
-                    self.batched_forward(chunk, start..end, &mut out);
-                }
-            }
+            let client = msg.client();
+            out.push((client, self.handle(msg)));
         }
         out
-    }
-
-    /// Decides whether a message may join a stacked batch, returning
-    /// its decoded tensor and server range if so.
-    fn stage_for_batch(&self, msg: &ClientMessage) -> Option<(bool, Range<usize>, Tensor)> {
-        if self.mode != ForwardMode::NoGradReforward {
-            return None;
-        }
-        let (frame, is_backward) = match msg {
-            ClientMessage::Activations { frame, .. } => (frame, false),
-            ClientMessage::Gradients { frame, .. } => (frame, true),
-            _ => return None,
-        };
-        let state = self.clients.get(&msg.client())?;
-        let t = state.session.codec().decode(frame).ok()?;
-        if t.dims().len() != 3 || t.dims()[0] == 0 {
-            return None;
-        }
-        let range = state.session.range();
-        if state.session.model().has_kv_prefix_in(range.clone()) {
-            return None;
-        }
-        if is_backward {
-            // Backward needs the no-grad forward's saved input, with a
-            // geometry matching the incoming gradients.
-            let pending = state.session.pending_input()?;
-            if pending.dims() != t.dims() {
-                return None;
-            }
-        }
-        Some((is_backward, range, t))
-    }
-
-    /// Splits a compatible group into chunks whose summed profiled
-    /// backward demands fit the GPU pool (Algorithm 2's admissible
-    /// set), additionally capped at [`MAX_STACK_MEMBERS`] sessions per
-    /// fused step: the re-forward's autograd pass buffers one
-    /// full-batch gradient contribution per member band, so an
-    /// unbounded stack turns a wide ready-set into quadratic transient
-    /// memory. Admission control guarantees every single client fits,
-    /// so chunks are never empty.
-    fn admissible_chunks(&self, members: Vec<(ClientId, Tensor)>) -> Vec<Vec<(ClientId, Tensor)>> {
-        let pool = self.spec.total_gpu_bytes();
-        // Under memory pressure the cap shrinks (graceful degradation,
-        // v1.3): smaller fused steps bound the transient footprint
-        // while results stay bit-identical at any grouping.
-        let stack_cap = self.effective_stack_cap();
-        let mut chunks = Vec::new();
-        let mut current: Vec<(ClientId, Tensor)> = Vec::new();
-        let mut current_bytes = 0u64;
-        for (client, t) in members {
-            let m_b = self
-                .clients
-                .get(&client)
-                .map(|s| s.demands.m_b)
-                .unwrap_or(0);
-            if !current.is_empty()
-                && (current.len() >= stack_cap || current_bytes.saturating_add(m_b) > pool)
-            {
-                chunks.push(std::mem::take(&mut current));
-                current_bytes = 0;
-            }
-            current_bytes += m_b;
-            current.push((client, t));
-        }
-        if !current.is_empty() {
-            chunks.push(current);
-        }
-        chunks
-    }
-
-    /// One stacked no-grad forward for a group (solo fallback for
-    /// singleton groups — same math, fewer copies).
-    fn batched_forward(
-        &mut self,
-        members: Vec<(ClientId, Tensor)>,
-        range: Range<usize>,
-        out: &mut Vec<(ClientId, Result<Option<ServerMessage>, ProtocolError>)>,
-    ) {
-        if members.is_empty() {
-            return;
-        }
-        if members.len() == 1 {
-            let (client, x_c) = members.into_iter().next().expect("one member");
-            let state = self.clients.get_mut(&client).expect("retained member");
-            let x_s = state.session.forward_nograd(&x_c);
-            let frame = state.session.codec_mut().encode(ROLE_ACTIVATIONS, &x_s);
-            out.push((
-                client,
-                Ok(Some(ServerMessage::ServerActivations { client, frame })),
-            ));
-            return;
-        }
-        let spans: Vec<usize> = members.iter().map(|(_, t)| t.dims()[0]).collect();
-        let xs: Vec<Tensor> = members.iter().map(|(_, t)| t.detach()).collect();
-        let stacked_x = Tensor::stack_batches(&xs);
-        // The stacked model borrows every member's session immutably;
-        // build it (owned) before mutating any session.
-        let model = {
-            let group: Vec<(&CausalLm, usize)> = members
-                .iter()
-                .map(|(client, t)| {
-                    let state = self.clients.get(client).expect("retained member");
-                    (state.session.model(), t.dims()[0])
-                })
-                .collect();
-            stacked_model(&group, range.clone())
-        };
-        let stacked_out = no_grad(|| model.blocks_forward(&stacked_x.detach(), range));
-        let outs = stacked_out.unstack_batches(&spans);
-        for ((client, x_c), x_s) in members.into_iter().zip(outs) {
-            let state = self.clients.get_mut(&client).expect("retained member");
-            state.session.note_batched_forward(&x_c);
-            let frame = state.session.codec_mut().encode(ROLE_ACTIVATIONS, &x_s);
-            out.push((
-                client,
-                Ok(Some(ServerMessage::ServerActivations { client, frame })),
-            ));
-        }
-    }
-
-    /// One fused re-forward + backward for an admissible chunk (solo
-    /// fallback for singletons).
-    fn batched_backward(
-        &mut self,
-        chunk: Vec<(ClientId, Tensor)>,
-        range: Range<usize>,
-        out: &mut Vec<(ClientId, Result<Option<ServerMessage>, ProtocolError>)>,
-    ) {
-        if chunk.is_empty() {
-            return;
-        }
-        if chunk.len() == 1 {
-            let (client, g_c) = chunk.into_iter().next().expect("one member");
-            let state = self.clients.get_mut(&client).expect("retained member");
-            // Eligibility verified the pending input, so the solo
-            // backward cannot hit its missing-forward panic.
-            let g_s = state.session.backward(&g_c);
-            let frame = state.session.codec_mut().encode(ROLE_GRADIENTS, &g_s);
-            let reply = ServerMessage::ServerGradients { client, frame };
-            state.last_reply = Some(reply.clone());
-            out.push((client, Ok(Some(reply))));
-            return;
-        }
-        let spans: Vec<usize> = chunk.iter().map(|(_, t)| t.dims()[0]).collect();
-        let (model, stacked_in) = {
-            let mut pend = Vec::with_capacity(chunk.len());
-            let mut group: Vec<(&CausalLm, usize)> = Vec::with_capacity(chunk.len());
-            for (client, t) in &chunk {
-                let state = self.clients.get(client).expect("retained member");
-                pend.push(
-                    state
-                        .session
-                        .pending_input()
-                        .expect("eligibility checked pending input")
-                        .clone(),
-                );
-                group.push((state.session.model(), t.dims()[0]));
-            }
-            (
-                stacked_model(&group, range.clone()),
-                Tensor::stack_batches(&pend),
-            )
-        };
-        // The re-forward runs gradient-ready from a fresh leaf over the
-        // stacked inputs — the batched image of the solo re-forward.
-        let leaf = Tensor::from_shared_storage(
-            stacked_in.storage().clone(),
-            stacked_in.shape().clone(),
-            true,
-        );
-        let x_s = model.blocks_forward(&leaf, range);
-        let gs: Vec<Tensor> = chunk.iter().map(|(_, t)| t.detach()).collect();
-        let stacked_g = Tensor::stack_batches(&gs);
-        let mut grads = x_s.backward_with_grad(&stacked_g);
-        let g_in = grads
-            .remove(&leaf)
-            .expect("gradient for stacked client activations");
-        let g_outs = g_in.unstack_batches(&spans);
-        for ((client, _), g_s) in chunk.into_iter().zip(g_outs) {
-            let state = self.clients.get_mut(&client).expect("retained member");
-            state.session.apply_batched_backward(&mut grads);
-            let frame = state.session.codec_mut().encode(ROLE_GRADIENTS, &g_s);
-            let reply = ServerMessage::ServerGradients { client, frame };
-            state.last_reply = Some(reply.clone());
-            out.push((client, Ok(Some(reply))));
-        }
     }
 
     fn connect(
@@ -1304,6 +1039,100 @@ mod tests {
         assert!(matches!(err, ProtocolError::OutOfOrder(_)));
     }
 
+    /// Two full steps for a bystander (client 1) interleaved with one
+    /// step for client 0 on a fresh server, with `hostile` — a frame
+    /// from client 0 — injected just before client 0's correct frame
+    /// of the same kind. Returns every reply to a *correct* frame in
+    /// wire form and the hostile frame's error; the Alg. 2
+    /// reservation must not move when the hostile frame is refused.
+    fn step_beside_hostile_frame(
+        hostile: Option<ClientMessage>,
+    ) -> (Vec<Bytes>, Option<ProtocolError>) {
+        let (mut srv, ft) = server();
+        for c in 0..2 {
+            srv.handle(ClientMessage::Connect {
+                client: ClientId(c),
+                ft: ft.clone(),
+                split: SplitSpec::paper(),
+                epoch: 1,
+                codecs: 0,
+            })
+            .unwrap();
+        }
+        let admitted = srv.reserved_bytes();
+        let wave = |scale: f32| {
+            let v = (0..2 * 8 * 64).map(|i| scale * (i as f32 * 0.37).sin());
+            frame(&Tensor::from_vec(v.collect(), [2, 8, 64]))
+        };
+        let acts = |c, scale| ClientMessage::Activations {
+            client: ClientId(c),
+            frame: wave(scale),
+        };
+        let grads = |c, scale| ClientMessage::Gradients {
+            client: ClientId(c),
+            frame: wave(scale),
+        };
+        let script = [
+            acts(1, 0.5),
+            acts(0, 0.4),
+            grads(1, 0.05),
+            grads(0, 0.04),
+            acts(1, 0.3),
+            grads(1, 0.03),
+        ];
+        let mut replies = Vec::new();
+        let mut refused = None;
+        for msg in script {
+            if let Some(bad) = &hostile {
+                let same_kind = std::mem::discriminant(bad) == std::mem::discriminant(&msg);
+                if same_kind && msg.client() == ClientId(0) {
+                    refused = Some(srv.handle(bad.clone()).unwrap_err());
+                    assert_eq!(srv.reserved_bytes(), admitted);
+                }
+            }
+            let reply = srv.handle(msg).expect("correct frame is served");
+            replies.push(encode_server_message(&reply.expect("tensor reply")));
+        }
+        (replies, refused)
+    }
+
+    /// A hostile frame must be refused with a typed `Rejected`, and
+    /// every correct frame — the offender's own follow-up and the
+    /// bystander's whole run — must be answered byte-identically to a
+    /// run in which the hostile frame never arrived.
+    fn assert_refused_without_a_trace(hostile: ClientMessage) {
+        let (clean, _) = step_beside_hostile_frame(None);
+        let (replies, refused) = step_beside_hostile_frame(Some(hostile));
+        let err = refused.expect("the hostile frame was sent");
+        assert!(matches!(err, ProtocolError::Rejected(_)), "{err}");
+        assert_eq!(replies, clean);
+    }
+
+    #[test]
+    fn activations_of_the_wrong_hidden_width_are_refused_not_a_panic() {
+        assert_refused_without_a_trace(ClientMessage::Activations {
+            client: ClientId(0),
+            frame: frame(&Tensor::full(0.1, [2, 8, 63])),
+        });
+    }
+
+    #[test]
+    fn gradients_shaped_unlike_the_forward_leave_the_step_completable() {
+        assert_refused_without_a_trace(ClientMessage::Gradients {
+            client: ClientId(0),
+            frame: frame(&Tensor::full(0.01, [2, 7, 64])),
+        });
+    }
+
+    #[test]
+    fn activations_beyond_the_admitted_batch_are_refused() {
+        // 32x the batch the Alg. 2 reservation was profiled for.
+        assert_refused_without_a_trace(ClientMessage::Activations {
+            client: ClientId(0),
+            frame: frame(&Tensor::full(0.1, [64, 8, 64])),
+        });
+    }
+
     #[test]
     fn invalid_config_rejected_at_connect() {
         let (mut srv, mut ft) = server();
@@ -1464,10 +1293,9 @@ mod tests {
     }
 
     #[test]
-    fn pressure_watermark_degrades_the_stack_cap() {
+    fn under_pressure_toggles_at_the_watermark() {
         let (mut srv, ft) = server();
         assert!(!srv.under_pressure());
-        assert_eq!(srv.effective_stack_cap(), MAX_STACK_MEMBERS);
         srv.handle(ClientMessage::Connect {
             client: ClientId(0),
             ft,
@@ -1476,16 +1304,14 @@ mod tests {
             codecs: 0,
         })
         .unwrap();
-        // Watermark 0: the degraded regime is unconditionally in
-        // force — handy for pinning the degraded path in tests.
+        // Watermark 0: pressure is unconditionally reported — handy
+        // for pinning the accept-deferral path in tests.
         srv.set_pressure_watermark(0);
         assert!(srv.under_pressure());
-        assert_eq!(srv.effective_stack_cap(), (MAX_STACK_MEMBERS / 4).max(1));
         assert!(srv.utilization_pct() <= 100);
         // Back to the default watermark: pressure clears.
         srv.set_pressure_watermark(100);
         assert!(!srv.under_pressure());
-        assert_eq!(srv.effective_stack_cap(), MAX_STACK_MEMBERS);
     }
 
     #[test]

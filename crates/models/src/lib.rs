@@ -41,7 +41,6 @@ mod generate;
 mod layers;
 mod model;
 mod profile;
-mod stacked;
 
 pub use config::{Arch, ModelConfig};
 pub use generate::GenerateConfig;
@@ -50,4 +49,3 @@ pub use model::{causal_lm_loss, init_params, AdapterTarget, CausalLm};
 pub use profile::{
     paper_batch_size, LoraSpec, ModelProfile, Precision, BYTES_PER_ELEM, PAPER_SEQ_LEN,
 };
-pub use stacked::{stacked_model, StackedAdapter, ALL_ADAPTER_TARGETS};

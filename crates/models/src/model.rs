@@ -287,82 +287,6 @@ impl CausalLm {
         self.blocks[layer].attn.prefix = Some(provider);
     }
 
-    /// The adapter currently attached to a projection, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn linear_adapter(
-        &self,
-        layer: usize,
-        target: AdapterTarget,
-    ) -> Option<Arc<dyn LinearAdapter>> {
-        let block = &self.blocks[layer];
-        let slot: &Linear = match target {
-            AdapterTarget::Q => &block.attn.q,
-            AdapterTarget::K => &block.attn.k,
-            AdapterTarget::V => &block.attn.v,
-            AdapterTarget::O => &block.attn.o,
-            AdapterTarget::MlpUp => match &block.mlp {
-                Mlp::Gelu { fc1, .. } => fc1,
-                Mlp::SwiGlu { up, .. } => up,
-            },
-            AdapterTarget::MlpDown => match &block.mlp {
-                Mlp::Gelu { fc2, .. } => fc2,
-                Mlp::SwiGlu { down, .. } => down,
-            },
-        };
-        slot.adapter.clone()
-    }
-
-    /// Detaches the adapter (if any) from a projection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn clear_linear_adapter(&mut self, layer: usize, target: AdapterTarget) {
-        let block = &mut self.blocks[layer];
-        let slot: &mut Linear = match target {
-            AdapterTarget::Q => &mut block.attn.q,
-            AdapterTarget::K => &mut block.attn.k,
-            AdapterTarget::V => &mut block.attn.v,
-            AdapterTarget::O => &mut block.attn.o,
-            AdapterTarget::MlpUp => match &mut block.mlp {
-                Mlp::Gelu { fc1, .. } => fc1,
-                Mlp::SwiGlu { up, .. } => up,
-            },
-            AdapterTarget::MlpDown => match &mut block.mlp {
-                Mlp::Gelu { fc2, .. } => fc2,
-                Mlp::SwiGlu { down, .. } => down,
-            },
-        };
-        slot.adapter = None;
-    }
-
-    /// True if any block in `range` carries a KV-prefix provider.
-    /// Prefix tuning changes the attention sequence structure, so
-    /// models with prefixes cannot take part in cross-client batch
-    /// stacking (see [`crate::StackedAdapter`]).
-    pub fn has_kv_prefix_in(&self, range: Range<usize>) -> bool {
-        self.blocks[range].iter().any(|b| b.attn.prefix.is_some())
-    }
-
-    /// A structural copy whose every parameter tensor *aliases* this
-    /// model's storage — the binding analogue of `bind`ing the same
-    /// store twice, but without needing the store. Adapter hooks are
-    /// carried over as shared handles; callers typically replace them
-    /// (e.g. with stacked adapters) before use.
-    pub fn clone_structure(&self) -> CausalLm {
-        CausalLm {
-            config: self.config.clone(),
-            embed: self.embed.clone(),
-            pos: self.pos.clone(),
-            blocks: self.blocks.clone(),
-            final_norm: self.final_norm.clone(),
-            lm_head: self.lm_head.clone(),
-        }
-    }
-
     /// All trainable adapter parameters across blocks, named
     /// `blocks.{i}.{projection}.{suffix}`.
     pub fn adapter_params(&self) -> ParamStore {

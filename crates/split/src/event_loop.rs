@@ -1,14 +1,11 @@
-//! The event-driven server pump: one thread, many clients, batched
-//! dispatch.
+//! The event-driven server pump: one thread multiplexing many clients
+//! onto one handler.
 //!
 //! [`serve_loop`](crate::serve_loop) parks one OS thread per client in
-//! a blocking `recv`. That shape caps concurrency at the thread budget
-//! and — worse for Menos — hands the compute backend one client's
-//! micro-batch at a time, so the parallel matmul kernels never see the
-//! large batches they were built for. This module replaces the pump,
-//! not the protocol: the same encoded bytes, the same
-//! [`MessageHandler`] state machine, the same error taxonomy, driven
-//! by a single-threaded readiness loop.
+//! a blocking `recv`, which caps concurrency at the thread budget.
+//! This module replaces the pump, not the protocol: the same encoded
+//! bytes, the same [`MessageHandler`] state machine, the same error
+//! taxonomy, driven by a single-threaded readiness loop.
 //!
 //! The pieces:
 //!
@@ -18,24 +15,24 @@
 //!   and simulated-WAN transports here, and by nonblocking TCP in
 //!   [`crate::tcp`] (built on `menos-net`'s `FrameAccumulator` /
 //!   `WriteQueue`).
-//! * [`BatchHandler`] — a [`MessageHandler`] that may accept a whole
-//!   sweep's worth of ready messages at once. `menos-core`'s
-//!   `MenosServer` implements it by stacking compatible clients'
-//!   activations into one forward/backward; the default implementation
-//!   just replays messages one by one, which keeps every handler
-//!   usable under the new pump.
+//! * [`BatchHandler`] — a [`MessageHandler`] that accepts a whole
+//!   sweep's worth of ready messages at once. The default
+//!   implementation replays them one by one through `handle`;
+//!   `menos-core`'s `MenosServer` does the same after rejecting
+//!   duplicate tensor frames within the set. The ready-set is the unit
+//!   one durable snapshot covers.
 //! * [`ServerEventLoop`] — the pump itself: accept, sweep reads,
-//!   batch-dispatch, flush, repeat. Connection failures reclaim the
-//!   failed client's session (synthetic `Disconnect`) exactly like the
-//!   blocking pump; other clients never notice.
+//!   dispatch the ready-set, flush, repeat. Connection failures
+//!   reclaim the failed client's session (synthetic `Disconnect`)
+//!   exactly like the blocking pump; other clients never notice.
 //!
 //! Because the lock-step protocol allows at most one outstanding
-//! message per client, the batching rule is simple: collect tensor
+//! message per client, the ready-set rule is simple: collect tensor
 //! messages until a sweep adds none (the ready set went quiet) or the
-//! batch reaches [`EventLoopOptions::batch_window`], then dispatch the
-//! whole set. While the handler computes, the replies release every
-//! client in the batch; their next messages land together — so large
-//! batches are self-sustaining.
+//! set reaches [`EventLoopOptions::batch_window`], then dispatch the
+//! whole set. While the handler works through it, the replies release
+//! every client in the set; their next messages land together — so
+//! large ready-sets are self-sustaining.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -128,8 +125,8 @@ pub trait EventListener {
 // Batched dispatch
 // ----------------------------------------------------------------------
 
-/// A [`MessageHandler`] that may process a whole ready-set of tensor
-/// messages in one server step.
+/// A [`MessageHandler`] that is handed a whole ready-set of tensor
+/// messages in one call.
 ///
 /// The event loop hands `handle_batch` every staged `Activations` /
 /// `Gradients` message from clients that were ready this dispatch
@@ -143,8 +140,8 @@ pub trait EventListener {
 ///
 /// The default implementation replays messages one at a time through
 /// `handle`, making every existing handler event-loop capable;
-/// `menos-core`'s `MenosServer` overrides it to stack compatible
-/// clients into one batched forward/backward.
+/// `menos-core`'s `MenosServer` overrides it only to reject a second
+/// tensor frame from one client within a set before doing the same.
 pub trait BatchHandler: MessageHandler {
     /// Dispatches a batch of tensor messages, returning
     /// `(client, reply-or-error)` for every input message.

@@ -561,12 +561,18 @@ impl<H: MessageHandler> MessageHandler for Arc<Mutex<H>> {
 /// compute. Every handler (the `menos-core` server, the in-process
 /// driver, [`SessionHandler`]) delegates here.
 ///
+/// Tensor geometry is peer input: it is checked against what the
+/// session was admitted for *before* the session is touched, so a
+/// refused frame leaves the step completable by a correct one.
+///
 /// # Errors
 ///
 /// [`ProtocolError::Wire`] if the tensor payload does not decode;
-/// [`ProtocolError::OutOfOrder`] for gradients without a preceding
-/// forward, or for control messages (which belong to the session's
-/// owner, not the session).
+/// [`ProtocolError::Rejected`] for activations outside the admitted
+/// `[batch, seq, hidden]` geometry or gradients shaped unlike the
+/// forward they answer; [`ProtocolError::OutOfOrder`] for gradients
+/// without a preceding forward, or for control messages (which belong
+/// to the session's owner, not the session).
 pub fn dispatch_session(
     session: &mut ServerSession,
     mode: ForwardMode,
@@ -575,6 +581,7 @@ pub fn dispatch_session(
     match msg {
         ClientMessage::Activations { client, frame } => {
             let x_c = session.codec().decode(frame)?;
+            check_admitted_geometry(session, x_c.dims())?;
             let x_s = match mode {
                 ForwardMode::Cached => session.forward_cached(&x_c),
                 ForwardMode::NoGradReforward => session.forward_nograd(&x_c),
@@ -588,15 +595,16 @@ pub fn dispatch_session(
         }
         ClientMessage::Gradients { client, frame } => {
             let g_c = session.codec().decode(frame)?;
-            // `backward` panics on protocol misuse (no preceding
-            // forward); convert that into a recoverable protocol
-            // error. The session mutates nothing before the check, so
-            // unwinding leaves it consistent.
-            let g_s =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.backward(&g_c)))
-                    .map_err(|_| {
-                    ProtocolError::OutOfOrder("gradients received before activations".into())
-                })?;
+            let forward = session.forward_dims().ok_or_else(|| {
+                ProtocolError::OutOfOrder("gradients received before activations".into())
+            })?;
+            if g_c.dims() != forward {
+                return Err(ProtocolError::Rejected(format!(
+                    "{client} sent gradients shaped {:?} for a forward shaped {forward:?}",
+                    g_c.dims()
+                )));
+            }
+            let g_s = session.backward(&g_c);
             Ok(ServerMessage::ServerGradients {
                 client: *client,
                 frame: session.codec_mut().encode(menos_net::ROLE_GRADIENTS, &g_s),
@@ -609,6 +617,29 @@ pub fn dispatch_session(
         | ClientMessage::ImportSession { .. } => Err(ProtocolError::OutOfOrder(
             "control message routed to a bound session".into(),
         )),
+    }
+}
+
+/// Refuses activations the session was not profiled for at `Connect`:
+/// anything but `[b, s, hidden]` with `0 < b ≤ batch_size` and
+/// `0 < s ≤ seq_len`. A wrong hidden width would panic inside the
+/// first layer norm; a larger batch or sequence would run outside the
+/// session's Algorithm-2 reservation.
+fn check_admitted_geometry(session: &ServerSession, dims: &[usize]) -> Result<(), ProtocolError> {
+    let ft = session.ft_config();
+    let hidden = session.model().config.hidden;
+    match *dims {
+        [b, s, h]
+            if h == hidden && (1..=ft.batch_size).contains(&b) && (1..=ft.seq_len).contains(&s) =>
+        {
+            Ok(())
+        }
+        _ => Err(ProtocolError::Rejected(format!(
+            "{} sent activations shaped {dims:?}; admitted for at most [{}, {}, {hidden}]",
+            session.client(),
+            ft.batch_size,
+            ft.seq_len
+        ))),
     }
 }
 

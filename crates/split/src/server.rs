@@ -369,65 +369,12 @@ impl ServerSession {
         g_s
     }
 
-    /// The raw `x_c` held for a pending re-forward (set by the no-grad
-    /// forward path; consumed by backward).
-    pub fn pending_input(&self) -> Option<&Tensor> {
-        self.pending_input.as_ref()
-    }
-
-    /// Records that this session's no-grad forward ran inside a
-    /// cross-client stacked batch: the stacked pass already produced
-    /// this client's `x_s` band, so only [`ServerSession::forward_nograd`]'s
-    /// bookkeeping remains — keep `x_c` for the re-forward, drop any
-    /// cached graph.
-    pub fn note_batched_forward(&mut self, x_c: &Tensor) {
-        self.pending_input = Some(x_c.detach());
-        self.cached = None;
-    }
-
-    /// Completes this session's share of a stacked batched backward.
-    ///
-    /// The caller re-forwarded the whole stacked batch and ran one
-    /// fused backward; `grads` holds gradients for *every* member's
-    /// adapter parameters. This drains this session's own parameters'
-    /// gradients out of `grads` and applies the same
-    /// accumulation/step schedule as [`ServerSession::backward`] —
-    /// row-bitwise-invariant kernels make the drained gradients
-    /// bit-identical to a solo backward, so the resulting adapter
-    /// updates are too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no forward preceded this call.
-    pub fn apply_batched_backward(&mut self, grads: &mut GradStore) {
-        assert!(
-            self.pending_input.take().is_some(),
-            "batched backward without a preceding forward"
-        );
-        self.reforward_count += 1;
-        // Only this session's adapter gradients matter: the optimizer
-        // looks up its own params by tensor identity, so the filtered
-        // store steps identically to the solo path's full store.
-        let mut own = GradStore::new();
-        for p in self.adapter_params.tensors() {
-            if let Some(g) = grads.remove(p) {
-                own.insert(p, g);
-            }
-        }
-        match &mut self.accum {
-            Some(acc) => acc.merge(own),
-            None => self.accum = Some(own),
-        }
-        self.micro += 1;
-        if self.micro >= self.grad_accumulation {
-            let mut acc = self.accum.take().expect("accumulated grads");
-            if self.grad_accumulation > 1 {
-                acc.scale(1.0 / self.grad_accumulation as f32);
-            }
-            self.optimizer.step(&acc);
-            self.micro = 0;
-        }
-        self.steps += 1;
+    /// Dimensions of the client activations whose backward is still
+    /// owed — held raw for the re-forward or inside the cached graph —
+    /// or `None` when no forward is pending.
+    pub fn forward_dims(&self) -> Option<&[usize]> {
+        let cached = self.cached.as_ref().map(|c| &c.x_c_leaf);
+        cached.or(self.pending_input.as_ref()).map(Tensor::dims)
     }
 
     /// Drops any cached state (used when a task is released between

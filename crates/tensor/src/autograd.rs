@@ -161,13 +161,13 @@ impl Tensor {
 
         // Contributions are buffered per tensor and summed in ascending
         // consumer-creation order, NOT in traversal-arrival order. The
-        // traversal order depends on the global graph shape, so two
-        // graphs computing the same per-row math (e.g. a solo model and
-        // its image inside a stacked multi-client batch) would group
-        // float additions differently and drift by ulps. Creation order
-        // is a structural property of the op that built each consumer,
-        // identical in both graphs, which makes gradients bitwise
-        // reproducible across graph embeddings.
+        // traversal order depends on the global graph shape, so the
+        // same sub-graph embedded in a larger or differently rooted
+        // graph would group float additions differently and drift by
+        // ulps. Creation order is a structural property of the op that
+        // built each consumer, identical wherever the sub-graph sits,
+        // which makes gradients bitwise reproducible across graph
+        // embeddings — the bit-identity every soak asserts rests on it.
         let mut pending: HashMap<u64, Vec<(u64, Vec<f32>)>> = HashMap::new();
         // Seed sorts first: no real consumer can have id 0 here because
         // the root itself was created after id 0.

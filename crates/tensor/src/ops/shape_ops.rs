@@ -189,49 +189,6 @@ impl Tensor {
         Tensor::from_op(out, Shape::new(out_dims), Op::Concat(tensors.to_vec(), dim))
     }
 
-    /// Stacks heterogeneous micro-batches along the batch axis
-    /// (dimension 0): inputs shaped `[b_i, ...]` with identical trailing
-    /// dimensions become one `[Σ b_i, ...]` tensor.
-    ///
-    /// This is the entry point of the batched server step: several
-    /// clients' activations are fused so the compute backend sees one
-    /// large matmul instead of many small ones. Because every kernel in
-    /// this crate is documented row-bitwise-invariant (a row's result
-    /// never depends on which tile or batch position it lands in),
-    /// `stack_batches` followed by [`Tensor::unstack_batches`] returns
-    /// each client's rows bit-identical to running them alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty input list or mismatched trailing dimensions.
-    pub fn stack_batches(batches: &[Tensor]) -> Tensor {
-        Tensor::concat(batches, 0)
-    }
-
-    /// Splits a stacked tensor back into per-client micro-batches:
-    /// the inverse of [`Tensor::stack_batches`]. `sizes[i]` is the
-    /// batch-dimension extent of part `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sizes` does not sum to the batch dimension.
-    pub fn unstack_batches(&self, sizes: &[usize]) -> Vec<Tensor> {
-        let total: usize = sizes.iter().sum();
-        assert_eq!(
-            total,
-            self.shape().dim(0),
-            "unstack sizes {sizes:?} do not sum to batch dim of {}",
-            self.shape()
-        );
-        let mut out = Vec::with_capacity(sizes.len());
-        let mut start = 0;
-        for &len in sizes {
-            out.push(self.narrow(0, start, len));
-            start += len;
-        }
-        out
-    }
-
     /// Splits into equal chunks along `dim`.
     ///
     /// # Panics
@@ -351,53 +308,5 @@ mod tests {
     #[should_panic(expected = "concat of zero tensors")]
     fn concat_rejects_empty() {
         Tensor::concat(&[], 0);
-    }
-
-    #[test]
-    fn stack_unstack_round_trips_heterogeneous_batches() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], [1, 2]);
-        let b = Tensor::from_vec(vec![3.0, 4.0, 5.0, 6.0], [2, 2]);
-        let s = Tensor::stack_batches(&[a.clone(), b.clone()]);
-        assert_eq!(s.dims(), &[3, 2]);
-        let parts = s.unstack_batches(&[1, 2]);
-        assert_eq!(parts[0].to_vec(), a.to_vec());
-        assert_eq!(parts[1].to_vec(), b.to_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "do not sum to batch dim")]
-    fn unstack_validates_sizes() {
-        Tensor::zeros([3, 2]).unstack_batches(&[1, 1]);
-    }
-
-    /// The contract the batched server step rests on: a row's matmul
-    /// result is bitwise identical whether the row is computed alone or
-    /// stacked under other clients' rows.
-    #[test]
-    fn stacked_matmul_rows_are_bitwise_identical_to_solo_rows() {
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((seed >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-        };
-        let k = 37;
-        let n = 29;
-        let w = Tensor::from_vec((0..k * n).map(|_| next()).collect(), [k, n]);
-        let parts: Vec<Tensor> = [3usize, 1, 5]
-            .iter()
-            .map(|&b| Tensor::from_vec((0..b * k).map(|_| next()).collect(), [b, k]))
-            .collect();
-        let stacked = Tensor::stack_batches(&parts).matmul(&w);
-        let sizes = [3, 1, 5];
-        for (part, piece) in parts.iter().zip(stacked.unstack_batches(&sizes)) {
-            let solo: Vec<u32> = part
-                .matmul(&w)
-                .to_vec()
-                .iter()
-                .map(|f| f.to_bits())
-                .collect();
-            let batched: Vec<u32> = piece.to_vec().iter().map(|f| f.to_bits()).collect();
-            assert_eq!(solo, batched);
-        }
     }
 }

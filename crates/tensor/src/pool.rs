@@ -197,7 +197,7 @@ pub fn recycle_bytes(buf: Vec<u8>) {
 }
 
 /// Adds `n` bytes to the global copied-bytes counter. The wire codec
-/// and the stack/unstack kernels call this on every bulk copy so
+/// and the concat/narrow kernels call this on every bulk copy so
 /// benchmarks can report bytes moved per step.
 pub fn count_copied(n: usize) {
     BYTES_COPIED.fetch_add(n as u64, Ordering::Relaxed);

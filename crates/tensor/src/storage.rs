@@ -10,9 +10,8 @@
 //! last alias of a buffer drops, its allocation is recycled into the
 //! per-thread pool instead of returning to the allocator, and
 //! [`Storage::zeros`] draws from the same pool. Step-loop tensors
-//! (activations, gradients, stacked batches) therefore reuse a small
-//! working set of allocations instead of mallocing fresh storage
-//! every step.
+//! (activations, gradients) therefore reuse a small working set of
+//! allocations instead of mallocing fresh storage every step.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};

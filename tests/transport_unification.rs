@@ -418,118 +418,130 @@ fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
     assert_eq!(tcp_stats.served, N);
 }
 
-/// The deterministic core of the bit-identity claim, with no thread
-/// timing involved: feeding `handle_batch` all clients' messages at
-/// once must produce byte-identical reply frames to dispatching each
-/// client alone through `handle`.
+/// The tensor frame of a server reply.
+fn frame_of(reply: &ServerMessage) -> &bytes::Bytes {
+    match reply {
+        ServerMessage::ServerActivations { frame, .. }
+        | ServerMessage::ServerGradients { frame, .. } => frame,
+        other => panic!("unexpected reply {other:?}"),
+    }
+}
+
+/// Advances `client` by one protocol message, given the server's reply
+/// to its previous one (`None` before the first step).
+fn next_message(client: &mut SplitClient, last: Option<&ServerMessage>) -> ClientMessage {
+    if let Some(ServerMessage::ServerActivations { frame, .. }) = last {
+        let x_s = menos::net::decode_tensor(frame).unwrap();
+        let (_loss, g_c) = client.receive_server_activations(&x_s);
+        return ClientMessage::Gradients {
+            client: client.id(),
+            frame: menos::net::encode_tensor(&g_c),
+        };
+    }
+    if let Some(reply) = last {
+        client.receive_server_gradients(&menos::net::decode_tensor(frame_of(reply)).unwrap());
+    }
+    ClientMessage::Activations {
+        client: client.id(),
+        frame: menos::net::encode_tensor(&client.start_step()),
+    }
+}
+
+/// The deterministic core of the event loop's dispatch contract, with
+/// no thread timing involved: `handle_batch` over a mixed ready-set —
+/// forward and backward steps side by side, a replayed duplicate frame
+/// and a frame from a client the server never admitted — answers every
+/// legitimate message, in arrival order, with the bytes sequential
+/// `handle` calls produce, and the two intruders with typed errors.
 #[test]
-fn stacked_handle_batch_replies_are_byte_identical_to_solo_dispatch() {
+fn handle_batch_is_sequential_handle_over_a_mixed_ready_set() {
     let (text, _vocab, config, base) = setup();
     const N: u64 = 3;
-    const STEPS: usize = 2;
+    const STRANGER: ClientId = ClientId(99);
 
-    let solo = make_server(&config, &base);
+    let sequential = make_server(&config, &base);
     let batched = make_server(&config, &base);
-    let mut solo_clients: Vec<SplitClient> = (0..N)
-        .map(|k| make_client(k, &text, &config, &base))
-        .collect();
-    let mut batch_clients: Vec<SplitClient> = (0..N)
-        .map(|k| make_client(k, &text, &config, &base))
-        .collect();
-
-    for client in &solo_clients {
-        solo.lock().unwrap().handle(connect_msg(client)).unwrap();
-    }
-    for client in &batch_clients {
+    let fleet = || -> Vec<SplitClient> {
+        (0..N)
+            .map(|k| make_client(k, &text, &config, &base))
+            .collect()
+    };
+    let (mut seq_clients, mut batch_clients) = (fleet(), fleet());
+    for client in &seq_clients {
+        sequential
+            .lock()
+            .unwrap()
+            .handle(connect_msg(client))
+            .unwrap();
         batched.lock().unwrap().handle(connect_msg(client)).unwrap();
     }
+    let mut seq_last: Vec<Option<ServerMessage>> = vec![None; N as usize];
+    let mut batch_last = seq_last.clone();
 
-    let tensor_frame = |reply: &ServerMessage| -> bytes::Bytes {
-        match reply {
-            ServerMessage::ServerActivations { frame, .. }
-            | ServerMessage::ServerGradients { frame, .. } => frame.clone(),
-            other => panic!("unexpected reply {other:?}"),
+    // Round 0 advances client 0 alone, so from round 1 on it is half a
+    // step ahead: its Gradients share a ready-set with the others'
+    // Activations, and vice versa.
+    for round in 0..5 {
+        let members = if round == 0 { 1 } else { N as usize };
+        let mut ready_set = Vec::new();
+        for k in 0..members {
+            let msg = next_message(&mut seq_clients[k], seq_last[k].as_ref());
+            let reply = sequential.lock().unwrap().handle(msg.clone());
+            seq_last[k] = Some(reply.unwrap().unwrap());
+            let twin = next_message(&mut batch_clients[k], batch_last[k].as_ref());
+            assert_eq!(twin, msg, "fleets diverged before dispatch");
+            ready_set.push(twin);
         }
-    };
+        // The intruders: client 0's frame replayed at the end of the
+        // set, and a tensor frame from a client that never connected.
+        ready_set.push(ready_set[0].clone());
+        ready_set.push(ClientMessage::Activations {
+            client: STRANGER,
+            frame: menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64])),
+        });
+        if round > 0 {
+            let kinds = |m: &ClientMessage| matches!(m, ClientMessage::Gradients { .. });
+            assert_ne!(kinds(&ready_set[0]), kinds(&ready_set[1]), "set is mixed");
+        }
 
-    for _ in 0..STEPS {
-        // Forward: solo one at a time, batched all at once.
-        let mut solo_xs = Vec::new();
-        for client in &mut solo_clients {
-            let x_c = client.start_step();
-            let reply = solo
-                .lock()
-                .unwrap()
-                .handle(ClientMessage::Activations {
-                    client: client.id(),
-                    frame: menos::net::encode_tensor(&x_c),
-                })
-                .unwrap()
-                .unwrap();
-            solo_xs.push(tensor_frame(&reply));
+        let replies = batched.lock().unwrap().handle_batch(ready_set);
+        assert_eq!(replies.len(), members + 2);
+        for (k, (client, reply)) in replies.iter().take(members).enumerate() {
+            assert_eq!(*client, ClientId(k as u64), "replies keep arrival order");
+            let reply = reply.as_ref().unwrap().clone().unwrap();
+            assert_eq!(
+                frame_of(&reply),
+                frame_of(seq_last[k].as_ref().unwrap()),
+                "round {round}: handle_batch diverged from sequential handle"
+            );
+            batch_last[k] = Some(reply);
         }
-        let batch_msgs: Vec<ClientMessage> = batch_clients
-            .iter_mut()
-            .map(|client| ClientMessage::Activations {
-                client: client.id(),
-                frame: menos::net::encode_tensor(&client.start_step()),
-            })
-            .collect();
-        let mut replies = batched.lock().unwrap().handle_batch(batch_msgs);
-        replies.sort_by_key(|(client, _)| *client);
-        let batch_xs: Vec<bytes::Bytes> = replies
-            .iter()
-            .map(|(_, r)| tensor_frame(r.as_ref().unwrap().as_ref().unwrap()))
-            .collect();
-        assert_eq!(solo_xs, batch_xs, "stacked forward diverged");
-
-        // Backward: gradients computed by bit-identical clients.
-        let mut solo_gs = Vec::new();
-        for (client, x_frame) in solo_clients.iter_mut().zip(&solo_xs) {
-            let x_s = menos::net::decode_tensor(x_frame).unwrap();
-            let (_loss, g_c) = client.receive_server_activations(&x_s);
-            let reply = solo
-                .lock()
-                .unwrap()
-                .handle(ClientMessage::Gradients {
-                    client: client.id(),
-                    frame: menos::net::encode_tensor(&g_c),
-                })
-                .unwrap()
-                .unwrap();
-            solo_gs.push(tensor_frame(&reply));
-        }
-        let batch_msgs: Vec<ClientMessage> = batch_clients
-            .iter_mut()
-            .zip(&batch_xs)
-            .map(|(client, x_frame)| {
-                let x_s = menos::net::decode_tensor(x_frame).unwrap();
-                let (_loss, g_c) = client.receive_server_activations(&x_s);
-                ClientMessage::Gradients {
-                    client: client.id(),
-                    frame: menos::net::encode_tensor(&g_c),
-                }
-            })
-            .collect();
-        let mut replies = batched.lock().unwrap().handle_batch(batch_msgs);
-        replies.sort_by_key(|(client, _)| *client);
-        let batch_gs: Vec<bytes::Bytes> = replies
-            .iter()
-            .map(|(_, r)| tensor_frame(r.as_ref().unwrap().as_ref().unwrap()))
-            .collect();
-        assert_eq!(solo_gs, batch_gs, "stacked backward diverged");
-
-        for (client, g_frame) in solo_clients.iter_mut().zip(&solo_gs) {
-            client.receive_server_gradients(&menos::net::decode_tensor(g_frame).unwrap());
-        }
-        for (client, g_frame) in batch_clients.iter_mut().zip(&batch_gs) {
-            client.receive_server_gradients(&menos::net::decode_tensor(g_frame).unwrap());
-        }
+        let (dup_client, dup) = &replies[members];
+        assert_eq!(*dup_client, ClientId(0));
+        assert!(matches!(dup, Err(ProtocolError::OutOfOrder(_))), "{dup:?}");
+        let (stranger, refused) = &replies[members + 1];
+        assert_eq!(*stranger, STRANGER);
+        assert!(
+            matches!(refused, Err(ProtocolError::UnknownClient(STRANGER))),
+            "{refused:?}"
+        );
     }
 
-    // Final sanity: the loss curves of both fleets agree bit-for-bit.
-    for (a, b) in solo_clients.iter().zip(&batch_clients) {
+    // Both fleets trained identically, client side and server side.
+    for (a, b) in seq_clients.iter().zip(&batch_clients) {
         assert_eq!(bits(a.curve()), bits(b.curve()));
+        assert!(!a.curve().points().is_empty());
+        let (seq, batch) = (sequential.lock().unwrap(), batched.lock().unwrap());
+        let (sa, ba) = (
+            seq.session_adapters(a.id()).unwrap(),
+            batch.session_adapters(a.id()).unwrap(),
+        );
+        let raw = |t: &menos::tensor::Tensor| -> Vec<u32> {
+            t.to_vec().iter().map(|x| x.to_bits()).collect()
+        };
+        for (name, t) in sa.iter() {
+            assert_eq!(raw(t), raw(ba.get(name).unwrap()), "{name}");
+        }
     }
 }
 
@@ -559,14 +571,15 @@ fn one_event_loop_thread_drives_32_concurrent_clients() {
     );
 }
 
-/// Batched-step isolation: a client that dies mid-batch — after its
-/// activations joined a 32-wide stacked forward but before it sent
-/// gradients — is excised without perturbing the 31 survivors. Their
-/// reply frames stay byte-identical to solo dispatch, the dead session
-/// is quarantined (not leaked), and its Alg. 2 pool reservation is
-/// reclaimed once the quarantine expires.
+/// Ready-set isolation: a client that dies mid-step — after its
+/// activations were served in a 32-wide ready-set but before its
+/// gradients were — is excised with a typed error without perturbing
+/// the 31 survivors. Their reply frames stay byte-identical to a run
+/// of `handle` calls, the dead session is quarantined (not leaked),
+/// and its Alg. 2 pool reservation is released at once and gone for
+/// good once the quarantine expires.
 #[test]
-fn mid_batch_disconnect_excises_one_client_and_leaves_31_peers_bit_identical() {
+fn quarantined_member_is_excised_with_a_typed_error_and_reservations_return() {
     let (text, _vocab, config, base) = setup();
     const N: u64 = 32;
     const VICTIM: ClientId = ClientId(13);
@@ -588,13 +601,7 @@ fn mid_batch_disconnect_excises_one_client_and_leaves_31_peers_bit_identical() {
     let full_reservation = batched.lock().unwrap().reserved_bytes();
     assert!(full_reservation > 0, "connects reserve pool capacity");
 
-    let tensor_frame = |reply: &ServerMessage| -> bytes::Bytes {
-        match reply {
-            ServerMessage::ServerActivations { frame, .. }
-            | ServerMessage::ServerGradients { frame, .. } => frame.clone(),
-            other => panic!("unexpected reply {other:?}"),
-        }
-    };
+    let tensor_frame = |reply: &ServerMessage| frame_of(reply).clone();
 
     // Solo reference: every client, including the future victim, runs
     // the full forward alone.
@@ -613,7 +620,7 @@ fn mid_batch_disconnect_excises_one_client_and_leaves_31_peers_bit_identical() {
         solo_xs.push(tensor_frame(&reply));
     }
 
-    // Stacked forward with all 32 aboard.
+    // One ready-set with all 32 aboard.
     let batch_msgs: Vec<ClientMessage> = batch_clients
         .iter_mut()
         .map(|client| ClientMessage::Activations {
@@ -627,7 +634,7 @@ fn mid_batch_disconnect_excises_one_client_and_leaves_31_peers_bit_identical() {
         .iter()
         .map(|(_, r)| tensor_frame(r.as_ref().unwrap().as_ref().unwrap()))
         .collect();
-    assert_eq!(solo_xs, batch_xs, "stacked forward diverged");
+    assert_eq!(solo_xs, batch_xs, "ready-set forward diverged");
 
     // The victim's connection dies between forward and backward — the
     // event loop reports it via `connection_lost`, which quarantines.
@@ -663,8 +670,8 @@ fn mid_batch_disconnect_excises_one_client_and_leaves_31_peers_bit_identical() {
         solo_gs.push(tensor_frame(&reply));
     }
 
-    // ...and a stacked backward that still contains the dead client's
-    // in-flight gradients (they raced the hang-up). The batch must
+    // ...and a ready-set that still contains the dead client's
+    // in-flight gradients (they raced the hang-up). The dispatch must
     // excise the victim with a typed error and serve everyone else.
     let batch_msgs: Vec<ClientMessage> = batch_clients
         .iter_mut()
@@ -685,7 +692,7 @@ fn mid_batch_disconnect_excises_one_client_and_leaves_31_peers_bit_identical() {
     for (client, reply) in &replies {
         if *client == VICTIM {
             assert!(
-                reply.is_err(),
+                matches!(reply, Err(ProtocolError::UnknownClient(VICTIM))),
                 "the quarantined member must be excised, got {reply:?}"
             );
         } else {
