@@ -49,9 +49,9 @@ use menos_models::{init_params, CausalLm, ModelConfig};
 use menos_net::{Codec, WanLink};
 use menos_sim::seeded_rng;
 use menos_split::{
-    drive_client, drive_client_resumable, event_sim_listener, run_tcp_client_fleet, serve_loop,
-    sim_pair, ClientId, EventLoopOptions, EventLoopStats, RetryPolicy, ServerEventLoop,
-    SnapshotPolicy, SplitClient, SplitSpec, TcpEventServer, TcpOptions,
+    already_connected, drive_client, event_sim_listener, run_tcp_client, serve_loop, sim_pair,
+    ClientId, EventLoopOptions, EventLoopStats, RetryPolicy, ServerEventLoop, SnapshotPolicy,
+    SplitClient, SplitSpec, TcpEventServer, TcpOptions,
 };
 use menos_tensor::ParamStore;
 
@@ -114,19 +114,21 @@ fn vm_hwm_kb() -> u64 {
 
 /// N blocking `serve_loop` threads (one per client) over SimTransport.
 fn run_threaded(n: u64, text: &str, config: &ModelConfig, base: &Arc<Mutex<ParamStore>>) -> f64 {
+    let none = RetryPolicy::none();
     let handler = make_server(config, base);
     let start = Instant::now();
     let mut drivers = Vec::new();
     let mut servers = Vec::new();
     for k in 0..n {
-        let (mut client_t, mut server_t) = sim_pair(WanLink::lan(7 + k), WanLink::lan(100 + k));
+        let (client_t, mut server_t) = sim_pair(WanLink::lan(7 + k), WanLink::lan(100 + k));
         let mut h = handler.clone();
         servers.push(std::thread::spawn(move || {
             serve_loop(&mut server_t, &mut h)
         }));
         let mut client = make_client(k, text, config, base);
         drivers.push(std::thread::spawn(move || {
-            drive_client(&mut client, &mut client_t, STEPS).expect("threaded fleet");
+            drive_client(&mut client, already_connected(client_t), STEPS, &none)
+                .expect("threaded fleet");
         }));
     }
     for d in drivers {
@@ -145,6 +147,7 @@ fn run_event_loop(
     config: &ModelConfig,
     base: &Arc<Mutex<ParamStore>>,
 ) -> (f64, EventLoopStats) {
+    let none = RetryPolicy::none();
     let handler = make_server(config, base);
     let (dialer, listener) = event_sim_listener();
     let event_loop = ServerEventLoop::new(
@@ -162,10 +165,13 @@ fn run_event_loop(
         let mut client = make_client(k, text, config, base);
         let dialer = dialer.clone();
         drivers.push(std::thread::spawn(move || {
-            let mut transport = dialer
-                .dial(WanLink::lan(7 + k), WanLink::lan(100 + k))
-                .expect("dial");
-            drive_client(&mut client, &mut transport, STEPS).expect("event-loop fleet");
+            drive_client(
+                &mut client,
+                |_| dialer.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
+                STEPS,
+                &none,
+            )
+            .expect("event-loop fleet");
         }));
     }
     for d in drivers {
@@ -211,9 +217,9 @@ fn run_overload(
                 seed: client.id().0,
             };
             let start = Instant::now();
-            drive_client_resumable(
+            drive_client(
                 &mut client,
-                || dialer.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
+                |_| dialer.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
                 STEPS,
                 &policy,
             )
@@ -251,6 +257,7 @@ fn run_codec_wan(
     config: &ModelConfig,
     base: &Arc<Mutex<ParamStore>>,
 ) -> (f64, f64) {
+    let none = RetryPolicy::none();
     let handler = make_server(config, base);
     let (mut client_t, mut server_t) = sim_pair(
         WanLink::geo_distributed(SEED),
@@ -265,7 +272,13 @@ fn run_codec_wan(
     if codec != Codec::F32Raw {
         client.set_advertised_codecs(codec.flag());
     }
-    drive_client(&mut client, &mut client_t, CODEC_STEPS).expect("codec fleet");
+    drive_client(
+        &mut client,
+        already_connected(&mut client_t),
+        CODEC_STEPS,
+        &none,
+    )
+    .expect("codec fleet");
     assert_eq!(
         client.codec(),
         codec,
@@ -603,7 +616,7 @@ fn run_fleet_study(policy: PlacementPolicy, label: &str) -> String {
                     seed: k,
                 };
                 let t0 = Instant::now();
-                run_tcp_client_fleet(&coord_addr, &mut client, FLEET_STEPS, &retry)
+                run_tcp_client(&coord_addr, &mut client, FLEET_STEPS, &retry)
                     .expect("fleet client completes across the failover");
                 t0.elapsed().as_secs_f64()
             })

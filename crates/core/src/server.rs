@@ -20,8 +20,8 @@ use menos_adapters::FineTuneConfig;
 use menos_models::ModelConfig;
 use menos_net::{negotiate, Codec};
 use menos_split::{
-    dispatch_session, encode_server_message, BatchHandler, ClientId, ClientMessage, ForwardMode,
-    MessageHandler, ProtocolError, ServerMessage, ServerSession, SplitSpec,
+    dispatch_session, BatchHandler, ClientId, ClientMessage, ForwardMode, MessageHandler,
+    ProtocolError, ServerMessage, ServerSession, SplitSpec, WireMessage,
 };
 use menos_tensor::{CheckpointError, ParamStore};
 
@@ -401,7 +401,7 @@ impl MenosServer {
             Bytes::new()
         } else if server_step == last_step + 1 {
             match &q.last_reply {
-                Some(reply) => encode_server_message(reply),
+                Some(reply) => reply.to_wire(),
                 None => {
                     return Err(ProtocolError::Unexpected(format!(
                         "{client} resumed one step behind but no reply is cached"
@@ -945,7 +945,7 @@ mod tests {
         };
         assert_eq!(epoch, 2, "epochs stay monotone across restarts");
         assert_eq!(server_step, 1);
-        assert_eq!(replay, encode_server_message(&reply));
+        assert_eq!(replay, reply.to_wire());
         assert!(fresh.reserved_bytes() > 0);
     }
 
@@ -1091,7 +1091,7 @@ mod tests {
                 }
             }
             let reply = srv.handle(msg).expect("correct frame is served");
-            replies.push(encode_server_message(&reply.expect("tensor reply")));
+            replies.push(reply.expect("tensor reply").to_wire());
         }
         (replies, refused)
     }

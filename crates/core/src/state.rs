@@ -26,9 +26,7 @@
 //! [`CheckpointError`] — never a panic, never a partial restore.
 
 use bytes::Bytes;
-use menos_split::{
-    decode_server_message, encode_server_message, ClientId, ForwardMode, ServerMessage,
-};
+use menos_split::{ClientId, ForwardMode, ServerMessage, WireMessage};
 use menos_tensor::{CheckpointError, SectionReader, SectionWriter};
 
 /// Frame-size cap when re-decoding a cached reply out of a snapshot;
@@ -258,13 +256,13 @@ pub fn decode_session_record(bytes: &[u8]) -> Result<(u64, SessionRecord), Check
 
 /// Wire-encodes a cached reply for a [`SessionRecord`].
 pub(crate) fn encode_reply(reply: &ServerMessage) -> Vec<u8> {
-    encode_server_message(reply).to_vec()
+    reply.to_wire().to_vec()
 }
 
 /// Decodes a [`SessionRecord`]'s cached reply back to a message,
 /// mapping wire errors into the checkpoint taxonomy.
 pub(crate) fn decode_reply(bytes: &[u8]) -> Result<ServerMessage, CheckpointError> {
-    let reply = decode_server_message(&Bytes::from(bytes.to_vec()), SNAPSHOT_MAX_FRAME)
+    let reply = ServerMessage::from_wire(&Bytes::from(bytes.to_vec()), SNAPSHOT_MAX_FRAME)
         .map_err(|e| CheckpointError::Corrupt(format!("cached reply: {e}")))?;
     if !matches!(reply, ServerMessage::ServerGradients { .. }) {
         return Err(CheckpointError::Corrupt(format!(

@@ -14,8 +14,7 @@
 //! `Connect`/`Resume` with `Redirect` (or `Busy`) and never proxies a
 //! tensor byte — training traffic always flows client ↔ backend
 //! directly, so the paper's bandwidth story is untouched. Clients
-//! chase redirects with
-//! [`drive_client_routed`](menos_split::drive_client_routed): a
+//! chase redirects with [`drive_client`](menos_split::drive_client): a
 //! placement costs no retry budget, and a mid-run backend death walks
 //! the client back to the coordinator for re-placement once migration
 //! completes.

@@ -162,41 +162,17 @@ pub fn encode_frame_header(kind: u8, client: u64, payload_len: u32) -> Bytes {
 /// Panics if the payload exceeds `u32::MAX` bytes (no real message
 /// comes within orders of magnitude of that).
 pub fn encode_frame(kind: u8, client: u64, payload: &[u8]) -> Bytes {
-    register_recycler();
     let len = u32::try_from(payload.len()).expect("payload exceeds u32::MAX bytes");
-    let mut buf = pool::take_bytes(FRAME_HEADER_BYTES as usize + payload.len());
-    buf.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    buf.push(WIRE_VERSION);
-    buf.push(kind);
-    buf.extend_from_slice(&client.to_le_bytes());
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(payload);
-    pool::count_copied(payload.len());
-    Bytes::from(buf)
+    Bytes::from([&encode_frame_header(kind, client, len)[..], payload].concat())
 }
 
-/// Decodes a protocol frame delivered as separate header and body
-/// buffers, returning `(kind, client, payload)` with the payload
-/// shared by reference (no copy).
-///
-/// # Errors
-///
-/// Rejects a short header, bad magic/version, a declared length above
-/// `max_frame`, and a body whose length disagrees with the header.
-pub fn decode_frame_parts(
-    header: &[u8],
-    body: &Bytes,
+/// Validates a complete frame header — magic, version, declared length
+/// against `max_frame` — returning `(kind, client, payload_len)`. The
+/// one header check every frame decoder and the blocking reader share.
+fn parse_header(
+    header: &[u8; FRAME_HEADER_BYTES as usize],
     max_frame: usize,
-) -> Result<(u8, u64, Bytes), WireError> {
-    if header.len() < FRAME_HEADER_BYTES as usize {
-        return Err(WireError::Truncated);
-    }
-    if header.len() > FRAME_HEADER_BYTES as usize {
-        return Err(WireError::Malformed(format!(
-            "{} extra header bytes",
-            header.len() - FRAME_HEADER_BYTES as usize
-        )));
-    }
+) -> Result<(u8, u64, usize), WireError> {
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
     if magic != FRAME_MAGIC {
         return Err(WireError::BadMagic(magic));
@@ -214,6 +190,30 @@ pub fn decode_frame_parts(
             max: max_frame as u64,
         });
     }
+    Ok((kind, client, len))
+}
+
+/// Decodes a protocol frame delivered as separate header and body
+/// buffers, returning `(kind, client, payload)` with the payload
+/// shared by reference (no copy).
+///
+/// # Errors
+///
+/// Rejects a short header, bad magic/version, a declared length above
+/// `max_frame`, and a body whose length disagrees with the header.
+pub fn decode_frame_parts(
+    header: &[u8],
+    body: &Bytes,
+    max_frame: usize,
+) -> Result<(u8, u64, Bytes), WireError> {
+    if header.len() > FRAME_HEADER_BYTES as usize {
+        return Err(WireError::Malformed(format!(
+            "{} extra header bytes",
+            header.len() - FRAME_HEADER_BYTES as usize
+        )));
+    }
+    let header = header.try_into().map_err(|_| WireError::Truncated)?;
+    let (kind, client, len) = parse_header(header, max_frame)?;
     if body.len() < len {
         return Err(WireError::Truncated);
     }
@@ -264,38 +264,8 @@ pub fn write_frame_vectored(w: &mut impl io::Write, header: &[u8], body: &[u8]) 
 /// payload length above `max_frame`, and trailing bytes past the
 /// declared length.
 pub fn decode_frame(bytes: &Bytes, max_frame: usize) -> Result<(u8, u64, Bytes), WireError> {
-    let mut buf = bytes.clone();
-    if buf.remaining() < FRAME_HEADER_BYTES as usize {
-        return Err(WireError::Truncated);
-    }
-    let magic = buf.get_u32_le();
-    if magic != FRAME_MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = buf.get_u8();
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let kind = buf.get_u8();
-    let client = buf.get_u64_le();
-    let len = buf.get_u32_le() as usize;
-    if len > max_frame {
-        return Err(WireError::TooLarge {
-            declared: len as u64,
-            max: max_frame as u64,
-        });
-    }
-    if buf.remaining() < len {
-        return Err(WireError::Truncated);
-    }
-    if buf.remaining() > len {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after declared payload",
-            buf.remaining() - len
-        )));
-    }
-    let payload = bytes.slice(FRAME_HEADER_BYTES as usize..);
-    Ok((kind, client, payload))
+    let split = bytes.len().min(FRAME_HEADER_BYTES as usize);
+    decode_frame_parts(&bytes[..split], &bytes.slice(split..), max_frame)
 }
 
 /// Reads one complete protocol frame (header + payload) from a byte
@@ -313,22 +283,7 @@ pub fn decode_frame(bytes: &Bytes, max_frame: usize) -> Result<(u8, u64, Bytes),
 pub fn read_frame_bytes(r: &mut impl io::Read, max_frame: usize) -> Result<Bytes, FrameError> {
     let mut header = [0u8; FRAME_HEADER_BYTES as usize];
     r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    if magic != FRAME_MAGIC {
-        return Err(WireError::BadMagic(magic).into());
-    }
-    let version = header[4];
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version).into());
-    }
-    let len = u32::from_le_bytes(header[14..18].try_into().expect("4 bytes")) as usize;
-    if len > max_frame {
-        return Err(WireError::TooLarge {
-            declared: len as u64,
-            max: max_frame as u64,
-        }
-        .into());
-    }
+    let (_, _, len) = parse_header(&header, max_frame)?;
     register_recycler();
     let mut frame = pool::take_bytes(FRAME_HEADER_BYTES as usize + len);
     frame.extend_from_slice(&header);

@@ -8,14 +8,19 @@
 //! variant's body — an encoded tensor for activation/gradient
 //! messages, the fine-tuning configuration for `Connect`, and nothing
 //! for the remaining control messages.
+//!
+//! Each direction has one encoder ([`client_message_parts`],
+//! [`server_message_parts`]) and one decoder
+//! ([`decode_client_message_parts`], [`decode_server_message_parts`]),
+//! all over `(header, body)` parts so tensor bodies move by reference.
+//! The contiguous frame is [`WireMessage`](crate::WireMessage)'s
+//! provided concatenation of the parts, not a second encoding.
 
 use bytes::Bytes;
 
 use menos_adapters::{AdapterKind, FineTuneConfig, OptimKind};
 use menos_models::{AdapterTarget, LoraSpec};
-use menos_net::{
-    decode_frame, decode_frame_parts, encode_frame, encode_frame_header, Codec, WireError,
-};
+use menos_net::{decode_frame_parts, encode_frame_header, Codec, WireError};
 
 use crate::message::{ClientId, ClientMessage, EvictionCode, ServerMessage};
 use crate::spec::SplitSpec;
@@ -136,47 +141,19 @@ impl MessageKind {
     }
 }
 
-/// Serializes a client→server message to its wire frame.
-pub fn encode_client_message(msg: &ClientMessage) -> Bytes {
-    match msg {
-        ClientMessage::Connect {
-            client,
-            ft,
-            split,
-            epoch,
-            codecs,
-        } => encode_frame(
-            KIND_CONNECT,
-            client.0,
-            &encode_config_v12(ft, *split, *epoch, *codecs),
-        ),
-        ClientMessage::Resume {
-            client,
-            epoch,
-            last_step,
-        } => {
-            let mut body = Vec::with_capacity(16);
-            body.extend(epoch.to_le_bytes());
-            body.extend(last_step.to_le_bytes());
-            encode_frame(KIND_RESUME, client.0, &body)
-        }
-        ClientMessage::Activations { client, frame } => {
-            encode_frame(KIND_ACTIVATIONS, client.0, frame)
-        }
-        ClientMessage::Gradients { client, frame } => encode_frame(KIND_GRADIENTS, client.0, frame),
-        ClientMessage::Disconnect { client } => encode_frame(KIND_DISCONNECT, client.0, &[]),
-        ClientMessage::Ping { client, seq } => {
-            encode_frame(KIND_PING, client.0, &seq.to_le_bytes())
-        }
-        ClientMessage::ImportSession { client, blob } => {
-            encode_frame(KIND_IMPORT_SESSION, client.0, blob)
-        }
-    }
+/// The `PROTOCOL.md` name of a server message's kind, for error text —
+/// read off the kind byte the encoder stamps, so there is no second
+/// per-variant table to keep in step.
+pub(crate) fn server_kind_name(msg: &ServerMessage) -> &'static str {
+    let code = server_message_parts(msg).0[5];
+    let kind = MessageKind::ALL.iter().find(|k| k.code() == code);
+    kind.expect("the encoder only stamps kinds in MessageKind::ALL")
+        .name()
 }
 
 /// Serializes a client→server message as `(header, body)` buffer
-/// parts. Concatenated they are byte-identical to
-/// [`encode_client_message`], but a tensor-carrying message shares its
+/// parts — the one encoder of every client kind. Concatenated they are
+/// the message's wire frame; a tensor-carrying message shares its
 /// already-encoded frame by reference instead of copying it into a
 /// contiguous buffer.
 pub fn client_message_parts(msg: &ClientMessage) -> (Bytes, Bytes) {
@@ -284,24 +261,13 @@ fn client_message_from_kind(
     }
 }
 
-/// Deserializes a client→server message from its wire frame.
-///
-/// # Errors
-///
-/// Rejects truncation at any prefix, bad magic/version, payloads above
-/// `max_frame` bytes, unknown message kinds, and malformed `Connect`
-/// bodies.
-pub fn decode_client_message(bytes: &Bytes, max_frame: usize) -> Result<ClientMessage, WireError> {
-    let (kind, client, payload) = decode_frame(bytes, max_frame)?;
-    client_message_from_kind(kind, client, payload)
-}
-
 /// Deserializes a client→server message delivered as separate header
 /// and body buffers, sharing the body by reference (no copy).
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`decode_client_message`].
+/// Rejects truncation at any prefix, bad magic/version, payloads above
+/// `max_frame` bytes, unknown message kinds, and malformed bodies.
 pub fn decode_client_message_parts(
     header: &[u8],
     body: &Bytes,
@@ -309,62 +275,6 @@ pub fn decode_client_message_parts(
 ) -> Result<ClientMessage, WireError> {
     let (kind, client, payload) = decode_frame_parts(header, body, max_frame)?;
     client_message_from_kind(kind, client, payload)
-}
-
-/// Serializes a server→client message to its wire frame.
-pub fn encode_server_message(msg: &ServerMessage) -> Bytes {
-    match msg {
-        ServerMessage::Ready { client, codec } => {
-            encode_frame(KIND_READY, client.0, &ready_body(*codec))
-        }
-        ServerMessage::ServerActivations { client, frame } => {
-            encode_frame(KIND_SERVER_ACTIVATIONS, client.0, frame)
-        }
-        ServerMessage::ServerGradients { client, frame } => {
-            encode_frame(KIND_SERVER_GRADIENTS, client.0, frame)
-        }
-        ServerMessage::Resumed {
-            client,
-            epoch,
-            server_step,
-            replay,
-        } => {
-            let mut body = Vec::with_capacity(16 + replay.len());
-            body.extend(epoch.to_le_bytes());
-            body.extend(server_step.to_le_bytes());
-            body.extend_from_slice(replay);
-            encode_frame(KIND_RESUMED, client.0, &body)
-        }
-        ServerMessage::Evicted { client, code } => {
-            encode_frame(KIND_EVICTED, client.0, &[code.code()])
-        }
-        ServerMessage::Busy {
-            client,
-            retry_after_ms,
-        } => encode_frame(KIND_BUSY, client.0, &retry_after_ms.to_le_bytes()),
-        ServerMessage::Redirect {
-            client,
-            addr,
-            retry_after_ms,
-        } => encode_frame(
-            KIND_REDIRECT,
-            client.0,
-            &redirect_body(addr, *retry_after_ms),
-        ),
-        ServerMessage::Pong {
-            client,
-            seq,
-            live_sessions,
-            utilization_pct,
-        } => encode_frame(
-            KIND_PONG,
-            client.0,
-            &pong_body(*seq, *live_sessions, *utilization_pct),
-        ),
-        ServerMessage::Imported { client, epoch } => {
-            encode_frame(KIND_IMPORTED, client.0, &epoch.to_le_bytes())
-        }
-    }
 }
 
 /// Serializes a server→client message as `(header, body)` buffer
@@ -563,22 +473,12 @@ fn server_message_from_kind(
     }
 }
 
-/// Deserializes a server→client message from its wire frame.
-///
-/// # Errors
-///
-/// Same taxonomy as [`decode_client_message`].
-pub fn decode_server_message(bytes: &Bytes, max_frame: usize) -> Result<ServerMessage, WireError> {
-    let (kind, client, payload) = decode_frame(bytes, max_frame)?;
-    server_message_from_kind(kind, client, payload)
-}
-
 /// Deserializes a server→client message delivered as separate header
 /// and body buffers, sharing the body by reference (no copy).
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`decode_client_message`].
+/// Same taxonomy as [`decode_client_message_parts`].
 pub fn decode_server_message_parts(
     header: &[u8],
     body: &Bytes,
@@ -816,6 +716,7 @@ pub(crate) fn decode_config_v12(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::WireMessage;
     use menos_models::ModelConfig;
     use menos_net::{encode_tensor, DEFAULT_MAX_FRAME};
     use menos_tensor::Tensor;
@@ -913,8 +814,8 @@ mod tests {
             },
         ];
         for msg in msgs {
-            let bytes = encode_client_message(&msg);
-            let back = decode_client_message(&bytes, DEFAULT_MAX_FRAME).unwrap();
+            let bytes = msg.to_wire();
+            let back = ClientMessage::from_wire(&bytes, DEFAULT_MAX_FRAME).unwrap();
             assert_eq!(back, msg);
         }
     }
@@ -950,10 +851,11 @@ mod tests {
                 epoch: 3,
                 server_step: 41,
                 // An embedded replay is a full encoded frame.
-                replay: encode_server_message(&ServerMessage::ServerGradients {
+                replay: ServerMessage::ServerGradients {
                     client: ClientId(4),
                     frame: tensor_frame,
-                }),
+                }
+                .to_wire(),
             },
             ServerMessage::Evicted {
                 client: ClientId(5),
@@ -980,8 +882,8 @@ mod tests {
             },
         ];
         for msg in msgs {
-            let bytes = encode_server_message(&msg);
-            let back = decode_server_message(&bytes, DEFAULT_MAX_FRAME).unwrap();
+            let bytes = msg.to_wire();
+            let back = ServerMessage::from_wire(&bytes, DEFAULT_MAX_FRAME).unwrap();
             assert_eq!(back, msg);
         }
     }
@@ -990,57 +892,57 @@ mod tests {
     fn lifecycle_bodies_reject_garbage() {
         // Resume body must be exactly 16 bytes.
         let frame = menos_net::encode_frame(KIND_RESUME, 0, &[1, 2, 3]);
-        assert!(decode_client_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ClientMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         let frame = menos_net::encode_frame(KIND_RESUME, 0, &[0; 24]);
-        assert!(decode_client_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ClientMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         // Resumed body needs at least epoch + server_step.
         let frame = menos_net::encode_frame(KIND_RESUMED, 0, &[0; 15]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         // Evicted body must be one known close-code byte.
         let frame = menos_net::encode_frame(KIND_EVICTED, 0, &[]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         let frame = menos_net::encode_frame(KIND_EVICTED, 0, &[99]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         // Busy body must be exactly 8 retry-hint bytes.
         let frame = menos_net::encode_frame(KIND_BUSY, 0, &[1, 2, 3]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         let frame = menos_net::encode_frame(KIND_BUSY, 0, &[0; 12]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         // Ping body must be exactly 8 sequence bytes.
         let frame = menos_net::encode_frame(KIND_PING, 0, &[1, 2, 3]);
-        assert!(decode_client_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ClientMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         // ImportSession must carry a blob.
         let frame = menos_net::encode_frame(KIND_IMPORT_SESSION, 0, &[]);
-        assert!(decode_client_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ClientMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         // Redirect needs a hint and a non-empty UTF-8 address.
         let frame = menos_net::encode_frame(KIND_REDIRECT, 0, &[0; 8]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         let mut bad_utf8 = 0u64.to_le_bytes().to_vec();
         bad_utf8.extend_from_slice(&[0xff, 0xfe]);
         let frame = menos_net::encode_frame(KIND_REDIRECT, 0, &bad_utf8);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         let frame = menos_net::encode_frame(KIND_REDIRECT, 0, &[0; 5]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         // Pong body is exactly 24 bytes; Imported exactly 8.
         let frame = menos_net::encode_frame(KIND_PONG, 0, &[0; 16]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         let frame = menos_net::encode_frame(KIND_PONG, 0, &[0; 32]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
         let frame = menos_net::encode_frame(KIND_IMPORTED, 0, &[0; 4]);
-        assert!(decode_server_message(&frame, DEFAULT_MAX_FRAME).is_err());
+        assert!(ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).is_err());
     }
 
     #[test]
     fn unknown_kind_rejected() {
         let frame = menos_net::encode_frame(99, 0, &[]);
         assert!(matches!(
-            decode_client_message(&frame, DEFAULT_MAX_FRAME),
+            ClientMessage::from_wire(&frame, DEFAULT_MAX_FRAME),
             Err(WireError::UnknownKind(99))
         ));
         // Kinds are directional: a client kind is not a server kind.
         let frame = menos_net::encode_frame(KIND_CONNECT, 0, &[]);
         assert!(matches!(
-            decode_server_message(&frame, DEFAULT_MAX_FRAME),
+            ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME),
             Err(WireError::UnknownKind(KIND_CONNECT))
         ));
         // ... and a server kind is not a client kind: `Busy` in a
@@ -1049,7 +951,7 @@ mod tests {
         // deterministic disconnect for old peers, never a hang.
         let frame = menos_net::encode_frame(KIND_BUSY, 0, &250u64.to_le_bytes());
         assert!(matches!(
-            decode_client_message(&frame, DEFAULT_MAX_FRAME),
+            ClientMessage::from_wire(&frame, DEFAULT_MAX_FRAME),
             Err(WireError::UnknownKind(KIND_BUSY))
         ));
         // v1.4 fleet kinds are directional too: a `Redirect` in a
@@ -1060,12 +962,12 @@ mod tests {
         body.extend_from_slice(b"127.0.0.1:1");
         let frame = menos_net::encode_frame(KIND_REDIRECT, 0, &body);
         assert!(matches!(
-            decode_client_message(&frame, DEFAULT_MAX_FRAME),
+            ClientMessage::from_wire(&frame, DEFAULT_MAX_FRAME),
             Err(WireError::UnknownKind(KIND_REDIRECT))
         ));
         let frame = menos_net::encode_frame(KIND_PING, 0, &0u64.to_le_bytes());
         assert!(matches!(
-            decode_server_message(&frame, DEFAULT_MAX_FRAME),
+            ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME),
             Err(WireError::UnknownKind(KIND_PING))
         ));
     }
@@ -1074,7 +976,7 @@ mod tests {
     fn control_messages_reject_stray_payloads() {
         let frame = menos_net::encode_frame(KIND_READY, 0, b"junk");
         assert!(matches!(
-            decode_server_message(&frame, DEFAULT_MAX_FRAME),
+            ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME),
             Err(WireError::Malformed(_))
         ));
     }
@@ -1085,21 +987,22 @@ mod tests {
     #[test]
     fn ready_codec_echo_is_canonical() {
         // Raw encodes empty: byte-identical to the v1.1 Ready.
-        let raw = encode_server_message(&ServerMessage::Ready {
+        let raw = ServerMessage::Ready {
             client: ClientId(9),
             codec: Codec::F32Raw,
-        });
+        }
+        .to_wire();
         assert_eq!(raw.len() as u64, menos_net::FRAME_HEADER_BYTES);
         // An explicit raw tag byte is non-canonical.
         let frame = menos_net::encode_frame(KIND_READY, 0, &[Codec::F32Raw.tag()]);
         assert!(matches!(
-            decode_server_message(&frame, DEFAULT_MAX_FRAME),
+            ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME),
             Err(WireError::Malformed(_))
         ));
         // An unknown tag byte is rejected.
         let frame = menos_net::encode_frame(KIND_READY, 0, &[200]);
         assert!(matches!(
-            decode_server_message(&frame, DEFAULT_MAX_FRAME),
+            ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME),
             Err(WireError::Malformed(_))
         ));
         // Every compressed codec round-trips through its tag byte.
@@ -1108,10 +1011,10 @@ mod tests {
                 client: ClientId(9),
                 codec,
             };
-            let bytes = encode_server_message(&msg);
+            let bytes = msg.to_wire();
             assert_eq!(bytes.len() as u64, menos_net::FRAME_HEADER_BYTES + 1);
             assert_eq!(
-                decode_server_message(&bytes, DEFAULT_MAX_FRAME).unwrap(),
+                ServerMessage::from_wire(&bytes, DEFAULT_MAX_FRAME).unwrap(),
                 msg
             );
         }
@@ -1250,7 +1153,7 @@ mod tests {
         let big = vec![0u8; 1024];
         let frame = menos_net::encode_frame(KIND_ACTIVATIONS, 0, &big);
         assert!(matches!(
-            decode_client_message(&frame, 512),
+            ClientMessage::from_wire(&frame, 512),
             Err(WireError::TooLarge { .. })
         ));
     }

@@ -14,6 +14,8 @@ use menos_sim::seeded_rng;
 
 use crate::client::SplitClient;
 use crate::message::{ClientMessage, ServerMessage};
+use crate::protocol::{dispatch_session, ProtocolError, WireMessage};
+use crate::retry::run_one_step;
 use crate::server::ServerSession;
 use crate::spec::SplitSpec;
 
@@ -27,11 +29,13 @@ pub enum ForwardMode {
 }
 
 /// Runs `steps` split fine-tuning iterations between one client and its
-/// server session, round-tripping every message through the unified
-/// codec (so the exchanged bytes are exactly what a deployment would
-/// move) and executing the server side through the same
-/// [`dispatch_session`](crate::protocol::dispatch_session) state
-/// machine every transport-backed server uses.
+/// co-located server session: the same four-step exchange
+/// [`drive_client`](crate::drive_client) runs over a transport, here
+/// over an in-process hop that still round-trips every message through
+/// the unified codec (so the exchanged bytes are exactly what a
+/// deployment would move) and executes the server side through the
+/// same [`dispatch_session`] state machine every transport-backed
+/// server uses.
 ///
 /// Returns the client's loss curve.
 ///
@@ -46,45 +50,20 @@ pub fn run_split_steps(
     mode: ForwardMode,
     steps: usize,
 ) -> LossCurve {
-    use crate::codec::{
-        decode_client_message, decode_server_message, encode_client_message, encode_server_message,
-    };
-    use crate::protocol::dispatch_session;
-
-    let id = client.id();
     // One in-process exchange: encode → decode (the exact wire bytes)
-    // → dispatch through the shared state machine.
-    let exchange = |session: &mut ServerSession, msg: ClientMessage| -> ServerMessage {
-        let msg = decode_client_message(&encode_client_message(&msg), DEFAULT_MAX_FRAME)
-            .expect("client frame");
-        let reply = dispatch_session(session, mode, &msg).expect("server dispatch");
-        decode_server_message(&encode_server_message(&reply), DEFAULT_MAX_FRAME)
-            .expect("server frame")
+    // → dispatch through the shared state machine → the same back.
+    let mut exchange = |msg: ClientMessage| -> Result<ServerMessage, ProtocolError> {
+        let (header, body) = msg.to_wire_parts();
+        let msg = ClientMessage::from_wire_parts(&header, &body, DEFAULT_MAX_FRAME)?;
+        let (header, body) = dispatch_session(session, mode, &msg)?.to_wire_parts();
+        Ok(ServerMessage::from_wire_parts(
+            &header,
+            &body,
+            DEFAULT_MAX_FRAME,
+        )?)
     };
-
     for _ in 0..steps {
-        // Steps 1+2: client forward; server forward on the decoded
-        // activations, activations back. Both directions go through
-        // the per-party negotiated codecs (raw by default).
-        let x_c = client.start_step();
-        let frame = client.encode_activations(&x_c);
-        let reply = exchange(session, ClientMessage::Activations { client: id, frame });
-        let ServerMessage::ServerActivations { frame, .. } = reply else {
-            unreachable!("dispatch_session answers activations with activations");
-        };
-        let x_s = client.decode_frame(&frame).expect("x_s payload");
-
-        // Steps 3+4: client loss + gradients over the wire; server
-        // backward (re-forwarding if needed), gradients back, both
-        // sides step their optimizers.
-        let (_loss, g_c) = client.receive_server_activations(&x_s);
-        let frame = client.encode_gradients(&g_c);
-        let reply = exchange(session, ClientMessage::Gradients { client: id, frame });
-        let ServerMessage::ServerGradients { frame, .. } = reply else {
-            unreachable!("dispatch_session answers gradients with gradients");
-        };
-        let g_s = client.decode_frame(&frame).expect("g_s payload");
-        client.receive_server_gradients(&g_s);
+        run_one_step(client, &mut exchange).expect("co-located split step");
     }
     client.curve().clone()
 }

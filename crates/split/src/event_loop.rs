@@ -1211,7 +1211,8 @@ mod tests {
     use super::*;
     use crate::client::SplitClient;
     use crate::driver::ForwardMode;
-    use crate::protocol::{drive_client, SessionHandler};
+    use crate::protocol::SessionHandler;
+    use crate::retry::{drive_client, RetryPolicy};
     use crate::server::ServerSession;
     use crate::spec::SplitSpec;
     use menos_adapters::FineTuneConfig;
@@ -1262,8 +1263,8 @@ mod tests {
             },
         );
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        let curve = drive_client(&mut client, &mut transport, 3).expect("training");
+        let curve = drive_client(&mut client, |_| dialer.dial(), 3, &RetryPolicy::none())
+            .expect("training");
         assert_eq!(curve.points().len(), 3);
         let (handler, stats) = server.join().expect("loop thread");
         assert!(handler.session().is_none(), "disconnect reclaims session");
@@ -1288,12 +1289,8 @@ mod tests {
             },
         );
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        // One clean step, then vanish without a Disconnect.
-        drive_client(&mut client, &mut transport, 1).ok();
-        // drive_client sent Disconnect; redo manually for the abrupt
-        // variant: dial a second loop instead.
-        drop(transport);
+        // One clean step; the driver drops the connection on return.
+        drive_client(&mut client, |_| dialer.dial(), 1, &RetryPolicy::none()).ok();
         let (handler, stats) = server.join().expect("loop thread");
         assert!(handler.session().is_none());
         assert_eq!(stats.accepted, 1);
@@ -1410,8 +1407,7 @@ mod tests {
         )
         .with_snapshots(SnapshotPolicy::durable(&dir));
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        drive_client(&mut client, &mut transport, 2).expect("training");
+        drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("training");
         let (handler, stats) = server.join().expect("loop thread");
         // Connect + 2×(activations, gradients) + Disconnect = 6
         // dispatched messages; durable mode snapshots Connect,
@@ -1451,8 +1447,7 @@ mod tests {
         // snapshot fires.
         .with_snapshots(SnapshotPolicy::periodic(&dir, 1000));
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        drive_client(&mut client, &mut transport, 2).expect("training");
+        drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("training");
         let (handler, stats) = server.join().expect("loop thread");
         assert_eq!(stats.snapshots, 1, "only the exit snapshot");
         let bytes = SnapshotPolicy::read(&dir).expect("snapshot exists");
@@ -1477,8 +1472,7 @@ mod tests {
         )
         .with_snapshots(SnapshotPolicy::durable(&dir));
         let server = std::thread::spawn(move || event_loop.run());
-        let mut transport = dialer.dial().expect("dial");
-        drive_client(&mut client, &mut transport, 1).expect("training");
+        drive_client(&mut client, |_| dialer.dial(), 1, &RetryPolicy::none()).expect("training");
         let (_handler, stats) = server.join().expect("loop thread");
         assert_eq!(stats.snapshots, 0);
         assert_eq!(stats.snapshot_errors, 0);
@@ -1563,8 +1557,8 @@ mod tests {
             },
         );
         let server = std::thread::spawn(move || event_loop.run());
-        let mut a = dialer.dial().expect("dial a");
-        let curve = drive_client(&mut client, &mut a, 1).expect("training");
+        let curve = drive_client(&mut client, |_| dialer.dial(), 1, &RetryPolicy::none())
+            .expect("training");
         assert_eq!(curve.points().len(), 1);
         let (_handler, stats) = server.join().expect("loop thread");
         assert_eq!(stats.accepted, 1);

@@ -9,12 +9,13 @@
 //! 4. server back-propagates to `g_s` → client; both sides step their
 //!    adapter optimizers.
 //!
-//! [`SplitClient`] and [`ServerSession`] implement the two parties;
-//! [`run_split_steps`] drives them synchronously (every tensor
-//! round-trips through the wire codec), and [`local_finetune`] is the
-//! non-split baseline. The drivers anchor the reproduction's
-//! correctness claims: split ≡ local, and Menos' re-forward path ≡ the
-//! cached path (see `driver` tests).
+//! [`SplitClient`] and [`ServerSession`] implement the two parties.
+//! [`drive_client`] is the one client loop, over any [`Transport`];
+//! [`run_split_steps`] runs the same step against a co-located session
+//! (every tensor still round-trips through the wire codec), and
+//! [`local_finetune`] is the non-split baseline. They anchor the
+//! reproduction's correctness claims: split ≡ local, and Menos'
+//! re-forward path ≡ the cached path (see `driver` tests).
 //!
 //! # Examples
 //!
@@ -67,9 +68,8 @@ mod tcp;
 pub use chaos::{ChaosConn, ChaosListener, ChaosOptions, Fault};
 pub use client::SplitClient;
 pub use codec::{
-    client_message_parts, decode_client_message, decode_client_message_parts,
-    decode_server_message, decode_server_message_parts, encode_client_message,
-    encode_server_message, server_message_parts, MessageKind,
+    client_message_parts, decode_client_message_parts, decode_server_message_parts,
+    server_message_parts, MessageKind,
 };
 pub use driver::{
     evaluate_loss, local_finetune, local_finetune_returning_model, run_split_steps, ForwardMode,
@@ -85,13 +85,13 @@ pub use message::{
     ServerMessage,
 };
 pub use protocol::{
-    channel_pair, dispatch_session, drive_client, serve_loop, sim_pair, ChannelTransport,
-    MessageHandler, ProtocolError, SessionHandler, SimTransport, Transport, WireMessage,
+    channel_pair, dispatch_session, serve_loop, sim_pair, ChannelTransport, MessageHandler,
+    ProtocolError, SessionHandler, SimTransport, Transport, WireMessage,
 };
-pub use retry::{drive_client_resumable, drive_client_routed, RetryPolicy, MIN_BUSY_DELAY};
+pub use retry::{already_connected, drive_client, RetryPolicy, MIN_BUSY_DELAY};
 pub use server::ServerSession;
 pub use spec::SplitSpec;
 pub use tcp::{
-    run_tcp_client, run_tcp_client_fleet, run_tcp_client_resumable, TcpEventConn, TcpEventListener,
-    TcpEventServer, TcpOptions, TcpSplitServer, TcpTransport,
+    run_tcp_client, TcpEventConn, TcpEventListener, TcpEventServer, TcpOptions, TcpSplitServer,
+    TcpTransport,
 };

@@ -399,7 +399,7 @@ mod tests {
         };
         assert_eq!(
             activation_wire_bytes(4, 100, 64),
-            crate::codec::encode_client_message(&msg).len() as u64
+            crate::WireMessage::to_wire(&msg).len() as u64
         );
         assert_eq!(activation_wire_bytes(4, 100, 64), msg.wire_bytes());
     }

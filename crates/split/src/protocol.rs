@@ -5,9 +5,10 @@
 //! real TCP sockets — moves the *same encoded bytes* (the unified
 //! codec in [`crate::codec`]) through the same state machine:
 //!
-//! * [`drive_client`] is the only client-side protocol loop;
-//! * [`serve_loop`] is the only server-side pump, feeding messages to
-//!   a [`MessageHandler`] (the real-engine `MenosServer` in
+//! * [`drive_client`](crate::drive_client) is the only client-side
+//!   protocol loop (it lives with its retry policy in `retry`);
+//! * [`serve_loop`] is the blocking server-side pump, feeding messages
+//!   to a [`MessageHandler`] (the real-engine `MenosServer` in
 //!   `menos-core`, or a single-session [`SessionHandler`]);
 //! * [`dispatch_session`] is the per-session forward/backward step
 //!   every handler delegates to.
@@ -24,19 +25,16 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use menos_net::{FrameError, WanLink, WireError, DEFAULT_MAX_FRAME};
+use menos_net::{FrameError, WanLink, WireError, DEFAULT_MAX_FRAME, FRAME_HEADER_BYTES};
 use menos_sim::Nanos;
 
-use crate::client::SplitClient;
 use crate::codec::{
-    client_message_parts, decode_client_message, decode_client_message_parts,
-    decode_server_message, decode_server_message_parts, encode_client_message,
-    encode_server_message, server_message_parts,
+    client_message_parts, decode_client_message_parts, decode_server_message_parts,
+    server_message_parts,
 };
 use crate::driver::ForwardMode;
 use crate::message::{ClientId, ClientMessage, ServerMessage};
 use crate::server::ServerSession;
-use menos_data::LossCurve;
 
 // ----------------------------------------------------------------------
 // Error hierarchy
@@ -189,40 +187,45 @@ impl From<FrameError> for ProtocolError {
 
 /// A protocol message with exactly one byte representation — the
 /// bound every [`Transport`] endpoint type satisfies. Implemented by
-/// [`ClientMessage`] and [`ServerMessage`] via the unified codec.
+/// [`ClientMessage`] and [`ServerMessage`] via the unified codec, which
+/// works on `(header, body)` parts; the contiguous frame is derived
+/// here and nowhere else.
 pub trait WireMessage: Sized {
-    /// Serializes to the message's wire frame.
-    fn to_wire(&self) -> Bytes;
-    /// Serializes to `(header, body)` parts. Concatenated they are
-    /// byte-identical to [`WireMessage::to_wire`], but tensor-bearing
-    /// messages share their payload by reference instead of copying it
-    /// into a contiguous frame — the zero-copy send path.
+    /// Serializes to `(header, body)` parts. Tensor-bearing messages
+    /// share their payload by reference instead of copying it into a
+    /// contiguous frame — the zero-copy send path.
     fn to_wire_parts(&self) -> (Bytes, Bytes);
-    /// Deserializes from a wire frame, enforcing `max_frame`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed frame.
-    fn from_wire(bytes: &Bytes, max_frame: usize) -> Result<Self, WireError>;
     /// Deserializes from `(header, body)` parts, enforcing `max_frame`.
-    /// Accepts exactly what [`WireMessage::from_wire`] accepts on the
-    /// concatenation of the two slices.
     ///
     /// # Errors
     ///
     /// Returns [`WireError`] on any malformed frame.
     fn from_wire_parts(header: &[u8], body: &Bytes, max_frame: usize) -> Result<Self, WireError>;
+
+    /// Serializes to the message's contiguous wire frame: header ‖
+    /// body. For callers that store or script whole frames (a
+    /// snapshot's cached reply, a `Resumed` replay, fault scripts).
+    fn to_wire(&self) -> Bytes {
+        let (header, body) = self.to_wire_parts();
+        Bytes::from([&header[..], &body[..]].concat())
+    }
+    /// Deserializes from a contiguous wire frame by splitting it at the
+    /// header boundary; accepts exactly what
+    /// [`WireMessage::from_wire_parts`] accepts on the two halves.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on any malformed frame (a buffer shorter
+    /// than a header is [`WireError::Truncated`]).
+    fn from_wire(bytes: &Bytes, max_frame: usize) -> Result<Self, WireError> {
+        let split = bytes.len().min(FRAME_HEADER_BYTES as usize);
+        Self::from_wire_parts(&bytes[..split], &bytes.slice(split..), max_frame)
+    }
 }
 
 impl WireMessage for ClientMessage {
-    fn to_wire(&self) -> Bytes {
-        encode_client_message(self)
-    }
     fn to_wire_parts(&self) -> (Bytes, Bytes) {
         client_message_parts(self)
-    }
-    fn from_wire(bytes: &Bytes, max_frame: usize) -> Result<Self, WireError> {
-        decode_client_message(bytes, max_frame)
     }
     fn from_wire_parts(header: &[u8], body: &Bytes, max_frame: usize) -> Result<Self, WireError> {
         decode_client_message_parts(header, body, max_frame)
@@ -230,14 +233,8 @@ impl WireMessage for ClientMessage {
 }
 
 impl WireMessage for ServerMessage {
-    fn to_wire(&self) -> Bytes {
-        encode_server_message(self)
-    }
     fn to_wire_parts(&self) -> (Bytes, Bytes) {
         server_message_parts(self)
-    }
-    fn from_wire(bytes: &Bytes, max_frame: usize) -> Result<Self, WireError> {
-        decode_server_message(bytes, max_frame)
     }
     fn from_wire_parts(header: &[u8], body: &Bytes, max_frame: usize) -> Result<Self, WireError> {
         decode_server_message_parts(header, body, max_frame)
@@ -287,6 +284,26 @@ pub trait Transport {
     ///
     /// Transport-specific; the in-memory transports never fail.
     fn set_deadline(&mut self, deadline: Option<Duration>) -> Result<(), ProtocolError>;
+}
+
+/// A borrowed endpoint is an endpoint, so a caller can lend a transport
+/// to [`drive_client`](crate::drive_client) and read its counters
+/// afterwards.
+impl<T: Transport> Transport for &mut T {
+    type Tx = T::Tx;
+    type Rx = T::Rx;
+
+    fn send(&mut self, msg: &Self::Tx) -> Result<(), ProtocolError> {
+        (**self).send(msg)
+    }
+
+    fn recv(&mut self) -> Result<Self::Rx, ProtocolError> {
+        (**self).recv()
+    }
+
+    fn set_deadline(&mut self, deadline: Option<Duration>) -> Result<(), ProtocolError> {
+        (**self).set_deadline(deadline)
+    }
 }
 
 /// In-memory transport endpoint: encoded frames over a pair of
@@ -711,10 +728,10 @@ impl MessageHandler for SessionHandler {
 }
 
 // ----------------------------------------------------------------------
-// The two protocol pumps
+// The blocking server pump
 // ----------------------------------------------------------------------
 
-/// The single server-side protocol pump: receives client messages
+/// The blocking server-side protocol pump: receives client messages
 /// from `transport`, dispatches them to `handler`, and sends replies —
 /// until the client disconnects cleanly or an error ends the
 /// connection.
@@ -776,112 +793,11 @@ where
     }
 }
 
-/// The single client-side protocol loop: `Connect`/`Ready` handshake,
-/// then `steps` four-step iterations (activations out, server
-/// activations in, gradients out, server gradients in), then a clean
-/// `Disconnect`. Returns the client's loss curve.
-///
-/// # Errors
-///
-/// The first [`ProtocolError`]; the client's local state is
-/// consistent up to the last completed step.
-pub fn drive_client<T>(
-    client: &mut SplitClient,
-    transport: &mut T,
-    steps: usize,
-) -> Result<LossCurve, ProtocolError>
-where
-    T: Transport<Tx = ClientMessage, Rx = ServerMessage>,
-{
-    let id = client.id();
-    transport.send(&ClientMessage::Connect {
-        client: id,
-        ft: client.ft_config().clone(),
-        split: client.split(),
-        epoch: client.epoch(),
-        codecs: client.advertised_codecs(),
-    })?;
-    match transport.recv()? {
-        ServerMessage::Ready { codec, .. } => client.adopt_codec(codec),
-        ServerMessage::Busy {
-            client: c,
-            retry_after_ms,
-        } => {
-            // Typed so callers with a retry policy can honor the hint;
-            // this plain loop has none and simply propagates it.
-            return Err(ProtocolError::Busy {
-                client: c,
-                retry_after_ms,
-            });
-        }
-        ServerMessage::Redirect {
-            client: c,
-            addr,
-            retry_after_ms,
-        } => {
-            // Same deal: this plain loop cannot redial, so the routed
-            // placement surfaces as a typed error for the caller.
-            return Err(ProtocolError::Redirected {
-                client: c,
-                addr,
-                retry_after_ms,
-            });
-        }
-        other => {
-            return Err(ProtocolError::Unexpected(format!(
-                "expected Ready, got {}",
-                kind_name(&other)
-            )))
-        }
-    }
-    for _ in 0..steps {
-        let x_c = client.start_step();
-        let frame = client.encode_activations(&x_c);
-        transport.send(&ClientMessage::Activations { client: id, frame })?;
-        let x_s = match transport.recv()? {
-            ServerMessage::ServerActivations { frame, .. } => client.decode_frame(&frame)?,
-            other => {
-                return Err(ProtocolError::Unexpected(format!(
-                    "expected ServerActivations, got {}",
-                    kind_name(&other)
-                )))
-            }
-        };
-        let (_loss, g_c) = client.receive_server_activations(&x_s);
-        let frame = client.encode_gradients(&g_c);
-        transport.send(&ClientMessage::Gradients { client: id, frame })?;
-        let g_s = match transport.recv()? {
-            ServerMessage::ServerGradients { frame, .. } => client.decode_frame(&frame)?,
-            other => {
-                return Err(ProtocolError::Unexpected(format!(
-                    "expected ServerGradients, got {}",
-                    kind_name(&other)
-                )))
-            }
-        };
-        client.receive_server_gradients(&g_s);
-    }
-    transport.send(&ClientMessage::Disconnect { client: id })?;
-    Ok(client.curve().clone())
-}
-
-pub(crate) fn kind_name(msg: &ServerMessage) -> &'static str {
-    match msg {
-        ServerMessage::Ready { .. } => "Ready",
-        ServerMessage::ServerActivations { .. } => "ServerActivations",
-        ServerMessage::ServerGradients { .. } => "ServerGradients",
-        ServerMessage::Resumed { .. } => "Resumed",
-        ServerMessage::Evicted { .. } => "Evicted",
-        ServerMessage::Busy { .. } => "Busy",
-        ServerMessage::Redirect { .. } => "Redirect",
-        ServerMessage::Pong { .. } => "Pong",
-        ServerMessage::Imported { .. } => "Imported",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::SplitClient;
+    use crate::retry::{already_connected, drive_client, RetryPolicy};
     use menos_adapters::FineTuneConfig;
     use menos_data::{wiki_corpus, TokenDataset, Vocab};
     use menos_models::{CausalLm, ModelConfig};
@@ -919,13 +835,15 @@ mod tests {
     #[test]
     fn channel_transport_trains_through_serve_loop() {
         let (mut client, session) = pair(1);
-        let (mut client_t, mut server_t) = channel_pair();
+        let (client_t, mut server_t) = channel_pair();
         let server = std::thread::spawn(move || {
             let mut handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
             let r = serve_loop(&mut server_t, &mut handler);
             (r, handler.session().is_none())
         });
-        let curve = drive_client(&mut client, &mut client_t, 3).expect("channel training");
+        let none = RetryPolicy::none();
+        let curve = drive_client(&mut client, already_connected(client_t), 3, &none)
+            .expect("channel training");
         assert_eq!(curve.points().len(), 3);
         let (served, reclaimed) = server.join().expect("server thread");
         served.expect("clean serve");
@@ -941,7 +859,9 @@ mod tests {
             let mut handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
             serve_loop(&mut server_t, &mut handler)
         });
-        drive_client(&mut client, &mut client_t, 2).expect("sim training");
+        let none = RetryPolicy::none();
+        drive_client(&mut client, already_connected(&mut client_t), 2, &none)
+            .expect("sim training");
         server.join().expect("thread").expect("clean serve");
         let elapsed = *clock.lock().unwrap();
         assert!(elapsed > Nanos(0), "transfers must advance virtual time");

@@ -1,10 +1,10 @@
-//! Client-side fault tolerance: capped exponential backoff with
-//! deterministic jitter, and the resumable protocol driver.
+//! The client driver: the one `Connect`/`Ready` handshake and the one
+//! four-step exchange, wrapped in capped exponential backoff with
+//! deterministic jitter.
 //!
-//! [`drive_client`](crate::drive_client) treats any transport fault as
-//! fatal. [`drive_client_resumable`] treats the retryable ones —
-//! timeouts, disconnects, I/O faults — as interruptions: it drops the
-//! dead connection, backs off per a [`RetryPolicy`], redials, and
+//! [`drive_client`] treats the retryable faults — timeouts,
+//! disconnects, I/O faults — as interruptions: it drops the dead
+//! connection, backs off per a [`RetryPolicy`], redials, and
 //! re-attaches to its quarantined server session with the v1.1
 //! `Resume` handshake (PROTOCOL.md §6). The two reconcilable positions
 //! map onto client actions directly:
@@ -17,14 +17,16 @@
 //!
 //! Everything else — stale epochs, expired quarantine (`Evicted`),
 //! validation rejects — is terminal and surfaces as the typed error.
+//! [`RetryPolicy::none`] makes every fault terminal: the single-shot
+//! client is this driver with an empty budget, not a second loop.
 //!
-//! A v1.3 `Busy` shed (PROTOCOL.md §8) sits between those classes: it
-//! is retryable, but it is not a *fault* — the server explicitly asked
-//! the client to come back. The driver honors the server's
-//! `retry_after_ms` hint (jittered upward so a shed herd does not
-//! reconnect in lock-step, capped by [`RetryPolicy::max_backoff`])
-//! instead of the blind exponential ladder, and a shed does not
-//! consume the retry budget.
+//! A v1.3 `Busy` shed (PROTOCOL.md §8) and a v1.4 `Redirect`
+//! (PROTOCOL.md §9) sit outside those classes: they are not *faults* —
+//! the server explicitly asked the client to come back, or to dial
+//! elsewhere. The driver honors the `retry_after_ms` hint (jittered
+//! upward so a shed herd does not reconnect in lock-step, capped by
+//! [`RetryPolicy::max_backoff`]) instead of the blind exponential
+//! ladder, and neither consumes the retry budget.
 
 use std::time::Duration;
 
@@ -35,9 +37,9 @@ use menos_net::DEFAULT_MAX_FRAME;
 use menos_sim::{jitter_factor, seeded_rng};
 
 use crate::client::SplitClient;
-use crate::codec::decode_server_message;
+use crate::codec::server_kind_name;
 use crate::message::{ClientMessage, EvictionCode, ServerMessage};
-use crate::protocol::{kind_name, ProtocolError, Transport};
+use crate::protocol::{ProtocolError, Transport, WireMessage};
 
 /// Floor under every `Busy`/`Redirect` wait: even a zero hint from the
 /// server combined with a zero-backoff policy must sleep a little, not
@@ -78,8 +80,11 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries — [`drive_client_resumable`]
-    /// degrades to single-shot semantics.
+    /// A policy that never retries a *fault*: the first timeout,
+    /// disconnect or I/O error ends [`drive_client`]. `Busy` sheds and
+    /// `Redirect`s are not faults and cost no budget, so even this
+    /// policy waits a shed out (PROTOCOL.md §8.2) and follows a
+    /// redirect — it redials, it just never resumes.
     pub fn none() -> Self {
         RetryPolicy {
             retries: 0,
@@ -114,69 +119,65 @@ impl RetryPolicy {
     }
 
     /// The sleep after a `Busy` shed (PROTOCOL.md §8.2): the server's
-    /// `retry_after_ms` hint overrides the exponential ladder. The
-    /// wait is jittered *upward* — `[1×, 2×]` the hint — so the client
-    /// never comes back early and a shed herd spreads out, then capped
-    /// by [`RetryPolicy::max_backoff`] so a hostile or confused server
-    /// cannot park a client forever. A zero hint falls back to the
-    /// base backoff as the jitter window — floored at
-    /// [`MIN_BUSY_DELAY`], so a zero hint meeting a zero-backoff
-    /// policy still sleeps instead of reconnecting in a tight loop.
+    /// `retry_after_ms` hint overrides the exponential ladder. A zero
+    /// hint falls back to the base backoff as the jitter window —
+    /// floored at [`MIN_BUSY_DELAY`], so a zero hint meeting a
+    /// zero-backoff policy still sleeps instead of reconnecting in a
+    /// tight loop.
     pub fn busy_delay(&self, retry_after_ms: u64, rng: &mut StdRng) -> Duration {
         let base = if retry_after_ms == 0 {
             self.backoff.max(MIN_BUSY_DELAY)
         } else {
             Duration::from_millis(retry_after_ms)
         };
+        self.hinted_delay(base, rng)
+    }
+
+    /// The sleep before chasing a `Redirect` (PROTOCOL.md §9.2). A zero
+    /// hint means "the target is ready now": only the
+    /// [`MIN_BUSY_DELAY`] anti-spin floor applies, never the fault
+    /// backoff — placement is not a failure to back off from.
+    pub fn redirect_delay(&self, retry_after_ms: u64, rng: &mut StdRng) -> Duration {
+        self.hinted_delay(
+            Duration::from_millis(retry_after_ms).max(MIN_BUSY_DELAY),
+            rng,
+        )
+    }
+
+    /// A server-hinted wait: jittered *upward* — `[1×, 2×]` the base —
+    /// so the client never comes back early and a herd spreads out,
+    /// then capped by [`RetryPolicy::max_backoff`] so a hostile or
+    /// confused server cannot park a client forever.
+    fn hinted_delay(&self, base: Duration, rng: &mut StdRng) -> Duration {
         base.mul_f64(jitter_factor(rng, 0.5) + 0.5)
             .min(self.max_backoff.max(MIN_BUSY_DELAY))
     }
 }
 
-/// Drives `steps` additional training steps like
-/// [`drive_client`](crate::drive_client), but survives transient
-/// transport faults: on a retryable error the connection is dropped,
-/// the policy's backoff elapses, `connect` mints a fresh transport,
-/// and the `Resume` handshake re-attaches the quarantined session.
+/// The client side of the protocol: `Connect`/`Ready`, then `steps`
+/// additional four-step iterations, then a clean `Disconnect`. Returns
+/// the client's loss curve.
 ///
 /// `connect` is called once per connection attempt (including the
-/// first); for TCP it is a redial, for in-memory transports a fresh
-/// dial on the server's listener queue.
+/// first) with the current target: `None` for the root the caller
+/// started with (a plain server, or a fleet coordinator), `Some(addr)`
+/// after a v1.4 `Redirect` steered the client (PROTOCOL.md §9). For
+/// TCP it is a dial; for in-memory transports a fresh dial on the
+/// server's listener queue, or [`already_connected`].
+///
+/// On a retryable fault the connection is dropped, the policy's
+/// backoff elapses, `connect` mints a fresh transport, and the `Resume`
+/// handshake re-attaches the quarantined session. A fault at a
+/// redirected target also resets the route to the root, so a dead
+/// target sends the client back to the coordinator for re-placement
+/// instead of redialing a corpse until the budget runs dry.
 ///
 /// # Errors
 ///
 /// The first non-retryable [`ProtocolError`], or the last error once
 /// the retry budget is exhausted. The client's local state is
 /// consistent up to its last completed step either way.
-pub fn drive_client_resumable<T, F>(
-    client: &mut SplitClient,
-    mut connect: F,
-    steps: usize,
-    policy: &RetryPolicy,
-) -> Result<LossCurve, ProtocolError>
-where
-    T: Transport<Tx = ClientMessage, Rx = ServerMessage>,
-    F: FnMut() -> Result<T, ProtocolError>,
-{
-    drive_client_routed(client, |_route| connect(), steps, policy)
-}
-
-/// [`drive_client_resumable`] with v1.4 fleet routing (PROTOCOL.md
-/// §9): `connect` receives the current target — `None` for the root
-/// address the caller started with (a fleet coordinator, or a plain
-/// server), or `Some(addr)` after a `Redirect` steered the client.
-///
-/// Redirects are placement, not faults: chasing one waits at least the
-/// hinted delay (jittered, floored like a `Busy` hint) and consumes no
-/// retry budget. A retryable *fault* at a redirected target resets the
-/// route to the root, so a dead target sends the client back to the
-/// coordinator for re-placement instead of redialing a corpse until
-/// the budget runs dry.
-///
-/// # Errors
-///
-/// As [`drive_client_resumable`].
-pub fn drive_client_routed<T, F>(
+pub fn drive_client<T, F>(
     client: &mut SplitClient,
     mut connect: F,
     steps: usize,
@@ -198,7 +199,10 @@ where
             // A completed handshake is progress: refill the budget.
             attempt = 0;
             while client.steps_completed() < target {
-                run_one_step(client, &mut transport)?;
+                run_one_step(client, |msg| {
+                    transport.send(&msg)?;
+                    transport.recv()
+                })?;
             }
             transport.send(&ClientMessage::Disconnect {
                 client: client.id(),
@@ -218,10 +222,9 @@ where
                 ..
             }) => {
                 // Placement steering (§9.2): dial where the session
-                // lives. Like a shed, no budget is consumed, and the
-                // same jittered floor applies to the wait.
+                // lives. Like a shed, no budget is consumed.
                 route = Some(addr);
-                std::thread::sleep(policy.busy_delay(retry_after_ms, &mut rng));
+                std::thread::sleep(policy.redirect_delay(retry_after_ms, &mut rng));
             }
             Err(e) => {
                 // The transport was dropped above, so the server sees
@@ -239,6 +242,14 @@ where
     }
 }
 
+/// The `connect` of a caller that holds one already-connected transport
+/// (an in-memory pair, a lent `&mut` endpoint): yields it on the first
+/// call; a second dial finds the connection gone.
+pub fn already_connected<T>(transport: T) -> impl FnMut(Option<&str>) -> Result<T, ProtocolError> {
+    let mut conn = Some(transport);
+    move |_| conn.take().ok_or(ProtocolError::Disconnected)
+}
+
 /// Runs the connection handshake: `Connect`/`Ready` the first time,
 /// `Resume`/`Resumed` with step reconciliation on every reconnect.
 fn handshake<T>(
@@ -250,120 +261,104 @@ where
     T: Transport<Tx = ClientMessage, Rx = ServerMessage>,
 {
     let id = client.id();
-    if !*established {
-        transport.send(&ClientMessage::Connect {
+    let last_step = client.steps_completed() as u64;
+    transport.send(&if *established {
+        ClientMessage::Resume {
+            client: id,
+            epoch: client.epoch(),
+            last_step,
+        }
+    } else {
+        ClientMessage::Connect {
             client: id,
             ft: client.ft_config().clone(),
             split: client.split(),
             epoch: client.epoch(),
             codecs: client.advertised_codecs(),
-        })?;
-        match transport.recv()? {
-            ServerMessage::Ready { codec, .. } => {
-                client.adopt_codec(codec);
-                *established = true;
-                Ok(())
-            }
-            ServerMessage::Busy {
-                client: c,
-                retry_after_ms,
-            } => Err(ProtocolError::Busy {
-                client: c,
-                retry_after_ms,
-            }),
-            ServerMessage::Redirect {
-                client: c,
-                addr,
-                retry_after_ms,
-            } => Err(ProtocolError::Redirected {
-                client: c,
-                addr,
-                retry_after_ms,
-            }),
-            other => Err(unexpected("Ready", &other)),
         }
-    } else {
-        let last_step = client.steps_completed() as u64;
-        transport.send(&ClientMessage::Resume {
-            client: id,
-            epoch: client.epoch(),
-            last_step,
-        })?;
-        match transport.recv()? {
-            ServerMessage::Resumed {
-                epoch,
-                server_step,
-                replay,
-                ..
-            } => {
-                client.set_epoch(epoch);
-                if server_step == last_step + 1 {
-                    // The server finished the step but its reply was
-                    // lost; apply the re-delivered copy.
-                    if !client.awaiting_gradients() {
-                        return Err(ProtocolError::Unexpected(
-                            "server replayed a step the client never finished sending".into(),
-                        ));
-                    }
-                    let replayed = decode_server_message(&replay, DEFAULT_MAX_FRAME)?;
-                    match replayed {
-                        ServerMessage::ServerGradients { frame, .. } => {
-                            let g_s = client.decode_frame(&frame)?;
-                            client.receive_server_gradients(&g_s);
-                        }
-                        other => return Err(unexpected("replayed ServerGradients", &other)),
-                    }
-                } else {
-                    // Same step on both sides: redo the aborted
-                    // in-flight step (if any) from scratch.
-                    client.abort_step();
+    })?;
+    match transport.recv()? {
+        ServerMessage::Ready { codec, .. } if !*established => {
+            client.adopt_codec(codec);
+            *established = true;
+            Ok(())
+        }
+        ServerMessage::Resumed {
+            epoch,
+            server_step,
+            replay,
+            ..
+        } if *established => {
+            client.set_epoch(epoch);
+            if server_step == last_step + 1 {
+                // The server finished the step but its reply was
+                // lost; apply the re-delivered copy.
+                if !client.awaiting_gradients() {
+                    return Err(ProtocolError::Unexpected(
+                        "server replayed a step the client never finished sending".into(),
+                    ));
                 }
-                Ok(())
+                match ServerMessage::from_wire(&replay, DEFAULT_MAX_FRAME)? {
+                    ServerMessage::ServerGradients { frame, .. } => {
+                        let g_s = client.decode_frame(&frame)?;
+                        client.receive_server_gradients(&g_s);
+                    }
+                    other => return Err(unexpected("replayed ServerGradients", &other)),
+                }
+            } else {
+                // Same step on both sides: redo the aborted
+                // in-flight step (if any) from scratch.
+                client.abort_step();
             }
-            ServerMessage::Evicted { code, .. } => Err(ProtocolError::Rejected(format!(
-                "session evicted ({code:?}); resume impossible"
-            ))),
-            ServerMessage::Busy {
-                client: c,
-                retry_after_ms,
-            } => Err(ProtocolError::Busy {
-                client: c,
-                retry_after_ms,
-            }),
-            ServerMessage::Redirect {
-                client: c,
-                addr,
-                retry_after_ms,
-            } => Err(ProtocolError::Redirected {
-                client: c,
-                addr,
-                retry_after_ms,
-            }),
-            other => Err(unexpected("Resumed", &other)),
+            Ok(())
         }
+        ServerMessage::Evicted { code, .. } if *established => Err(ProtocolError::Rejected(
+            format!("session evicted ({code:?}); resume impossible"),
+        )),
+        // Typed so the driver can honor the hint and chase the route.
+        ServerMessage::Busy {
+            client,
+            retry_after_ms,
+        } => Err(ProtocolError::Busy {
+            client,
+            retry_after_ms,
+        }),
+        ServerMessage::Redirect {
+            client,
+            addr,
+            retry_after_ms,
+        } => Err(ProtocolError::Redirected {
+            client,
+            addr,
+            retry_after_ms,
+        }),
+        other => Err(unexpected(
+            if *established { "Resumed" } else { "Ready" },
+            &other,
+        )),
     }
 }
 
-/// One four-step protocol iteration — the loop body of
-/// [`drive_client`](crate::drive_client), factored so the resumable
-/// driver can restart it cleanly.
-fn run_one_step<T>(client: &mut SplitClient, transport: &mut T) -> Result<(), ProtocolError>
-where
-    T: Transport<Tx = ClientMessage, Rx = ServerMessage>,
-{
+/// One four-step protocol iteration (Fig. 1): activations out, server
+/// activations in, gradients out, server gradients in. `exchange`
+/// carries one message to the server and returns its reply — a
+/// transport's send-then-receive for [`drive_client`], the in-process
+/// codec round trip for [`run_split_steps`](crate::run_split_steps).
+pub(crate) fn run_one_step(
+    client: &mut SplitClient,
+    mut exchange: impl FnMut(ClientMessage) -> Result<ServerMessage, ProtocolError>,
+) -> Result<(), ProtocolError> {
     let id = client.id();
     let x_c = client.start_step();
     let frame = client.encode_activations(&x_c);
-    transport.send(&ClientMessage::Activations { client: id, frame })?;
-    let x_s = match transport.recv()? {
+    let x_s = match exchange(ClientMessage::Activations { client: id, frame })? {
         ServerMessage::ServerActivations { frame, .. } => client.decode_frame(&frame)?,
         ServerMessage::Evicted { code, .. } => return Err(evicted_mid_run(code)),
         other => return Err(unexpected("ServerActivations", &other)),
     };
     let (_loss, g_c) = client.receive_server_activations(&x_s);
     let frame = client.encode_gradients(&g_c);
-    transport.send(&ClientMessage::Gradients { client: id, frame })?;
-    let g_s = match transport.recv()? {
+    let g_s = match exchange(ClientMessage::Gradients { client: id, frame })? {
         ServerMessage::ServerGradients { frame, .. } => client.decode_frame(&frame)?,
         ServerMessage::Evicted { code, .. } => return Err(evicted_mid_run(code)),
         other => return Err(unexpected("ServerGradients", &other)),
@@ -388,7 +383,7 @@ fn evicted_mid_run(code: EvictionCode) -> ProtocolError {
 }
 
 fn unexpected(wanted: &str, got: &ServerMessage) -> ProtocolError {
-    ProtocolError::Unexpected(format!("expected {wanted}, got {}", kind_name(got)))
+    ProtocolError::Unexpected(format!("expected {wanted}, got {}", server_kind_name(got)))
 }
 
 #[cfg(test)]
@@ -506,6 +501,33 @@ mod tests {
         let da: Vec<Duration> = (0..6).map(|_| policy.busy_delay(25, &mut a)).collect();
         let db: Vec<Duration> = (0..6).map(|_| policy.busy_delay(25, &mut b)).collect();
         assert_eq!(da, db);
+    }
+
+    /// PROTOCOL.md §3.8: a `Redirect` hint of 0 means "dial
+    /// immediately" — only the anti-spin floor applies, never the
+    /// fault backoff (which a `Busy` zero hint does fall back to). A
+    /// nonzero hint is jittered and capped exactly like a `Busy` hint.
+    #[test]
+    fn redirect_delay_zero_hint_ignores_the_backoff() {
+        let policy = RetryPolicy {
+            backoff: Duration::from_millis(50),
+            max_backoff: Duration::from_millis(100),
+            ..RetryPolicy::default()
+        };
+        let mut rng = seeded_rng(3, "redirect");
+        for _ in 0..32 {
+            let d = policy.redirect_delay(0, &mut rng);
+            assert!(
+                d >= MIN_BUSY_DELAY && d <= MIN_BUSY_DELAY * 2,
+                "zero redirect hint slept {d:?}, want the jittered floor"
+            );
+            let d = policy.redirect_delay(40, &mut rng);
+            assert!(
+                d >= Duration::from_millis(40) && d <= Duration::from_millis(80),
+                "hinted redirect delay {d:?} outside [1x, 2x] the hint"
+            );
+            assert_eq!(policy.redirect_delay(500, &mut rng), policy.max_backoff);
+        }
     }
 
     /// The degenerate corner of §8.2: a server hinting `retry_after_ms:
@@ -654,17 +676,13 @@ mod tests {
         client_t
     }
 
-    /// A `Busy` shed is not a fault: even with a zero retry budget the
-    /// driver sleeps the hint and reconnects, as many times as it is
-    /// shed, and still completes.
+    /// A `Busy` shed is not a fault: even under [`RetryPolicy::none`]
+    /// — what a single-shot caller passes — the driver sleeps the hint
+    /// (§8.2) and reconnects, as many times as it is shed, and still
+    /// completes.
     #[test]
     fn busy_shed_does_not_consume_the_retry_budget() {
-        let policy = RetryPolicy {
-            retries: 0,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
-            seed: 1,
-        };
+        let policy = RetryPolicy::none();
         let handler = Arc::new(Mutex::new(EchoHandler {
             epoch: 1,
             kill_every: 0,
@@ -673,9 +691,9 @@ mod tests {
         let mut client = test_client(1);
         let mut shed_conns = Vec::new(); // keep server ends alive
         let mut dials = 0u32;
-        let curve = drive_client_resumable(
+        let curve = drive_client(
             &mut client,
-            || {
+            |_| {
                 dials += 1;
                 if dials <= 2 {
                     // Shed with a hint, twice, before admitting.
@@ -699,7 +717,7 @@ mod tests {
     }
 
     /// A `Redirect` is placement, not a fault: with a zero retry
-    /// budget the routed driver chases it to the named address and
+    /// budget the driver chases it to the named address and
     /// completes. The plain connect path (`route == None`) plays the
     /// coordinator; the redirected path dials the echo server.
     #[test]
@@ -718,7 +736,7 @@ mod tests {
         let mut client = test_client(4);
         let mut coordinator_conns = Vec::new();
         let mut routes_seen = Vec::new();
-        let curve = drive_client_routed(
+        let curve = drive_client(
             &mut client,
             |route| {
                 routes_seen.push(route.map(str::to_owned));
@@ -770,7 +788,7 @@ mod tests {
         let mut client = test_client(5);
         let mut coordinator_conns = Vec::new();
         let mut routes_seen = Vec::new();
-        let curve = drive_client_routed(
+        let curve = drive_client(
             &mut client,
             |route| {
                 routes_seen.push(route.map(str::to_owned));
@@ -834,9 +852,9 @@ mod tests {
         }));
         let mut client = test_client(2);
         let mut dials = 0u32;
-        let curve = drive_client_resumable(
+        let curve = drive_client(
             &mut client,
-            || {
+            |_| {
                 dials += 1;
                 Ok(dial_echo(&handler))
             },
@@ -849,5 +867,43 @@ mod tests {
             dials >= 3,
             "expected at least two faulted reconnects, got {dials} dials"
         );
+    }
+
+    /// What the single-shot client newly gets from the one driver: an
+    /// `Evicted` notice mid-step is classified, not reported as an
+    /// unexpected message. `Timeout`/`Shutdown` park the session, so
+    /// they surface as the retryable `Disconnected`; `IdleExpired` is
+    /// the terminal `Rejected`.
+    #[test]
+    fn mid_step_eviction_is_classified_even_without_retries() {
+        for code in [
+            EvictionCode::Timeout,
+            EvictionCode::Shutdown,
+            EvictionCode::IdleExpired,
+        ] {
+            // The channel buffers, so the server's half of the script
+            // can be queued up front: Ready, then the eviction.
+            let (client_t, mut server_t) = channel_pair();
+            let (client, codec) = (ClientId(0), menos_net::Codec::F32Raw);
+            server_t
+                .send(&ServerMessage::Ready { client, codec })
+                .unwrap();
+            server_t
+                .send(&ServerMessage::Evicted { client, code })
+                .unwrap();
+            let mut client = test_client(6);
+            let err = drive_client(
+                &mut client,
+                already_connected(client_t),
+                1,
+                &RetryPolicy::none(),
+            )
+            .expect_err("an evicted step cannot complete");
+            let expected = match code {
+                EvictionCode::IdleExpired => matches!(err, ProtocolError::Rejected(_)),
+                _ => matches!(err, ProtocolError::Disconnected),
+            };
+            assert!(expected, "{code:?} surfaced as {err}");
+        }
     }
 }

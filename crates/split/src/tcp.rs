@@ -4,8 +4,9 @@
 //! [`Transport`] implementation over `std::net::TcpStream` plus an
 //! accept loop. Message bytes come from the unified codec
 //! ([`crate::codec`]), the client loop is [`drive_client`], and the
-//! server loop is [`serve_loop`] feeding a shared
-//! [`MessageHandler`] — the same state machine every other transport
+//! server loops are [`serve_loop`] feeding a shared
+//! [`MessageHandler`] and the [`ServerEventLoop`] feeding a
+//! [`BatchHandler`] — the same state machines every other transport
 //! drives.
 //!
 //! Robustness: each frame header is validated (version, magic,
@@ -29,9 +30,8 @@ use crate::event_loop::{
     SnapshotPolicy,
 };
 use crate::message::{ClientMessage, ServerMessage};
-use crate::protocol::{
-    drive_client, serve_loop, MessageHandler, ProtocolError, Transport, WireMessage,
-};
+use crate::protocol::{serve_loop, MessageHandler, ProtocolError, Transport, WireMessage};
+use crate::retry::{drive_client, RetryPolicy};
 
 /// Tuning knobs for TCP endpoints.
 #[derive(Debug, Clone, Copy)]
@@ -373,9 +373,10 @@ impl EventListener for TcpEventListener {
 }
 
 /// The event-driven counterpart of [`TcpSplitServer`]: ONE thread
-/// runs a [`ServerEventLoop`] over a nonblocking listener, serving
-/// every client and batching their ready messages into single server
-/// steps. The handler needs no `Arc<Mutex<_>>` — the loop owns it.
+/// runs a [`ServerEventLoop`] over a nonblocking listener, multiplexing
+/// every client's connection and handing each sweep's ready messages
+/// to the handler, which serves them one after another. The handler
+/// needs no `Arc<Mutex<_>>` — the loop owns it.
 pub struct TcpEventServer<H> {
     addr: std::net::SocketAddr,
     handle: Option<JoinHandle<(H, EventLoopStats)>>,
@@ -462,63 +463,25 @@ impl<H> Drop for TcpEventServer<H> {
     }
 }
 
-/// Runs `steps` split fine-tuning iterations against a TCP server,
-/// returning the loss curve. Thin shorthand for
-/// [`TcpTransport::connect`] + [`drive_client`].
+/// Runs `steps` split fine-tuning iterations against the TCP server or
+/// fleet coordinator at `addr`, returning the loss curve: shorthand for
+/// [`drive_client`] dialing [`TcpTransport::connect`]. `addr` is dialed
+/// first and whenever the current route dies; a v1.4 `Redirect` reply
+/// (PROTOCOL.md §9) — how a client learns it dialed a coordinator —
+/// steers the dial at the placed backend.
 ///
 /// # Errors
 ///
-/// Fails on socket or protocol errors; the client's local state is
-/// consistent up to the last completed step.
+/// As [`drive_client`]: with [`RetryPolicy::none`], the first fault.
 pub fn run_tcp_client(
-    addr: impl ToSocketAddrs,
+    addr: &str,
     client: &mut SplitClient,
     steps: usize,
+    policy: &RetryPolicy,
 ) -> Result<LossCurve, ProtocolError> {
-    let mut transport = TcpTransport::connect(addr)?;
-    drive_client(client, &mut transport, steps)
-}
-
-/// Fault-tolerant [`run_tcp_client`]: survives transient socket faults
-/// by redialing under `policy`'s capped backoff and re-attaching to
-/// the quarantined server session with the `Resume` handshake
-/// (PROTOCOL.md §6) — the loss curve of a faulted-and-resumed run is
-/// bit-identical to an uninterrupted one.
-///
-/// # Errors
-///
-/// The first non-retryable [`ProtocolError`], or the last error once
-/// `policy`'s retry budget is exhausted.
-pub fn run_tcp_client_resumable(
-    addr: impl ToSocketAddrs,
-    client: &mut SplitClient,
-    steps: usize,
-    policy: &crate::retry::RetryPolicy,
-) -> Result<LossCurve, ProtocolError> {
-    crate::retry::drive_client_resumable(client, || TcpTransport::connect(&addr), steps, policy)
-}
-
-/// Fleet-aware [`run_tcp_client_resumable`] (PROTOCOL.md §9):
-/// `coordinator` is dialed first and whenever the current route dies;
-/// v1.4 `Redirect` replies steer the dial at the placed backend
-/// without spending retry budget. A backend death mid-run therefore
-/// walks the client back to the coordinator, which answers `Busy`
-/// until migration completes and then redirects to the session's new
-/// home, where the ordinary `Resume` reconciliation finishes the job.
-///
-/// # Errors
-///
-/// The first non-retryable [`ProtocolError`], or the last error once
-/// `policy`'s retry budget is exhausted.
-pub fn run_tcp_client_fleet(
-    coordinator: &str,
-    client: &mut SplitClient,
-    steps: usize,
-    policy: &crate::retry::RetryPolicy,
-) -> Result<LossCurve, ProtocolError> {
-    crate::retry::drive_client_routed(
+    drive_client(
         client,
-        |route| TcpTransport::connect(route.unwrap_or(coordinator)),
+        |route| TcpTransport::connect(route.unwrap_or(addr)),
         steps,
         policy,
     )
@@ -574,7 +537,13 @@ mod tests {
             ForwardMode::NoGradReforward,
         )));
         let server = TcpSplitServer::spawn("127.0.0.1:0", handler.clone(), 1).expect("bind");
-        let curve = run_tcp_client(server.addr(), &mut client, 4).expect("tcp training");
+        let curve = run_tcp_client(
+            &server.addr().to_string(),
+            &mut client,
+            4,
+            &RetryPolicy::none(),
+        )
+        .expect("tcp training");
         assert_eq!(curve.points().len(), 4);
         assert!(
             curve.final_loss().unwrap() < curve.points()[0].1 + 0.05,
@@ -615,10 +584,11 @@ mod tests {
         server.join();
     }
 
+    /// A client that dials a coordinator with no policy at all — what
+    /// `menos client --addr <coordinator>` passes — follows the
+    /// `Redirect` (free of retry budget) and trains.
     #[test]
     fn fleet_client_trains_through_a_redirecting_coordinator() {
-        use crate::retry::RetryPolicy;
-
         /// A one-backend coordinator shim: control messages get a
         /// v1.4 `Redirect` at the real server, nothing else is legal.
         struct RedirectHandler {
@@ -662,14 +632,13 @@ mod tests {
         )
         .expect("bind coordinator");
 
-        let policy = RetryPolicy {
-            retries: 2,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(10),
-            seed: 0,
-        };
-        let curve = run_tcp_client_fleet(&coordinator.addr().to_string(), &mut client, 4, &policy)
-            .expect("fleet client trains through the redirect");
+        let curve = run_tcp_client(
+            &coordinator.addr().to_string(),
+            &mut client,
+            4,
+            &RetryPolicy::none(),
+        )
+        .expect("fleet client trains through the redirect");
         assert_eq!(curve.points().len(), 4);
         backend.join();
         coordinator.join();

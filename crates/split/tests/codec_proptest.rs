@@ -1,6 +1,8 @@
 //! Property tests for the unified message codec: every arbitrary
-//! message round-trips bit-exactly, and decoding rejects truncation at
-//! *every* prefix length — no partial frame is ever accepted.
+//! message round-trips bit-exactly through the contiguous entry point
+//! (`WireMessage::{to_wire, from_wire}`), and decoding rejects
+//! truncation at *every* prefix length and any trailing byte — no
+//! partial or padded frame is ever accepted.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -8,10 +10,7 @@ use proptest::prelude::*;
 use menos_adapters::{AdapterKind, FineTuneConfig, OptimKind};
 use menos_models::{AdapterTarget, LoraSpec};
 use menos_net::DEFAULT_MAX_FRAME;
-use menos_split::{
-    decode_client_message, decode_server_message, encode_client_message, encode_server_message,
-    ClientId, ClientMessage, EvictionCode, ServerMessage, SplitSpec,
-};
+use menos_split::{ClientId, ClientMessage, EvictionCode, ServerMessage, SplitSpec, WireMessage};
 
 fn arb_target() -> BoxedStrategy<AdapterTarget> {
     prop_oneof![
@@ -170,43 +169,47 @@ fn arb_server_message() -> BoxedStrategy<ServerMessage> {
 proptest! {
     #[test]
     fn client_messages_round_trip(msg in arb_client_message()) {
-        let bytes = encode_client_message(&msg);
-        let back = decode_client_message(&bytes, DEFAULT_MAX_FRAME)
+        let bytes = msg.to_wire();
+        let back = ClientMessage::from_wire(&bytes, DEFAULT_MAX_FRAME)
             .expect("well-formed frame must decode");
         prop_assert_eq!(back, msg);
     }
 
     #[test]
     fn server_messages_round_trip(msg in arb_server_message()) {
-        let bytes = encode_server_message(&msg);
-        let back = decode_server_message(&bytes, DEFAULT_MAX_FRAME)
+        let bytes = msg.to_wire();
+        let back = ServerMessage::from_wire(&bytes, DEFAULT_MAX_FRAME)
             .expect("well-formed frame must decode");
         prop_assert_eq!(back, msg);
     }
 
     #[test]
     fn client_decode_rejects_every_truncation(msg in arb_client_message()) {
-        let bytes = encode_client_message(&msg);
+        let bytes = msg.to_wire();
         for keep in 0..bytes.len() {
             let prefix = bytes.slice(..keep);
             prop_assert!(
-                decode_client_message(&prefix, DEFAULT_MAX_FRAME).is_err(),
+                ClientMessage::from_wire(&prefix, DEFAULT_MAX_FRAME).is_err(),
                 "prefix of {keep}/{} bytes must not decode",
                 bytes.len()
             );
         }
+        let padded = Bytes::from([&bytes[..], &[0]].concat());
+        prop_assert!(ClientMessage::from_wire(&padded, DEFAULT_MAX_FRAME).is_err());
     }
 
     #[test]
     fn server_decode_rejects_every_truncation(msg in arb_server_message()) {
-        let bytes = encode_server_message(&msg);
+        let bytes = msg.to_wire();
         for keep in 0..bytes.len() {
             let prefix = bytes.slice(..keep);
             prop_assert!(
-                decode_server_message(&prefix, DEFAULT_MAX_FRAME).is_err(),
+                ServerMessage::from_wire(&prefix, DEFAULT_MAX_FRAME).is_err(),
                 "prefix of {keep}/{} bytes must not decode",
                 bytes.len()
             );
         }
+        let padded = Bytes::from([&bytes[..], &[0]].concat());
+        prop_assert!(ServerMessage::from_wire(&padded, DEFAULT_MAX_FRAME).is_err());
     }
 }

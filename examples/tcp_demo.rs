@@ -19,7 +19,7 @@ use menos::core::{MenosServer, ServerMode, ServerSpec};
 use menos::data::{wiki_corpus, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
-use menos::split::{run_tcp_client, ClientId, SplitClient, SplitSpec, TcpSplitServer};
+use menos::split::{run_tcp_client, ClientId, RetryPolicy, SplitClient, SplitSpec, TcpSplitServer};
 
 fn main() {
     let text = wiki_corpus(77, 20_000);
@@ -63,7 +63,8 @@ fn main() {
                 ds,
                 k,
             );
-            let curve = run_tcp_client(addr, &mut client, 12).expect("training over TCP");
+            let curve = run_tcp_client(&addr.to_string(), &mut client, 12, &RetryPolicy::none())
+                .expect("training over TCP");
             (k, curve)
         }));
     }

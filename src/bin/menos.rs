@@ -24,8 +24,8 @@ use menos::fleet::{BackendSpec, FleetCoordinator, FleetOptions, PlacementPolicy}
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
 use menos::split::{
-    run_tcp_client, run_tcp_client_fleet, run_tcp_client_resumable, ClientId, EventLoopOptions,
-    ForwardMode, RetryPolicy, SnapshotPolicy, SplitClient, SplitSpec, TcpEventServer, TcpOptions,
+    run_tcp_client, ClientId, EventLoopOptions, ForwardMode, RetryPolicy, SnapshotPolicy,
+    SplitClient, SplitSpec, TcpEventServer, TcpOptions,
 };
 
 const USAGE: &str = "\
@@ -37,7 +37,7 @@ usage:
                [--micro-model] [--cached] [--threads T]
   menos client --addr HOST:PORT [--steps N] [--seed S] [--model-seed S]
                [--retries R] [--backoff-ms MS] [--codec C] [--micro-model]
-               [--fleet] [--threads T]
+               [--threads T]
   menos fleet  [--port P] [--servers N] [--policy round-robin|memory-aware]
                [--heartbeat-ms MS] [--max-missed N] [--capacity N]
                [--model-seed S] [--snapshot-root DIR] [--duration-secs T]
@@ -86,7 +86,9 @@ options:
                     must pass it
   --cached          serve with the vanilla cached-forward path instead of
                     Menos' no-grad + re-forward policy
-  --addr A          server address to connect to
+  --addr A          server or fleet-coordinator address to connect to; a
+                    coordinator answers with a Redirect to a backend, which
+                    the client follows at no retry cost (PROTOCOL.md §9)
   --steps N         fine-tuning iterations to run (default 10)
   --seed S          client data/adapter seed (default 0)
   --retries R       reconnect-and-resume up to R times per fault (default 0:
@@ -97,9 +99,6 @@ options:
                     advertised, so raw peers interoperate unchanged)
   --backoff-ms MS   base reconnect backoff, doubled per consecutive failure
                     with +/-50% jitter (default 50)
-  --fleet           treat --addr as a fleet coordinator: dial it first and
-                    chase the Redirect to a backend (PROTOCOL.md §9);
-                    implies the resumable driver, so --retries applies
   --servers N       fleet: backend server processes to spawn (default 2)
   --policy P        fleet: session placement — round-robin | memory-aware
                     (default round-robin)
@@ -339,30 +338,13 @@ fn run_client(args: &[String]) {
     }
 
     println!("connecting to {addr} for {steps} split fine-tuning steps ({codec} advertised)...");
-    let fleet = args.iter().any(|a| a == "--fleet");
-    let result = if fleet {
-        // The coordinator answers Connect with a Redirect; the routed
-        // driver chases it (free of retry budget) and walks back to the
-        // coordinator for re-placement if the backend dies mid-run.
-        let policy = RetryPolicy {
-            retries: retries.max(1),
-            backoff: Duration::from_millis(backoff_ms),
-            seed,
-            ..RetryPolicy::default()
-        };
-        run_tcp_client_fleet(addr.as_str(), &mut client, steps, &policy)
-    } else if retries > 0 {
-        let policy = RetryPolicy {
-            retries,
-            backoff: Duration::from_millis(backoff_ms),
-            seed,
-            ..RetryPolicy::default()
-        };
-        run_tcp_client_resumable(addr.as_str(), &mut client, steps, &policy)
-    } else {
-        run_tcp_client(addr.as_str(), &mut client, steps)
+    let policy = RetryPolicy {
+        retries,
+        backoff: Duration::from_millis(backoff_ms),
+        seed,
+        ..RetryPolicy::default()
     };
-    let curve = result.unwrap_or_else(|e| {
+    let curve = run_tcp_client(addr.as_str(), &mut client, steps, &policy).unwrap_or_else(|e| {
         eprintln!("training failed: {e}");
         std::process::exit(1);
     });
@@ -508,7 +490,7 @@ fn run_fleet(args: &[String]) {
          ({policy:?}, heartbeat {heartbeat_ms}ms x{max_missed}, capacity {capacity}/server)",
         coordinator.addr(),
     );
-    println!("clients connect with: menos client --fleet --addr HOST:{port} --retries 3 ...");
+    println!("clients connect with: menos client --addr HOST:{port} --retries 3 ...");
 
     match duration {
         Some(d) => std::thread::sleep(d),

@@ -16,8 +16,8 @@ use menos::net::{
     supported_codec_mask, Codec, TensorCodec, WireError, ROLE_ACTIVATIONS, ROLE_GRADIENTS,
 };
 use menos::split::{
-    channel_pair, drive_client, run_split_steps, serve_loop, ClientId, ClientMessage, ForwardMode,
-    ServerMessage, ServerSession, SplitClient, SplitSpec,
+    already_connected, channel_pair, drive_client, run_split_steps, serve_loop, ClientId,
+    ClientMessage, ForwardMode, RetryPolicy, ServerMessage, ServerSession, SplitClient, SplitSpec,
 };
 use menos::tensor::Tensor;
 
@@ -77,12 +77,14 @@ fn train_over_channel(
     handler: Arc<Mutex<MenosServer>>,
     steps: usize,
 ) -> LossCurve {
-    let (mut client_t, mut server_t) = channel_pair();
+    let none = RetryPolicy::none();
+    let (client_t, mut server_t) = channel_pair();
     let server = std::thread::spawn(move || {
         let mut handler = handler;
         serve_loop(&mut server_t, &mut handler)
     });
-    let curve = drive_client(client, &mut client_t, steps).expect("channel training");
+    let curve =
+        drive_client(client, already_connected(client_t), steps, &none).expect("channel training");
     server.join().expect("server thread").expect("clean serve");
     curve
 }

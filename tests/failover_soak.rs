@@ -30,8 +30,8 @@ use menos::fleet::{BackendSpec, FleetCoordinator, FleetOptions, PlacementPolicy}
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
 use menos::split::{
-    drive_client_resumable, run_tcp_client_fleet, ClientId, ClientMessage, MessageKind,
-    RetryPolicy, ServerMessage, SplitClient, SplitSpec, TcpTransport, Transport,
+    drive_client, run_tcp_client, ClientId, ClientMessage, MessageKind, RetryPolicy, ServerMessage,
+    SplitClient, SplitSpec, TcpTransport, Transport,
 };
 
 /// Soak scale, per the acceptance spec: 4 backends × 64 clients, with
@@ -229,13 +229,9 @@ fn single_server_reference(
                     max_backoff: Duration::from_millis(100),
                     seed: k,
                 };
-                let curve = drive_client_resumable(
-                    &mut client,
-                    || TcpTransport::connect(addr),
-                    STEPS,
-                    &policy,
-                )
-                .expect("reference client finishes");
+                let curve =
+                    drive_client(&mut client, |_| TcpTransport::connect(addr), STEPS, &policy)
+                        .expect("reference client finishes");
                 (k, curve_bits(&curve), adapter_bits(&client))
             })
         })
@@ -322,7 +318,7 @@ fn sigkilled_backend_fails_over_bit_identically_across_seeds() {
                         max_backoff: Duration::from_millis(100),
                         seed: k,
                     };
-                    let curve = run_tcp_client_fleet(&coord_addr, &mut client, STEPS, &policy)
+                    let curve = run_tcp_client(&coord_addr, &mut client, STEPS, &policy)
                         .expect("fleet client finishes across the failover");
                     (k, curve_bits(&curve), adapter_bits(&client))
                 })

@@ -9,10 +9,11 @@
 use proptest::prelude::*;
 
 use bytes::Bytes;
-use menos::net::{decode_tensor, encode_tensor};
+use menos::adapters::{AdapterKind, FineTuneConfig, OptimKind};
+use menos::models::{AdapterTarget, LoraSpec};
+use menos::net::{decode_tensor, encode_tensor, Codec};
 use menos::split::{
-    client_message_parts, decode_client_message_parts, decode_server_message_parts,
-    server_message_parts, ClientId, ClientMessage, ServerMessage,
+    ClientId, ClientMessage, EvictionCode, MessageKind, ServerMessage, SplitSpec, WireMessage,
 };
 use menos::tensor::Tensor;
 
@@ -77,43 +78,218 @@ proptest! {
         let re = encode_tensor(&back);
         prop_assert_eq!(&*re, &reference[..], "re-encode after pooled decode differs");
     }
+}
 
-    /// Frame parts (`header`, `body`) concatenate to exactly the
-    /// contiguous encoding, and the parts decoder accepts them — for
-    /// every tensor-bearing message shape the step loop sends.
-    #[test]
-    fn frame_parts_concatenate_to_contiguous_encoding(
-        dims in prop::collection::vec(1usize..9, 1..4),
-        seed in any::<u64>(),
-        client in any::<u64>(),
-    ) {
-        use menos::split::WireMessage;
-        let t = patterned(&dims, seed);
-        let msgs = [
-            ClientMessage::Activations { client: ClientId(client), frame: encode_tensor(&t) },
-            ClientMessage::Gradients { client: ClientId(client), frame: encode_tensor(&t) },
-        ];
-        for msg in &msgs {
-            let contiguous = msg.to_wire();
-            let (header, body) = client_message_parts(msg);
-            let mut glued = header.to_vec();
-            glued.extend_from_slice(&body);
-            prop_assert_eq!(&glued[..], &*contiguous, "parts differ from contiguous frame");
-            let back = decode_client_message_parts(&header, &body, 64 << 20).unwrap();
-            prop_assert_eq!(back.to_wire(), contiguous);
-        }
-        let reply = ServerMessage::ServerActivations {
-            client: ClientId(client),
-            frame: encode_tensor(&t),
-        };
-        let contiguous = reply.to_wire();
-        let (header, body) = server_message_parts(&reply);
-        let mut glued = header.to_vec();
-        glued.extend_from_slice(&body);
-        prop_assert_eq!(&glued[..], &*contiguous);
-        let back = decode_server_message_parts(&header, &body, 64 << 20).unwrap();
-        prop_assert_eq!(back.to_wire(), contiguous);
+/// Checks one golden frame, written as spaced hex (header fields
+/// first: magic, version, kind, client, length): the encoder must
+/// produce exactly these bytes — unless the frame is a legacy body no
+/// encoder emits any more — and both decoder entry points must read
+/// them back as `msg`. Returns the frame's kind byte.
+fn check_golden<M>(msg: &M, golden_hex: &str, encodable: bool) -> u8
+where
+    M: WireMessage + PartialEq + std::fmt::Debug,
+{
+    let digits: Vec<u8> = golden_hex.bytes().filter(|b| *b != b' ').collect();
+    let golden: Vec<u8> = digits
+        .chunks(2)
+        .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+        .collect();
+    if encodable {
+        let (header, body) = msg.to_wire_parts();
+        assert_eq!([&header[..], &body[..]].concat(), golden, "{msg:?}");
+        assert_eq!(msg.to_wire()[..], golden[..], "{msg:?}");
     }
+    let frame = Bytes::from(golden);
+    assert_eq!(&M::from_wire(&frame, 64 << 20).unwrap(), msg);
+    let (header, body) = (&frame[..18], frame.slice(18..));
+    assert_eq!(&M::from_wire_parts(header, &body, 64 << 20).unwrap(), msg);
+    frame[5]
+}
+
+/// The wire format, pinned byte for byte: one literal frame per
+/// [`MessageKind`], captured from the encoder as it stood before the
+/// contiguous and parts encoders were merged. With a single encoder
+/// there is no second implementation to compare against, so the bytes
+/// themselves are the reference — a codec edit that moves any of them
+/// is a protocol change and must say so.
+#[test]
+fn golden_wire_frames() {
+    let id = ClientId(7);
+    let golden_ft = || FineTuneConfig {
+        adapter: AdapterKind::Lora {
+            spec: LoraSpec {
+                rank: 4,
+                alpha: 8.0,
+                targets_per_block: 2,
+            },
+            targets: vec![AdapterTarget::Q, AdapterTarget::V],
+        },
+        optimizer: OptimKind::Adam { lr: 0.5 },
+        batch_size: 2,
+        seq_len: 16,
+        grad_accumulation: 1,
+    };
+    let up = encode_tensor(&Tensor::from_vec(vec![1.0, -2.0], [2]));
+    let down = encode_tensor(&Tensor::from_vec(vec![0.5], [1]));
+    let client_rows = [
+        (
+            ClientMessage::Connect {
+                client: id,
+                ft: golden_ft(),
+                split: SplitSpec::new(1),
+                epoch: 3,
+                codecs: Codec::F16.flag(),
+            },
+            "31504e4d 01 01 0700000000000000 4d000000 \
+             0004000000000000 0000000041020000 0000000000020002 000000003f020000 \
+             0000000000100000 0000000000010000 0000000000010000 0000000000030000 \
+             0000000000020000 0000000000",
+        ),
+        (
+            ClientMessage::Activations {
+                client: id,
+                frame: up.clone(),
+            },
+            "31504e4d 01 02 0700000000000000 18000000 \
+             31534e4d01000000 0200000000000000 0000803f000000c0",
+        ),
+        (
+            ClientMessage::Gradients {
+                client: id,
+                frame: up,
+            },
+            "31504e4d 01 03 0700000000000000 18000000 \
+             31534e4d01000000 0200000000000000 0000803f000000c0",
+        ),
+        (
+            ClientMessage::Disconnect { client: id },
+            "31504e4d 01 04 0700000000000000 00000000",
+        ),
+        (
+            ClientMessage::Resume {
+                client: id,
+                epoch: 3,
+                last_step: 40,
+            },
+            "31504e4d 01 05 0700000000000000 10000000 \
+             0300000000000000 2800000000000000",
+        ),
+        (
+            ClientMessage::Ping {
+                client: ClientId(9),
+                seq: 42,
+            },
+            "31504e4d 01 06 0900000000000000 08000000 \
+             2a00000000000000",
+        ),
+        (
+            ClientMessage::ImportSession {
+                client: id,
+                blob: Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef]),
+            },
+            "31504e4d 01 07 0700000000000000 04000000 \
+             deadbeef",
+        ),
+    ];
+    let server_rows = [
+        (
+            // The raw codec is the empty v1.1 body, not a tag byte.
+            ServerMessage::Ready {
+                client: id,
+                codec: Codec::F32Raw,
+            },
+            "31504e4d 01 11 0700000000000000 00000000",
+        ),
+        (
+            ServerMessage::ServerActivations {
+                client: id,
+                frame: down.clone(),
+            },
+            "31504e4d 01 12 0700000000000000 14000000 \
+             31534e4d01000000 0100000000000000 0000003f",
+        ),
+        (
+            ServerMessage::ServerGradients {
+                client: id,
+                frame: down,
+            },
+            "31504e4d 01 13 0700000000000000 14000000 \
+             31534e4d01000000 0100000000000000 0000003f",
+        ),
+        (
+            ServerMessage::Resumed {
+                client: id,
+                epoch: 4,
+                server_step: 41,
+                replay: Bytes::from_static(&[1, 2, 3]),
+            },
+            "31504e4d 01 14 0700000000000000 13000000 \
+             0400000000000000 2900000000000000 010203",
+        ),
+        (
+            ServerMessage::Evicted {
+                client: id,
+                code: EvictionCode::IdleExpired,
+            },
+            "31504e4d 01 15 0700000000000000 01000000 \
+             02",
+        ),
+        (
+            ServerMessage::Busy {
+                client: id,
+                retry_after_ms: 250,
+            },
+            "31504e4d 01 16 0700000000000000 08000000 \
+             fa00000000000000",
+        ),
+        (
+            ServerMessage::Redirect {
+                client: id,
+                addr: "10.0.0.3:4400".into(),
+                retry_after_ms: 0,
+            },
+            "31504e4d 01 17 0700000000000000 15000000 \
+             0000000000000000 31302e302e302e33 3a34343030",
+        ),
+        (
+            ServerMessage::Pong {
+                client: ClientId(9),
+                seq: 42,
+                live_sessions: 3,
+                utilization_pct: 87,
+            },
+            "31504e4d 01 18 0900000000000000 18000000 \
+             2a00000000000000 0300000000000000 5700000000000000",
+        ),
+        (
+            ServerMessage::Imported {
+                client: id,
+                epoch: 5,
+            },
+            "31504e4d 01 19 0700000000000000 08000000 \
+             0500000000000000",
+        ),
+    ];
+    let mut kinds: Vec<u8> = Vec::new();
+    kinds.extend(client_rows.iter().map(|(m, g)| check_golden(m, g, true)));
+    kinds.extend(server_rows.iter().map(|(m, g)| check_golden(m, g, true)));
+    let all: Vec<u8> = MessageKind::ALL.iter().map(|k| k.code()).collect();
+    assert_eq!(kinds, all, "one golden frame per message kind, in order");
+
+    // A v1.0 `Connect` body stops before the appended epoch and codec
+    // mask (PROTOCOL.md §5): it must still decode, as epoch 0 / raw
+    // only, though no current encoder produces it.
+    let v1_0 = ClientMessage::Connect {
+        client: id,
+        ft: golden_ft(),
+        split: SplitSpec::new(1),
+        epoch: 0,
+        codecs: 0,
+    };
+    let v1_0_frame = "31504e4d 01 01 0700000000000000 3d000000 \
+         0004000000000000 0000000041020000 0000000000020002 000000003f020000 \
+         0000000000100000 0000000000010000 0000000000010000 0000000000";
+    check_golden(&v1_0, v1_0_frame, false);
 }
 
 /// A recycled buffer must never expose a previous tensor's bytes.

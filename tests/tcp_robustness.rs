@@ -11,7 +11,9 @@ use menos::core::{MenosServer, ServerMode, ServerSpec};
 use menos::data::{wiki_corpus, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
-use menos::split::{run_tcp_client, ClientId, ForwardMode, SplitClient, SplitSpec, TcpSplitServer};
+use menos::split::{
+    run_tcp_client, ClientId, ForwardMode, RetryPolicy, SplitClient, SplitSpec, TcpSplitServer,
+};
 
 fn setup() -> (
     String,
@@ -92,7 +94,8 @@ fn garbage_peer_does_not_poison_healthy_clients() {
         let base = base.clone();
         handles.push(std::thread::spawn(move || {
             let mut client = make_client(k, &text, &config, &base);
-            run_tcp_client(addr, &mut client, 4).expect("healthy client")
+            run_tcp_client(&addr.to_string(), &mut client, 4, &RetryPolicy::none())
+                .expect("healthy client")
         }));
     }
     for h in handles {
@@ -128,7 +131,8 @@ fn mid_session_disconnect_is_contained() {
 
     // The remaining slot still serves a real client.
     let mut client = make_client(1, &text, &config, &base);
-    let curve = run_tcp_client(addr, &mut client, 3).expect("client after bad peer");
+    let curve = run_tcp_client(&addr.to_string(), &mut client, 3, &RetryPolicy::none())
+        .expect("client after bad peer");
     assert_eq!(curve.points().len(), 3);
     server.join();
     assert_eq!(handler.lock().unwrap().active_clients(), 0);
@@ -163,7 +167,8 @@ fn clients_with_different_configs_share_one_server() {
                 ds,
                 k as u64,
             );
-            run_tcp_client(addr, &mut client, 3).expect("heterogeneous client")
+            run_tcp_client(&addr.to_string(), &mut client, 3, &RetryPolicy::none())
+                .expect("heterogeneous client")
         }));
     }
     for h in handles {

@@ -15,9 +15,10 @@ use menos::models::{CausalLm, ModelConfig};
 use menos::net::WireError;
 use menos::sim::seeded_rng;
 use menos::split::{
-    channel_pair, drive_client, event_channel_listener, event_sim_listener, serve_loop, sim_pair,
-    ClientId, ClientMessage, EventLoopOptions, EventLoopStats, FaultTransport, ServerEventLoop,
-    ServerMessage, SplitClient, SplitSpec, TcpEventServer, TcpSplitServer, Transport,
+    already_connected, channel_pair, drive_client, event_channel_listener, event_sim_listener,
+    serve_loop, sim_pair, ClientId, ClientMessage, EventLoopOptions, EventLoopStats,
+    FaultTransport, RetryPolicy, ServerEventLoop, ServerMessage, SplitClient, SplitSpec,
+    TcpEventServer, TcpSplitServer, Transport,
 };
 
 const SEED: u64 = 4100;
@@ -88,18 +89,21 @@ fn train_over_channel(
     handler: Arc<Mutex<MenosServer>>,
     steps: usize,
 ) -> LossCurve {
-    let (mut client_t, mut server_t) = channel_pair();
+    let none = RetryPolicy::none();
+    let (client_t, mut server_t) = channel_pair();
     let server = std::thread::spawn(move || {
         let mut handler = handler;
         serve_loop(&mut server_t, &mut handler)
     });
-    let curve = drive_client(client, &mut client_t, steps).expect("channel training");
+    let curve =
+        drive_client(client, already_connected(client_t), steps, &none).expect("channel training");
     server.join().expect("server thread").expect("clean serve");
     curve
 }
 
 #[test]
 fn same_messages_give_byte_identical_curves_on_every_transport() {
+    let none = RetryPolicy::none();
     let (text, _vocab, config, base) = setup();
     const STEPS: usize = 4;
 
@@ -112,7 +116,8 @@ fn same_messages_give_byte_identical_curves_on_every_transport() {
     let server = TcpSplitServer::spawn("127.0.0.1:0", handler, 1).expect("bind");
     let mut client = make_client(0, &text, &config, &base);
     let tcp_curve =
-        menos::split::run_tcp_client(server.addr(), &mut client, STEPS).expect("tcp training");
+        menos::split::run_tcp_client(&server.addr().to_string(), &mut client, STEPS, &none)
+            .expect("tcp training");
     server.join();
 
     // Simulated WAN (same bytes, plus virtual transfer time).
@@ -124,7 +129,8 @@ fn same_messages_give_byte_identical_curves_on_every_transport() {
         serve_loop(&mut server_t, &mut handler)
     });
     let mut client = make_client(0, &text, &config, &base);
-    let sim_curve = drive_client(&mut client, &mut client_t, STEPS).expect("sim training");
+    let sim_curve = drive_client(&mut client, already_connected(&mut client_t), STEPS, &none)
+        .expect("sim training");
     sim_server.join().expect("thread").expect("clean serve");
     assert!(client_t.elapsed() > menos::sim::Nanos(0));
 
@@ -272,18 +278,22 @@ fn blocking_fleet(
     config: &ModelConfig,
     base: &Arc<Mutex<menos::tensor::ParamStore>>,
 ) -> Vec<CurveBits> {
+    let none = RetryPolicy::none();
     let handler = make_server(config, base);
     let mut drivers = Vec::new();
     let mut servers = Vec::new();
     for k in 0..n {
-        let (mut client_t, mut server_t) = channel_pair();
+        let (client_t, mut server_t) = channel_pair();
         let mut h = handler.clone();
         servers.push(std::thread::spawn(move || {
             serve_loop(&mut server_t, &mut h)
         }));
         let mut client = make_client(k, text, config, base);
         drivers.push(std::thread::spawn(move || {
-            bits(&drive_client(&mut client, &mut client_t, steps).expect("blocking fleet"))
+            bits(
+                &drive_client(&mut client, already_connected(client_t), steps, &none)
+                    .expect("blocking fleet"),
+            )
         }));
     }
     let curves = drivers
@@ -306,6 +316,7 @@ fn event_loop_fleet(
     config: &ModelConfig,
     base: &Arc<Mutex<menos::tensor::ParamStore>>,
 ) -> (Vec<CurveBits>, EventLoopStats) {
+    let none = RetryPolicy::none();
     let handler = make_server(config, base);
     let (dialer, listener) = event_channel_listener();
     let event_loop = ServerEventLoop::new(
@@ -322,8 +333,10 @@ fn event_loop_fleet(
         let mut client = make_client(k, text, config, base);
         let dialer = dialer.clone();
         drivers.push(std::thread::spawn(move || {
-            let mut transport = dialer.dial().expect("dial");
-            bits(&drive_client(&mut client, &mut transport, steps).expect("event-loop fleet"))
+            bits(
+                &drive_client(&mut client, |_| dialer.dial(), steps, &none)
+                    .expect("event-loop fleet"),
+            )
         }));
     }
     let curves: Vec<CurveBits> = drivers
@@ -337,6 +350,7 @@ fn event_loop_fleet(
 
 #[test]
 fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
+    let none = RetryPolicy::none();
     let (text, _vocab, config, base) = setup();
     const N: u64 = 4;
     const STEPS: usize = 3;
@@ -372,13 +386,13 @@ fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
         let mut client = make_client(k, &text, &config, &base);
         let dialer = dialer.clone();
         drivers.push(std::thread::spawn(move || {
-            let mut transport = dialer
-                .dial(
+            let dial = |_: Option<&str>| {
+                dialer.dial(
                     menos::net::WanLink::lan(7 + k),
                     menos::net::WanLink::lan(100 + k),
                 )
-                .expect("sim dial");
-            bits(&drive_client(&mut client, &mut transport, STEPS).expect("sim event loop"))
+            };
+            bits(&drive_client(&mut client, dial, STEPS, &none).expect("sim event loop"))
         }));
     }
     let sim_curves: Vec<CurveBits> = drivers
@@ -406,7 +420,10 @@ fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
     for k in 0..N {
         let mut client = make_client(k, &text, &config, &base);
         drivers.push(std::thread::spawn(move || {
-            bits(&menos::split::run_tcp_client(addr, &mut client, STEPS).expect("tcp event loop"))
+            bits(
+                &menos::split::run_tcp_client(&addr.to_string(), &mut client, STEPS, &none)
+                    .expect("tcp event loop"),
+            )
         }));
     }
     let tcp_curves: Vec<CurveBits> = drivers
@@ -733,6 +750,7 @@ fn per_client_reservation(total: u64, n: u64) -> u64 {
 
 #[test]
 fn faulty_client_does_not_stop_a_concurrent_one() {
+    let none = RetryPolicy::none();
     let (text, _vocab, config, base) = setup();
     let handler = make_server(&config, &base);
 
@@ -760,7 +778,8 @@ fn faulty_client_does_not_stop_a_concurrent_one() {
     let fault_err = serve_loop(&mut fault_t, &mut fault_handler).expect_err("fault");
     assert!(matches!(fault_err, ProtocolError::Wire(_)), "{fault_err}");
 
-    let curve = drive_client(&mut healthy, &mut client_t, 3).expect("healthy client");
+    let curve = drive_client(&mut healthy, already_connected(&mut client_t), 3, &none)
+        .expect("healthy client");
     healthy_server.join().expect("thread").expect("clean serve");
     assert_eq!(curve.points().len(), 3);
     // The faulty session is reclaimed; the healthy one disconnected
