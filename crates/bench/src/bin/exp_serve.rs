@@ -1,6 +1,6 @@
-//! Many-client serving throughput: thread-per-client blocking pump vs
-//! the single-thread event-driven server (one ready-set per dispatch,
-//! members served one after another), over `SimTransport`.
+//! Many-client serving throughput of the single-thread event-driven
+//! server (one ready-set per dispatch, members served one after
+//! another), over `SimTransport`.
 //!
 //! For each fleet size N the same N clients train the same number of
 //! steps against one shared `MenosServer`; the aggregate throughput is
@@ -16,12 +16,14 @@
 //! `BENCH_serve.json` when run from the repository (the EXPERIMENTS.md
 //! study quotes those numbers).
 //!
-//! `--check` is the CI regression guard: it reruns the N=32 point in
-//! both modes and fails (exit 1) if, within that same run, the event
-//! loop's peak memory exceeds 0.75x the threaded pump's (measured
-//! 0.51–0.53x; see `run_check`) or its throughput drops below 0.8x
-//! threaded. Same-run ratios only — no committed absolute baselines,
-//! which would be host-dependent.
+//! `--check` is the CI regression guard: it reruns the N=1 and N=32
+//! points and fails (exit 1) if, within that same run, serving 32
+//! clients copies more bytes per step than serving one, peaks at more
+//! than 6.5x one client's memory (measured 4.6–5.2x; see `run_check`),
+//! or completes steps at under 0.8x one client's rate (the slower of
+//! two N=1 timings, one before and one after). Same-run facts
+//! only — no committed absolute baselines, which would be
+//! host-dependent.
 //!
 //! The forced-overload study (v1.3) runs N clients against a
 //! live-session capacity of N/4 and reports the shed rate and
@@ -49,9 +51,9 @@ use menos_models::{init_params, CausalLm, ModelConfig};
 use menos_net::{Codec, WanLink};
 use menos_sim::seeded_rng;
 use menos_split::{
-    already_connected, drive_client, event_sim_listener, run_tcp_client, serve_loop, sim_pair,
-    ClientId, EventLoopOptions, EventLoopStats, RetryPolicy, ServerEventLoop, SnapshotPolicy,
-    SplitClient, SplitSpec, TcpEventServer, TcpOptions,
+    activation_wire_bytes_with, already_connected, drive_client, event_sim_listener,
+    run_tcp_client, ClientId, EventLoopOptions, EventLoopStats, RetryPolicy, ServerEventLoop,
+    ServerMessage, SnapshotPolicy, SplitClient, SplitSpec, TcpEventServer, TcpOptions, WireMessage,
 };
 use menos_tensor::ParamStore;
 
@@ -110,34 +112,6 @@ fn vm_hwm_kb() -> u64 {
                 .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
         })
         .unwrap_or(0)
-}
-
-/// N blocking `serve_loop` threads (one per client) over SimTransport.
-fn run_threaded(n: u64, text: &str, config: &ModelConfig, base: &Arc<Mutex<ParamStore>>) -> f64 {
-    let none = RetryPolicy::none();
-    let handler = make_server(config, base);
-    let start = Instant::now();
-    let mut drivers = Vec::new();
-    let mut servers = Vec::new();
-    for k in 0..n {
-        let (client_t, mut server_t) = sim_pair(WanLink::lan(7 + k), WanLink::lan(100 + k));
-        let mut h = handler.clone();
-        servers.push(std::thread::spawn(move || {
-            serve_loop(&mut server_t, &mut h)
-        }));
-        let mut client = make_client(k, text, config, base);
-        drivers.push(std::thread::spawn(move || {
-            drive_client(&mut client, already_connected(client_t), STEPS, &none)
-                .expect("threaded fleet");
-        }));
-    }
-    for d in drivers {
-        d.join().expect("driver thread");
-    }
-    for s in servers {
-        s.join().expect("server thread").expect("clean serve");
-    }
-    start.elapsed().as_secs_f64()
 }
 
 /// One `ServerEventLoop` thread serving all N clients over SimTransport.
@@ -247,10 +221,12 @@ fn percentile(xs: &[f64], p: f64) -> f64 {
 /// One client training `CODEC_STEPS` steps against the shared server
 /// over the geo-distributed WAN profile (60 ms, 8 MB/s, 5% jitter),
 /// advertising exactly one codec. Returns `(bytes_per_step,
-/// virtual_steps_per_sec)`: bytes are what both links actually
-/// charged (PROTOCOL.md §7 post-compression sizes), time is the
-/// virtual WAN clock — wall time would measure this host's compute,
-/// not the network the codec exists to relieve.
+/// virtual_steps_per_sec)`: uplink bytes are what the client's link
+/// actually charged; the downlink's end lives inside the event loop, so
+/// its bytes are the analytic PROTOCOL.md §7 post-compression sizes of
+/// the same two tensors per step plus the `Ready` frame. Time is the
+/// virtual WAN clock — wall time would measure this host's compute, not
+/// the network the codec exists to relieve.
 fn run_codec_wan(
     codec: Codec,
     text: &str,
@@ -258,16 +234,22 @@ fn run_codec_wan(
     base: &Arc<Mutex<ParamStore>>,
 ) -> (f64, f64) {
     let none = RetryPolicy::none();
-    let handler = make_server(config, base);
-    let (mut client_t, mut server_t) = sim_pair(
-        WanLink::geo_distributed(SEED),
-        WanLink::geo_distributed(SEED + 1),
+    let (dialer, listener) = event_sim_listener();
+    let event_loop = ServerEventLoop::new(
+        listener,
+        make_server(config, base),
+        EventLoopOptions {
+            accept_limit: 1,
+            ..EventLoopOptions::default()
+        },
     );
-    let mut h = handler.clone();
-    let server = std::thread::spawn(move || {
-        serve_loop(&mut server_t, &mut h).expect("clean serve");
-        server_t.link_stats()
-    });
+    let server = std::thread::spawn(move || event_loop.run());
+    let mut client_t = dialer
+        .dial(
+            WanLink::geo_distributed(SEED),
+            WanLink::geo_distributed(SEED + 1),
+        )
+        .expect("dial the loop");
     let mut client = make_client(0, text, config, base);
     if codec != Codec::F32Raw {
         client.set_advertised_codecs(codec.flag());
@@ -284,8 +266,16 @@ fn run_codec_wan(
         codec,
         "server must echo the advertised codec"
     );
-    let (down_bytes, _) = server.join().expect("server thread");
+    let (_handler, stats) = server.join().expect("server thread");
+    assert_eq!((stats.served, stats.conn_errors), (1, 0), "clean serve");
     let (up_bytes, _) = client_t.link_stats();
+    let ready = ServerMessage::Ready {
+        client: client.id(),
+        codec,
+    };
+    let ft = client.ft_config();
+    let tensor = activation_wire_bytes_with(codec, ft.batch_size, ft.seq_len, config.hidden);
+    let down_bytes = ready.to_wire().len() as u64 + 2 * CODEC_STEPS as u64 * tensor;
     let bytes_per_step = (up_bytes + down_bytes) as f64 / CODEC_STEPS as f64;
     let steps_per_sec = CODEC_STEPS as f64 / client_t.elapsed().as_secs_f64();
     (bytes_per_step, steps_per_sec)
@@ -361,22 +351,6 @@ fn run_worker(mode: &str, n: u64) {
     // Count only serving traffic, not model setup.
     menos_tensor::pool::reset_stats();
     let line = match mode {
-        "threaded" => {
-            let rates: Vec<f64> = (0..REPEATS)
-                .map(|_| total_steps / run_threaded(n, &text, &config, &base))
-                .collect();
-            let rate = median(&rates);
-            let p = menos_tensor::pool::stats();
-            let copied_per_step = p.bytes_copied / (n * STEPS as u64 * REPEATS as u64);
-            format!(
-                "{{\"group\":\"serve\",\"bench\":\"threaded/n{n}\",\"clients\":{n},\
-                 \"steps\":{STEPS},\"repeats\":{REPEATS},\"steps_per_sec\":{rate:.2},\
-                 \"vm_hwm_kb\":{},\"pool_hit_rate\":{:.3},\"bytes_copied_per_step\":{}}}",
-                vm_hwm_kb(),
-                p.hit_rate(),
-                copied_per_step,
-            )
-        }
         "event_loop" => {
             let mut rates = Vec::new();
             let mut stats = EventLoopStats::default();
@@ -727,33 +701,47 @@ fn run_fleet_table(lines: &mut Vec<String>) {
     }
 }
 
-/// CI regression guard: rerun the N=32 point in both modes and compare
-/// them against each other, exit nonzero on regression.
+/// CI regression guard: rerun the N=1 and N=32 points and compare them
+/// against each other, exit nonzero on regression.
 ///
-/// Both limits are ratios between the two modes of the *same*
-/// invocation: absolute steps/s and VmHWM vary with the host (this
-/// box alone swings 60–85 steps/s run to run), so comparing against
-/// committed numbers would fail on any runner slower than the machine
-/// that wrote them. The mode-vs-mode ratio is what the zero-copy work
-/// actually promises, and it is machine-independent.
+/// Every limit relates two points of the *same* invocation: absolute
+/// steps/s and VmHWM vary with the host (this box alone swings 60–85
+/// steps/s run to run), so comparing against committed numbers would
+/// fail on any runner slower than the machine that wrote them. What
+/// serving one ready-set member at a time promises is that cost per
+/// step does not grow with the ready-set, and that is
+/// machine-independent.
 fn run_check() -> ! {
     const CHECK_N: u64 = 32;
-    // The event loop serves a ready-set one member at a time on one
-    // thread, so one activation footprint is alive (Eq. 3's single
-    // `I`); the threaded pump can hold one per client thread. At N=32
-    // that measures 0.51–0.53x threaded across five runs; the limit
-    // leaves ~40 % headroom and trips on any dispatch change that
-    // makes transient memory grow with the ready-set again.
-    const HWM_RATIO_LIMIT: f64 = 0.75;
+    // One member of a ready-set is served at a time, so the codec
+    // copies the same bytes per step whatever N is: 65 536 at N=1 and
+    // at N=32, exactly. (Stacked dispatch, deleted in PR 12, copied
+    // 495 559 per step at N=32.)
+    //
+    // Only one activation footprint is alive at a time too (Eq. 3's
+    // single `I`), so memory grows with N by per-session state alone:
+    // VmHWM(N=32) measures 4.6–5.2x VmHWM(N=1) across five runs,
+    // median 4.67x (stacked dispatch: 12.2x). The limit leaves ~40 %
+    // headroom over the median (25 % over the worst run) and trips on
+    // any dispatch change that makes transient memory grow with the
+    // ready-set again.
+    const HWM_RATIO_LIMIT: f64 = 6.5;
     const RATE_RATIO_FLOOR: f64 = 0.8;
     // Compression guard: f16 must keep its promised wire saving over
     // the WAN profile. The bound is a within-run ratio like the others;
     // 0.55x leaves headroom over the ideal 0.5x for frame headers and
     // the un-compressed control handshake.
     const F16_BYTES_RATIO_LIMIT: f64 = 0.55;
-    let threaded = spawn_worker("threaded", CHECK_N);
-    let event = spawn_worker("event_loop", CHECK_N);
-    println!("{threaded}\n{event}");
+    // The N=1 point is timed on both sides of the N=32 point and the
+    // rate floor holds N=32 to the slower of the two: this host runs
+    // up to 1.6x slower for seconds at a time, disturbance only ever
+    // adds time, and a slow spell that covers the N=32 run reaches at
+    // least one of its neighbours (one-sided, 2 of 8 trial checks fell
+    // under the floor on an unchanged tree; two-sided, none).
+    let solo = spawn_worker("event_loop", 1);
+    let fleet32 = spawn_worker("event_loop", CHECK_N);
+    let solo_after = spawn_worker("event_loop", 1);
+    println!("{solo}\n{fleet32}\n{solo_after}");
     let mut failures = Vec::new();
 
     let mut codec_lines = Vec::new();
@@ -829,28 +817,40 @@ fn run_check() -> ! {
         );
     }
 
-    let t_hwm = json_num(&threaded, "vm_hwm_kb").expect("threaded vm_hwm_kb");
-    let e_hwm = json_num(&event, "vm_hwm_kb").expect("event vm_hwm_kb");
-    if t_hwm > 0.0 && e_hwm > HWM_RATIO_LIMIT * t_hwm {
+    let of = |line: &str, key: &str| json_num(line, key).unwrap_or_else(|| panic!("{key}"));
+    let (copied_1, copied_n) = (
+        of(&solo, "bytes_copied_per_step"),
+        of(&fleet32, "bytes_copied_per_step"),
+    );
+    if copied_n != copied_1 {
         failures.push(format!(
-            "event-loop VmHWM {e_hwm} kB exceeds {HWM_RATIO_LIMIT}x threaded ({t_hwm} kB)"
+            "bytes copied per step grew with the ready-set: {copied_n} at N={CHECK_N} vs \
+             {copied_1} at N=1"
         ));
-    } else if t_hwm > 0.0 {
+    } else {
+        println!("bytes copied/step: {copied_n} at N={CHECK_N} = {copied_1} at N=1 — ok");
+    }
+    let (hwm_1, hwm_n) = (of(&solo, "vm_hwm_kb"), of(&fleet32, "vm_hwm_kb"));
+    if hwm_1 > 0.0 && hwm_n > HWM_RATIO_LIMIT * hwm_1 {
+        failures.push(format!(
+            "VmHWM at N={CHECK_N} ({hwm_n} kB) exceeds {HWM_RATIO_LIMIT}x N=1 ({hwm_1} kB)"
+        ));
+    } else if hwm_1 > 0.0 {
         println!(
-            "VmHWM: event {e_hwm} kB / threaded {t_hwm} kB = {:.2}x (limit {HWM_RATIO_LIMIT}x) — ok",
-            e_hwm / t_hwm
+            "VmHWM: N={CHECK_N} {hwm_n} kB / N=1 {hwm_1} kB = {:.2}x (limit {HWM_RATIO_LIMIT}x) — ok",
+            hwm_n / hwm_1
         );
     }
-    let t_rate = json_num(&threaded, "steps_per_sec").expect("threaded steps_per_sec");
-    let e_rate = json_num(&event, "steps_per_sec").expect("event steps_per_sec");
-    if e_rate < RATE_RATIO_FLOOR * t_rate {
+    let rate_1 = of(&solo, "steps_per_sec").min(of(&solo_after, "steps_per_sec"));
+    let rate_n = of(&fleet32, "steps_per_sec");
+    if rate_n < RATE_RATIO_FLOOR * rate_1 {
         failures.push(format!(
-            "event-loop {e_rate:.2} steps/s below {RATE_RATIO_FLOOR}x threaded ({t_rate:.2})"
+            "{rate_n:.2} steps/s at N={CHECK_N} below {RATE_RATIO_FLOOR}x N=1 ({rate_1:.2})"
         ));
     } else {
         println!(
-            "steps/s: event {e_rate:.2} / threaded {t_rate:.2} = {:.2}x (floor {RATE_RATIO_FLOOR}x) — ok",
-            e_rate / t_rate
+            "steps/s: N={CHECK_N} {rate_n:.2} / N=1 {rate_1:.2} = {:.2}x (floor {RATE_RATIO_FLOOR}x) — ok",
+            rate_n / rate_1
         );
     }
     if failures.is_empty() {
@@ -884,37 +884,25 @@ fn main() {
     }
 
     let mut lines = Vec::new();
-    println!("== Many-client serving: thread-per-client vs single-thread event loop ==");
+    println!("== Many-client serving: one event-loop thread, N clients ==");
     println!("   (median of {REPEATS} repeats, {STEPS} steps/client, SimTransport,");
     println!("    one subprocess per configuration for honest VmHWM)\n");
     println!(
-        "{:>8} {:>14} {:>14} {:>8} {:>10} {:>12} {:>9} {:>12}",
-        "clients",
-        "threaded st/s",
-        "eventloop st/s",
-        "speedup",
-        "max batch",
-        "VmHWM MB",
-        "hit rate",
-        "kB copy/step"
+        "{:>8} {:>10} {:>10} {:>12} {:>9} {:>12}",
+        "clients", "steps/s", "max batch", "VmHWM MB", "hit rate", "kB copy/step"
     );
     for n in FLEET_SIZES {
-        let threaded = spawn_worker("threaded", n);
         let event = spawn_worker("event_loop", n);
-        let threaded_rate = json_num(&threaded, "steps_per_sec").expect("rate");
-        let event_rate = json_num(&event, "steps_per_sec").expect("rate");
-        let hwm_event = json_num(&event, "vm_hwm_kb").expect("hwm");
+        let rate = json_num(&event, "steps_per_sec").expect("rate");
+        let hwm = json_num(&event, "vm_hwm_kb").expect("hwm");
         let max_batch = json_num(&event, "max_batch").expect("max_batch");
         let hit_rate = json_num(&event, "pool_hit_rate").expect("hit rate");
         let copied = json_num(&event, "bytes_copied_per_step").expect("copied");
         println!(
-            "{n:>8} {threaded_rate:>14.2} {event_rate:>14.2} {:>7.2}x {max_batch:>10} \
-             {:>12.1} {hit_rate:>9.3} {:>12.1}",
-            event_rate / threaded_rate,
-            hwm_event / 1024.0,
+            "{n:>8} {rate:>10.2} {max_batch:>10} {:>12.1} {hit_rate:>9.3} {:>12.1}",
+            hwm / 1024.0,
             copied / 1024.0,
         );
-        lines.push(threaded);
         lines.push(event);
     }
     println!("\n== Forced overload: N clients vs live-session capacity N/4 ==");

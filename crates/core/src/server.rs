@@ -4,13 +4,11 @@
 //! The timed multi-client behaviour (scheduling, memory) is the
 //! simulated runtime's job; this façade is the *real-engine* server a
 //! deployment embeds. It implements `menos-split`'s
-//! [`MessageHandler`], so any [`Transport`]-driven
-//! [`serve_loop`](menos_split::serve_loop) — in-memory channels, the
-//! simulated WAN, or real TCP sockets — pumps messages into the same
-//! state machine; the per-session forward/backward step is
-//! [`dispatch_session`], shared with the in-process driver.
-//!
-//! [`Transport`]: menos_split::Transport
+//! [`MessageHandler`] and [`BatchHandler`], so one
+//! [`ServerEventLoop`](menos_split::ServerEventLoop) — over in-memory
+//! channels, the simulated WAN, or real TCP sockets — pumps messages
+//! into the same state machine; the per-session forward/backward step
+//! is [`dispatch_session`], shared with the in-process driver.
 
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};

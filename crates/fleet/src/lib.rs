@@ -13,7 +13,12 @@
 //! The coordinator is a *control-plane only* component: it answers
 //! `Connect`/`Resume` with `Redirect` (or `Busy`) and never proxies a
 //! tensor byte — training traffic always flows client ↔ backend
-//! directly, so the paper's bandwidth story is untouched. Clients
+//! directly, so the paper's bandwidth story is untouched. Its listener
+//! is the same [`ServerEventLoop`](menos_split::ServerEventLoop) the
+//! backends run, serving a placement handler instead of a training
+//! one, so the placement tier sheds garbage peers, bounds its
+//! connections and shuts down exactly as the workers under it do.
+//! Clients
 //! chase redirects with [`drive_client`](menos_split::drive_client): a
 //! placement costs no retry budget, and a mid-run backend death walks
 //! the client back to the coordinator for re-placement once migration
@@ -39,8 +44,8 @@ use std::time::Duration;
 use menos_core::{encode_session_record, ServerState};
 use menos_net::{HeartbeatMonitor, HeartbeatVerdict};
 use menos_split::{
-    ClientId, ClientMessage, MessageHandler, ProtocolError, ServerMessage, SnapshotPolicy,
-    TcpSplitServer, TcpTransport, Transport,
+    BatchHandler, ClientId, ClientMessage, EventLoopOptions, MessageHandler, ProtocolError,
+    ServerMessage, SnapshotPolicy, TcpEventServer, TcpOptions, TcpTransport, Transport,
 };
 
 /// The client id heartbeat probes travel under. Probes never bind a
@@ -440,7 +445,7 @@ fn health_loop(shared: Arc<Shared>) {
 }
 
 /// The coordinator's wire-facing half: a [`MessageHandler`] served by
-/// the stock accept loop. Control messages only — a tensor frame here
+/// the stock event loop. Control messages only — a tensor frame here
 /// means a client ignored its redirect, and gets a typed error.
 struct CoordinatorHandler {
     shared: Arc<Shared>,
@@ -469,12 +474,14 @@ impl MessageHandler for CoordinatorHandler {
     fn connection_lost(&mut self, _client: ClientId) {}
 }
 
+impl BatchHandler for CoordinatorHandler {}
+
 /// Supervises N backends: placement at `Connect`, heartbeat failure
 /// detection, snapshot-replay migration at failover. See the crate
 /// docs for the protocol walk-through.
 pub struct FleetCoordinator {
     shared: Arc<Shared>,
-    server: Option<TcpSplitServer>,
+    server: Option<TcpEventServer<CoordinatorHandler>>,
     health: Option<JoinHandle<()>>,
     addr: SocketAddr,
 }
@@ -497,10 +504,18 @@ impl FleetCoordinator {
             ));
         }
         let shared = Arc::new(Shared::new(backends, options));
-        let handler = Arc::new(Mutex::new(CoordinatorHandler {
+        let handler = CoordinatorHandler {
             shared: shared.clone(),
-        }));
-        let server = TcpSplitServer::spawn(addr, handler, options.accept_limit)?;
+        };
+        let tcp = TcpOptions::default();
+        let loop_options = EventLoopOptions {
+            accept_limit: options.accept_limit,
+            // A redirected client hangs up at once; a peer that dials
+            // and then says nothing must not hold a connection forever.
+            io_timeout: tcp.io_timeout,
+            ..EventLoopOptions::default()
+        };
+        let server = TcpEventServer::spawn(addr, handler, loop_options, tcp)?;
         let bound = server.addr();
         let health = {
             let shared = shared.clone();
@@ -535,32 +550,27 @@ impl FleetCoordinator {
         self.shared.lock().alive.clone()
     }
 
-    /// Stops the health thread and the accept loop, returning the
+    /// Stops the health thread and the control listener, returning the
     /// final counters.
     pub fn shutdown(mut self) -> FleetStats {
+        self.stop();
+        self.stats()
+    }
+
+    fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(h) = self.health.take() {
             let _ = h.join();
         }
         if let Some(server) = self.server.take() {
-            // The accept loop only re-checks its flag after accept()
-            // returns; one throwaway dial unblocks it.
-            drop(server); // raises the accept loop's shutdown flag
-            let _ = std::net::TcpStream::connect(self.addr);
+            server.shutdown();
         }
-        self.stats()
     }
 }
 
 impl Drop for FleetCoordinator {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
-        if self.server.take().is_some() {
-            let _ = std::net::TcpStream::connect(self.addr);
-        }
+        self.stop();
     }
 }
 

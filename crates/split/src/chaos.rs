@@ -1,12 +1,10 @@
-//! Deterministic chaos injection for the event-driven server path.
+//! Deterministic chaos injection for the server pump.
 //!
-//! [`FaultTransport`](crate::FaultTransport) scripts faults into the
-//! *blocking* server pump; this module extends the idea to the
-//! nonblocking path: [`ChaosListener`] wraps any
-//! [`EventListener`](crate::EventListener) and hands the event loop
-//! [`ChaosConn`]s that inject scripted faults — hangups on the read
-//! path, hangups while queueing replies, and reply delays that force
-//! the loop through its partial-write flush machinery.
+//! [`ChaosListener`] wraps any [`EventListener`](crate::EventListener)
+//! and hands the event loop [`ChaosConn`]s that inject scripted faults
+//! — hangups on the read path, hangups while queueing replies, and
+//! reply delays that force the loop through its partial-write flush
+//! machinery.
 //!
 //! Faults are *scripted, not random at runtime*: each connection
 //! learns its client id from the `Connect`/`Resume` message passing

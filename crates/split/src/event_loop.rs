@@ -1,11 +1,7 @@
-//! The event-driven server pump: one thread multiplexing many clients
-//! onto one handler.
-//!
-//! [`serve_loop`](crate::serve_loop) parks one OS thread per client in
-//! a blocking `recv`, which caps concurrency at the thread budget.
-//! This module replaces the pump, not the protocol: the same encoded
-//! bytes, the same [`MessageHandler`] state machine, the same error
-//! taxonomy, driven by a single-threaded readiness loop.
+//! The server pump: one thread multiplexing many clients onto one
+//! handler. Every server in the tree — the `menos` binary, a fleet
+//! backend, the fleet coordinator's control plane, every test and
+//! experiment — runs this loop; only the listener differs.
 //!
 //! The pieces:
 //!
@@ -22,14 +18,19 @@
 //!   duplicate tensor frames within the set. The ready-set is the unit
 //!   one durable snapshot covers.
 //! * [`ServerEventLoop`] — the pump itself: accept, sweep reads,
-//!   dispatch the ready-set, flush, repeat. Connection failures
-//!   reclaim the failed client's session (synthetic `Disconnect`)
-//!   exactly like the blocking pump; other clients never notice.
+//!   dispatch the ready-set, flush and evict, reap idle sessions,
+//!   repeat. A connection failure hands the failed client's session to
+//!   [`MessageHandler::connection_lost`] (quarantine under
+//!   `MenosServer`, a synthetic `Disconnect` by default); other clients
+//!   never notice.
 //!
-//! Because the lock-step protocol allows at most one outstanding
-//! message per client, the ready-set rule is simple: collect tensor
-//! messages until a sweep adds none (the ready set went quiet) or the
-//! set reaches [`EventLoopOptions::batch_window`], then dispatch the
+//! Two rules keep sessions apart. A connection is *bound* to the one
+//! client its `Connect`/`Resume` named, and a tensor or `Disconnect`
+//! message naming anyone else fails that connection before any handler
+//! sees it (PROTOCOL.md §4). And because the lock-step protocol allows
+//! at most one outstanding message per client, the ready-set rule is
+//! simple: collect tensor messages until a sweep adds none (the ready
+//! set went quiet) or the set reaches 32 messages, then dispatch the
 //! whole set. While the handler works through it, the replies release
 //! every client in the set; their next messages land together — so
 //! large ready-sets are self-sustaining.
@@ -186,17 +187,36 @@ impl BatchHandler for crate::protocol::SessionHandler {}
 // Loop configuration and observability
 // ----------------------------------------------------------------------
 
+/// A ready-set is dispatched as soon as it holds this many tensor
+/// messages, even if more clients look ready; its members are served
+/// one after another and one durable snapshot covers the whole set.
+const BATCH_WINDOW: usize = 32;
+
+/// Per-connection bound on tensor messages staged for dispatch — the
+/// message-level analogue of `FrameAccumulator::with_staged_cap`.
+/// Lock-step traffic stages at most one message per connection, so any
+/// excess is a protocol violation (or a fault duplicating frames): the
+/// offender is dropped, what it staged is purged, and the drop is
+/// counted in [`EventLoopStats::staged_overflows`].
+const MAX_STAGED_MSGS: usize = 8;
+
+/// Floor of the idle-backoff ladder: the sleep after the first sweep
+/// that made no progress — the idle-path latency floor.
+const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
+/// Ceiling of the idle-backoff ladder, so a quiet server does not poll
+/// at the floor cadence forever.
+const MAX_IDLE_SLEEP: Duration = Duration::from_millis(2);
+
 /// Tuning knobs for [`ServerEventLoop`].
 #[derive(Debug, Clone, Copy)]
 pub struct EventLoopOptions {
     /// Total connections to accept before the loop stops accepting;
     /// once they all disconnect the loop exits. `usize::MAX` serves
-    /// forever (stop via [`ServerEventLoop::shutdown_handle`]).
-    ///
-    /// Renamed from `max_clients`, which read as a concurrency cap but
-    /// is a lifetime accept budget — the concurrency cap is
-    /// [`capacity`](EventLoopOptions::capacity). Shed connections still
-    /// consume this budget (they were accepted, then turned away).
+    /// forever (stop via [`ServerEventLoop::shutdown_handle`]). A
+    /// lifetime accept budget, not a concurrency cap — that is
+    /// [`capacity`](EventLoopOptions::capacity) — and shed connections
+    /// still consume it (they were accepted, then turned away).
     pub accept_limit: usize,
     /// Live-session admission cap (PROTOCOL.md §8, v1.3): a `Connect`
     /// or `Resume` arriving while this many sessions are bound to live
@@ -217,26 +237,6 @@ pub struct EventLoopOptions {
     /// never balloon server memory. `None` (the default) keeps the
     /// pre-v1.3 unbounded behaviour.
     pub max_write_buffer: Option<u64>,
-    /// Per-connection bound on tensor messages staged for batch
-    /// dispatch — the message-level analogue of
-    /// `FrameAccumulator::with_staged_cap`. Lock-step traffic stages
-    /// at most one message per connection, so any excess is a
-    /// protocol violation; the offender is dropped with a typed
-    /// [`StagedOverflow`](menos_net::WireError::StagedOverflow) and
-    /// its staged messages are purged.
-    pub max_staged_msgs: usize,
-    /// Dispatch the pending batch as soon as it reaches this many
-    /// messages, even if more clients look ready.
-    pub batch_window: usize,
-    /// Floor of the idle-backoff ladder: the first sleep after a sweep
-    /// that made no progress. Keep small — it is the idle-path latency
-    /// floor.
-    pub idle_sleep: Duration,
-    /// Ceiling of the idle-backoff ladder: consecutive idle sweeps
-    /// double the sleep up to this bound, so a quiet server does not
-    /// busy-spin at the floor cadence forever. Any readiness snaps the
-    /// ladder back to `idle_sleep`.
-    pub max_idle_sleep: Duration,
     /// Evict a connection silent for longer than this (`None` waits
     /// forever). The evicted client gets a best-effort
     /// [`ServerMessage::Evicted`] notice and its session is handed to
@@ -256,59 +256,33 @@ impl Default for EventLoopOptions {
             capacity: usize::MAX,
             busy_retry_after: Duration::from_millis(100),
             max_write_buffer: None,
-            max_staged_msgs: 8,
-            batch_window: 32,
-            idle_sleep: Duration::from_micros(200),
-            max_idle_sleep: Duration::from_millis(2),
             io_timeout: None,
             max_session_idle: None,
         }
     }
 }
 
-/// The sweep loop's adaptive idle backoff: a sleep ladder that starts
-/// at a floor, doubles on every consecutive idle sweep up to a
-/// ceiling, and snaps back to the floor the moment any sweep makes
-/// progress.
-///
-/// This replaces a fixed idle sleep, which forced a hard choice
-/// between busy-polling a quiet server (floor too low) and adding
-/// latency to every lock-step round-trip (floor too high): under load
-/// the ladder never leaves the floor, and a quiet server climbs to the
-/// ceiling within a handful of sweeps.
-#[derive(Debug, Clone, Copy)]
-pub struct IdleBackoff {
-    floor: Duration,
-    ceil: Duration,
-    current: Duration,
-}
+/// The sweep loop's idle backoff: a sleep ladder that starts at
+/// [`IDLE_SLEEP`], doubles on every consecutive idle sweep up to
+/// [`MAX_IDLE_SLEEP`], and snaps back to the floor the moment any
+/// sweep makes progress — under load it never leaves the floor, and a
+/// quiet server climbs to the ceiling within a handful of sweeps.
+struct IdleBackoff(Duration);
 
 impl IdleBackoff {
-    /// Builds a ladder over `[floor, ceil]` (a ceiling below the floor
-    /// is clamped up to it), starting at the floor.
-    pub fn new(floor: Duration, ceil: Duration) -> Self {
-        let ceil = ceil.max(floor);
-        IdleBackoff {
-            floor,
-            ceil,
-            current: floor,
-        }
-    }
-
-    /// The sleep the next idle sweep would take.
-    pub fn current(&self) -> Duration {
-        self.current
+    fn new() -> Self {
+        IdleBackoff(IDLE_SLEEP)
     }
 
     /// Snaps back to the floor — call on any readiness.
-    pub fn reset(&mut self) {
-        self.current = self.floor;
+    fn reset(&mut self) {
+        self.0 = IDLE_SLEEP;
     }
 
     /// Returns the sleep for this idle sweep and climbs one rung.
-    pub fn next_sleep(&mut self) -> Duration {
-        let sleep = self.current;
-        self.current = (self.current * 2).min(self.ceil);
+    fn next_sleep(&mut self) -> Duration {
+        let sleep = self.0;
+        self.0 = (sleep * 2).min(MAX_IDLE_SLEEP);
         sleep
     }
 }
@@ -430,8 +404,8 @@ pub struct EventLoopStats {
     /// Connections evicted for stalling past
     /// [`EventLoopOptions::max_write_buffer`].
     pub write_overflows: u64,
-    /// Connections dropped for staging more than
-    /// [`EventLoopOptions::max_staged_msgs`] tensor messages.
+    /// Connections dropped for staging more than 8 tensor messages —
+    /// a lock-step violation (also counted in `conn_errors`).
     pub staged_overflows: u64,
     /// Sweeps that deferred accepting because the handler reported
     /// memory pressure (drain existing work before admitting more).
@@ -456,19 +430,26 @@ pub struct EventLoopStats {
 
 struct ConnState<C> {
     conn: C,
-    /// Bound after a successful `Connect`.
+    /// Bound by a successful `Connect`/`Resume`; every later tensor or
+    /// `Disconnect` message on this connection must name this client.
     client: Option<ClientId>,
     last_activity: Instant,
 }
 
-/// The single-threaded, event-driven replacement for one
-/// [`serve_loop`](crate::serve_loop) thread per client: owns every
-/// client connection, sweeps them for ready messages, and dispatches
-/// the ready set to a [`BatchHandler`] as one batch.
-///
-/// Protocol behaviour is identical to the blocking pump — same codec,
-/// same handler state machine, same disconnect-reclamation on error —
-/// only the scheduling differs.
+/// Sends a courtesy notice on a connection that is about to be dropped.
+/// Best effort: the peer may already be gone, and the drop happens
+/// regardless.
+fn send_best_effort(conn: &mut impl EventConn, notice: &ServerMessage) {
+    if conn.queue(notice).is_ok() {
+        let _ = conn.flush();
+    }
+}
+
+/// The server pump: owns every client connection, sweeps them for ready
+/// messages, and hands each sweep's ready tensor messages to a
+/// [`BatchHandler`] as one ready-set. One thread, any transport — the
+/// same codec, the same handler state machine and the same
+/// reclaim-on-error behaviour over channels, the simulated WAN and TCP.
 pub struct ServerEventLoop<L: EventListener, H: BatchHandler> {
     listener: L,
     handler: H,
@@ -510,540 +491,40 @@ impl<L: EventListener, H: BatchHandler> ServerEventLoop<L, H> {
     /// all of them have disconnected (or the shutdown flag is raised).
     /// Returns the handler and the run's counters.
     pub fn run(self) -> (H, EventLoopStats) {
-        let ServerEventLoop {
-            mut listener,
-            mut handler,
-            options,
-            snapshots,
-            shutdown,
-        } = self;
-        let mut stats = EventLoopStats::default();
-        // BTreeMap: sweeps visit connections in a deterministic order.
-        let mut conns: BTreeMap<u64, ConnState<L::Conn>> = BTreeMap::new();
-        let mut next_key: u64 = 0;
-        let mut accepted: usize = 0;
-        let mut done_accepting = false;
-        // Tensor messages staged for the next batch dispatch, tagged
-        // with the connection that produced them.
-        let mut pending: Vec<(u64, ClientMessage)> = Vec::new();
-        let mut ready: Vec<ClientMessage> = Vec::new();
-        // Reply routing for batch dispatches, reused across steps so
-        // the steady-state sweep → dispatch → flush cycle allocates
-        // nothing (frame staging is likewise pooled inside each
-        // connection's accumulator).
-        let mut key_of: HashMap<ClientId, u64> = HashMap::new();
-
-        let mut backoff = IdleBackoff::new(options.idle_sleep, options.max_idle_sleep);
-        let mut last_expiry_check = Instant::now();
-
-        // Drops a connection and hands its session to the handler's
-        // lost-connection path, leaving every other client untouched —
-        // the event-loop analogue of `serve_loop`'s error path. Under
-        // `MenosServer` the session is quarantined for resumption; the
-        // default hook synthesizes a `Disconnect`, preserving the old
-        // reclaim-on-error behaviour for plain handlers.
-        //
-        // Staged-but-undispatched messages from the dead connection are
-        // purged with it: dispatching them later would advance the
-        // session behind the client's back — fatal once the client
-        // resumes and redoes the step the server already half-ran.
-        fn fail_conn<C, H: BatchHandler>(
-            conns: &mut BTreeMap<u64, ConnState<C>>,
-            handler: &mut H,
-            stats: &mut EventLoopStats,
-            pending: &mut Vec<(u64, ClientMessage)>,
-            key: u64,
-        ) {
-            if let Some(state) = conns.remove(&key) {
-                stats.conn_errors += 1;
-                pending.retain(|(k, _)| *k != key);
-                if let Some(client) = state.client {
-                    handler.connection_lost(client);
-                }
-            }
-        }
-
-        // Turns away a connection at admission (v1.3, PROTOCOL.md §8):
-        // best-effort `Busy` reply with the retry hint, then the
-        // connection closes. Deliberately NOT `fail_conn` — no session
-        // was created, so there is nothing to quarantine, and a shed
-        // is load management, not a connection error.
-        fn shed_conn<C: EventConn>(
-            conns: &mut BTreeMap<u64, ConnState<C>>,
-            stats: &mut EventLoopStats,
-            pending: &mut Vec<(u64, ClientMessage)>,
-            key: u64,
-            client: ClientId,
-            retry_after_ms: u64,
-        ) {
-            if let Some(mut state) = conns.remove(&key) {
-                stats.shed += 1;
-                pending.retain(|(k, _)| *k != key);
-                let notice = ServerMessage::Busy {
-                    client,
-                    retry_after_ms,
-                };
-                if state.conn.queue(&notice).is_ok() {
-                    let _ = state.conn.flush();
-                }
-            }
-        }
-
-        // Stages one tensor message for batch dispatch, enforcing the
-        // per-connection cap — the message-level analogue of
-        // `FrameAccumulator::with_staged_cap`. Lock-step traffic never
-        // stages more than one message per connection, so hitting the
-        // cap means the peer is violating the protocol (or a fault is
-        // duplicating frames); the caller drops it via `fail_conn`,
-        // which also purges what it had staged.
-        fn stage_tensor(
-            pending: &mut Vec<(u64, ClientMessage)>,
-            key: u64,
-            msg: ClientMessage,
-            cap: usize,
-        ) -> Result<(), ProtocolError> {
-            let staged = pending.iter().filter(|(k, _)| *k == key).count();
-            if staged >= cap {
-                return Err(ProtocolError::Wire(menos_net::WireError::StagedOverflow {
-                    needed: staged as u64 + 1,
-                    cap: cap as u64,
-                }));
-            }
-            pending.push((key, msg));
-            Ok(())
-        }
-
-        // Persists the handler's state after a state-advancing
-        // dispatch, *before* the replies it produced are queued. In
-        // durable mode (`every == 0`) every dispatch snapshots —
-        // clients then can never observe a reply whose effects are not
-        // on disk, which is the invariant behind bit-identical
-        // kill-the-server recovery. Periodic mode counts dispatches.
-        // Quarantine/eviction mutations deliberately do NOT snapshot
-        // here: restoring a pre-quarantine superset is safe (the
-        // restore path parks every session anyway).
-        fn snapshot_after_dispatch<H: BatchHandler>(
-            handler: &mut H,
-            stats: &mut EventLoopStats,
-            policy: Option<&SnapshotPolicy>,
-            since: &mut u64,
-        ) {
-            let Some(policy) = policy else { return };
-            *since += 1;
-            if policy.every() != 0 && *since < policy.every() {
-                return;
-            }
-            *since = 0;
-            if let Some(bytes) = handler.snapshot_bytes() {
-                match policy.write(&bytes) {
-                    Ok(()) => stats.snapshots += 1,
-                    Err(_e) => stats.snapshot_errors += 1,
-                }
-            }
-        }
-        let mut since_snapshot: u64 = 0;
-
+        let mut pump = Pump {
+            listener: self.listener,
+            handler: self.handler,
+            options: self.options,
+            snapshots: self.snapshots,
+            stats: EventLoopStats::default(),
+            conns: BTreeMap::new(),
+            next_key: 0,
+            done_accepting: false,
+            pending: Vec::new(),
+            ready: Vec::new(),
+            key_of: HashMap::new(),
+            new_tensors: 0,
+            since_snapshot: 0,
+            last_expiry_check: Instant::now(),
+            progress: false,
+        };
+        let mut backoff = IdleBackoff::new();
         loop {
-            stats.sweeps += 1;
-            let mut progress = false;
-
-            if shutdown.load(Ordering::Relaxed) {
-                for (_, mut state) in std::mem::take(&mut conns) {
-                    if let Some(client) = state.client {
-                        // Best-effort courtesy notice; the session is
-                        // parked (or reclaimed) regardless.
-                        let notice = ServerMessage::Evicted {
-                            client,
-                            code: EvictionCode::Shutdown,
-                        };
-                        if state.conn.queue(&notice).is_ok() {
-                            let _ = state.conn.flush();
-                        }
-                        handler.connection_lost(client);
-                    }
-                }
+            pump.stats.sweeps += 1;
+            pump.progress = false;
+            if self.shutdown.load(Ordering::Relaxed) {
+                pump.park_all();
                 break;
             }
-
-            // Phase 1: accept whatever is knocking — unless the
-            // handler reports memory pressure and there is existing
-            // work to drain, in which case new connections wait in the
-            // listener's backlog this sweep. Degrading admission under
-            // pressure beats accepting work the pool cannot hold.
-            let defer_accepts = !conns.is_empty() && handler.under_pressure();
-            if defer_accepts {
-                stats.deferred_accept_sweeps += 1;
-            }
-            while !defer_accepts && !done_accepting && accepted < options.accept_limit {
-                match listener.poll_accept() {
-                    Ok(Some(conn)) => {
-                        conns.insert(
-                            next_key,
-                            ConnState {
-                                conn,
-                                client: None,
-                                last_activity: Instant::now(),
-                            },
-                        );
-                        next_key += 1;
-                        accepted += 1;
-                        stats.accepted += 1;
-                        progress = true;
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        done_accepting = true;
-                    }
-                }
-            }
-
-            // Phase 2: sweep every connection for ready messages.
-            // Control messages dispatch inline (they are cheap and
-            // order-sensitive); tensor messages stage for the batch.
-            let mut new_tensor = 0usize;
-            let keys: Vec<u64> = conns.keys().copied().collect();
-            for key in keys {
-                ready.clear();
-                let recv = {
-                    let state = conns.get_mut(&key).expect("swept key exists");
-                    state.conn.poll_recv(&mut ready)
-                };
-                if let Err(_e) = recv {
-                    fail_conn(&mut conns, &mut handler, &mut stats, &mut pending, key);
-                    continue;
-                }
-                if !ready.is_empty() {
-                    progress = true;
-                    if let Some(state) = conns.get_mut(&key) {
-                        state.last_activity = Instant::now();
-                    }
-                }
-                for msg in ready.drain(..) {
-                    match msg {
-                        msg @ (ClientMessage::Connect { .. } | ClientMessage::Resume { .. }) => {
-                            let client = msg.client();
-                            let is_resume = matches!(msg, ClientMessage::Resume { .. });
-                            // v1.3 admission: shed at the door when
-                            // live sessions are at capacity. The
-                            // handler is never consulted, so no
-                            // session state is created or mutated —
-                            // shedding is idempotent.
-                            let unbound = conns.get(&key).is_some_and(|s| s.client.is_none());
-                            if unbound {
-                                let live = conns.values().filter(|s| s.client.is_some()).count();
-                                if live >= options.capacity {
-                                    shed_conn(
-                                        &mut conns,
-                                        &mut stats,
-                                        &mut pending,
-                                        key,
-                                        client,
-                                        options.busy_retry_after.as_millis() as u64,
-                                    );
-                                    break;
-                                }
-                            }
-                            match handler.handle(msg) {
-                                Ok(reply) => {
-                                    // Admission mutated durable state
-                                    // (session created or re-attached);
-                                    // persist before the reply can
-                                    // reach the client.
-                                    snapshot_after_dispatch(
-                                        &mut handler,
-                                        &mut stats,
-                                        snapshots.as_ref(),
-                                        &mut since_snapshot,
-                                    );
-                                    conns
-                                        .get_mut(&key)
-                                        .expect("conn alive during connect")
-                                        .client = Some(client);
-                                    if is_resume {
-                                        stats.resumed += 1;
-                                    }
-                                    let live =
-                                        conns.values().filter(|s| s.client.is_some()).count();
-                                    stats.max_live_sessions = stats.max_live_sessions.max(live);
-                                    if let Some(reply) = reply {
-                                        let state =
-                                            conns.get_mut(&key).expect("conn alive during connect");
-                                        if state.conn.queue(&reply).is_err() {
-                                            fail_conn(
-                                                &mut conns,
-                                                &mut handler,
-                                                &mut stats,
-                                                &mut pending,
-                                                key,
-                                            );
-                                            break;
-                                        }
-                                    }
-                                }
-                                Err(ProtocolError::Busy { retry_after_ms, .. }) => {
-                                    // The handler shed at its own
-                                    // admission gate (Alg. 2: the
-                                    // reservation would oversubscribe
-                                    // the pool right now) — same wire
-                                    // outcome as the loop-level cap,
-                                    // with the handler's hint.
-                                    shed_conn(
-                                        &mut conns,
-                                        &mut stats,
-                                        &mut pending,
-                                        key,
-                                        client,
-                                        retry_after_ms,
-                                    );
-                                    break;
-                                }
-                                Err(e) => {
-                                    // A resume for state the TTL already
-                                    // reaped gets a courtesy notice so the
-                                    // client stops retrying.
-                                    if is_resume && matches!(e, ProtocolError::UnknownClient(_)) {
-                                        if let Some(state) = conns.get_mut(&key) {
-                                            let notice = ServerMessage::Evicted {
-                                                client,
-                                                code: EvictionCode::IdleExpired,
-                                            };
-                                            if state.conn.queue(&notice).is_ok() {
-                                                let _ = state.conn.flush();
-                                            }
-                                        }
-                                    }
-                                    // Rejected (validation/admission,
-                                    // stale epoch, live session):
-                                    // drop the connection; the peer
-                                    // observes a disconnect, same as
-                                    // the blocking pump.
-                                    fail_conn(
-                                        &mut conns,
-                                        &mut handler,
-                                        &mut stats,
-                                        &mut pending,
-                                        key,
-                                    );
-                                    break;
-                                }
-                            }
-                        }
-                        msg @ ClientMessage::Disconnect { .. } => {
-                            let _ = handler.handle(msg);
-                            snapshot_after_dispatch(
-                                &mut handler,
-                                &mut stats,
-                                snapshots.as_ref(),
-                                &mut since_snapshot,
-                            );
-                            if conns.remove(&key).is_some() {
-                                stats.served += 1;
-                            }
-                            break;
-                        }
-                        // v1.4 heartbeat: answered inline — no session
-                        // state is touched, so no snapshot, and the
-                        // connection stays unbound (a monitor's probe
-                        // must not occupy a live-session slot).
-                        msg @ ClientMessage::Ping { .. } => match handler.handle(msg) {
-                            Ok(Some(reply)) => {
-                                stats.pings += 1;
-                                let state = conns.get_mut(&key).expect("conn alive during ping");
-                                if state.conn.queue(&reply).is_err() {
-                                    fail_conn(
-                                        &mut conns,
-                                        &mut handler,
-                                        &mut stats,
-                                        &mut pending,
-                                        key,
-                                    );
-                                    break;
-                                }
-                            }
-                            _ => {
-                                fail_conn(&mut conns, &mut handler, &mut stats, &mut pending, key);
-                                break;
-                            }
-                        },
-                        // v1.4 migration: an imported session parks in
-                        // quarantine (durable state mutated → snapshot
-                        // before the ack), but the *pushing* connection
-                        // — the coordinator — does not bind to it; the
-                        // owning client resumes over its own connection.
-                        msg @ ClientMessage::ImportSession { .. } => match handler.handle(msg) {
-                            Ok(Some(reply)) => {
-                                stats.sessions_imported += 1;
-                                snapshot_after_dispatch(
-                                    &mut handler,
-                                    &mut stats,
-                                    snapshots.as_ref(),
-                                    &mut since_snapshot,
-                                );
-                                let state = conns.get_mut(&key).expect("conn alive during import");
-                                if state.conn.queue(&reply).is_err() {
-                                    fail_conn(
-                                        &mut conns,
-                                        &mut handler,
-                                        &mut stats,
-                                        &mut pending,
-                                        key,
-                                    );
-                                    break;
-                                }
-                            }
-                            _ => {
-                                // A rejected import closes the pushing
-                                // connection: the coordinator observes
-                                // the drop as a typed failure, and the
-                                // handler committed nothing.
-                                fail_conn(&mut conns, &mut handler, &mut stats, &mut pending, key);
-                                break;
-                            }
-                        },
-                        tensor => {
-                            match stage_tensor(&mut pending, key, tensor, options.max_staged_msgs) {
-                                Ok(()) => new_tensor += 1,
-                                Err(_overflow) => {
-                                    // Typed StagedOverflow: the peer
-                                    // outran lock-step. Drop it and
-                                    // purge what it staged — exactly
-                                    // the fail_conn path, counted
-                                    // separately for observability.
-                                    stats.staged_overflows += 1;
-                                    fail_conn(
-                                        &mut conns,
-                                        &mut handler,
-                                        &mut stats,
-                                        &mut pending,
-                                        key,
-                                    );
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Phase 3: dispatch the batch once the ready set goes
-            // quiet (no new tensor message this sweep) or the window
-            // fills. Lock-step ⇒ each pending client is stalled until
-            // its reply, so "quiet" means everyone ready has reported.
-            let dispatch =
-                !pending.is_empty() && (new_tensor == 0 || pending.len() >= options.batch_window);
-            if dispatch {
-                progress = true;
-                let batch = std::mem::take(&mut pending);
-                stats.batches += 1;
-                stats.batched_messages += batch.len() as u64;
-                stats.max_batch = stats.max_batch.max(batch.len());
-                key_of.clear();
-                key_of.extend(batch.iter().map(|(k, m)| (m.client(), *k)));
-                let results = handler.handle_batch(batch.into_iter().map(|(_, m)| m).collect());
-                // Training steps advanced; in durable mode the replies
-                // below must not leave before the state that produced
-                // them is on disk.
-                snapshot_after_dispatch(
-                    &mut handler,
-                    &mut stats,
-                    snapshots.as_ref(),
-                    &mut since_snapshot,
-                );
-                for (client, result) in results {
-                    let Some(&key) = key_of.get(&client) else {
-                        continue;
-                    };
-                    match result {
-                        Ok(Some(reply)) => {
-                            let alive = match conns.get_mut(&key) {
-                                Some(state) => state.conn.queue(&reply).is_ok(),
-                                None => continue,
-                            };
-                            if !alive {
-                                fail_conn(&mut conns, &mut handler, &mut stats, &mut pending, key);
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(_e) => {
-                            fail_conn(&mut conns, &mut handler, &mut stats, &mut pending, key);
-                        }
-                    }
-                }
-            }
-
-            // Phase 4: flush partial writes; enforce silence timeouts.
-            let keys: Vec<u64> = conns.keys().copied().collect();
-            for key in keys {
-                let state = conns.get_mut(&key).expect("flushed key exists");
-                if state.conn.has_queued_writes() {
-                    match state.conn.flush() {
-                        Ok(drained) => {
-                            if drained {
-                                progress = true;
-                            }
-                        }
-                        Err(_e) => {
-                            fail_conn(&mut conns, &mut handler, &mut stats, &mut pending, key);
-                            continue;
-                        }
-                    }
-                }
-                // Slow-consumer bound: whatever survived the flush is
-                // what the peer refused to take. A stalled consumer is
-                // evicted (session quarantined, resumable later) —
-                // bounded memory beats waiting on a peer that may
-                // never drain.
-                let queued = conns
-                    .get(&key)
-                    .map(|s| s.conn.queued_write_bytes())
-                    .unwrap_or(0);
-                stats.max_queued_write_bytes = stats.max_queued_write_bytes.max(queued);
-                if let Some(limit) = options.max_write_buffer {
-                    if queued > limit {
-                        stats.write_overflows += 1;
-                        stats.evicted += 1;
-                        fail_conn(&mut conns, &mut handler, &mut stats, &mut pending, key);
-                        continue;
-                    }
-                }
-                if let Some(limit) = options.io_timeout {
-                    let state = conns.get_mut(&key).expect("timeout key exists");
-                    if state.last_activity.elapsed() > limit {
-                        // Best-effort eviction notice before the drop;
-                        // the session is quarantined via fail_conn.
-                        if let Some(client) = state.client {
-                            let notice = ServerMessage::Evicted {
-                                client,
-                                code: EvictionCode::Timeout,
-                            };
-                            if state.conn.queue(&notice).is_ok() {
-                                let _ = state.conn.flush();
-                            }
-                        }
-                        stats.evicted += 1;
-                        fail_conn(&mut conns, &mut handler, &mut stats, &mut pending, key);
-                    }
-                }
-            }
-
-            // Phase 5: reap quarantined sessions past the idle TTL.
-            // Checked on a coarse cadence — expiry precision does not
-            // need sweep-frequency polling.
-            if let Some(ttl) = options.max_session_idle {
-                let cadence = (ttl / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
-                if last_expiry_check.elapsed() >= cadence {
-                    last_expiry_check = Instant::now();
-                    stats.expired += handler.expire_idle(ttl).len() as u64;
-                }
-            }
-
-            if (done_accepting || accepted >= options.accept_limit)
-                && conns.is_empty()
-                && pending.is_empty()
-            {
+            pump.accept();
+            pump.sweep_reads();
+            pump.dispatch_ready();
+            pump.flush_and_evict();
+            pump.reap_idle();
+            if pump.drained() {
                 break;
             }
-            if progress {
+            if pump.progress {
                 backoff.reset();
             } else {
                 std::thread::sleep(backoff.next_sleep());
@@ -1053,15 +534,443 @@ impl<L: EventListener, H: BatchHandler> ServerEventLoop<L, H> {
         // shutdown (including the shutdown-flag branch, which
         // quarantines every live session first) always leaves the
         // latest state on disk.
-        if let Some(policy) = &snapshots {
-            if let Some(bytes) = handler.snapshot_bytes() {
-                match policy.write(&bytes) {
-                    Ok(()) => stats.snapshots += 1,
-                    Err(_e) => stats.snapshot_errors += 1,
+        pump.write_snapshot();
+        (pump.handler, pump.stats)
+    }
+}
+
+/// Everything one [`ServerEventLoop::run`] owns. The sweep is five
+/// phases in a fixed order — [`accept`](Pump::accept),
+/// [`sweep_reads`](Pump::sweep_reads),
+/// [`dispatch_ready`](Pump::dispatch_ready),
+/// [`flush_and_evict`](Pump::flush_and_evict),
+/// [`reap_idle`](Pump::reap_idle) — over the connection-level verbs
+/// [`fail`](Pump::fail), [`shed`](Pump::shed), [`reply`](Pump::reply)
+/// and [`notify_evicted`](Pump::notify_evicted).
+struct Pump<L: EventListener, H> {
+    listener: L,
+    handler: H,
+    options: EventLoopOptions,
+    snapshots: Option<SnapshotPolicy>,
+    stats: EventLoopStats,
+    /// BTreeMap: sweeps visit connections in a deterministic order.
+    conns: BTreeMap<u64, ConnState<L::Conn>>,
+    next_key: u64,
+    done_accepting: bool,
+    /// Tensor messages staged for the next dispatch, tagged with the
+    /// connection that produced them.
+    pending: Vec<(u64, ClientMessage)>,
+    /// How many of them the current sweep staged.
+    new_tensors: usize,
+    /// Scratch for one connection's drained messages, and the reply
+    /// routing of one dispatch; both reused across sweeps so the
+    /// steady-state sweep → dispatch → flush cycle allocates nothing
+    /// (frame staging is likewise pooled inside each connection's
+    /// accumulator).
+    ready: Vec<ClientMessage>,
+    key_of: HashMap<ClientId, u64>,
+    /// Dispatches since the last snapshot (periodic mode's counter).
+    since_snapshot: u64,
+    last_expiry_check: Instant,
+    /// Whether this sweep did anything; an idle sweep sleeps.
+    progress: bool,
+}
+
+impl<L: EventListener, H: BatchHandler> Pump<L, H> {
+    // -- connection-level verbs ---------------------------------------
+
+    /// Drops a connection and hands its session to the handler's
+    /// lost-connection path, leaving every other client untouched.
+    /// Under `MenosServer` the session is quarantined for resumption;
+    /// the default hook synthesizes a `Disconnect`, reclaiming it.
+    ///
+    /// Staged-but-undispatched messages from the dead connection are
+    /// purged with it: dispatching them later would advance the
+    /// session behind the client's back — fatal once the client
+    /// resumes and redoes the step the server already half-ran.
+    fn fail(&mut self, key: u64) {
+        if let Some(state) = self.conns.remove(&key) {
+            self.stats.conn_errors += 1;
+            self.pending.retain(|(k, _)| *k != key);
+            if let Some(client) = state.client {
+                self.handler.connection_lost(client);
+            }
+        }
+    }
+
+    /// Turns away a connection at admission (v1.3, PROTOCOL.md §8):
+    /// best-effort `Busy` reply with the retry hint, then the
+    /// connection closes. Deliberately NOT [`fail`](Pump::fail) — no
+    /// session was created, so there is nothing to quarantine, and a
+    /// shed is load management, not a connection error.
+    fn shed(&mut self, key: u64, client: ClientId, retry_after_ms: u64) {
+        if let Some(mut state) = self.conns.remove(&key) {
+            self.stats.shed += 1;
+            self.pending.retain(|(k, _)| *k != key);
+            let notice = ServerMessage::Busy {
+                client,
+                retry_after_ms,
+            };
+            send_best_effort(&mut state.conn, &notice);
+        }
+    }
+
+    /// Queues `reply` on a connection, failing the connection if its
+    /// transport refuses. Returns whether the connection is still
+    /// there to talk to.
+    fn reply(&mut self, key: u64, reply: &ServerMessage) -> bool {
+        let queued = match self.conns.get_mut(&key) {
+            Some(state) => state.conn.queue(reply).is_ok(),
+            None => return false,
+        };
+        if !queued {
+            self.fail(key);
+        }
+        queued
+    }
+
+    /// Best-effort [`ServerMessage::Evicted`] notice ahead of a drop;
+    /// the session is parked (or reclaimed) regardless.
+    fn notify_evicted(&mut self, key: u64, client: ClientId, code: EvictionCode) {
+        if let Some(state) = self.conns.get_mut(&key) {
+            send_best_effort(&mut state.conn, &ServerMessage::Evicted { client, code });
+        }
+    }
+
+    /// Sessions bound to live connections — what
+    /// [`EventLoopOptions::capacity`] bounds.
+    fn live_sessions(&self) -> usize {
+        self.conns.values().filter(|s| s.client.is_some()).count()
+    }
+
+    // -- snapshots -----------------------------------------------------
+
+    /// Persists the handler's state after a state-advancing dispatch,
+    /// *before* the replies it produced are queued. In durable mode
+    /// (`every == 0`) every dispatch snapshots — clients then can never
+    /// observe a reply whose effects are not on disk, which is the
+    /// invariant behind bit-identical kill-the-server recovery.
+    /// Periodic mode counts dispatches. Quarantine/eviction mutations
+    /// deliberately do NOT snapshot here: restoring a pre-quarantine
+    /// superset is safe (the restore path parks every session anyway).
+    fn snapshot_after_dispatch(&mut self) {
+        let Some(policy) = &self.snapshots else {
+            return;
+        };
+        self.since_snapshot += 1;
+        if policy.every() != 0 && self.since_snapshot < policy.every() {
+            return;
+        }
+        self.since_snapshot = 0;
+        self.write_snapshot();
+    }
+
+    /// One snapshot attempt. A failed write is counted and the loop
+    /// keeps serving — durability degrades, training does not stop.
+    fn write_snapshot(&mut self) {
+        let Some(policy) = &self.snapshots else {
+            return;
+        };
+        if let Some(bytes) = self.handler.snapshot_bytes() {
+            match policy.write(&bytes) {
+                Ok(()) => self.stats.snapshots += 1,
+                Err(_e) => self.stats.snapshot_errors += 1,
+            }
+        }
+    }
+
+    // -- the sweep's phases --------------------------------------------
+
+    /// Shutdown: every live session gets a courtesy notice and is
+    /// handed to the lost-connection path; every connection closes.
+    fn park_all(&mut self) {
+        for (_, mut state) in std::mem::take(&mut self.conns) {
+            if let Some(client) = state.client {
+                let notice = ServerMessage::Evicted {
+                    client,
+                    code: EvictionCode::Shutdown,
+                };
+                send_best_effort(&mut state.conn, &notice);
+                self.handler.connection_lost(client);
+            }
+        }
+    }
+
+    /// Phase 1: accept whatever is knocking — unless the handler
+    /// reports memory pressure and there is existing work to drain, in
+    /// which case new connections wait in the listener's backlog this
+    /// sweep. Degrading admission under pressure beats accepting work
+    /// the pool cannot hold.
+    fn accept(&mut self) {
+        if !self.conns.is_empty() && self.handler.under_pressure() {
+            self.stats.deferred_accept_sweeps += 1;
+            return;
+        }
+        while !self.accepts_exhausted() {
+            match self.listener.poll_accept() {
+                Ok(Some(conn)) => {
+                    let state = ConnState {
+                        conn,
+                        client: None,
+                        last_activity: Instant::now(),
+                    };
+                    self.conns.insert(self.next_key, state);
+                    self.next_key += 1;
+                    self.stats.accepted += 1;
+                    self.progress = true;
+                }
+                Ok(None) => break,
+                Err(_) => self.done_accepting = true,
+            }
+        }
+    }
+
+    fn accepts_exhausted(&self) -> bool {
+        self.done_accepting || self.stats.accepted >= self.options.accept_limit as u64
+    }
+
+    /// Phase 2: sweep every connection for ready messages. Control
+    /// messages dispatch inline (they are cheap and order-sensitive);
+    /// tensor messages stage for the ready-set.
+    fn sweep_reads(&mut self) {
+        self.new_tensors = 0;
+        let mut ready = std::mem::take(&mut self.ready);
+        let keys: Vec<u64> = self.conns.keys().copied().collect();
+        for key in keys {
+            let state = self.conns.get_mut(&key).expect("swept key exists");
+            if state.conn.poll_recv(&mut ready).is_err() {
+                ready.clear();
+                self.fail(key);
+                continue;
+            }
+            if !ready.is_empty() {
+                self.progress = true;
+                state.last_activity = Instant::now();
+            }
+            // A message that closes its connection ends the walk; what
+            // the peer sent after it is dropped with the connection.
+            for msg in ready.drain(..) {
+                if !self.on_message(key, msg) {
+                    break;
                 }
             }
         }
-        (handler, stats)
+        self.ready = ready;
+    }
+
+    /// Routes one inbound message. Returns false once the connection is
+    /// gone (served, shed or failed).
+    fn on_message(&mut self, key: u64, msg: ClientMessage) -> bool {
+        let bound = self.conns.get(&key).and_then(|s| s.client);
+        match msg {
+            ClientMessage::Connect { .. } | ClientMessage::Resume { .. } => {
+                self.on_handshake(key, bound, msg)
+            }
+            // v1.4 control messages are legal on unbound connections
+            // and never bind one (PROTOCOL.md §9): a monitor's probe
+            // must not occupy a live-session slot, and a migrated
+            // session parks in quarantine until its *owner* resumes
+            // over its own connection. A heartbeat touches no session
+            // state; an import mutates durable state, so it snapshots
+            // before the ack. A rejected import closes the pushing
+            // connection: the coordinator observes the drop as a typed
+            // failure, and the handler committed nothing.
+            ClientMessage::Ping { .. } | ClientMessage::ImportSession { .. } => {
+                let import = matches!(msg, ClientMessage::ImportSession { .. });
+                let Ok(Some(reply)) = self.handler.handle(msg) else {
+                    self.fail(key);
+                    return false;
+                };
+                if import {
+                    self.stats.sessions_imported += 1;
+                    self.snapshot_after_dispatch();
+                } else {
+                    self.stats.pings += 1;
+                }
+                self.reply(key, &reply)
+            }
+            // The binding rule (PROTOCOL.md §4): a connection speaks
+            // only for the client it bound. A tensor or `Disconnect`
+            // message naming anyone else — from an unbound peer or a
+            // bound one — fails this connection and reaches no session.
+            msg if bound != Some(msg.client()) => {
+                self.fail(key);
+                false
+            }
+            msg @ ClientMessage::Disconnect { .. } => {
+                let _ = self.handler.handle(msg);
+                self.snapshot_after_dispatch();
+                if self.conns.remove(&key).is_some() {
+                    self.stats.served += 1;
+                }
+                false
+            }
+            tensor => self.stage(key, tensor),
+        }
+    }
+
+    /// `Connect` / `Resume`: admission, then binding.
+    fn on_handshake(&mut self, key: u64, bound: Option<ClientId>, msg: ClientMessage) -> bool {
+        let client = msg.client();
+        let is_resume = matches!(msg, ClientMessage::Resume { .. });
+        // v1.3 admission: shed at the door when live sessions are at
+        // capacity. The handler is never consulted, so no session state
+        // is created or mutated — shedding is idempotent.
+        if bound.is_none() && self.live_sessions() >= self.options.capacity {
+            let hint = self.options.busy_retry_after.as_millis() as u64;
+            self.shed(key, client, hint);
+            return false;
+        }
+        match self.handler.handle(msg) {
+            Ok(reply) => {
+                // Admission mutated durable state (session created or
+                // re-attached); persist before the reply can reach the
+                // client.
+                self.snapshot_after_dispatch();
+                self.conns
+                    .get_mut(&key)
+                    .expect("conn alive during handshake")
+                    .client = Some(client);
+                if is_resume {
+                    self.stats.resumed += 1;
+                }
+                self.stats.max_live_sessions =
+                    self.stats.max_live_sessions.max(self.live_sessions());
+                reply.is_none_or(|reply| self.reply(key, &reply))
+            }
+            // The handler shed at its own admission gate (Alg. 2: the
+            // reservation would oversubscribe the pool right now) —
+            // same wire outcome as the loop-level cap, with the
+            // handler's hint.
+            Err(ProtocolError::Busy { retry_after_ms, .. }) => {
+                self.shed(key, client, retry_after_ms);
+                false
+            }
+            // Rejected (validation/admission, stale epoch, live
+            // session): drop the connection; the peer observes a
+            // disconnect.
+            Err(e) => {
+                // A resume for state the TTL already reaped gets a
+                // courtesy notice so the client stops retrying.
+                if is_resume && matches!(e, ProtocolError::UnknownClient(_)) {
+                    self.notify_evicted(key, client, EvictionCode::IdleExpired);
+                }
+                self.fail(key);
+                false
+            }
+        }
+    }
+
+    /// Stages one tensor message for the next dispatch, enforcing
+    /// [`MAX_STAGED_MSGS`] per connection.
+    fn stage(&mut self, key: u64, msg: ClientMessage) -> bool {
+        let staged = self.pending.iter().filter(|(k, _)| *k == key).count();
+        if staged >= MAX_STAGED_MSGS {
+            self.stats.staged_overflows += 1;
+            self.fail(key);
+            return false;
+        }
+        self.pending.push((key, msg));
+        self.new_tensors += 1;
+        true
+    }
+
+    /// Phase 3: dispatch the ready-set once it goes quiet (no new
+    /// tensor message this sweep) or reaches [`BATCH_WINDOW`].
+    /// Lock-step ⇒ each pending client is stalled until its reply, so
+    /// "quiet" means everyone ready has reported.
+    fn dispatch_ready(&mut self) {
+        if self.pending.is_empty() || (self.new_tensors != 0 && self.pending.len() < BATCH_WINDOW) {
+            return;
+        }
+        self.progress = true;
+        let batch = std::mem::take(&mut self.pending);
+        self.stats.batches += 1;
+        self.stats.batched_messages += batch.len() as u64;
+        self.stats.max_batch = self.stats.max_batch.max(batch.len());
+        self.key_of.clear();
+        self.key_of
+            .extend(batch.iter().map(|(k, m)| (m.client(), *k)));
+        let results = self
+            .handler
+            .handle_batch(batch.into_iter().map(|(_, m)| m).collect());
+        // Training steps advanced; in durable mode the replies below
+        // must not leave before the state that produced them is on
+        // disk.
+        self.snapshot_after_dispatch();
+        for (client, result) in results {
+            let Some(&key) = self.key_of.get(&client) else {
+                continue;
+            };
+            // A per-client error poisons only that client.
+            match result {
+                Ok(Some(reply)) => {
+                    self.reply(key, &reply);
+                }
+                Ok(None) => {}
+                Err(_e) => self.fail(key),
+            }
+        }
+    }
+
+    /// Phase 4: flush partial writes; enforce the slow-consumer bound
+    /// and the silence timeout.
+    fn flush_and_evict(&mut self) {
+        let keys: Vec<u64> = self.conns.keys().copied().collect();
+        for key in keys {
+            let state = self.conns.get_mut(&key).expect("flushed key exists");
+            if state.conn.has_queued_writes() {
+                match state.conn.flush() {
+                    Ok(drained) => self.progress |= drained,
+                    Err(_e) => {
+                        self.fail(key);
+                        continue;
+                    }
+                }
+            }
+            // Slow-consumer bound: whatever survived the flush is what
+            // the peer refused to take. A stalled consumer is evicted
+            // (session quarantined, resumable later) — bounded memory
+            // beats waiting on a peer that may never drain. A silent
+            // one gets a best-effort notice first.
+            let queued = state.conn.queued_write_bytes();
+            self.stats.max_queued_write_bytes = self.stats.max_queued_write_bytes.max(queued);
+            let stalled = self
+                .options
+                .max_write_buffer
+                .is_some_and(|cap| queued > cap);
+            let silent = |cap| state.last_activity.elapsed() > cap;
+            if stalled {
+                self.stats.write_overflows += 1;
+            } else if self.options.io_timeout.is_some_and(silent) {
+                if let Some(client) = state.client {
+                    self.notify_evicted(key, client, EvictionCode::Timeout);
+                }
+            } else {
+                continue;
+            }
+            self.stats.evicted += 1;
+            self.fail(key);
+        }
+    }
+
+    /// Phase 5: reap quarantined sessions past the idle TTL. Checked
+    /// on a coarse cadence — expiry precision does not need
+    /// sweep-frequency polling.
+    fn reap_idle(&mut self) {
+        let Some(ttl) = self.options.max_session_idle else {
+            return;
+        };
+        let cadence = (ttl / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
+        if self.last_expiry_check.elapsed() >= cadence {
+            self.last_expiry_check = Instant::now();
+            self.stats.expired += self.handler.expire_idle(ttl).len() as u64;
+        }
+    }
+
+    /// Nothing left to accept, serve or dispatch: the run is over.
+    fn drained(&self) -> bool {
+        self.accepts_exhausted() && self.conns.is_empty() && self.pending.is_empty()
     }
 }
 
@@ -1196,8 +1105,7 @@ impl EventConn for SimTransport<ServerMessage, ClientMessage> {
     }
 
     fn queue(&mut self, msg: &ServerMessage) -> Result<(), ProtocolError> {
-        // Charges the downlink's virtual transfer time, identical to
-        // the blocking pump's reply path.
+        // Charges the downlink's virtual transfer time.
         Transport::send(self, msg)
     }
 
@@ -1312,9 +1220,7 @@ mod tests {
 
     #[test]
     fn idle_backoff_climbs_to_the_ceiling_and_resets_under_load() {
-        let floor = Duration::from_micros(200);
-        let ceil = Duration::from_millis(2);
-        let mut b = IdleBackoff::new(floor, ceil);
+        let mut b = IdleBackoff::new();
         // Idle sweeps double the sleep: 200µs, 400µs, 800µs, 1.6ms,
         // then clamp at the 2ms ceiling.
         let ladder: Vec<Duration> = (0..6).map(|_| b.next_sleep()).collect();
@@ -1329,16 +1235,10 @@ mod tests {
                 Duration::from_millis(2),
             ]
         );
-        assert_eq!(b.current(), ceil);
         // Any readiness snaps back to the floor — a loaded loop never
         // pays more than the floor latency.
         b.reset();
-        assert_eq!(b.current(), floor);
-        assert_eq!(b.next_sleep(), floor);
-        // A ceiling below the floor is clamped up, never inverting.
-        let mut odd = IdleBackoff::new(Duration::from_millis(5), Duration::from_millis(1));
-        assert_eq!(odd.next_sleep(), Duration::from_millis(5));
-        assert_eq!(odd.current(), Duration::from_millis(5));
+        assert_eq!(b.next_sleep(), IDLE_SLEEP);
     }
 
     fn scratch_dir(label: &str) -> std::path::PathBuf {
@@ -1565,20 +1465,24 @@ mod tests {
         assert_eq!(stats.shed, 0);
     }
 
-    /// A hostile peer that emits tensor messages every sweep without
-    /// ever waiting for replies — the lock-step violation the staged
-    /// cap exists for.
-    struct DripConn {
-        per_sweep: usize,
+    /// A hostile peer that bursts tensor messages without ever waiting
+    /// for a reply — the lock-step violation the staged cap exists for.
+    /// It binds first, so the cap (not the binding rule) is what fires.
+    struct BurstConn {
+        burst: usize,
+        sent: bool,
     }
 
-    impl EventConn for DripConn {
+    impl EventConn for BurstConn {
         fn poll_recv(&mut self, out: &mut Vec<ClientMessage>) -> Result<(), ProtocolError> {
-            for _ in 0..self.per_sweep {
-                out.push(ClientMessage::Activations {
-                    client: ClientId(9),
-                    frame: bytes::Bytes::new(),
-                });
+            if !std::mem::replace(&mut self.sent, true) {
+                out.push(connect_msg(9));
+                for _ in 0..self.burst {
+                    out.push(ClientMessage::Activations {
+                        client: ClientId(9),
+                        frame: bytes::Bytes::new(),
+                    });
+                }
             }
             Ok(())
         }
@@ -1605,19 +1509,21 @@ mod tests {
     impl BatchHandler for NullHandler {}
 
     #[test]
-    fn slow_drip_past_the_staged_cap_drops_the_offender() {
+    fn one_burst_past_the_staged_cap_drops_the_offender() {
         let (tx, rx) = mpsc::channel();
-        tx.send(DripConn { per_sweep: 3 }).expect("queue conn");
+        // One message over the cap, all in one sweep: the cap must fire
+        // before the quiet-set dispatch could mask the overflow.
+        tx.send(BurstConn {
+            burst: MAX_STAGED_MSGS + 1,
+            sent: false,
+        })
+        .expect("queue conn");
         drop(tx);
         let event_loop = ServerEventLoop::new(
             QueueListener { rx },
             NullHandler,
             EventLoopOptions {
                 accept_limit: 1,
-                max_staged_msgs: 4,
-                // A window the drip never reaches: the cap must fire
-                // first, or pending grows until dispatch masks the bug.
-                batch_window: 1000,
                 ..EventLoopOptions::default()
             },
         );

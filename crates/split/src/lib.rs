@@ -10,7 +10,8 @@
 //!    adapter optimizers.
 //!
 //! [`SplitClient`] and [`ServerSession`] implement the two parties.
-//! [`drive_client`] is the one client loop, over any [`Transport`];
+//! [`drive_client`] is the one client loop, over any [`Transport`], and
+//! [`ServerEventLoop`] the one server pump, over any [`EventListener`];
 //! [`run_split_steps`] runs the same step against a co-located session
 //! (every tensor still round-trips through the wire codec), and
 //! [`local_finetune`] is the non-split baseline. They anchor the
@@ -57,7 +58,6 @@ mod client;
 mod codec;
 mod driver;
 mod event_loop;
-mod fault;
 mod message;
 mod protocol;
 mod retry;
@@ -76,22 +76,20 @@ pub use driver::{
 };
 pub use event_loop::{
     event_channel_listener, event_sim_listener, BatchHandler, ChannelDialer, EventConn,
-    EventListener, EventLoopOptions, EventLoopStats, IdleBackoff, QueueListener, ServerEventLoop,
-    SimDialer, SnapshotPolicy,
+    EventListener, EventLoopOptions, EventLoopStats, QueueListener, ServerEventLoop, SimDialer,
+    SnapshotPolicy,
 };
-pub use fault::FaultTransport;
 pub use message::{
     activation_wire_bytes, activation_wire_bytes_with, ClientId, ClientMessage, EvictionCode,
     ServerMessage,
 };
 pub use protocol::{
-    channel_pair, dispatch_session, serve_loop, sim_pair, ChannelTransport, MessageHandler,
-    ProtocolError, SessionHandler, SimTransport, Transport, WireMessage,
+    channel_pair, dispatch_session, sim_pair, ChannelTransport, MessageHandler, ProtocolError,
+    SessionHandler, SimTransport, Transport, WireMessage,
 };
 pub use retry::{already_connected, drive_client, RetryPolicy, MIN_BUSY_DELAY};
 pub use server::ServerSession;
 pub use spec::SplitSpec;
 pub use tcp::{
-    run_tcp_client, TcpEventConn, TcpEventListener, TcpEventServer, TcpOptions, TcpSplitServer,
-    TcpTransport,
+    run_tcp_client, TcpEventConn, TcpEventListener, TcpEventServer, TcpOptions, TcpTransport,
 };

@@ -1,5 +1,5 @@
 //! The transport-agnostic protocol core: one error hierarchy, one
-//! [`Transport`] abstraction, and one client/server message pump.
+//! [`Transport`] abstraction, and the server state-machine surface.
 //!
 //! Every execution path — in-process channels, the simulated WAN, and
 //! real TCP sockets — moves the *same encoded bytes* (the unified
@@ -7,16 +7,17 @@
 //!
 //! * [`drive_client`](crate::drive_client) is the only client-side
 //!   protocol loop (it lives with its retry policy in `retry`);
-//! * [`serve_loop`] is the blocking server-side pump, feeding messages
-//!   to a [`MessageHandler`] (the real-engine `MenosServer` in
-//!   `menos-core`, or a single-session [`SessionHandler`]);
+//! * [`ServerEventLoop`](crate::ServerEventLoop) is the only
+//!   server-side pump, feeding messages to a [`MessageHandler`] (the
+//!   real-engine `MenosServer` in `menos-core`, or a single-session
+//!   [`SessionHandler`]);
 //! * [`dispatch_session`] is the per-session forward/backward step
 //!   every handler delegates to.
 //!
 //! Errors anywhere in the stack surface as one typed
-//! [`ProtocolError`]; `serve_loop` converts them into clean
-//! disconnect-reclamation so a failing client never strands its
-//! session memory.
+//! [`ProtocolError`]; the pump converts them into
+//! [`MessageHandler::connection_lost`] so a failing client never
+//! strands its session memory.
 
 use std::marker::PhantomData;
 use std::sync::mpsc;
@@ -486,8 +487,9 @@ impl<Tx: WireMessage, Rx: WireMessage> Transport for SimTransport<Tx, Rx> {
 /// in, at most one reply out. `menos-core`'s `MenosServer` is the
 /// full multi-client implementation (admission control, profiling,
 /// shared-base registry); [`SessionHandler`] is the single-session
-/// variant the in-process tests use. [`serve_loop`] drives either —
-/// transports never interpret protocol state themselves.
+/// variant the in-process tests use.
+/// [`ServerEventLoop`](crate::ServerEventLoop) drives either — transports
+/// never interpret protocol state themselves.
 pub trait MessageHandler {
     /// Dispatches one client message, returning the reply to send (if
     /// any).
@@ -536,8 +538,8 @@ pub trait MessageHandler {
     }
 }
 
-/// Shared handlers: connection threads hand `Arc<Mutex<H>>` around and
-/// serialize dispatch through the lock (one GPU, one state machine).
+/// Shared handlers: the pump dispatches through the lock, so a caller
+/// holding another `Arc` can read the handler while the loop runs.
 impl<H: MessageHandler> MessageHandler for Arc<Mutex<H>> {
     fn handle(&mut self, msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
         self.lock()
@@ -727,76 +729,13 @@ impl MessageHandler for SessionHandler {
     }
 }
 
-// ----------------------------------------------------------------------
-// The blocking server pump
-// ----------------------------------------------------------------------
-
-/// The blocking server-side protocol pump: receives client messages
-/// from `transport`, dispatches them to `handler`, and sends replies —
-/// until the client disconnects cleanly or an error ends the
-/// connection.
-///
-/// On any failure after a successful `Connect`, the handler is fed a
-/// synthetic `Disconnect` before the error propagates, so the failed
-/// client's session memory is reclaimed and other clients are
-/// untouched.
-///
-/// # Errors
-///
-/// The first [`ProtocolError`] from the transport or the handler.
-pub fn serve_loop<T, H>(transport: &mut T, handler: &mut H) -> Result<(), ProtocolError>
-where
-    T: Transport<Tx = ServerMessage, Rx = ClientMessage>,
-    H: MessageHandler,
-{
-    let mut active: Option<ClientId> = None;
-    let reclaim = |handler: &mut H, active: Option<ClientId>| {
-        if let Some(client) = active {
-            handler.connection_lost(client);
-        }
-    };
-    loop {
-        let msg = match transport.recv() {
-            Ok(msg) => msg,
-            Err(e) => {
-                reclaim(handler, active);
-                return Err(e);
-            }
-        };
-        let client = msg.client();
-        // Resume binds the session to this connection exactly like
-        // Connect: a later fault must re-quarantine it.
-        let is_connect = matches!(
-            msg,
-            ClientMessage::Connect { .. } | ClientMessage::Resume { .. }
-        );
-        let is_disconnect = matches!(msg, ClientMessage::Disconnect { .. });
-        let reply = match handler.handle(msg) {
-            Ok(reply) => reply,
-            Err(e) => {
-                reclaim(handler, active);
-                return Err(e);
-            }
-        };
-        if let Some(reply) = reply {
-            if let Err(e) = transport.send(&reply) {
-                reclaim(handler, active);
-                return Err(e);
-            }
-        }
-        if is_connect {
-            active = Some(client);
-        }
-        if is_disconnect {
-            return Ok(());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::SplitClient;
+    use crate::event_loop::{
+        event_channel_listener, event_sim_listener, EventLoopOptions, ServerEventLoop,
+    };
     use crate::retry::{already_connected, drive_client, RetryPolicy};
     use menos_adapters::FineTuneConfig;
     use menos_data::{wiki_corpus, TokenDataset, Vocab};
@@ -832,37 +771,48 @@ mod tests {
         (client, session)
     }
 
+    fn one_client() -> EventLoopOptions {
+        EventLoopOptions {
+            accept_limit: 1,
+            ..EventLoopOptions::default()
+        }
+    }
+
     #[test]
-    fn channel_transport_trains_through_serve_loop() {
+    fn channel_transport_trains_through_the_event_loop() {
         let (mut client, session) = pair(1);
-        let (client_t, mut server_t) = channel_pair();
-        let server = std::thread::spawn(move || {
-            let mut handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-            let r = serve_loop(&mut server_t, &mut handler);
-            (r, handler.session().is_none())
-        });
+        let (dialer, listener) = event_channel_listener();
+        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
+        let server = ServerEventLoop::new(listener, handler, one_client());
+        let server = std::thread::spawn(move || server.run());
         let none = RetryPolicy::none();
-        let curve = drive_client(&mut client, already_connected(client_t), 3, &none)
-            .expect("channel training");
+        let curve =
+            drive_client(&mut client, |_| dialer.dial(), 3, &none).expect("channel training");
         assert_eq!(curve.points().len(), 3);
-        let (served, reclaimed) = server.join().expect("server thread");
-        served.expect("clean serve");
-        assert!(reclaimed, "disconnect must release the session");
+        let (handler, stats) = server.join().expect("server thread");
+        assert_eq!((stats.served, stats.conn_errors), (1, 0), "clean serve");
+        assert!(
+            handler.session().is_none(),
+            "disconnect must release the session"
+        );
     }
 
     #[test]
     fn sim_transport_charges_virtual_time_for_exact_bytes() {
         let (mut client, session) = pair(2);
-        let (mut client_t, mut server_t) = sim_pair(WanLink::lan(1), WanLink::lan(2));
+        let (dialer, listener) = event_sim_listener();
+        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
+        let server = ServerEventLoop::new(listener, handler, one_client());
+        let server = std::thread::spawn(move || server.run());
+        let mut client_t = dialer
+            .dial(WanLink::lan(1), WanLink::lan(2))
+            .expect("dial the loop");
         let clock = client_t.clock.clone();
-        let server = std::thread::spawn(move || {
-            let mut handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-            serve_loop(&mut server_t, &mut handler)
-        });
         let none = RetryPolicy::none();
         drive_client(&mut client, already_connected(&mut client_t), 2, &none)
             .expect("sim training");
-        server.join().expect("thread").expect("clean serve");
+        let (_handler, stats) = server.join().expect("server thread");
+        assert_eq!((stats.served, stats.conn_errors), (1, 0), "clean serve");
         let elapsed = *clock.lock().unwrap();
         assert!(elapsed > Nanos(0), "transfers must advance virtual time");
         let (bytes, msgs) = client_t.link_stats();

@@ -568,12 +568,15 @@ mod tests {
     // End-to-end driver tests against a minimal resumable echo server.
     // ------------------------------------------------------------------
 
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
     use bytes::Bytes;
 
     use crate::client::SplitClient;
-    use crate::protocol::{channel_pair, serve_loop, ChannelTransport, MessageHandler};
+    use crate::event_loop::{
+        event_channel_listener, BatchHandler, ChannelDialer, EventLoopOptions, ServerEventLoop,
+    };
+    use crate::protocol::{channel_pair, MessageHandler};
     use crate::ClientId;
 
     /// The smallest resumable server: echoes tensor frames back (the
@@ -639,6 +642,8 @@ mod tests {
         }
     }
 
+    impl BatchHandler for EchoHandler {}
+
     fn test_client(seed: u64) -> SplitClient {
         use menos_adapters::FineTuneConfig;
         use menos_data::{wiki_corpus, TokenDataset, Vocab};
@@ -663,17 +668,40 @@ mod tests {
         )
     }
 
-    /// Spawns a `serve_loop` pump over the shared echo handler and
-    /// returns the client endpoint.
-    fn dial_echo(
-        handler: &Arc<Mutex<EchoHandler>>,
-    ) -> ChannelTransport<ClientMessage, ServerMessage> {
-        let (client_t, mut server_t) = channel_pair();
-        let mut h = handler.clone();
-        std::thread::spawn(move || {
-            let _ = serve_loop(&mut server_t, &mut h);
+    /// An event loop over the echo handler, stopped and joined when the
+    /// test drops it. Dial it through `dialer`.
+    struct EchoServer {
+        dialer: ChannelDialer,
+        stop: Arc<std::sync::atomic::AtomicBool>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    fn echo_server(kill_every: u32) -> EchoServer {
+        let handler = EchoHandler {
+            epoch: 1,
+            kill_every,
+            handled: 0,
+        };
+        let (dialer, listener) = event_channel_listener();
+        let event_loop = ServerEventLoop::new(listener, handler, EventLoopOptions::default());
+        let stop = event_loop.shutdown_handle();
+        let thread = std::thread::spawn(move || {
+            event_loop.run();
         });
-        client_t
+        EchoServer {
+            dialer,
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    impl Drop for EchoServer {
+        fn drop(&mut self) {
+            self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
     }
 
     /// A `Busy` shed is not a fault: even under [`RetryPolicy::none`]
@@ -683,11 +711,7 @@ mod tests {
     #[test]
     fn busy_shed_does_not_consume_the_retry_budget() {
         let policy = RetryPolicy::none();
-        let handler = Arc::new(Mutex::new(EchoHandler {
-            epoch: 1,
-            kill_every: 0,
-            handled: 0,
-        }));
+        let server = echo_server(0);
         let mut client = test_client(1);
         let mut shed_conns = Vec::new(); // keep server ends alive
         let mut dials = 0u32;
@@ -705,7 +729,7 @@ mod tests {
                     shed_conns.push(server_t);
                     Ok(client_t)
                 } else {
-                    Ok(dial_echo(&handler))
+                    server.dialer.dial()
                 }
             },
             3,
@@ -728,11 +752,7 @@ mod tests {
             max_backoff: Duration::from_millis(5),
             seed: 4,
         };
-        let handler = Arc::new(Mutex::new(EchoHandler {
-            epoch: 1,
-            kill_every: 0,
-            handled: 0,
-        }));
+        let server = echo_server(0);
         let mut client = test_client(4);
         let mut coordinator_conns = Vec::new();
         let mut routes_seen = Vec::new();
@@ -754,7 +774,7 @@ mod tests {
                         coordinator_conns.push(server_t);
                         Ok(client_t)
                     }
-                    Some("worker-1") => Ok(dial_echo(&handler)),
+                    Some("worker-1") => server.dialer.dial(),
                     Some(other) => panic!("unexpected route {other}"),
                 }
             },
@@ -780,11 +800,7 @@ mod tests {
             max_backoff: Duration::from_millis(5),
             seed: 5,
         };
-        let handler = Arc::new(Mutex::new(EchoHandler {
-            epoch: 1,
-            kill_every: 0,
-            handled: 0,
-        }));
+        let server = echo_server(0);
         let mut client = test_client(5);
         let mut coordinator_conns = Vec::new();
         let mut routes_seen = Vec::new();
@@ -810,7 +826,7 @@ mod tests {
                     }
                     // The first placement is a corpse: dialing it fails.
                     Some("dead-worker") => Err(ProtocolError::Disconnected),
-                    Some("live-worker") => Ok(dial_echo(&handler)),
+                    Some("live-worker") => server.dialer.dial(),
                     Some(other) => panic!("unexpected route {other}"),
                 }
             },
@@ -845,18 +861,14 @@ mod tests {
         // Kill every 5th handler message: Connect, act, grad, act,
         // KILL — then per reconnect: Resume, act, grad, act, KILL —
         // one completed step per connection, two faults total.
-        let handler = Arc::new(Mutex::new(EchoHandler {
-            epoch: 1,
-            kill_every: 5,
-            handled: 0,
-        }));
+        let server = echo_server(5);
         let mut client = test_client(2);
         let mut dials = 0u32;
         let curve = drive_client(
             &mut client,
             |_| {
                 dials += 1;
-                Ok(dial_echo(&handler))
+                server.dialer.dial()
             },
             3,
             &policy,

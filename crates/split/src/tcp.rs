@@ -1,23 +1,22 @@
 //! TCP framing for the split fine-tuning protocol.
 //!
-//! This module contains **no protocol logic**: it is a
-//! [`Transport`] implementation over `std::net::TcpStream` plus an
-//! accept loop. Message bytes come from the unified codec
-//! ([`crate::codec`]), the client loop is [`drive_client`], and the
-//! server loops are [`serve_loop`] feeding a shared
-//! [`MessageHandler`] and the [`ServerEventLoop`] feeding a
-//! [`BatchHandler`] — the same state machines every other transport
-//! drives.
+//! This module contains **no protocol logic**: it is a blocking
+//! [`Transport`] over `std::net::TcpStream` for the client side, and a
+//! nonblocking [`EventConn`] / [`EventListener`] pair for the server
+//! side. Message bytes come from the unified codec ([`crate::codec`]),
+//! the client loop is [`drive_client`], and the server loop is the
+//! [`ServerEventLoop`] feeding a [`BatchHandler`] — the same state
+//! machines every other transport drives.
 //!
 //! Robustness: each frame header is validated (version, magic,
 //! declared length vs a configurable cap) before any payload
-//! allocation, connections carry read/write deadlines, and a failing
-//! connection reclaims its session via `serve_loop`'s
-//! disconnect-reclamation — other clients keep training.
+//! allocation, client endpoints carry read/write deadlines, and a
+//! failing connection hands its session to the loop's lost-connection
+//! path — other clients keep training.
 
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -30,7 +29,7 @@ use crate::event_loop::{
     SnapshotPolicy,
 };
 use crate::message::{ClientMessage, ServerMessage};
-use crate::protocol::{serve_loop, MessageHandler, ProtocolError, Transport, WireMessage};
+use crate::protocol::{ProtocolError, Transport, WireMessage};
 use crate::retry::{drive_client, RetryPolicy};
 
 /// Tuning knobs for TCP endpoints.
@@ -126,130 +125,13 @@ impl<Tx: WireMessage, Rx: WireMessage> Transport for TcpTransport<Tx, Rx> {
     }
 }
 
-/// A TCP accept loop serving the split protocol: each connection gets
-/// its own thread running [`serve_loop`] against a shared
-/// [`MessageHandler`] (typically `menos-core`'s `MenosServer`), so
-/// admission control and error isolation apply identically over
-/// sockets and in-memory transports.
-pub struct TcpSplitServer {
-    addr: std::net::SocketAddr,
-    handle: Option<JoinHandle<()>>,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl TcpSplitServer {
-    /// Binds to `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting with default [`TcpOptions`]. `max_clients`
-    /// connections are served before the accept loop exits (keeps
-    /// tests and demos bounded).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address cannot be bound.
-    pub fn spawn<H>(
-        addr: impl ToSocketAddrs,
-        handler: Arc<Mutex<H>>,
-        max_clients: usize,
-    ) -> Result<TcpSplitServer, ProtocolError>
-    where
-        H: MessageHandler + Send + 'static,
-    {
-        Self::spawn_with(addr, handler, max_clients, TcpOptions::default())
-    }
-
-    /// [`TcpSplitServer::spawn`] with explicit frame-cap and deadline
-    /// options applied to every connection.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address cannot be bound.
-    pub fn spawn_with<H>(
-        addr: impl ToSocketAddrs,
-        handler: Arc<Mutex<H>>,
-        max_clients: usize,
-        options: TcpOptions,
-    ) -> Result<TcpSplitServer, ProtocolError>
-    where
-        H: MessageHandler + Send + 'static,
-    {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let shutdown2 = shutdown.clone();
-        let handle = std::thread::spawn(move || {
-            let mut workers = Vec::new();
-            for _ in 0..max_clients {
-                if shutdown2.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                let Ok((stream, _)) = listener.accept() else {
-                    break;
-                };
-                let mut handler = handler.clone();
-                workers.push(std::thread::spawn(move || {
-                    let mut transport =
-                        match TcpTransport::<ServerMessage, ClientMessage>::from_stream(
-                            stream, options,
-                        ) {
-                            Ok(t) => t,
-                            Err(e) => {
-                                eprintln!("connection setup failed: {e}");
-                                return;
-                            }
-                        };
-                    if let Err(e) = serve_loop(&mut transport, &mut handler) {
-                        // A peer that hangs up without a `Disconnect`
-                        // is an ordinary connection end — redirected
-                        // fleet clients do it by design — not
-                        // operator-actionable noise. `connection_lost`
-                        // has already reclaimed the session.
-                        if !matches!(e, ProtocolError::Disconnected) {
-                            eprintln!("connection ended with error: {e}");
-                        }
-                    }
-                }));
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        });
-        Ok(TcpSplitServer {
-            addr: local,
-            handle: Some(handle),
-            shutdown,
-        })
-    }
-
-    /// The bound address (useful with ephemeral ports).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the accept loop (all `max_clients` served) to finish.
-    pub fn join(mut self) {
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TcpSplitServer {
-    fn drop(&mut self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        // The accept loop exits after the in-flight clients; tests call
-        // join() explicitly, so dropping without join leaks at most a
-        // blocked accept until process exit.
-    }
-}
-
 // ----------------------------------------------------------------------
-// Nonblocking TCP for the event-driven server
+// Nonblocking TCP for the server
 // ----------------------------------------------------------------------
 
 /// One nonblocking TCP connection as seen by the event loop: a
 /// [`FrameAccumulator`] reassembles inbound fragments into the exact
-/// frames the blocking reader would produce, and a [`WriteQueue`]
+/// frames a blocking reader would produce, and a [`WriteQueue`]
 /// resumes outbound frames wherever the socket stopped accepting
 /// bytes — even mid-header.
 pub struct TcpEventConn {
@@ -372,11 +254,12 @@ impl EventListener for TcpEventListener {
     }
 }
 
-/// The event-driven counterpart of [`TcpSplitServer`]: ONE thread
-/// runs a [`ServerEventLoop`] over a nonblocking listener, multiplexing
-/// every client's connection and handing each sweep's ready messages
-/// to the handler, which serves them one after another. The handler
-/// needs no `Arc<Mutex<_>>` — the loop owns it.
+/// The TCP server: ONE thread runs a [`ServerEventLoop`] over a
+/// nonblocking listener, multiplexing every client's connection and
+/// handing each sweep's ready messages to the handler, which serves
+/// them one after another. The loop owns the handler and returns it
+/// from [`join`](TcpEventServer::join); pass an `Arc<Mutex<_>>` only to
+/// read it while the loop runs.
 pub struct TcpEventServer<H> {
     addr: std::net::SocketAddr,
     handle: Option<JoinHandle<(H, EventLoopStats)>>,
@@ -454,6 +337,15 @@ where
     pub fn join(mut self) -> Option<(H, EventLoopStats)> {
         self.handle.take().and_then(|h| h.join().ok())
     }
+
+    /// Stops the loop at its next sweep (live sessions are handed to
+    /// the lost-connection path first) and waits for it, as
+    /// [`join`](TcpEventServer::join) does.
+    pub fn shutdown(self) -> Option<(H, EventLoopStats)> {
+        self.shutdown
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.join()
+    }
 }
 
 impl<H> Drop for TcpEventServer<H> {
@@ -492,7 +384,7 @@ mod tests {
     use super::*;
     use crate::driver::ForwardMode;
     use crate::message::ClientId;
-    use crate::protocol::SessionHandler;
+    use crate::protocol::{MessageHandler, SessionHandler};
     use crate::server::ServerSession;
     use crate::spec::SplitSpec;
     use menos_adapters::FineTuneConfig;
@@ -529,14 +421,27 @@ mod tests {
         (client, session)
     }
 
+    /// A loopback server that exits after `accepts` connections.
+    fn serve<H: BatchHandler + Send + 'static>(
+        handler: H,
+        accepts: usize,
+        tcp: TcpOptions,
+    ) -> TcpEventServer<H> {
+        let options = EventLoopOptions {
+            accept_limit: accepts,
+            ..EventLoopOptions::default()
+        };
+        TcpEventServer::spawn("127.0.0.1:0", handler, options, tcp).expect("bind")
+    }
+
+    fn session_handler(session: ServerSession) -> SessionHandler {
+        SessionHandler::new(session, ForwardMode::NoGradReforward)
+    }
+
     #[test]
     fn client_trains_over_a_real_socket() {
         let (mut client, session) = pair(500);
-        let handler = Arc::new(Mutex::new(SessionHandler::new(
-            session,
-            ForwardMode::NoGradReforward,
-        )));
-        let server = TcpSplitServer::spawn("127.0.0.1:0", handler.clone(), 1).expect("bind");
+        let server = serve(session_handler(session), 1, TcpOptions::default());
         let curve = run_tcp_client(
             &server.addr().to_string(),
             &mut client,
@@ -550,26 +455,23 @@ mod tests {
             "{:?}",
             curve.points()
         );
-        server.join();
+        let (handler, stats) = server.join().expect("loop thread");
+        assert_eq!((stats.served, stats.conn_errors), (1, 0));
         // Clean disconnect released the session.
-        assert!(handler.lock().unwrap().session().is_none());
+        assert!(handler.session().is_none());
     }
 
     #[test]
     fn hostile_length_prefix_cannot_oom_the_server() {
         use std::io::{Read, Write};
         let (_client, session) = pair(501);
-        let handler = Arc::new(Mutex::new(SessionHandler::new(
-            session,
-            ForwardMode::NoGradReforward,
-        )));
         // Tight cap so the test proves the check, not the allocator.
         let options = TcpOptions {
             max_frame: 1 << 20,
             io_timeout: Some(Duration::from_secs(5)),
             max_staged: None,
         };
-        let server = TcpSplitServer::spawn_with("127.0.0.1:0", handler, 1, options).expect("bind");
+        let server = serve(session_handler(session), 1, options);
         let mut socket = TcpStream::connect(server.addr()).expect("connect");
         // A header declaring a 4 GiB payload. The server must reject it
         // from the header alone and close the connection — never
@@ -581,7 +483,9 @@ mod tests {
         // Read returns 0 (EOF) once the server drops the connection.
         let n = socket.read(&mut buf).expect("read");
         assert_eq!(n, 0, "server must close on oversize declaration");
-        server.join();
+        let (handler, stats) = server.join().expect("loop thread");
+        assert_eq!((stats.served, stats.conn_errors), (0, 1));
+        assert!(handler.session().is_some(), "no session was touched");
     }
 
     /// A client that dials a coordinator with no policy at all — what
@@ -595,7 +499,7 @@ mod tests {
             target: String,
         }
 
-        impl crate::protocol::MessageHandler for RedirectHandler {
+        impl MessageHandler for RedirectHandler {
             fn handle(
                 &mut self,
                 msg: ClientMessage,
@@ -616,21 +520,12 @@ mod tests {
             fn connection_lost(&mut self, _client: ClientId) {}
         }
 
+        impl BatchHandler for RedirectHandler {}
+
         let (mut client, session) = pair(502);
-        let backend_handler = Arc::new(Mutex::new(SessionHandler::new(
-            session,
-            ForwardMode::NoGradReforward,
-        )));
-        let backend =
-            TcpSplitServer::spawn("127.0.0.1:0", backend_handler.clone(), 1).expect("bind backend");
-        let coordinator = TcpSplitServer::spawn(
-            "127.0.0.1:0",
-            Arc::new(Mutex::new(RedirectHandler {
-                target: backend.addr().to_string(),
-            })),
-            1,
-        )
-        .expect("bind coordinator");
+        let backend = serve(session_handler(session), 1, TcpOptions::default());
+        let target = backend.addr().to_string();
+        let coordinator = serve(RedirectHandler { target }, 1, TcpOptions::default());
 
         let curve = run_tcp_client(
             &coordinator.addr().to_string(),
@@ -640,9 +535,9 @@ mod tests {
         )
         .expect("fleet client trains through the redirect");
         assert_eq!(curve.points().len(), 4);
-        backend.join();
-        coordinator.join();
-        assert!(backend_handler.lock().unwrap().session().is_none());
+        let (handler, _) = backend.join().expect("backend loop");
+        coordinator.join().expect("coordinator loop");
+        assert!(handler.session().is_none());
     }
 
     #[test]

@@ -30,8 +30,8 @@ use menos::split::{
 
 const USAGE: &str = "\
 usage:
-  menos server [--port P] [--accept-limit N] [--capacity N] [--batch-window W]
-               [--model-seed S] [--client-timeout MS] [--max-session-idle MS]
+  menos server [--port P] [--accept-limit N] [--capacity N] [--model-seed S]
+               [--client-timeout MS] [--max-session-idle MS]
                [--max-write-buffer BYTES] [--pressure-watermark PCT]
                [--retry-after-ms MS] [--snapshot-dir DIR] [--snapshot-every N]
                [--micro-model] [--cached] [--threads T]
@@ -45,9 +45,8 @@ usage:
 
 options:
   --port P          listen port (default 7700)
-  --accept-limit N  serve N connections then exit (default 1; deprecated
-                    aliases --max-clients, --clients). A lifetime accept
-                    budget, not a concurrency cap — that is --capacity
+  --accept-limit N  serve N connections then exit (default 1). A lifetime
+                    accept budget, not a concurrency cap — that is --capacity
   --capacity N      live-session admission cap: a Connect/Resume past it is
                     shed with a Busy retry hint instead of queued (default:
                     unlimited; PROTOCOL.md §8)
@@ -61,9 +60,6 @@ options:
                     GPU-pool utilization percentage past which new accepts
                     are deferred until the pool drains (default 100 = only
                     when the pool is fully reserved)
-  --batch-window W  max ready tensor messages handed to the server in one
-                    dispatch; they are served one after another, and one
-                    durable snapshot covers the whole set (default 32)
   --model-seed S    base-model derivation seed shared by both sides (default 21)
   --client-timeout MS
                     evict a connection silent for MS milliseconds; its session
@@ -166,12 +162,7 @@ fn run_server(args: &[String]) {
     let port: u16 = parse_flag(args, "--port")
         .map(|v| v.parse().expect("--port must be a number"))
         .unwrap_or(7700);
-    // `--max-clients` / `--clients` are deprecated aliases for
-    // `--accept-limit` (the name stopped meaning a concurrency cap
-    // when `--capacity` arrived); existing deployments keep working.
     let clients: usize = parse_flag(args, "--accept-limit")
-        .or_else(|| parse_flag(args, "--max-clients"))
-        .or_else(|| parse_flag(args, "--clients"))
         .map(|v| v.parse().expect("--accept-limit must be a number"))
         .unwrap_or(1);
     let capacity: usize = parse_flag(args, "--capacity")
@@ -188,9 +179,6 @@ fn run_server(args: &[String]) {
                 .expect("--pressure-watermark must be a percentage")
         })
         .unwrap_or(100);
-    let batch_window: usize = parse_flag(args, "--batch-window")
-        .map(|v| v.parse().expect("--batch-window must be a number"))
-        .unwrap_or(32);
     let model_seed: u64 = parse_flag(args, "--model-seed")
         .map(|v| v.parse().expect("--model-seed must be a number"))
         .unwrap_or(21);
@@ -248,10 +236,8 @@ fn run_server(args: &[String]) {
         capacity,
         busy_retry_after: Duration::from_millis(retry_after_ms),
         max_write_buffer,
-        batch_window,
         io_timeout: client_timeout,
         max_session_idle,
-        ..EventLoopOptions::default()
     };
     let server = match &snapshot_dir {
         Some(dir) => TcpEventServer::spawn_with_snapshots(
@@ -265,8 +251,8 @@ fn run_server(args: &[String]) {
     }
     .expect("bind server port");
     println!(
-        "menos event-loop server on {} serving up to {clients} client(s), batch window \
-         {batch_window}, {} tensor thread(s), policy: {policy}",
+        "menos event-loop server on {} serving up to {clients} client(s), \
+         {} tensor thread(s), policy: {policy}",
         server.addr(),
         menos::tensor::threads(),
     );

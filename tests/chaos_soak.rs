@@ -281,7 +281,7 @@ mod kill_the_server {
                     "--port",
                     "0",
                     "--micro-model",
-                    "--max-clients",
+                    "--accept-limit",
                     "1024",
                     "--snapshot-every",
                     "0",

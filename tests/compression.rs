@@ -16,8 +16,9 @@ use menos::net::{
     supported_codec_mask, Codec, TensorCodec, WireError, ROLE_ACTIVATIONS, ROLE_GRADIENTS,
 };
 use menos::split::{
-    already_connected, channel_pair, drive_client, run_split_steps, serve_loop, ClientId,
-    ClientMessage, ForwardMode, RetryPolicy, ServerMessage, ServerSession, SplitClient, SplitSpec,
+    drive_client, event_channel_listener, run_split_steps, ClientId, ClientMessage,
+    EventLoopOptions, ForwardMode, RetryPolicy, ServerEventLoop, ServerMessage, ServerSession,
+    SplitClient, SplitSpec,
 };
 use menos::tensor::Tensor;
 
@@ -78,14 +79,16 @@ fn train_over_channel(
     steps: usize,
 ) -> LossCurve {
     let none = RetryPolicy::none();
-    let (client_t, mut server_t) = channel_pair();
-    let server = std::thread::spawn(move || {
-        let mut handler = handler;
-        serve_loop(&mut server_t, &mut handler)
-    });
-    let curve =
-        drive_client(client, already_connected(client_t), steps, &none).expect("channel training");
-    server.join().expect("server thread").expect("clean serve");
+    let (dialer, listener) = event_channel_listener();
+    let options = EventLoopOptions {
+        accept_limit: 1,
+        ..EventLoopOptions::default()
+    };
+    let event_loop = ServerEventLoop::new(listener, handler, options);
+    let server = std::thread::spawn(move || event_loop.run());
+    let curve = drive_client(client, |_| dialer.dial(), steps, &none).expect("channel training");
+    let (_handler, stats) = server.join().expect("server thread");
+    assert_eq!((stats.served, stats.conn_errors), (1, 0), "clean serve");
     curve
 }
 

@@ -1,6 +1,7 @@
-//! Robustness of the TCP transport: malformed peers and abrupt
-//! disconnects must not poison the server or other clients, and a
-//! failed connection must reclaim its session memory.
+//! Robustness of the TCP server that ships (`TcpEventServer`, what the
+//! `menos` binary runs): malformed peers and abrupt disconnects must
+//! not poison the server or other clients, and a failed connection
+//! must reclaim its session memory.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -12,8 +13,11 @@ use menos::data::{wiki_corpus, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
 use menos::sim::seeded_rng;
 use menos::split::{
-    run_tcp_client, ClientId, ForwardMode, RetryPolicy, SplitClient, SplitSpec, TcpSplitServer,
+    run_tcp_client, ClientId, EventLoopOptions, ForwardMode, RetryPolicy, SplitClient, SplitSpec,
+    TcpEventServer, TcpOptions,
 };
+
+type Server = TcpEventServer<Arc<Mutex<MenosServer>>>;
 
 fn setup() -> (
     String,
@@ -35,7 +39,7 @@ fn spawn_server(
     seed: u64,
     mode: ForwardMode,
     clients: usize,
-) -> (TcpSplitServer, Arc<Mutex<MenosServer>>) {
+) -> (Server, Arc<Mutex<MenosServer>>) {
     let view = base.lock().unwrap().shared_view(false);
     let mut srv = MenosServer::from_store(
         config.clone(),
@@ -45,7 +49,17 @@ fn spawn_server(
     );
     srv.set_forward_mode(mode);
     let handler = Arc::new(Mutex::new(srv));
-    let server = TcpSplitServer::spawn("127.0.0.1:0", handler.clone(), clients).expect("bind");
+    let options = EventLoopOptions {
+        accept_limit: clients,
+        ..EventLoopOptions::default()
+    };
+    let server = TcpEventServer::spawn(
+        "127.0.0.1:0",
+        handler.clone(),
+        options,
+        TcpOptions::default(),
+    )
+    .expect("bind");
     (server, handler)
 }
 
@@ -79,7 +93,7 @@ fn garbage_peer_does_not_poison_healthy_clients() {
     let addr = server.addr();
 
     // Garbage peer: random bytes (not even a valid frame header), then
-    // abrupt close. Its connection thread must fail in isolation.
+    // abrupt close. Its connection must fail in isolation.
     {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.write_all(&[0xFF; 64]).expect("write garbage");
@@ -102,7 +116,8 @@ fn garbage_peer_does_not_poison_healthy_clients() {
         let curve = h.join().expect("thread");
         assert_eq!(curve.points().len(), 4);
     }
-    server.join();
+    let (_h, stats) = server.join().expect("loop finished");
+    assert_eq!((stats.served, stats.conn_errors), (2, 1), "{stats:?}");
     // Every session — including any the garbage peer might have opened —
     // is reclaimed.
     assert_eq!(handler.lock().unwrap().active_clients(), 0);
@@ -134,7 +149,8 @@ fn mid_session_disconnect_is_contained() {
     let curve = run_tcp_client(&addr.to_string(), &mut client, 3, &RetryPolicy::none())
         .expect("client after bad peer");
     assert_eq!(curve.points().len(), 3);
-    server.join();
+    let (_h, stats) = server.join().expect("loop finished");
+    assert_eq!((stats.served, stats.conn_errors), (1, 1), "{stats:?}");
     assert_eq!(handler.lock().unwrap().active_clients(), 0);
 }
 
@@ -174,6 +190,7 @@ fn clients_with_different_configs_share_one_server() {
     for h in handles {
         assert_eq!(h.join().expect("thread").points().len(), 3);
     }
-    server.join();
+    let (_h, stats) = server.join().expect("loop finished");
+    assert_eq!((stats.served, stats.conn_errors), (2, 0), "{stats:?}");
     assert_eq!(handler.lock().unwrap().active_clients(), 0);
 }

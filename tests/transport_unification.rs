@@ -1,24 +1,27 @@
 //! The acceptance harness of the unified transport stack: every
 //! transport moves the same codec bytes through the same state
-//! machine, so (a) training is byte-identical across transports and
-//! (b) injected faults surface as typed [`ProtocolError`]s that
-//! reclaim the failed client's session and leave other clients
-//! training.
+//! machine and the same pump, so (a) training is byte-identical across
+//! transports and to the in-process oracle, (b) a faulty peer costs
+//! exactly its own connection — dropped, counted, its session
+//! quarantined — while bystanders train, and (c) a connection can act
+//! only on the session it bound.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use menos::adapters::FineTuneConfig;
 use menos::core::{MenosServer, ProtocolError, ServerMode, ServerSpec};
 use menos::data::{wiki_corpus, LossCurve, TokenDataset, Vocab};
 use menos::models::{CausalLm, ModelConfig};
-use menos::net::WireError;
+use menos::net::{encode_frame_header, read_frame_bytes, DEFAULT_MAX_FRAME};
 use menos::sim::seeded_rng;
 use menos::split::{
-    already_connected, channel_pair, drive_client, event_channel_listener, event_sim_listener,
-    serve_loop, sim_pair, ClientId, ClientMessage, EventLoopOptions, EventLoopStats,
-    FaultTransport, RetryPolicy, ServerEventLoop, ServerMessage, SplitClient, SplitSpec,
-    TcpEventServer, TcpSplitServer, Transport,
+    drive_client, event_channel_listener, event_sim_listener, run_split_steps, run_tcp_client,
+    ClientId, ClientMessage, EventLoopOptions, EventLoopStats, EvictionCode, ForwardMode,
+    RetryPolicy, ServerEventLoop, ServerMessage, ServerSession, SplitClient, SplitSpec,
+    TcpEventServer, TcpOptions, Transport, WireMessage,
 };
 
 const SEED: u64 = 4100;
@@ -82,181 +85,12 @@ fn connect_msg(client: &SplitClient) -> ClientMessage {
     }
 }
 
-/// One scripted training step's worth of frames for `client`, captured
-/// by running the real client against a scratch server.
-fn train_over_channel(
-    client: &mut SplitClient,
-    handler: Arc<Mutex<MenosServer>>,
-    steps: usize,
-) -> LossCurve {
-    let none = RetryPolicy::none();
-    let (client_t, mut server_t) = channel_pair();
-    let server = std::thread::spawn(move || {
-        let mut handler = handler;
-        serve_loop(&mut server_t, &mut handler)
-    });
-    let curve =
-        drive_client(client, already_connected(client_t), steps, &none).expect("channel training");
-    server.join().expect("server thread").expect("clean serve");
-    curve
+fn accepting(accept_limit: usize) -> EventLoopOptions {
+    EventLoopOptions {
+        accept_limit,
+        ..EventLoopOptions::default()
+    }
 }
-
-#[test]
-fn same_messages_give_byte_identical_curves_on_every_transport() {
-    let none = RetryPolicy::none();
-    let (text, _vocab, config, base) = setup();
-    const STEPS: usize = 4;
-
-    // In-memory channels.
-    let mut client = make_client(0, &text, &config, &base);
-    let channel_curve = train_over_channel(&mut client, make_server(&config, &base), STEPS);
-
-    // Real TCP sockets.
-    let handler = make_server(&config, &base);
-    let server = TcpSplitServer::spawn("127.0.0.1:0", handler, 1).expect("bind");
-    let mut client = make_client(0, &text, &config, &base);
-    let tcp_curve =
-        menos::split::run_tcp_client(&server.addr().to_string(), &mut client, STEPS, &none)
-            .expect("tcp training");
-    server.join();
-
-    // Simulated WAN (same bytes, plus virtual transfer time).
-    let (mut client_t, mut server_t) =
-        sim_pair(menos::net::WanLink::lan(7), menos::net::WanLink::lan(8));
-    let handler = make_server(&config, &base);
-    let sim_server = std::thread::spawn(move || {
-        let mut handler = handler;
-        serve_loop(&mut server_t, &mut handler)
-    });
-    let mut client = make_client(0, &text, &config, &base);
-    let sim_curve = drive_client(&mut client, already_connected(&mut client_t), STEPS, &none)
-        .expect("sim training");
-    sim_server.join().expect("thread").expect("clean serve");
-    assert!(client_t.elapsed() > menos::sim::Nanos(0));
-
-    // Bit-exact equality: same client, same server seed, same bytes on
-    // the wire → the same floats, regardless of transport.
-    let bits = |curve: &LossCurve| -> Vec<(usize, u32)> {
-        curve
-            .points()
-            .iter()
-            .map(|&(s, l)| (s, l.to_bits()))
-            .collect()
-    };
-    assert_eq!(channel_curve.points().len(), STEPS);
-    assert_eq!(bits(&channel_curve), bits(&tcp_curve));
-    assert_eq!(bits(&channel_curve), bits(&sim_curve));
-}
-
-/// Runs a fault script against a fresh `MenosServer`, returning the
-/// serve-loop error and the handler for post-mortem assertions.
-fn run_script(
-    handler: Arc<Mutex<MenosServer>>,
-    script: impl FnOnce(&mut FaultTransport, &ClientMessage),
-    connect: &ClientMessage,
-) -> ProtocolError {
-    let mut transport = FaultTransport::new();
-    script(&mut transport, connect);
-    let mut h = handler;
-    serve_loop(&mut transport, &mut h).expect_err("script must fail the connection")
-}
-
-#[test]
-fn injected_faults_surface_typed_errors_and_reclaim_sessions() {
-    let (text, _vocab, config, base) = setup();
-    let handler = make_server(&config, &base);
-
-    let victim = make_client(7, &text, &config, &base);
-    let connect = connect_msg(&victim);
-    let activations = ClientMessage::Activations {
-        client: ClientId(7),
-        frame: menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64])),
-    };
-
-    // Truncated frame after a successful connect.
-    let err = run_script(
-        handler.clone(),
-        |t, connect| {
-            t.push_message(connect);
-            t.push_truncated(&activations, 9);
-        },
-        &connect,
-    );
-    assert!(
-        matches!(err, ProtocolError::Wire(WireError::Truncated)),
-        "{err}"
-    );
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Hostile oversize length declaration.
-    let err = run_script(
-        handler.clone(),
-        |t, connect| {
-            t.push_message(connect);
-            t.push_oversize_header(u32::MAX);
-        },
-        &connect,
-    );
-    assert!(
-        matches!(err, ProtocolError::Wire(WireError::TooLarge { .. })),
-        "{err}"
-    );
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Out-of-order message: gradients before any forward.
-    let err = run_script(
-        handler.clone(),
-        |t, connect| {
-            t.push_message(connect);
-            t.push_message(&ClientMessage::Gradients {
-                client: ClientId(7),
-                frame: menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64])),
-            });
-        },
-        &connect,
-    );
-    assert!(matches!(err, ProtocolError::OutOfOrder(_)), "{err}");
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Mid-step disconnect: the script runs dry after one good step's
-    // first message, modelling an abrupt hang-up.
-    let err = run_script(
-        handler.clone(),
-        |t, connect| {
-            t.push_message(connect);
-            t.push_message(&activations);
-        },
-        &connect,
-    );
-    assert!(matches!(err, ProtocolError::Disconnected), "{err}");
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Deadline enforcement: a frame that arrives too late.
-    let err = {
-        let mut transport = FaultTransport::new();
-        transport
-            .set_deadline(Some(Duration::from_millis(100)))
-            .unwrap();
-        transport.push_message(&connect);
-        transport.push_delayed(&activations, Duration::from_secs(120));
-        let mut h = handler.clone();
-        serve_loop(&mut transport, &mut h).expect_err("late frame must fail")
-    };
-    assert!(matches!(err, ProtocolError::Timeout), "{err}");
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-
-    // Through all that abuse, an unrelated client still trains on the
-    // same server instance.
-    let mut healthy = make_client(1, &text, &config, &base);
-    let curve = train_over_channel(&mut healthy, handler.clone(), 3);
-    assert_eq!(curve.points().len(), 3);
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-}
-
-// ----------------------------------------------------------------------
-// Event-driven server: batched steps must be bit-identical to the
-// blocking thread-per-client pump, on every transport.
-// ----------------------------------------------------------------------
 
 type CurveBits = Vec<(usize, u32)>;
 
@@ -268,44 +102,224 @@ fn bits(curve: &LossCurve) -> CurveBits {
         .collect()
 }
 
-/// Trains `n` clients concurrently against one shared server via the
-/// blocking pump (one `serve_loop` thread per client) — the reference
-/// the event loop must reproduce bit-for-bit.
-fn blocking_fleet(
-    n: u64,
+/// The in-process oracle every pumped run must reproduce bit-for-bit:
+/// client `k` stepped against the session `MenosServer` builds for it
+/// at `Connect` (same seed derivation), every tensor through the wire
+/// codec, no transport and no pump — the reference the benchmark's
+/// correctness gate uses.
+fn reference_curve(
+    k: u64,
     steps: usize,
     text: &str,
     config: &ModelConfig,
     base: &Arc<Mutex<menos::tensor::ParamStore>>,
-) -> Vec<CurveBits> {
-    let none = RetryPolicy::none();
-    let handler = make_server(config, base);
-    let mut drivers = Vec::new();
-    let mut servers = Vec::new();
-    for k in 0..n {
-        let (client_t, mut server_t) = channel_pair();
-        let mut h = handler.clone();
-        servers.push(std::thread::spawn(move || {
-            serve_loop(&mut server_t, &mut h)
-        }));
-        let mut client = make_client(k, text, config, base);
-        drivers.push(std::thread::spawn(move || {
-            bits(
-                &drive_client(&mut client, already_connected(client_t), steps, &none)
-                    .expect("blocking fleet"),
-            )
-        }));
-    }
-    let curves = drivers
-        .into_iter()
-        .map(|d| d.join().expect("driver thread"))
-        .collect();
-    for s in servers {
-        s.join().expect("server thread").expect("clean serve");
-    }
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
-    curves
+) -> CurveBits {
+    let mut client = make_client(k, text, config, base);
+    let view = base.lock().unwrap().shared_view(false);
+    let mut session = ServerSession::new(
+        ClientId(k),
+        CausalLm::bind(config, &view),
+        SplitSpec::paper(),
+        client.ft_config(),
+        SEED.wrapping_add(k),
+    );
+    bits(&run_split_steps(
+        &mut client,
+        &mut session,
+        ForwardMode::NoGradReforward,
+        steps,
+    ))
 }
+
+/// A hand-driven peer on a real socket: well-formed messages, raw
+/// bytes, and abrupt hang-ups, in whatever order a test scripts them.
+struct RawPeer(TcpStream);
+
+impl RawPeer {
+    fn dial(addr: SocketAddr) -> RawPeer {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read deadline");
+        RawPeer(stream)
+    }
+
+    fn send(&mut self, msg: &ClientMessage) {
+        self.send_raw(&msg.to_wire());
+    }
+
+    fn send_raw(&mut self, bytes: &[u8]) {
+        self.0.write_all(bytes).expect("write");
+    }
+
+    fn recv(&mut self) -> ServerMessage {
+        let frame = read_frame_bytes(&mut self.0, DEFAULT_MAX_FRAME).expect("a reply frame");
+        ServerMessage::from_wire(&frame, DEFAULT_MAX_FRAME).expect("a well-formed reply")
+    }
+
+    /// Handshakes as `client`'s owner.
+    fn connected(addr: SocketAddr, client: &SplitClient) -> RawPeer {
+        let mut peer = RawPeer::dial(addr);
+        peer.send(&connect_msg(client));
+        assert!(matches!(peer.recv(), ServerMessage::Ready { .. }));
+        peer
+    }
+
+    /// Blocks until the server has dropped this connection (EOF, or a
+    /// reset when it closed with our bytes unread).
+    fn expect_closed(mut self) {
+        let mut buf = [0u8; 1];
+        assert!(
+            matches!(self.0.read(&mut buf), Ok(0) | Err(_)),
+            "the server must close the connection"
+        );
+    }
+}
+
+/// Polls `cond` (the handler is shared with a running loop) until it
+/// holds; a pump that never gets there fails the test, not hangs it.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn zeros_frame() -> bytes::Bytes {
+    menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64]))
+}
+
+/// What the pump owes a faulty peer, on the server that ships: the
+/// connection is dropped and counted, its session is quarantined (never
+/// left live), and nobody else notices. The typed identity of each
+/// fault is asserted where it is produced — `Truncated` by the codec
+/// proptests, `TooLarge` by `FrameAccumulator`'s tests, `OutOfOrder` by
+/// `MenosServer::handle`'s — the pump only has to contain them.
+#[test]
+fn faulty_peers_cost_their_own_connection_and_nothing_else() {
+    let (text, _vocab, config, base) = setup();
+    let handler = make_server(&config, &base);
+    // Four faulty connections, one concurrent bystander, one after.
+    let server = TcpEventServer::spawn(
+        "127.0.0.1:0",
+        handler.clone(),
+        accepting(6),
+        TcpOptions::default(),
+    )
+    .expect("bind");
+    let addr = server.addr();
+    let victim = make_client(7, &text, &config, &base);
+    // Live means holding an Alg. 2 reservation; a parked session holds none.
+    let victim_live = || handler.lock().unwrap().demands_of(ClientId(7)).is_some();
+    let activations = ClientMessage::Activations {
+        client: ClientId(7),
+        frame: zeros_frame(),
+    };
+
+    // A healthy client trains throughout the abuse.
+    let concurrent = {
+        let mut healthy = make_client(2, &text, &config, &base);
+        std::thread::spawn(move || {
+            run_tcp_client(&addr.to_string(), &mut healthy, 3, &RetryPolicy::none())
+                .expect("concurrent bystander")
+        })
+    };
+
+    // Truncated frame after a successful connect: nine bytes of a
+    // tensor message, then the peer vanishes.
+    let mut peer = RawPeer::connected(addr, &victim);
+    peer.send_raw(&activations.to_wire()[..9]);
+    drop(peer);
+    wait_until("the truncated peer's session to be parked", || {
+        handler.lock().unwrap().quarantined_clients() == 1
+    });
+
+    // Hostile oversize length declaration: refused from the header.
+    let mut peer = RawPeer::connected(addr, &victim);
+    peer.send_raw(&encode_frame_header(2, 0, u32::MAX));
+    peer.expect_closed();
+    assert!(!victim_live(), "parked before the connection closed");
+
+    // Out-of-order message: gradients before any forward.
+    let mut peer = RawPeer::connected(addr, &victim);
+    peer.send(&ClientMessage::Gradients {
+        client: ClientId(7),
+        frame: zeros_frame(),
+    });
+    peer.expect_closed();
+    assert!(!victim_live(), "parked before the connection closed");
+
+    // Mid-step hang-up: one good forward, then the peer is gone.
+    let mut peer = RawPeer::connected(addr, &victim);
+    peer.send(&activations);
+    assert!(matches!(
+        peer.recv(),
+        ServerMessage::ServerActivations { .. }
+    ));
+    drop(peer);
+    wait_until("the vanished peer's session to be parked", || {
+        !victim_live()
+    });
+
+    // Through all that abuse the concurrent client trained, bit-exact,
+    // and an unrelated one still trains on the same server instance.
+    let curve = concurrent.join().expect("bystander thread");
+    assert_eq!(bits(&curve), reference_curve(2, 3, &text, &config, &base));
+    let mut healthy = make_client(1, &text, &config, &base);
+    let curve = run_tcp_client(&addr.to_string(), &mut healthy, 3, &RetryPolicy::none())
+        .expect("bystander after the abuse");
+    assert_eq!(bits(&curve), reference_curve(1, 3, &text, &config, &base));
+
+    let (_handler, stats) = server.join().expect("loop finished");
+    assert_eq!(stats.accepted, 6);
+    assert_eq!(stats.conn_errors, 4, "one per faulty peer: {stats:?}");
+    assert_eq!(stats.served, 2, "both bystanders disconnected cleanly");
+    // Every faulted incarnation of client 7 was parked, never left
+    // live; each reconnect replaced the parked one.
+    let srv = handler.lock().unwrap();
+    assert_eq!((srv.active_clients(), srv.quarantined_clients()), (0, 1));
+}
+
+/// Silence past `io_timeout`: the pump evicts with a `Timeout` notice,
+/// parks the session, and counts the eviction.
+#[test]
+fn a_silent_peer_is_evicted_with_a_notice_and_its_session_parked() {
+    let (text, _vocab, config, base) = setup();
+    let handler = make_server(&config, &base);
+    let options = EventLoopOptions {
+        accept_limit: 1,
+        io_timeout: Some(Duration::from_millis(100)),
+        ..EventLoopOptions::default()
+    };
+    let server = TcpEventServer::spawn(
+        "127.0.0.1:0",
+        handler.clone(),
+        options,
+        TcpOptions::default(),
+    )
+    .expect("bind");
+    let victim = make_client(7, &text, &config, &base);
+    let mut peer = RawPeer::connected(server.addr(), &victim);
+    // ...and then nothing. The next frame is the server's goodbye.
+    assert!(matches!(
+        peer.recv(),
+        ServerMessage::Evicted {
+            client: ClientId(7),
+            code: EvictionCode::Timeout,
+        }
+    ));
+    peer.expect_closed();
+    let (_handler, stats) = server.join().expect("loop finished");
+    assert_eq!((stats.evicted, stats.conn_errors, stats.served), (1, 1, 0));
+    let srv = handler.lock().unwrap();
+    assert_eq!((srv.active_clients(), srv.quarantined_clients()), (0, 1));
+}
+
+// ----------------------------------------------------------------------
+// Many clients on one pump: ready-sets must be bit-identical to the
+// per-client in-process oracle, on every transport.
+// ----------------------------------------------------------------------
 
 /// Trains `n` clients against one `ServerEventLoop` thread over
 /// in-memory channels, returning per-client curves and loop counters.
@@ -319,14 +333,7 @@ fn event_loop_fleet(
     let none = RetryPolicy::none();
     let handler = make_server(config, base);
     let (dialer, listener) = event_channel_listener();
-    let event_loop = ServerEventLoop::new(
-        listener,
-        handler.clone(),
-        EventLoopOptions {
-            accept_limit: n as usize,
-            ..EventLoopOptions::default()
-        },
-    );
+    let event_loop = ServerEventLoop::new(listener, handler.clone(), accepting(n as usize));
     let loop_thread = std::thread::spawn(move || event_loop.run());
     let mut drivers = Vec::new();
     for k in 0..n {
@@ -349,13 +356,15 @@ fn event_loop_fleet(
 }
 
 #[test]
-fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
+fn event_loop_curves_are_bit_identical_to_the_oracle_on_all_transports() {
     let none = RetryPolicy::none();
     let (text, _vocab, config, base) = setup();
     const N: u64 = 4;
     const STEPS: usize = 3;
 
-    let reference = blocking_fleet(N, STEPS, &text, &config, &base);
+    let reference: Vec<CurveBits> = (0..N)
+        .map(|k| reference_curve(k, STEPS, &text, &config, &base))
+        .collect();
     for curve in &reference {
         assert_eq!(curve.len(), STEPS);
     }
@@ -372,14 +381,7 @@ fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
     // transfer time on heterogeneous per-client links).
     let handler = make_server(&config, &base);
     let (dialer, listener) = event_sim_listener();
-    let event_loop = ServerEventLoop::new(
-        listener,
-        handler.clone(),
-        EventLoopOptions {
-            accept_limit: N as usize,
-            ..EventLoopOptions::default()
-        },
-    );
+    let event_loop = ServerEventLoop::new(listener, handler.clone(), accepting(N as usize));
     let loop_thread = std::thread::spawn(move || event_loop.run());
     let mut drivers = Vec::new();
     for k in 0..N {
@@ -408,11 +410,8 @@ fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
     let server = TcpEventServer::spawn(
         "127.0.0.1:0",
         handler.clone(),
-        EventLoopOptions {
-            accept_limit: N as usize,
-            ..EventLoopOptions::default()
-        },
-        menos::split::TcpOptions::default(),
+        accepting(N as usize),
+        TcpOptions::default(),
     )
     .expect("bind");
     let addr = server.addr();
@@ -421,7 +420,7 @@ fn event_loop_curves_are_bit_identical_to_blocking_on_all_transports() {
         let mut client = make_client(k, &text, &config, &base);
         drivers.push(std::thread::spawn(move || {
             bits(
-                &menos::split::run_tcp_client(&addr.to_string(), &mut client, STEPS, &none)
+                &run_tcp_client(&addr.to_string(), &mut client, STEPS, &none)
                     .expect("tcp event loop"),
             )
         }));
@@ -748,41 +747,126 @@ fn per_client_reservation(total: u64, n: u64) -> u64 {
     total / n
 }
 
-#[test]
-fn faulty_client_does_not_stop_a_concurrent_one() {
-    let none = RetryPolicy::none();
+// ----------------------------------------------------------------------
+// The binding rule (PROTOCOL.md §4): a connection speaks only for the
+// client it bound.
+// ----------------------------------------------------------------------
+
+/// The victim's side of a binding run: its loss curve and its
+/// server-side adapters just before it disconnects, as raw bits.
+type VictimOutcome = (CurveBits, Vec<(String, Vec<u32>)>);
+
+/// Steps client 0 by hand through three training steps on a channel
+/// event loop. With `intruders`, six other connections — three that
+/// never handshook, three bound to ids of their own — each send one
+/// `Disconnect`, `Activations` or `Gradients` naming client 0 while it
+/// is mid-step (forward served, gradients not yet sent). Every intruder
+/// must be dropped and the victim's reservation must not move.
+fn victim_run(intruders: bool) -> (VictimOutcome, EventLoopStats) {
+    const VICTIM: ClientId = ClientId(0);
     let (text, _vocab, config, base) = setup();
     let handler = make_server(&config, &base);
+    let (dialer, listener) = event_channel_listener();
+    let accepts = if intruders { 7 } else { 1 };
+    let event_loop = ServerEventLoop::new(listener, handler.clone(), accepting(accepts));
+    let loop_thread = std::thread::spawn(move || event_loop.run());
 
-    // Healthy client trains over channels on one thread...
-    let (mut client_t, mut server_t) = channel_pair();
-    let healthy_handler = handler.clone();
-    let healthy_server = std::thread::spawn(move || {
-        let mut h = healthy_handler;
-        serve_loop(&mut server_t, &mut h)
-    });
-    let mut healthy = make_client(2, &text, &config, &base);
+    let mut victim = make_client(0, &text, &config, &base);
+    let mut wire = dialer.dial().expect("dial");
+    let mut exchange = |msg: &ClientMessage| {
+        wire.send(msg).expect("send");
+        wire.recv().expect("the victim is never disturbed")
+    };
+    assert!(matches!(
+        exchange(&connect_msg(&victim)),
+        ServerMessage::Ready { .. }
+    ));
+    let forward = next_message(&mut victim, None);
+    let mut last = exchange(&forward);
 
-    // ...while a faulty one connects and breaks mid-step on this one.
-    let faulty = make_client(3, &text, &config, &base);
-    let mut fault_t = FaultTransport::new();
-    fault_t.push_message(&connect_msg(&faulty));
-    fault_t.push_truncated(
-        &ClientMessage::Activations {
-            client: ClientId(3),
-            frame: menos::net::encode_tensor(&menos::tensor::Tensor::zeros([2, 16, 64])),
-        },
-        20,
+    if intruders {
+        let reserved = handler.lock().unwrap().reserved_bytes();
+        let forged = [
+            ClientMessage::Disconnect { client: VICTIM },
+            ClientMessage::Activations {
+                client: VICTIM,
+                frame: zeros_frame(),
+            },
+            ClientMessage::Gradients {
+                client: VICTIM,
+                frame: zeros_frame(),
+            },
+        ];
+        for (i, forged) in forged.iter().enumerate() {
+            // Once from a peer that never handshook...
+            let mut unbound = dialer.dial().expect("dial");
+            unbound.send(forged).expect("send");
+            assert!(unbound.recv().is_err(), "unbound intruder {i} is dropped");
+            assert_eq!(handler.lock().unwrap().active_clients(), 1);
+            assert_eq!(handler.lock().unwrap().reserved_bytes(), reserved);
+            // ...and once from a peer bound to a session of its own.
+            let own = make_client(10 + i as u64, &text, &config, &base);
+            let mut bound = dialer.dial().expect("dial");
+            bound.send(&connect_msg(&own)).expect("send");
+            assert!(matches!(bound.recv(), Ok(ServerMessage::Ready { .. })));
+            let with_intruder = handler.lock().unwrap().reserved_bytes();
+            bound.send(forged).expect("send");
+            assert!(bound.recv().is_err(), "bound intruder {i} is dropped");
+
+            let srv = handler.lock().unwrap();
+            assert_eq!(srv.active_clients(), 1, "only the victim stays live");
+            assert!(
+                with_intruder > reserved,
+                "the intruder reserved its own share"
+            );
+            assert_eq!(
+                srv.reserved_bytes(),
+                reserved,
+                "the intruder's share is released, the victim's unmoved"
+            );
+        }
+    }
+
+    // The victim finishes its step and two more, undisturbed.
+    for _ in 0..5 {
+        let msg = next_message(&mut victim, Some(&last));
+        last = exchange(&msg);
+    }
+    victim.receive_server_gradients(&menos::net::decode_tensor(frame_of(&last)).unwrap());
+    let adapters = {
+        let srv = handler.lock().unwrap();
+        let store = srv.session_adapters(VICTIM).expect("victim is live");
+        let mut named: Vec<(String, Vec<u32>)> = store
+            .iter()
+            .map(|(name, t)| {
+                let raw = t.to_vec().iter().map(|x| x.to_bits()).collect();
+                (name.to_string(), raw)
+            })
+            .collect();
+        named.sort();
+        named
+    };
+    wire.send(&ClientMessage::Disconnect { client: VICTIM })
+        .expect("disconnect");
+    let (_h, stats) = loop_thread.join().expect("loop thread");
+    ((bits(victim.curve()), adapters), stats)
+}
+
+#[test]
+fn a_connection_can_only_act_on_the_session_it_bound() {
+    let (undisturbed, quiet) = victim_run(false);
+    assert_eq!((quiet.served, quiet.conn_errors), (1, 0));
+    assert_eq!(undisturbed.0.len(), 3);
+
+    let (disturbed, stats) = victim_run(true);
+    assert_eq!(
+        disturbed, undisturbed,
+        "curve and adapters bit-identical to the undisturbed run"
     );
-    let mut fault_handler = handler.clone();
-    let fault_err = serve_loop(&mut fault_t, &mut fault_handler).expect_err("fault");
-    assert!(matches!(fault_err, ProtocolError::Wire(_)), "{fault_err}");
-
-    let curve = drive_client(&mut healthy, already_connected(&mut client_t), 3, &none)
-        .expect("healthy client");
-    healthy_server.join().expect("thread").expect("clean serve");
-    assert_eq!(curve.points().len(), 3);
-    // The faulty session is reclaimed; the healthy one disconnected
-    // cleanly — nothing leaks.
-    assert_eq!(handler.lock().unwrap().active_clients(), 0);
+    assert_eq!(stats.accepted, 7);
+    assert_eq!(
+        stats.served, 1,
+        "only the victim's own Disconnect is served"
+    );
+    assert_eq!(stats.conn_errors, 6, "every intruder is failed: {stats:?}");
 }
