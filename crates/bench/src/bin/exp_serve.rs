@@ -8,9 +8,8 @@
 //! its **own subprocess** (self-exec with `--worker`), so the reported
 //! `VmHWM` is that configuration's honest peak — not the high-water
 //! mark a process-monotonic counter inherited from earlier, larger
-//! configs. Each worker also reports the tensor buffer pool's hit rate
-//! and the bytes the codec copied per step, the allocation-side
-//! metrics of the zero-copy hot path.
+//! configs. Each worker also reports the bytes the codec copied per
+//! step, the copy-side metric of the zero-copy hot path.
 //!
 //! Prints one JSON line per configuration and rewrites
 //! `BENCH_serve.json` when run from the repository (the EXPERIMENTS.md
@@ -344,7 +343,7 @@ fn json_num(line: &str, key: &str) -> Option<f64> {
 
 /// Runs one `(mode, n)` configuration in this process and prints its
 /// JSON line. Called in a fresh subprocess per configuration, so
-/// `VmHWM` and the pool counters describe this configuration alone.
+/// `VmHWM` and the copy counter describe this configuration alone.
 fn run_worker(mode: &str, n: u64) {
     let (text, config, base) = setup();
     let total_steps = (n as usize * STEPS) as f64;
@@ -366,12 +365,11 @@ fn run_worker(mode: &str, n: u64) {
                 "{{\"group\":\"serve\",\"bench\":\"event_loop/n{n}\",\"clients\":{n},\
                  \"steps\":{STEPS},\"repeats\":{REPEATS},\"steps_per_sec\":{rate:.2},\
                  \"batches\":{},\"batched_messages\":{},\"max_batch\":{},\"vm_hwm_kb\":{},\
-                 \"pool_hit_rate\":{:.3},\"bytes_copied_per_step\":{}}}",
+                 \"bytes_copied_per_step\":{}}}",
                 stats.batches,
                 stats.batched_messages,
                 stats.max_batch,
                 vm_hwm_kb(),
-                p.hit_rate(),
                 copied_per_step,
             )
         }
@@ -888,18 +886,17 @@ fn main() {
     println!("   (median of {REPEATS} repeats, {STEPS} steps/client, SimTransport,");
     println!("    one subprocess per configuration for honest VmHWM)\n");
     println!(
-        "{:>8} {:>10} {:>10} {:>12} {:>9} {:>12}",
-        "clients", "steps/s", "max batch", "VmHWM MB", "hit rate", "kB copy/step"
+        "{:>8} {:>10} {:>10} {:>12} {:>12}",
+        "clients", "steps/s", "max batch", "VmHWM MB", "kB copy/step"
     );
     for n in FLEET_SIZES {
         let event = spawn_worker("event_loop", n);
         let rate = json_num(&event, "steps_per_sec").expect("rate");
         let hwm = json_num(&event, "vm_hwm_kb").expect("hwm");
         let max_batch = json_num(&event, "max_batch").expect("max_batch");
-        let hit_rate = json_num(&event, "pool_hit_rate").expect("hit rate");
         let copied = json_num(&event, "bytes_copied_per_step").expect("copied");
         println!(
-            "{n:>8} {rate:>10.2} {max_batch:>10} {:>12.1} {hit_rate:>9.3} {:>12.1}",
+            "{n:>8} {rate:>10.2} {max_batch:>10} {:>12.1} {:>12.1}",
             hwm / 1024.0,
             copied / 1024.0,
         );

@@ -43,11 +43,22 @@ struct ClientState {
 /// connection so a reconnecting client can resume exactly where it
 /// left off, until the quarantine TTL expires it.
 struct Quarantined {
-    session: ServerSession,
-    demands: MemoryDemands,
-    epoch: u64,
-    last_reply: Option<ServerMessage>,
+    state: ClientState,
     since: Instant,
+}
+
+/// The reconnect hint carried in [`ProtocolError::Busy`] sheds.
+const BUSY_RETRY_AFTER_MS: u64 = 100;
+
+/// The snapshot/migration record of one session, live or parked.
+fn record_of(state: &ClientState, live: bool) -> SessionRecord {
+    SessionRecord {
+        client: state.session.client(),
+        epoch: state.epoch,
+        live,
+        session: state.session.to_state(),
+        last_reply: state.last_reply.as_ref().map(crate::state::encode_reply),
+    }
 }
 
 /// A real-engine Menos server: shared base model, per-client sessions,
@@ -86,16 +97,6 @@ pub struct MenosServer {
     quarantined: HashMap<ClientId, Quarantined>,
     seed: u64,
     supported_codecs: u64,
-    /// Live-session admission cap (v1.3, PROTOCOL.md §8): a `Connect`
-    /// or `Resume` past it is shed with [`ProtocolError::Busy`]
-    /// instead of admitted. `usize::MAX` never sheds.
-    capacity: usize,
-    /// GPU-pool utilization percentage at or past which the server
-    /// reports pressure. 100 = only when the pool is completely
-    /// reserved.
-    pressure_watermark: u8,
-    /// The reconnect hint carried in [`ProtocolError::Busy`] sheds.
-    busy_retry_after_ms: u64,
 }
 
 impl MenosServer {
@@ -126,33 +127,7 @@ impl MenosServer {
             quarantined: HashMap::new(),
             seed,
             supported_codecs: menos_net::supported_codec_mask(),
-            capacity: usize::MAX,
-            pressure_watermark: 100,
-            busy_retry_after_ms: 100,
         }
-    }
-
-    /// Caps the number of *live* sessions this server will hold at
-    /// once. A `Connect` or `Resume` arriving at the cap is shed with
-    /// [`ProtocolError::Busy`] — retryable, no state touched — rather
-    /// than admitted (PROTOCOL.md §8.1). Quarantined sessions do not
-    /// count against the cap.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-    }
-
-    /// Sets the GPU-pool utilization percentage at which
-    /// [`MenosServer::under_pressure`] turns true and the event loop
-    /// defers accepts. Values above 100 are clamped to 100; the
-    /// default 100 reports pressure only at full reservation.
-    pub fn set_pressure_watermark(&mut self, pct: u8) {
-        self.pressure_watermark = pct.min(100);
-    }
-
-    /// Sets the reconnect hint (milliseconds) carried by admission
-    /// sheds.
-    pub fn set_busy_retry_after_ms(&mut self, ms: u64) {
-        self.busy_retry_after_ms = ms;
     }
 
     /// Current GPU-pool utilization as a percentage of the
@@ -162,11 +137,11 @@ impl MenosServer {
         self.reserved_bytes().saturating_mul(100) / pool
     }
 
-    /// True once utilization has crossed the pressure watermark — the
-    /// signal behind the event loop's prefer-draining-over-accepting
+    /// True once the live reservations fill the pool — the signal
+    /// behind the event loop's prefer-draining-over-accepting
     /// degradation.
     pub fn under_pressure(&self) -> bool {
-        self.utilization_pct() >= u64::from(self.pressure_watermark)
+        self.utilization_pct() >= 100
     }
 
     /// Overrides the tensor-codec mask this server is willing to
@@ -222,7 +197,7 @@ impl MenosServer {
             .or_else(|| {
                 self.quarantined
                     .get(&client)
-                    .map(|q| q.session.adapter_params())
+                    .map(|q| q.state.session.adapter_params())
             })
     }
 
@@ -240,10 +215,7 @@ impl MenosServer {
             self.quarantined.insert(
                 client,
                 Quarantined {
-                    session: state.session,
-                    demands: state.demands,
-                    epoch: state.epoch,
-                    last_reply: state.last_reply,
+                    state,
                     since: Instant::now(),
                 },
             );
@@ -364,27 +336,18 @@ impl MenosServer {
             // again rather than hijacking a live session.
             return Err(ProtocolError::SessionActive(client));
         }
-        // v1.3: a resume re-enters the live set, so it is subject to
-        // the same session cap as a fresh connect. Shedding leaves the
-        // quarantined state untouched — the client retries and resumes
-        // once the server drains.
-        if self.clients.len() >= self.capacity {
-            return Err(ProtocolError::Busy {
-                client,
-                retry_after_ms: self.busy_retry_after_ms,
-            });
-        }
-        let q = self
+        let q = &self
             .quarantined
             .get(&client)
-            .ok_or(ProtocolError::UnknownClient(client))?;
+            .ok_or(ProtocolError::UnknownClient(client))?
+            .state;
         // Re-attaching returns the session's Algorithm-2 reservation to
         // the pool; if the pool cannot take it back right now, shed
         // (retryable, quarantine intact) rather than oversubscribe.
         if self.reserved_bytes().saturating_add(q.demands.m_b) > self.spec.total_gpu_bytes() {
             return Err(ProtocolError::Busy {
                 client,
-                retry_after_ms: self.busy_retry_after_ms,
+                retry_after_ms: BUSY_RETRY_AFTER_MS,
             });
         }
         if q.epoch != epoch {
@@ -394,10 +357,15 @@ impl MenosServer {
                 got: epoch,
             });
         }
+        // `epoch` and `last_step` are peer-supplied: neither may be
+        // incremented unchecked.
+        let new_epoch = epoch.checked_add(1).ok_or_else(|| {
+            ProtocolError::Rejected(format!("{client} resumed at the last representable epoch"))
+        })?;
         let server_step = q.session.steps_completed();
         let replay = if server_step == last_step {
             Bytes::new()
-        } else if server_step == last_step + 1 {
+        } else if last_step.checked_add(1) == Some(server_step) {
             match &q.last_reply {
                 Some(reply) => reply.to_wire(),
                 None => {
@@ -413,14 +381,11 @@ impl MenosServer {
             )));
         };
         let q = self.quarantined.remove(&client).expect("checked above");
-        let new_epoch = epoch + 1;
         self.clients.insert(
             client,
             ClientState {
-                session: q.session,
-                demands: q.demands,
                 epoch: new_epoch,
-                last_reply: q.last_reply,
+                ..q.state
             },
         );
         Ok(ServerMessage::Resumed {
@@ -483,15 +448,6 @@ impl MenosServer {
                 "{client} is already connected"
             )));
         }
-        // v1.3 session-capacity shed: checked before any validation or
-        // profiling work — an over-capacity server should turn peers
-        // away as cheaply as possible.
-        if self.clients.len() >= self.capacity {
-            return Err(ProtocolError::Busy {
-                client,
-                retry_after_ms: self.busy_retry_after_ms,
-            });
-        }
         let config = self.registry.config().clone();
         ft.validate(&config).map_err(ProtocolError::Rejected)?;
         split.validate(&config).map_err(ProtocolError::Rejected)?;
@@ -515,7 +471,7 @@ impl MenosServer {
         if self.reserved_bytes().saturating_add(demands.m_b) > pool {
             return Err(ProtocolError::Busy {
                 client,
-                retry_after_ms: self.busy_retry_after_ms,
+                retry_after_ms: BUSY_RETRY_AFTER_MS,
             });
         }
         let codec = negotiate(codecs, self.supported_codecs);
@@ -557,21 +513,13 @@ impl MenosServer {
     pub fn to_state(&self) -> ServerState {
         let mut sessions: Vec<SessionRecord> = self
             .clients
-            .iter()
-            .map(|(client, s)| SessionRecord {
-                client: *client,
-                epoch: s.epoch,
-                live: true,
-                session: s.session.to_state(),
-                last_reply: s.last_reply.as_ref().map(crate::state::encode_reply),
-            })
-            .chain(self.quarantined.iter().map(|(client, q)| SessionRecord {
-                client: *client,
-                epoch: q.epoch,
-                live: false,
-                session: q.session.to_state(),
-                last_reply: q.last_reply.as_ref().map(crate::state::encode_reply),
-            }))
+            .values()
+            .map(|s| record_of(s, true))
+            .chain(
+                self.quarantined
+                    .values()
+                    .map(|q| record_of(&q.state, false)),
+            )
             .collect();
         sessions.sort_by_key(|r| r.client.0);
         ServerState {
@@ -612,45 +560,50 @@ impl MenosServer {
                 state.seed, self.seed
             )));
         }
-        let config = self.registry.config().clone();
         // Validate-then-commit: rebuild everything off to the side
         // first so an error cannot leave a half-restored server.
         let mut rebuilt = Vec::with_capacity(state.sessions.len());
         for rec in &state.sessions {
-            let session = ServerSession::from_state(self.registry.new_instance(), &rec.session)?;
-            if session.client() != rec.client {
-                return Err(CheckpointError::Corrupt(format!(
-                    "record for {} holds a session for {}",
-                    rec.client,
-                    session.client()
-                )));
-            }
-            debug_assert!(self.registry.verify_aliasing(session.model()));
-            let profile =
-                menos_models::ModelProfile::new(config.clone(), session.split().front_layers);
-            let demands = profile_client(&profile, session.ft_config());
-            let last_reply = rec
-                .last_reply
-                .as_deref()
-                .map(crate::state::decode_reply)
-                .transpose()?;
-            rebuilt.push((rec.client, session, demands, rec.epoch, last_reply));
+            rebuilt.push((rec.client, self.rebuild(rec)?));
         }
         let restored = rebuilt.len();
         self.mode = state.mode;
-        for (client, session, demands, epoch, last_reply) in rebuilt {
-            self.quarantined.insert(
-                client,
-                Quarantined {
-                    session,
-                    demands,
-                    epoch,
-                    last_reply,
-                    since: Instant::now(),
-                },
-            );
-        }
+        self.quarantined.extend(rebuilt);
         Ok(restored)
+    }
+
+    /// Rebuilds one record against the registry's model as a parked
+    /// session: no Algorithm-2 reservation, demands re-profiled, the
+    /// quarantine clock starting now. Parks nothing itself.
+    fn rebuild(&mut self, rec: &SessionRecord) -> Result<Quarantined, CheckpointError> {
+        let session = ServerSession::from_state(self.registry.new_instance(), &rec.session)?;
+        if session.client() != rec.client {
+            return Err(CheckpointError::Corrupt(format!(
+                "record for {} holds a session for {}",
+                rec.client,
+                session.client()
+            )));
+        }
+        debug_assert!(self.registry.verify_aliasing(session.model()));
+        let profile = menos_models::ModelProfile::new(
+            self.registry.config().clone(),
+            session.split().front_layers,
+        );
+        let demands = profile_client(&profile, session.ft_config());
+        let last_reply = rec
+            .last_reply
+            .as_deref()
+            .map(crate::state::decode_reply)
+            .transpose()?;
+        Ok(Quarantined {
+            state: ClientState {
+                session,
+                demands,
+                epoch: rec.epoch,
+                last_reply,
+            },
+            since: Instant::now(),
+        })
     }
 
     /// Serializes one client's session — live or quarantined — into a
@@ -664,23 +617,9 @@ impl MenosServer {
     /// `ImportSession` frame (or [`MenosServer::import_session`]
     /// directly).
     pub fn export_session(&self, client: ClientId) -> Option<Vec<u8>> {
-        let rec = if let Some(s) = self.clients.get(&client) {
-            SessionRecord {
-                client,
-                epoch: s.epoch,
-                live: true,
-                session: s.session.to_state(),
-                last_reply: s.last_reply.as_ref().map(crate::state::encode_reply),
-            }
-        } else {
-            let q = self.quarantined.get(&client)?;
-            SessionRecord {
-                client,
-                epoch: q.epoch,
-                live: false,
-                session: q.session.to_state(),
-                last_reply: q.last_reply.as_ref().map(crate::state::encode_reply),
-            }
+        let rec = match self.clients.get(&client) {
+            Some(s) => record_of(s, true),
+            None => record_of(&self.quarantined.get(&client)?.state, false),
         };
         Some(crate::state::encode_session_record(self.seed, &rec))
     }
@@ -718,35 +657,8 @@ impl MenosServer {
                 rec.client
             )));
         }
-        // Validate-then-commit, as in restore: rebuild everything off
-        // to the side so an error cannot leave a half-imported session.
-        let session = ServerSession::from_state(self.registry.new_instance(), &rec.session)?;
-        if session.client() != rec.client {
-            return Err(CheckpointError::Corrupt(format!(
-                "record for {} holds a session for {}",
-                rec.client,
-                session.client()
-            )));
-        }
-        debug_assert!(self.registry.verify_aliasing(session.model()));
-        let config = self.registry.config().clone();
-        let profile = menos_models::ModelProfile::new(config, session.split().front_layers);
-        let demands = profile_client(&profile, session.ft_config());
-        let last_reply = rec
-            .last_reply
-            .as_deref()
-            .map(crate::state::decode_reply)
-            .transpose()?;
-        self.quarantined.insert(
-            rec.client,
-            Quarantined {
-                session,
-                demands,
-                epoch: rec.epoch,
-                last_reply,
-                since: Instant::now(),
-            },
-        );
+        let parked = self.rebuild(&rec)?;
+        self.quarantined.insert(rec.client, parked);
         Ok((rec.client, rec.epoch))
     }
 }
@@ -773,8 +685,8 @@ impl MessageHandler for MenosServer {
         Some(self.to_state().to_bytes())
     }
 
-    /// Pool utilization at or past the watermark tells the pump to
-    /// drain before accepting (v1.3 graceful degradation).
+    /// A fully reserved pool tells the pump to drain before accepting
+    /// (v1.3 graceful degradation).
     fn under_pressure(&mut self) -> bool {
         MenosServer::under_pressure(self)
     }
@@ -1184,42 +1096,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_shed_is_retryable_and_touches_no_state() {
-        let (mut srv, ft) = server();
-        srv.set_capacity(1);
-        srv.set_busy_retry_after_ms(250);
-        let connect = |c| ClientMessage::Connect {
-            client: ClientId(c),
-            ft: ft.clone(),
-            split: SplitSpec::paper(),
-            epoch: 1,
-            codecs: 0,
-        };
-        srv.handle(connect(0)).unwrap();
-        let err = srv.handle(connect(1)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ProtocolError::Busy {
-                    client: ClientId(1),
-                    retry_after_ms: 250,
-                }
-            ),
-            "{err}"
-        );
-        // Shedding is idempotent and created nothing.
-        assert_eq!(srv.active_clients(), 1);
-        assert_eq!(srv.quarantined_clients(), 0);
-        // Departure frees the slot; the same connect now succeeds —
-        // the defining difference from a terminal Rejected.
-        srv.handle(ClientMessage::Disconnect {
-            client: ClientId(0),
-        })
-        .unwrap();
-        assert!(srv.handle(connect(1)).is_ok());
-    }
-
-    #[test]
     fn resume_at_capacity_is_shed_with_quarantine_intact() {
         let (mut srv, ft) = server();
         for c in 0..2 {
@@ -1233,7 +1109,10 @@ mod tests {
             .unwrap();
         }
         srv.quarantine(ClientId(1));
-        srv.set_capacity(1);
+        // Shrink the pool so the parked session's reservation no
+        // longer fits beside the live one.
+        let m_b = srv.demands_of(ClientId(0)).unwrap().m_b;
+        srv.spec.gpu_capacity = m_b + m_b / 2;
         let resume = ClientMessage::Resume {
             client: ClientId(1),
             epoch: 1,
@@ -1244,11 +1123,71 @@ mod tests {
         // The parked session survived the shed — a later retry (after
         // the server drained) re-attaches it with zero loss.
         assert_eq!(srv.quarantined_clients(), 1);
-        srv.set_capacity(2);
+        srv.spec.gpu_capacity = 2 * m_b;
         assert!(matches!(
             srv.handle(resume).unwrap(),
             Some(ServerMessage::Resumed { .. })
         ));
+    }
+
+    /// `Resume`'s `last_step` and an imported session's epoch are
+    /// peer-supplied; values at the top of `u64` must come back as
+    /// typed errors, not an overflow panic that takes the server
+    /// thread (and every other session) with it.
+    #[test]
+    fn resume_with_unrepresentable_counters_is_a_typed_error_not_a_panic() {
+        let (mut srv, ft) = server();
+        for c in 0..2 {
+            srv.handle(ClientMessage::Connect {
+                client: ClientId(c),
+                ft: ft.clone(),
+                split: SplitSpec::paper(),
+                epoch: 1,
+                codecs: 0,
+            })
+            .unwrap();
+        }
+        // The bystander is mid-step when the hostile frame arrives.
+        srv.handle(ClientMessage::Activations {
+            client: ClientId(0),
+            frame: frame(&Tensor::full(0.1, [2, 8, 64])),
+        })
+        .unwrap();
+        srv.quarantine(ClientId(1));
+        let err = srv
+            .handle(ClientMessage::Resume {
+                client: ClientId(1),
+                epoch: 1,
+                last_step: u64::MAX,
+            })
+            .unwrap_err();
+        assert!(matches!(err, ProtocolError::OutOfOrder(_)), "{err}");
+        let reply = srv
+            .handle(ClientMessage::Gradients {
+                client: ClientId(0),
+                frame: frame(&Tensor::full(0.01, [2, 8, 64])),
+            })
+            .unwrap();
+        assert!(matches!(reply, Some(ServerMessage::ServerGradients { .. })));
+
+        // A session migrated in at the last epoch parks, but cannot be
+        // resumed into a larger one.
+        let blob = srv.export_session(ClientId(0)).unwrap();
+        let (seed, mut rec) = crate::state::decode_session_record(&blob).unwrap();
+        rec.epoch = u64::MAX;
+        let (mut other, _) = server();
+        other
+            .import_session(&crate::state::encode_session_record(seed, &rec))
+            .unwrap();
+        let err = other
+            .handle(ClientMessage::Resume {
+                client: ClientId(0),
+                epoch: u64::MAX,
+                last_step: 1,
+            })
+            .unwrap_err();
+        assert!(matches!(err, ProtocolError::Rejected(_)), "{err}");
+        assert_eq!(other.quarantined_clients(), 1);
     }
 
     #[test]
@@ -1302,13 +1241,14 @@ mod tests {
             codecs: 0,
         })
         .unwrap();
-        // Watermark 0: pressure is unconditionally reported — handy
-        // for pinning the accept-deferral path in tests.
-        srv.set_pressure_watermark(0);
+        // One small session on a V100-sized pool: no pressure.
+        assert!(!srv.under_pressure());
+        // Pressure is reported exactly when the pool is fully reserved.
+        let m_b = srv.demands_of(ClientId(0)).unwrap().m_b;
+        srv.spec.gpu_capacity = m_b;
+        assert_eq!(srv.utilization_pct(), 100);
         assert!(srv.under_pressure());
-        assert!(srv.utilization_pct() <= 100);
-        // Back to the default watermark: pressure clears.
-        srv.set_pressure_watermark(100);
+        srv.spec.gpu_capacity = m_b + m_b / 2;
         assert!(!srv.under_pressure());
     }
 

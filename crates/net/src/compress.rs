@@ -28,8 +28,7 @@ use bytes::{Buf, Bytes};
 use menos_tensor::{lowp, pool, Tensor};
 
 use crate::wire::{
-    decode_tensor, encode_tensor, register_recycler, wire_size, WireError, COMPRESSED_MAGIC, MAGIC,
-    MAX_ELEMS,
+    decode_tensor, encode_tensor, wire_size, WireError, COMPRESSED_MAGIC, MAGIC, MAX_ELEMS,
 };
 
 /// Top-k density: `TopK8` sends the `⌈n / 8⌉` largest-magnitude
@@ -215,7 +214,7 @@ fn decode_compressed(bytes: &Bytes) -> Result<(Tensor, Codec), WireError> {
                     buf.remaining() - 2 * n
                 )));
             }
-            let mut data = pool::take_f32(n);
+            let mut data = Vec::with_capacity(n);
             if codec == Codec::F16 {
                 lowp::decode_f16_le(&buf[..2 * n], &mut data);
             } else {
@@ -256,9 +255,8 @@ fn decode_compressed(bytes: &Bytes) -> Result<(Tensor, Codec), WireError> {
                 prev = Some(i);
                 idx.push(i);
             }
-            // Pooled buffers are handed out fully zeroed, so unsent
-            // coordinates decode to exactly 0.0.
-            let mut data = pool::take_zeroed_f32(n);
+            // Unsent coordinates decode to exactly 0.0.
+            let mut data = vec![0.0; n];
             for &i in &idx {
                 data[i as usize] = f32::from_bits(buf.get_u32_le());
             }
@@ -281,10 +279,9 @@ fn put_compressed_head(buf: &mut Vec<u8>, codec: Codec, dims: &[usize]) {
 }
 
 fn encode_quantized(t: &Tensor, codec: Codec) -> Bytes {
-    register_recycler();
     let dims = t.dims();
     let data = t.storage().read();
-    let mut buf = pool::take_bytes(9 + 8 * dims.len() + 2 * data.len());
+    let mut buf = Vec::with_capacity(9 + 8 * dims.len() + 2 * data.len());
     put_compressed_head(&mut buf, codec, dims);
     if codec == Codec::F16 {
         lowp::encode_f16_le(&data, &mut buf);
@@ -376,7 +373,6 @@ impl TensorCodec {
     }
 
     fn encode_topk(&mut self, role: u8, t: &Tensor) -> Bytes {
-        register_recycler();
         let dims = t.dims().to_vec();
         let data = t.storage().read();
         let n = data.len();
@@ -393,7 +389,7 @@ impl TensorCodec {
         drop(data);
         let k = n.div_ceil(TOPK_DIVISOR);
         let idx = lowp::top_k_by_magnitude(residual, k);
-        let mut buf = pool::take_bytes(9 + 8 * dims.len() + 8 + 8 * idx.len());
+        let mut buf = Vec::with_capacity(9 + 8 * dims.len() + 8 + 8 * idx.len());
         put_compressed_head(&mut buf, Codec::TopK8, &dims);
         buf.extend_from_slice(&(idx.len() as u64).to_le_bytes());
         for &i in &idx {

@@ -25,8 +25,6 @@ use std::io;
 
 use bytes::Bytes;
 
-use menos_tensor::pool;
-
 use crate::wire::{WireError, FRAME_HEADER_BYTES, FRAME_MAGIC, WIRE_VERSION};
 
 const HEADER: usize = FRAME_HEADER_BYTES as usize;
@@ -66,8 +64,8 @@ pub struct FrameAccumulator {
     /// How many header bytes have already passed validation.
     checked: usize,
     /// Size of the last completed frame — the staging-buffer capacity
-    /// hint for the next one, so steady-state same-size frames reuse a
-    /// pooled allocation instead of growing a fresh `Vec` each time.
+    /// hint for the next one, so steady-state same-size frames are
+    /// staged in one allocation instead of growing a `Vec` by doubling.
     hint: usize,
 }
 
@@ -171,15 +169,11 @@ impl FrameAccumulator {
         let mut out = Vec::new();
         while !chunk.is_empty() {
             if self.buf.capacity() == 0 {
-                // Starting a new frame: stage into a pooled buffer
-                // sized by the previous frame (steady-state traffic
-                // repeats the same tensor shapes). The staged cap
-                // still bounds what this accumulator may hold.
-                crate::wire::register_recycler();
-                let staged = pool::take_bytes(self.hint);
-                if staged.capacity() <= self.staged_cap {
-                    self.buf = staged;
-                }
+                // Starting a new frame: stage into a buffer sized by
+                // the previous frame (steady-state traffic repeats the
+                // same tensor shapes). The staged cap still bounds
+                // what this accumulator may hold.
+                self.buf = Vec::with_capacity(self.hint.min(self.staged_cap));
             }
             let want = match self.need {
                 Some(n) => n,
@@ -194,12 +188,11 @@ impl FrameAccumulator {
             if let Some(n) = self.need {
                 if self.buf.len() == n {
                     // Completed frames move into `Bytes` without a
-                    // copy; when the last view drops, the allocation
-                    // recycles into the pool for the next frame.
+                    // copy.
                     out.push(Bytes::from(std::mem::take(&mut self.buf)));
                     self.need = None;
                     self.checked = 0;
-                    self.hint = n.min(self.staged_cap);
+                    self.hint = n;
                 }
             }
         }
@@ -463,6 +456,13 @@ mod tests {
             assert!(acc.buf.capacity() <= STAGED_CAP, "{}", acc.buf.capacity());
         }
         assert_eq!(got, vec![frame]);
+
+        // A fresh accumulator whose size hint exceeds the cap stages
+        // at most the cap.
+        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME).with_staged_cap(STAGED_CAP);
+        acc.hint = 1 << 20;
+        assert!(acc.push(&big[..1]).unwrap().is_empty());
+        assert!(acc.buf.capacity() <= STAGED_CAP, "{}", acc.buf.capacity());
     }
 
     /// A writer that accepts at most `cap` bytes per call and signals

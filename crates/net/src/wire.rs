@@ -24,14 +24,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use menos_tensor::{pool, Tensor};
 
-/// Routes buffer allocations dropped by the `bytes` layer into the
-/// tensor buffer pool, so frame bodies are recycled across steps.
-/// Idempotent; called from every codec entry point that allocates.
-pub(crate) fn register_recycler() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| bytes::set_buffer_recycler(pool::recycle_bytes));
-}
-
 pub(crate) const MAGIC: u32 = 0x4d4e_5331; // "MNS1"
 pub(crate) const COMPRESSED_MAGIC: u32 = 0x4d4e_4331; // "MNC1" (§7 bodies)
 pub(crate) const FRAME_MAGIC: u32 = 0x4d4e_5031; // "MNP1"
@@ -284,8 +276,7 @@ pub fn read_frame_bytes(r: &mut impl io::Read, max_frame: usize) -> Result<Bytes
     let mut header = [0u8; FRAME_HEADER_BYTES as usize];
     r.read_exact(&mut header)?;
     let (_, _, len) = parse_header(&header, max_frame)?;
-    register_recycler();
-    let mut frame = pool::take_bytes(FRAME_HEADER_BYTES as usize + len);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + len);
     frame.extend_from_slice(&header);
     frame.resize(FRAME_HEADER_BYTES as usize + len, 0);
     r.read_exact(&mut frame[FRAME_HEADER_BYTES as usize..])?;
@@ -311,10 +302,9 @@ pub(crate) const MAX_ELEMS: u64 = 1 << 32;
 /// assert_eq!(back.to_vec(), t.to_vec());
 /// ```
 pub fn encode_tensor(t: &Tensor) -> Bytes {
-    register_recycler();
     let dims = t.dims();
     let data = t.storage().read();
-    let mut buf = pool::take_bytes(8 + 8 * dims.len() + 4 * data.len());
+    let mut buf = Vec::with_capacity(8 + 8 * dims.len() + 4 * data.len());
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&(dims.len() as u32).to_le_bytes());
     for &d in dims {
@@ -365,10 +355,8 @@ pub fn decode_tensor(bytes: &Bytes) -> Result<Tensor, WireError> {
     if buf.remaining() < 4 * n {
         return Err(WireError::Truncated);
     }
-    // Bulk LE → f32 conversion into a pooled buffer. The pooled take
-    // is empty (length 0), so no recycled contents are observable;
-    // every element below is freshly decoded from the frame.
-    let mut data = pool::take_f32(n);
+    // Bulk LE → f32 conversion.
+    let mut data = Vec::with_capacity(n);
     data.extend(
         buf[..4 * n]
             .chunks_exact(4)

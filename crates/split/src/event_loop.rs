@@ -563,10 +563,7 @@ struct Pump<L: EventListener, H> {
     /// How many of them the current sweep staged.
     new_tensors: usize,
     /// Scratch for one connection's drained messages, and the reply
-    /// routing of one dispatch; both reused across sweeps so the
-    /// steady-state sweep → dispatch → flush cycle allocates nothing
-    /// (frame staging is likewise pooled inside each connection's
-    /// accumulator).
+    /// routing of one dispatch; both reused across sweeps.
     ready: Vec<ClientMessage>,
     key_of: HashMap<ClientId, u64>,
     /// Dispatches since the last snapshot (periodic mode's counter).

@@ -69,5 +69,5 @@ pub use checkpoint::{
 pub use parallel::{set_threads, threads};
 pub use param::ParamStore;
 pub use shape::Shape;
-pub use storage::{Storage, StorageReadGuard, StorageWriteGuard};
+pub use storage::Storage;
 pub use tensor::{is_grad_enabled, no_grad, Tensor};

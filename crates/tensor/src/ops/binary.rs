@@ -22,7 +22,7 @@ pub(crate) fn broadcast_binary_kernel(
         let out = crate::parallel::par_map2(&da, &db, 2, &f);
         return (out, out_shape);
     }
-    let mut out = crate::pool::take_f32(out_shape.elem_count());
+    let mut out = Vec::with_capacity(out_shape.elem_count());
     {
         // Broadcasting path: index arithmetic per element, serial.
         let sa = a.shape().clone();
@@ -46,7 +46,7 @@ pub(crate) fn reduce_grad_to(grad: &[f32], grad_shape: &Shape, target: &Shape) -
         target.broadcasts_to(grad_shape),
         "cannot reduce grad {grad_shape} to {target}"
     );
-    let mut out = crate::pool::take_zeroed_f32(target.elem_count());
+    let mut out = vec![0.0; target.elem_count()];
     let mut i = 0usize;
     for_each_index(grad_shape, |idx| {
         out[broadcast_offset(idx, target)] += grad[i];

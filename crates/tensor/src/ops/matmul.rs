@@ -277,7 +277,7 @@ pub(crate) fn matmul_forward(a: &Tensor, b: &Tensor) -> (Vec<f32>, Shape) {
     let d = matmul_dims(a.shape(), b.shape());
     let da = a.storage().read();
     let db = b.storage().read();
-    let mut out = crate::pool::take_zeroed_f32(d.batch * d.m * d.n);
+    let mut out = vec![0.0; d.batch * d.m * d.n];
     let work = 2 * d.batch * d.m * d.k * d.n;
     if d.rhs_2d {
         // A shared 2-D rhs makes the whole batch one flat
@@ -352,8 +352,8 @@ pub(crate) fn matmul_backward(a: &Tensor, b: &Tensor, grad_out: &[f32]) -> (Vec<
     let d = matmul_dims(a.shape(), b.shape());
     let da = a.storage().read();
     let db = b.storage().read();
-    let mut ga = crate::pool::take_zeroed_f32(da.len());
-    let mut gb = crate::pool::take_zeroed_f32(db.len());
+    let mut ga = vec![0.0; da.len()];
+    let mut gb = vec![0.0; db.len()];
     let work = 2 * d.batch * d.m * d.k * d.n;
 
     // dA = dC @ B^T : [m,n] @ [k,n]^T -> [m,k]. The grad rows are

@@ -92,7 +92,7 @@ impl Tensor {
         let x = self.storage().read();
         let g = gamma.storage().read();
         let b = beta.storage().read();
-        let mut out = crate::pool::take_zeroed_f32(rows * cols);
+        let mut out = vec![0.0; rows * cols];
         parallel::par_chunks_mut(&mut out, cols, rows * cols * 6, |start, chunk| {
             for (local, orow) in chunk.chunks_exact_mut(cols).enumerate() {
                 let r = start / cols + local;
@@ -127,7 +127,7 @@ impl Tensor {
         assert_eq!(gamma.dims(), &[cols], "rms_norm gamma shape");
         let x = self.storage().read();
         let g = gamma.storage().read();
-        let mut out = crate::pool::take_zeroed_f32(rows * cols);
+        let mut out = vec![0.0; rows * cols];
         parallel::par_chunks_mut(&mut out, cols, rows * cols * 4, |start, chunk| {
             for (local, orow) in chunk.chunks_exact_mut(cols).enumerate() {
                 let r = start / cols + local;
@@ -172,7 +172,7 @@ impl Tensor {
             assert!(id < vocab, "token id {id} out of vocabulary {vocab}");
         }
         let t = table.storage().read();
-        let mut out = crate::pool::take_zeroed_f32(ids.len() * dim);
+        let mut out = vec![0.0; ids.len() * dim];
         parallel::par_chunks_mut(&mut out, dim, ids.len() * dim, |start, chunk| {
             for (local, orow) in chunk.chunks_exact_mut(dim).enumerate() {
                 let id = ids[start / dim + local];
@@ -247,7 +247,7 @@ impl Tensor {
         assert_eq!(d % 2, 0, "rope head dim must be even");
         let s = self.shape().dim(2);
         let x = self.storage().read();
-        let mut out = crate::pool::take_zeroed_f32(x.len());
+        let mut out = vec![0.0; x.len()];
         let half = d / 2;
         parallel::par_chunks_mut(&mut out, d, x.len() * 12, |start, chunk| {
             for (local, orow) in chunk.chunks_exact_mut(d).enumerate() {
@@ -280,7 +280,7 @@ impl Tensor {
     /// and below the diagonal, a large negative value above. Broadcasts
     /// against `[batch, heads, seq, seq]` attention scores.
     pub fn causal_mask(seq: usize) -> Tensor {
-        let mut data = crate::pool::take_zeroed_f32(seq * seq);
+        let mut data = vec![0.0; seq * seq];
         for i in 0..seq {
             for j in (i + 1)..seq {
                 data[i * seq + j] = -1e9;
@@ -298,7 +298,7 @@ pub(crate) fn softmax_backward(x: &Tensor, grad: &[f32]) -> Vec<f32> {
     let (rows, cols) = x.shape().rows_cols();
     let mut y = x.to_vec();
     softmax_rows(&mut y, rows, cols);
-    let mut dx = crate::pool::take_zeroed_f32(y.len());
+    let mut dx = vec![0.0; y.len()];
     parallel::par_chunks_mut(&mut dx, cols, rows * cols * 4, |start, chunk| {
         for (local, drow) in chunk.chunks_exact_mut(cols).enumerate() {
             let r = start / cols + local;
@@ -323,7 +323,7 @@ pub(crate) fn layer_norm_backward(
     let xd = x.storage().read();
     let g = gamma.storage().read();
     let n = cols as f32;
-    let mut dx = crate::pool::take_zeroed_f32(xd.len());
+    let mut dx = vec![0.0; xd.len()];
     // One pass per fixed row block: writes the block's dx rows and
     // returns its dgamma/dbeta partials; folding the partials in block
     // order reproduces one summation order at any pool size.
@@ -376,7 +376,7 @@ pub(crate) fn rms_norm_backward(
     let xd = x.storage().read();
     let g = gamma.storage().read();
     let n = cols as f32;
-    let mut dx = crate::pool::take_zeroed_f32(xd.len());
+    let mut dx = vec![0.0; xd.len()];
     let partials =
         parallel::par_blocks_mut(&mut dx, ROW_BLOCK * cols, rows * cols * 8, |bi, chunk| {
             let mut dgamma = vec![0.0f32; cols];
@@ -410,7 +410,7 @@ pub(crate) fn embedding_backward(table: &Tensor, ids: &[usize], grad: &[f32]) ->
     // Scatter-add: distinct ids may collide on the same table row, so
     // this stays serial (it is gather/scatter memory-bound anyway).
     let dim = table.shape().dim(1);
-    let mut dt = crate::pool::take_zeroed_f32(table.elem_count());
+    let mut dt = vec![0.0; table.elem_count()];
     for (n, &id) in ids.iter().enumerate() {
         let src = &grad[n * dim..(n + 1) * dim];
         let dst = &mut dt[id * dim..(id + 1) * dim];
@@ -444,7 +444,7 @@ pub(crate) fn cross_entropy_backward(
 pub(crate) fn rope_backward(x: &Tensor, base: f32, pos_offset: usize, grad: &[f32]) -> Vec<f32> {
     let (s, d) = (x.shape().dim(2), x.shape().dim(3));
     let half = d / 2;
-    let mut dx = crate::pool::take_zeroed_f32(grad.len());
+    let mut dx = vec![0.0; grad.len()];
     parallel::par_chunks_mut(&mut dx, d, grad.len() * 12, |start, chunk| {
         for (local, drow) in chunk.chunks_exact_mut(d).enumerate() {
             let row = start / d + local;

@@ -55,7 +55,7 @@ impl Tensor {
     pub fn sum_last_keepdim(&self) -> Tensor {
         let (rows, cols) = self.shape().rows_cols();
         let data = self.storage().read();
-        let mut out = crate::pool::take_zeroed_f32(rows);
+        let mut out = vec![0.0; rows];
         parallel::par_chunks_mut(&mut out, 1, rows * cols, |start, chunk| {
             for (local, o) in chunk.iter_mut().enumerate() {
                 let r = start + local;

@@ -9,7 +9,7 @@ pub(crate) fn permute_kernel(data: &[f32], shape: &Shape, perm: &[usize]) -> (Ve
     let out_dims: Vec<usize> = perm.iter().map(|&d| shape.dim(d)).collect();
     let out_shape = Shape::new(out_dims);
     let in_strides = shape.strides();
-    let mut out = pool::take_zeroed_f32(shape.elem_count());
+    let mut out = vec![0.0; shape.elem_count()];
     let mut oi = 0usize;
     for_each_index(&out_shape, |out_idx| {
         let mut in_off = 0;
@@ -42,7 +42,7 @@ pub(crate) fn narrow_kernel(
     let dsz = shape.dim(dim);
     let mut out_dims = shape.dims().to_vec();
     out_dims[dim] = len;
-    let mut out = pool::take_f32(outer * len * inner);
+    let mut out = Vec::with_capacity(outer * len * inner);
     for o in 0..outer {
         let base = o * dsz * inner + start * inner;
         out.extend_from_slice(&data[base..base + len * inner]);
@@ -63,7 +63,7 @@ pub(crate) fn narrow_backward_kernel(
     let outer: usize = in_shape.dims()[..dim].iter().product();
     let inner: usize = in_shape.dims()[dim + 1..].iter().product();
     let dsz = in_shape.dim(dim);
-    let mut out = pool::take_zeroed_f32(in_shape.elem_count());
+    let mut out = vec![0.0; in_shape.elem_count()];
     for o in 0..outer {
         let dst = o * dsz * inner + start * inner;
         let src = o * len * inner;
@@ -175,7 +175,7 @@ impl Tensor {
         let total_dim: usize = tensors.iter().map(|t| t.shape().dim(dim)).sum();
         let mut out_dims = first.dims().to_vec();
         out_dims[dim] = total_dim;
-        let mut out = pool::take_f32(outer * total_dim * inner);
+        let mut out = Vec::with_capacity(outer * total_dim * inner);
         let guards: Vec<_> = tensors.iter().map(|t| t.storage().read()).collect();
         for o in 0..outer {
             for (t, g) in tensors.iter().zip(guards.iter()) {

@@ -239,7 +239,7 @@ pub(crate) fn par_map<F>(src: &[f32], work_per_elem: usize, f: F) -> Vec<f32>
 where
     F: Fn(f32) -> f32 + Sync,
 {
-    let mut out = crate::pool::take_zeroed_f32(src.len());
+    let mut out = vec![0.0; src.len()];
     par_chunks_mut(&mut out, 1, src.len() * work_per_elem, |start, chunk| {
         let end = start + chunk.len();
         for (o, &x) in chunk.iter_mut().zip(&src[start..end]) {
@@ -255,7 +255,7 @@ where
     F: Fn(f32, f32) -> f32 + Sync,
 {
     debug_assert_eq!(a.len(), b.len());
-    let mut out = crate::pool::take_zeroed_f32(a.len());
+    let mut out = vec![0.0; a.len()];
     par_chunks_mut(&mut out, 1, a.len() * work_per_elem, |start, chunk| {
         let end = start + chunk.len();
         for ((o, &x), &y) in chunk.iter_mut().zip(&a[start..end]).zip(&b[start..end]) {

@@ -5,59 +5,13 @@
 //! adapters, different cut layers) while their parameter data aliases
 //! one shared buffer. [`Storage::ptr_eq`] is the primitive the rest of
 //! the workspace uses to verify sharing.
-//!
-//! Storage buffers participate in the [`crate::pool`] arena: when the
-//! last alias of a buffer drops, its allocation is recycled into the
-//! per-thread pool instead of returning to the allocator, and
-//! [`Storage::zeros`] draws from the same pool. Step-loop tensors
-//! (activations, gradients) therefore reuse a small working set of
-//! allocations instead of mallocing fresh storage every step.
 
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::pool;
-
 static NEXT_STORAGE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// The pooled buffer inside a [`Storage`]: recycles its allocation
-/// into the thread-local pool when the last alias drops.
-struct PooledF32(Vec<f32>);
-
-impl Drop for PooledF32 {
-    fn drop(&mut self) {
-        pool::recycle_f32(std::mem::take(&mut self.0));
-    }
-}
-
-/// Read guard over a storage buffer; derefs to the `Vec<f32>`.
-pub struct StorageReadGuard<'a>(RwLockReadGuard<'a, PooledF32>);
-
-impl Deref for StorageReadGuard<'_> {
-    type Target = Vec<f32>;
-    fn deref(&self) -> &Vec<f32> {
-        &self.0 .0
-    }
-}
-
-/// Write guard over a storage buffer; derefs to the `Vec<f32>`.
-pub struct StorageWriteGuard<'a>(RwLockWriteGuard<'a, PooledF32>);
-
-impl Deref for StorageWriteGuard<'_> {
-    type Target = Vec<f32>;
-    fn deref(&self) -> &Vec<f32> {
-        &self.0 .0
-    }
-}
-
-impl DerefMut for StorageWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.0 .0
-    }
-}
 
 /// A shared, mutable buffer of `f32` values.
 ///
@@ -81,23 +35,21 @@ impl DerefMut for StorageWriteGuard<'_> {
 #[derive(Clone)]
 pub struct Storage {
     id: u64,
-    data: Arc<RwLock<PooledF32>>,
+    data: Arc<RwLock<Vec<f32>>>,
 }
 
 impl Storage {
-    /// Creates storage holding `data`. The allocation joins the
-    /// recycling pool when the storage's last alias drops.
+    /// Creates storage holding `data`.
     pub fn from_vec(data: Vec<f32>) -> Self {
         Storage {
             id: NEXT_STORAGE_ID.fetch_add(1, Ordering::Relaxed),
-            data: Arc::new(RwLock::new(PooledF32(data))),
+            data: Arc::new(RwLock::new(data)),
         }
     }
 
-    /// Creates zero-filled storage of `len` elements, drawing the
-    /// allocation from the buffer pool when possible.
+    /// Creates zero-filled storage of `len` elements.
     pub fn zeros(len: usize) -> Self {
-        Storage::from_vec(pool::take_zeroed_f32(len))
+        Storage::from_vec(vec![0.0; len])
     }
 
     /// A stable identifier for the underlying buffer (shared by all
@@ -108,7 +60,7 @@ impl Storage {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.data.read().0.len()
+        self.data.read().len()
     }
 
     /// Whether the buffer is empty.
@@ -117,8 +69,8 @@ impl Storage {
     }
 
     /// Read access to the buffer.
-    pub fn read(&self) -> StorageReadGuard<'_> {
-        StorageReadGuard(self.data.read())
+    pub fn read(&self) -> RwLockReadGuard<'_, Vec<f32>> {
+        self.data.read()
     }
 
     /// Write access to the buffer.
@@ -126,23 +78,18 @@ impl Storage {
     /// Writes through any alias are visible to all aliases — this is
     /// how optimizer steps update parameters in place without touching
     /// the autograd graph.
-    pub fn write(&self) -> StorageWriteGuard<'_> {
-        StorageWriteGuard(self.data.write())
+    pub fn write(&self) -> RwLockWriteGuard<'_, Vec<f32>> {
+        self.data.write()
     }
 
     /// Copies the contents into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<f32> {
-        self.data.read().0.clone()
+        self.data.read().clone()
     }
 
-    /// An independent copy of the buffer (new identity), with the new
-    /// allocation drawn from the buffer pool.
+    /// An independent copy of the buffer (new identity).
     pub fn deep_clone(&self) -> Storage {
-        let src = self.data.read();
-        let mut out = pool::take_f32(src.0.len());
-        out.extend_from_slice(&src.0);
-        drop(src);
-        Storage::from_vec(out)
+        Storage::from_vec(self.to_vec())
     }
 
     /// Whether two handles alias the same underlying buffer.
@@ -213,16 +160,5 @@ mod tests {
     fn storage_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Storage>();
-    }
-
-    #[test]
-    fn dropped_storage_recycles_into_pool() {
-        // Big enough to be pool-eligible; same thread, so the next
-        // zeros() of the same class must come back zeroed even though
-        // the dropped buffer held non-zero data.
-        let s = Storage::from_vec(vec![3.25f32; 4096]);
-        drop(s);
-        let z = Storage::zeros(4096);
-        assert!(z.read().iter().all(|&x| x == 0.0));
     }
 }

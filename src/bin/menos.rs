@@ -32,8 +32,8 @@ const USAGE: &str = "\
 usage:
   menos server [--port P] [--accept-limit N] [--capacity N] [--model-seed S]
                [--client-timeout MS] [--max-session-idle MS]
-               [--max-write-buffer BYTES] [--pressure-watermark PCT]
-               [--retry-after-ms MS] [--snapshot-dir DIR] [--snapshot-every N]
+               [--max-write-buffer BYTES] [--retry-after-ms MS]
+               [--snapshot-dir DIR] [--snapshot-every N]
                [--micro-model] [--cached] [--threads T]
   menos client --addr HOST:PORT [--steps N] [--seed S] [--model-seed S]
                [--retries R] [--backoff-ms MS] [--codec C] [--micro-model]
@@ -56,10 +56,6 @@ options:
                     evict a consumer stalled with more than BYTES of queued
                     replies; its session is quarantined for resumption
                     (default: unbounded)
-  --pressure-watermark PCT
-                    GPU-pool utilization percentage past which new accepts
-                    are deferred until the pool drains (default 100 = only
-                    when the pool is fully reserved)
   --model-seed S    base-model derivation seed shared by both sides (default 21)
   --client-timeout MS
                     evict a connection silent for MS milliseconds; its session
@@ -173,12 +169,6 @@ fn run_server(args: &[String]) {
         .unwrap_or(100);
     let max_write_buffer: Option<u64> = parse_flag(args, "--max-write-buffer")
         .map(|v| v.parse().expect("--max-write-buffer must be bytes"));
-    let pressure_watermark: u8 = parse_flag(args, "--pressure-watermark")
-        .map(|v| {
-            v.parse()
-                .expect("--pressure-watermark must be a percentage")
-        })
-        .unwrap_or(100);
     let model_seed: u64 = parse_flag(args, "--model-seed")
         .map(|v| v.parse().expect("--model-seed must be a number"))
         .unwrap_or(21);
@@ -209,7 +199,6 @@ fn run_server(args: &[String]) {
     let mut menos_server =
         MenosServer::new(config, ServerSpec::v100(ServerMode::menos()), model_seed);
     menos_server.set_forward_mode(mode);
-    menos_server.set_pressure_watermark(pressure_watermark);
     // Restore-on-start: if a snapshot exists, rebuild every session
     // (adapters, optimizer moments, counters, cached replies) from it;
     // clients re-attach through the Resume handshake. The snapshot's

@@ -1,10 +1,9 @@
-//! Bit-identity of the pooled (zero-copy) tensor hot path.
+//! Bit-identity of the zero-copy tensor hot path.
 //!
-//! The buffer pool recycles frame and tensor allocations between
-//! steps, so the load-bearing property is that pooling is *invisible
-//! on the wire*: pooled encode/decode produce exactly the bytes and
-//! values a naive, allocation-per-call codec would, and a recycled
-//! buffer never leaks a previous tensor's bytes into a later frame.
+//! The bulk little-endian codec must be *invisible on the wire*:
+//! encode/decode produce exactly the bytes and values a naive,
+//! element-at-a-time codec would, and every message kind encodes to
+//! its pinned golden frame.
 
 use proptest::prelude::*;
 
@@ -18,8 +17,8 @@ use menos::split::{
 use menos::tensor::Tensor;
 
 /// Reference encoder: the tensor wire format written one element at a
-/// time into a plain `Vec`, bypassing the pool and the bulk-conversion
-/// path entirely.
+/// time into a plain `Vec`, bypassing the bulk-conversion path
+/// entirely.
 fn naive_encode(t: &Tensor) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&0x4d4e_5331u32.to_le_bytes()); // "MNS1"
@@ -55,10 +54,9 @@ fn patterned(dims: &[usize], seed: u64) -> Tensor {
 }
 
 proptest! {
-    /// Pooled encode is byte-identical to the naive per-element
-    /// encoder, and pooled decode → encode round-trips those bytes,
-    /// for arbitrary small shapes. Runs exercise buffer reuse: cases
-    /// within one proptest run recycle each other's allocations.
+    /// Bulk encode is byte-identical to the naive per-element
+    /// encoder, and bulk decode → encode round-trips those bytes,
+    /// for arbitrary small shapes.
     #[test]
     fn pooled_codec_matches_naive_encoder(
         dims in prop::collection::vec(1usize..9, 1..4),
@@ -290,70 +288,4 @@ fn golden_wire_frames() {
          0004000000000000 0000000041020000 0000000000020002 000000003f020000 \
          0000000000100000 0000000000010000 0000000000010000 0000000000";
     check_golden(&v1_0, v1_0_frame, false);
-}
-
-/// A recycled buffer must never expose a previous tensor's bytes.
-///
-/// Scenario: a big tensor `A` full of sentinel bits is encoded and
-/// decoded, then every view of it is dropped so its allocations
-/// recycle into the pool. A truncated decode then fails cleanly, and a
-/// subsequent full decode of a *smaller* tensor `B` — which draws the
-/// recycled allocations — must yield exactly `B`'s bytes and values,
-/// with no sentinel residue.
-#[test]
-fn recycled_buffers_never_leak_prior_tensor_bytes() {
-    let sentinel = f32::from_bits(0x4141_4141);
-    let a = Tensor::from_vec(vec![sentinel; 4096], [4096]);
-    let a_wire = encode_tensor(&a);
-    let a_back = decode_tensor(&a_wire).unwrap();
-    assert!(a_back.to_vec().iter().all(|v| v.to_bits() == 0x4141_4141));
-    // Recycle A's frame buffer and decoded storage into the pool.
-    drop(a_wire);
-    drop(a_back);
-    drop(a);
-
-    // A short decode must fail without handing out a partial tensor.
-    let b = Tensor::from_vec((0..1024).map(|i| i as f32).collect(), [1024]);
-    let b_wire = encode_tensor(&b);
-    let truncated = b_wire.slice(..b_wire.len() - 7);
-    assert!(
-        decode_tensor(&truncated).is_err(),
-        "truncated decode must fail"
-    );
-
-    // The full decode of B draws pooled buffers big enough to still
-    // hold A's sentinels in their spare capacity. None may show.
-    let b_back = decode_tensor(&b_wire).unwrap();
-    let got = b_back.to_vec();
-    assert_eq!(got.len(), 1024);
-    for (i, v) in got.iter().enumerate() {
-        assert_eq!(v.to_bits(), (i as f32).to_bits(), "stale byte at {i}");
-        assert_ne!(v.to_bits(), 0x4141_4141, "sentinel leaked at {i}");
-    }
-    // And the re-encoded frame is exactly B's frame: same length, same
-    // bytes — no stale tail from the larger recycled allocation.
-    let re = encode_tensor(&b_back);
-    assert_eq!(&*re, &*b_wire);
-}
-
-/// Frame-buffer poisoning at the bytes layer: encoding a small frame
-/// right after a big frame's buffer recycles must produce exactly the
-/// small frame, bit for bit.
-#[test]
-fn recycled_frame_buffer_is_exact_sized() {
-    let big = Tensor::from_vec(vec![f32::from_bits(0xdead_beef); 8192], [8192]);
-    let big_wire = encode_tensor(&big);
-    let big_len = big_wire.len();
-    drop(big_wire);
-
-    let small = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
-    let small_wire = encode_tensor(&small);
-    assert!(small_wire.len() < big_len);
-    assert_eq!(&*small_wire, &naive_encode(&small)[..]);
-
-    // Bytes built from a recycled Vec must report only the visible
-    // range even though the backing capacity is larger.
-    let from_vec = Bytes::from(small_wire.to_vec());
-    assert_eq!(from_vec.len(), small_wire.len());
-    assert_eq!(&*from_vec, &*small_wire);
 }
