@@ -73,6 +73,13 @@ pub struct FineTuneConfig {
     pub grad_accumulation: usize,
 }
 
+/// Largest batch size a configuration may declare. A `Connect` body, a
+/// snapshot and an `ImportSession` blob all carry one from outside the
+/// process; the analytic profile multiplies it by sequence length,
+/// widths and layer count in `u64`, which this bound keeps from
+/// overflowing (the paper's largest batch is 16).
+const MAX_BATCH_SIZE: usize = 1 << 16;
+
 impl FineTuneConfig {
     /// The paper's configuration: LoRA r=8 α=16 on Q and V, Adam.
     pub fn paper(model: &ModelConfig) -> Self {
@@ -94,8 +101,11 @@ impl FineTuneConfig {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self, model: &ModelConfig) -> Result<(), String> {
-        if self.batch_size == 0 {
-            return Err("batch_size must be positive".into());
+        if self.batch_size == 0 || self.batch_size > MAX_BATCH_SIZE {
+            return Err(format!(
+                "batch_size {} outside (0, {MAX_BATCH_SIZE}]",
+                self.batch_size
+            ));
         }
         if self.grad_accumulation == 0 {
             return Err("grad_accumulation must be at least 1".into());

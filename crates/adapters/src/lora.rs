@@ -3,10 +3,7 @@
 use rand::Rng;
 
 use menos_models::{LinearAdapter, LoraSpec};
-use menos_tensor::{
-    load_checkpoint, save_checkpoint, CheckpointError, ParamStore, SectionReader, SectionWriter,
-    Tensor,
-};
+use menos_tensor::Tensor;
 
 /// A LoRA adapter for one linear projection: the base output is
 /// adjusted by `(x A) B · (α / r)` where `A ∈ R^{in×r}` is
@@ -70,72 +67,7 @@ impl LoraAdapter {
     pub fn param_bytes(&self) -> u64 {
         self.a.size_bytes() + self.b.size_bytes()
     }
-
-    /// Serializes the adapter — factors and scale — as a tagged
-    /// section container for durable snapshots.
-    #[must_use]
-    pub fn to_state(&self) -> Vec<u8> {
-        let mut meta = Vec::new();
-        meta.extend(self.scale.to_le_bytes());
-        let mut params = ParamStore::new();
-        params.insert("lora.a", self.a.clone());
-        params.insert("lora.b", self.b.clone());
-        let mut w = SectionWriter::new();
-        w.section(LORA_TAG_META, meta);
-        w.section(LORA_TAG_PARAMS, save_checkpoint(&params));
-        w.finish()
-    }
-
-    /// Reconstructs an adapter from [`to_state`](Self::to_state)
-    /// bytes, bit-identical to the snapshotted one.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] on corrupt bytes, missing factors, or
-    /// factor shapes that do not form a low-rank pair.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let r = SectionReader::parse(bytes)?;
-        let meta = r.require(LORA_TAG_META)?;
-        if meta.len() != 4 {
-            return Err(CheckpointError::Corrupt(format!(
-                "lora meta of {} bytes",
-                meta.len()
-            )));
-        }
-        let scale = f32::from_le_bytes(meta.try_into().expect("4"));
-        if !scale.is_finite() {
-            return Err(CheckpointError::Corrupt(format!("lora scale {scale}")));
-        }
-        let params = load_checkpoint(r.require(LORA_TAG_PARAMS)?)?;
-        let a = params
-            .get("lora.a")
-            .ok_or_else(|| CheckpointError::MissingParam("lora.a".into()))?
-            .clone();
-        let b = params
-            .get("lora.b")
-            .ok_or_else(|| CheckpointError::MissingParam("lora.b".into()))?
-            .clone();
-        if a.rank() != 2 || b.rank() != 2 || a.shape().dim(1) != b.shape().dim(0) {
-            return Err(CheckpointError::Corrupt(format!(
-                "lora factors {:?} x {:?} are not a low-rank pair",
-                a.dims(),
-                b.dims()
-            )));
-        }
-        if a.shape().dim(1) == 0 {
-            return Err(CheckpointError::Corrupt("lora rank 0".into()));
-        }
-        if !(a.requires_grad() && b.requires_grad()) {
-            return Err(CheckpointError::Corrupt(
-                "lora factors must be trainable".into(),
-            ));
-        }
-        Ok(LoraAdapter { a, b, scale })
-    }
 }
-
-const LORA_TAG_META: u32 = 1;
-const LORA_TAG_PARAMS: u32 = 2;
 
 impl LinearAdapter for LoraAdapter {
     fn adjust(&self, x: &Tensor, base: &Tensor) -> Tensor {
@@ -219,63 +151,6 @@ mod tests {
             .trainable_params()
             .iter()
             .all(|(_, t)| t.requires_grad()));
-    }
-
-    #[test]
-    fn state_round_trips_bit_identically() {
-        let mut rng = seeded_rng(6, "lora");
-        let lora = LoraAdapter::new(&mut rng, 16, 8, &LoraSpec::paper());
-        // Perturb B so the round trip is not trivially zeros.
-        lora.factors()
-            .1
-            .storage()
-            .write()
-            .iter_mut()
-            .enumerate()
-            .for_each(|(i, v)| *v = i as f32 * 0.125);
-        let restored = LoraAdapter::from_state(&lora.to_state()).unwrap();
-        let bits = |t: &Tensor| t.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(restored.rank(), lora.rank());
-        assert_eq!(bits(restored.factors().0), bits(lora.factors().0));
-        assert_eq!(bits(restored.factors().1), bits(lora.factors().1));
-        let x = Tensor::randn(&mut rng, [2, 16], 1.0);
-        let base = Tensor::zeros([2, 8]);
-        assert_eq!(
-            bits(&restored.adjust(&x, &base)),
-            bits(&lora.adjust(&x, &base)),
-            "scale must survive the round trip"
-        );
-    }
-
-    #[test]
-    fn state_decode_rejects_corruption_and_bad_factors() {
-        let mut rng = seeded_rng(7, "lora");
-        let lora = LoraAdapter::new(&mut rng, 8, 8, &LoraSpec::paper());
-        let bytes = lora.to_state();
-        for cut in 0..bytes.len() {
-            assert!(LoraAdapter::from_state(&bytes[..cut]).is_err(), "cut={cut}");
-        }
-        // A params section whose factors do not compose.
-        let mut params = ParamStore::new();
-        params.insert("lora.a", Tensor::var_from_vec(vec![0.0; 8], [4, 2]));
-        params.insert("lora.b", Tensor::var_from_vec(vec![0.0; 12], [3, 4]));
-        let mut w = SectionWriter::new();
-        w.section(LORA_TAG_META, 1.0f32.to_le_bytes().to_vec());
-        w.section(LORA_TAG_PARAMS, save_checkpoint(&params));
-        assert!(matches!(
-            LoraAdapter::from_state(&w.finish()),
-            Err(CheckpointError::Corrupt(_))
-        ));
-        // Missing factor.
-        let mut params = ParamStore::new();
-        params.insert("lora.a", Tensor::var_from_vec(vec![0.0; 8], [4, 2]));
-        let mut w = SectionWriter::new();
-        w.section(LORA_TAG_META, 1.0f32.to_le_bytes().to_vec());
-        w.section(LORA_TAG_PARAMS, save_checkpoint(&params));
-        assert!(matches!(
-            LoraAdapter::from_state(&w.finish()),
-            Err(CheckpointError::MissingParam(name)) if name == "lora.b"
-        ));
     }
 
     #[test]

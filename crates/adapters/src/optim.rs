@@ -4,7 +4,7 @@
 //! optimizer state (the `O` component of the paper's memory model) is
 //! proportional to `A`, not to the base model.
 
-use menos_tensor::{CheckpointError, GradStore, Tensor};
+use menos_tensor::{put_f32s, ByteReader, CheckpointError, GradStore, Tensor};
 
 /// Shared interface for the optimizers used in the experiments.
 pub trait Optimizer: Send {
@@ -79,73 +79,26 @@ pub enum OptimState {
 
 const OPTIM_KIND_SGD: u8 = 0;
 const OPTIM_KIND_ADAM: u8 = 1;
-const MAX_OPTIM_BUFFERS: u64 = 1 << 16;
-const MAX_OPTIM_BUFFER_LEN: u64 = 1 << 32;
 
-struct OptimCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> OptimCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(CheckpointError::Truncated)?;
-        self.pos = end;
-        Ok(s)
+/// Reads `count (u64)` then per buffer `len (u64) | f32…`. Nothing is
+/// reserved from a declared count: each buffer is allocated only once
+/// [`ByteReader::f32s`] has seen its bytes, and a count the input
+/// cannot back runs out of bytes at the first missing length.
+fn read_buffers(r: &mut ByteReader<'_>) -> Result<Vec<Vec<f32>>, CheckpointError> {
+    let n = r.u64()?;
+    let mut bufs = Vec::new();
+    for _ in 0..n {
+        let len = r.u64()?;
+        bufs.push(r.f32s(len)?);
     }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn buffers(&mut self) -> Result<Vec<Vec<f32>>, CheckpointError> {
-        let n = self.u64()?;
-        if n > MAX_OPTIM_BUFFERS {
-            return Err(CheckpointError::Corrupt(format!("{n} optimizer buffers")));
-        }
-        let mut bufs = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let len = self.u64()?;
-            if len > MAX_OPTIM_BUFFER_LEN {
-                return Err(CheckpointError::Corrupt(format!(
-                    "optimizer buffer of {len} elements"
-                )));
-            }
-            let mut data = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                data.push(self.f32()?);
-            }
-            bufs.push(data);
-        }
-        Ok(bufs)
-    }
-    fn finish(&self) -> Result<(), CheckpointError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes in optimizer state",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
+    Ok(bufs)
 }
 
 fn write_buffers(out: &mut Vec<u8>, bufs: &[Vec<f32>]) {
     out.extend((bufs.len() as u64).to_le_bytes());
     for b in bufs {
         out.extend((b.len() as u64).to_le_bytes());
-        for &x in b {
-            out.extend(x.to_le_bytes());
-        }
+        put_f32s(out, b);
     }
 }
 
@@ -204,14 +157,15 @@ impl OptimState {
     /// # Errors
     ///
     /// [`CheckpointError`] on truncation, an unknown kind tag, or
-    /// implausible buffer counts/lengths — never panics.
+    /// buffer counts/lengths the input cannot back — never panics, and
+    /// never allocates more than the input's own length.
     pub fn from_bytes(bytes: &[u8]) -> Result<OptimState, CheckpointError> {
-        let mut c = OptimCursor { buf: bytes, pos: 0 };
+        let mut c = ByteReader::new(bytes);
         let state = match c.u8()? {
             OPTIM_KIND_SGD => OptimState::Sgd {
                 lr: c.f32()?,
                 momentum: c.f32()?,
-                velocity: c.buffers()?,
+                velocity: read_buffers(&mut c)?,
             },
             OPTIM_KIND_ADAM => OptimState::Adam {
                 lr: c.f32()?,
@@ -219,8 +173,8 @@ impl OptimState {
                 beta2: c.f32()?,
                 eps: c.f32()?,
                 t: c.u64()?,
-                m: c.buffers()?,
-                v: c.buffers()?,
+                m: read_buffers(&mut c)?,
+                v: read_buffers(&mut c)?,
             },
             k => return Err(CheckpointError::Corrupt(format!("optimizer kind {k}"))),
         };
@@ -625,14 +579,14 @@ mod tests {
     fn clip_grad_norm_caps_and_reports() {
         let w = Tensor::var_from_vec(vec![3.0, 4.0], [2]);
         let mut grads = (&w * &w).sum_all().backward(); // (6, 8), norm 10
-        let norm = clip_grad_norm(&mut grads, &[w.clone()], 5.0);
+        let norm = clip_grad_norm(&mut grads, std::slice::from_ref(&w), 5.0);
         assert!((norm - 10.0).abs() < 1e-4);
         let g = grads.get(&w).unwrap().to_vec();
         let clipped = (g[0] * g[0] + g[1] * g[1]).sqrt();
         assert!((clipped - 5.0).abs() < 1e-4);
         // Already-small grads are untouched.
         let mut grads = (&w * &w).sum_all().backward();
-        clip_grad_norm(&mut grads, &[w.clone()], 100.0);
+        clip_grad_norm(&mut grads, std::slice::from_ref(&w), 100.0);
         assert_eq!(grads.get(&w).unwrap().to_vec(), vec![6.0, 8.0]);
     }
 

@@ -3,10 +3,7 @@
 use rand::Rng;
 
 use menos_models::KvPrefixProvider;
-use menos_tensor::{
-    load_checkpoint, save_checkpoint, CheckpointError, ParamStore, SectionReader, SectionWriter,
-    Tensor,
-};
+use menos_tensor::Tensor;
 
 /// A per-layer prefix-tuning adapter holding trainable key and value
 /// prefixes of shape `[heads, prefix_len, head_dim]`.
@@ -44,77 +41,7 @@ impl PrefixAdapter {
     pub fn param_bytes(&self) -> u64 {
         self.k.size_bytes() + self.v.size_bytes()
     }
-
-    /// Serializes the adapter — prefixes and their length — as a
-    /// tagged section container for durable snapshots.
-    #[must_use]
-    pub fn to_state(&self) -> Vec<u8> {
-        let mut meta = Vec::new();
-        meta.extend((self.prefix_len as u64).to_le_bytes());
-        let mut params = ParamStore::new();
-        params.insert("prefix.k", self.k.clone());
-        params.insert("prefix.v", self.v.clone());
-        let mut w = SectionWriter::new();
-        w.section(PREFIX_TAG_META, meta);
-        w.section(PREFIX_TAG_PARAMS, save_checkpoint(&params));
-        w.finish()
-    }
-
-    /// Reconstructs an adapter from [`to_state`](Self::to_state)
-    /// bytes, bit-identical to the snapshotted one.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] on corrupt bytes, missing prefixes, or
-    /// shapes inconsistent with the recorded prefix length.
-    pub fn from_state(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let r = SectionReader::parse(bytes)?;
-        let meta = r.require(PREFIX_TAG_META)?;
-        if meta.len() != 8 {
-            return Err(CheckpointError::Corrupt(format!(
-                "prefix meta of {} bytes",
-                meta.len()
-            )));
-        }
-        let prefix_len = u64::from_le_bytes(meta.try_into().expect("8")) as usize;
-        let params = load_checkpoint(r.require(PREFIX_TAG_PARAMS)?)?;
-        let k = params
-            .get("prefix.k")
-            .ok_or_else(|| CheckpointError::MissingParam("prefix.k".into()))?
-            .clone();
-        let v = params
-            .get("prefix.v")
-            .ok_or_else(|| CheckpointError::MissingParam("prefix.v".into()))?
-            .clone();
-        for (name, t) in [("prefix.k", &k), ("prefix.v", &v)] {
-            if t.rank() != 3 || t.shape().dim(1) != prefix_len {
-                return Err(CheckpointError::Corrupt(format!(
-                    "{name} shape {:?} inconsistent with prefix_len {prefix_len}",
-                    t.dims()
-                )));
-            }
-            if !t.requires_grad() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "{name} must be trainable"
-                )));
-            }
-        }
-        if k.dims() != v.dims() {
-            return Err(CheckpointError::Corrupt(format!(
-                "prefix k {:?} and v {:?} disagree",
-                k.dims(),
-                v.dims()
-            )));
-        }
-        if prefix_len == 0 {
-            return Err(CheckpointError::Corrupt("prefix_len 0".into()));
-        }
-        Ok(PrefixAdapter { k, v, prefix_len })
-    }
 }
-
-const PREFIX_TAG_META: u32 = 1;
-const PREFIX_TAG_PARAMS: u32 = 2;
 
 impl KvPrefixProvider for PrefixAdapter {
     fn prefix_kv(&self) -> (Tensor, Tensor) {
@@ -175,45 +102,6 @@ mod tests {
         let (k, v) = adapter.prefix_kv();
         assert!(grads.get(&k).is_some(), "prefix K should get a gradient");
         assert!(grads.get(&v).is_some(), "prefix V should get a gradient");
-    }
-
-    #[test]
-    fn state_round_trips_bit_identically() {
-        let mut rng = seeded_rng(5, "prefix");
-        let p = PrefixAdapter::new(&mut rng, 4, 8, 5);
-        let restored = PrefixAdapter::from_state(&p.to_state()).unwrap();
-        let bits = |t: &Tensor| t.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(restored.prefix_len(), 5);
-        let (k, v) = p.prefix_kv();
-        let (rk, rv) = restored.prefix_kv();
-        assert_eq!(rk.dims(), k.dims());
-        assert_eq!(bits(&rk), bits(&k));
-        assert_eq!(bits(&rv), bits(&v));
-        assert!(rk.requires_grad() && rv.requires_grad());
-    }
-
-    #[test]
-    fn state_decode_rejects_corruption_and_inconsistent_shapes() {
-        let mut rng = seeded_rng(6, "prefix");
-        let p = PrefixAdapter::new(&mut rng, 2, 4, 3);
-        let bytes = p.to_state();
-        for cut in 0..bytes.len() {
-            assert!(
-                PrefixAdapter::from_state(&bytes[..cut]).is_err(),
-                "cut={cut}"
-            );
-        }
-        // Prefix length disagreeing with the tensor shapes.
-        let mut params = ParamStore::new();
-        params.insert("prefix.k", Tensor::var_from_vec(vec![0.0; 24], [2, 3, 4]));
-        params.insert("prefix.v", Tensor::var_from_vec(vec![0.0; 24], [2, 3, 4]));
-        let mut w = SectionWriter::new();
-        w.section(PREFIX_TAG_META, 7u64.to_le_bytes().to_vec());
-        w.section(PREFIX_TAG_PARAMS, save_checkpoint(&params));
-        assert!(matches!(
-            PrefixAdapter::from_state(&w.finish()),
-            Err(CheckpointError::Corrupt(_))
-        ));
     }
 
     #[test]

@@ -569,7 +569,6 @@ fn run_fleet_study(policy: PlacementPolicy, label: &str) -> String {
             max_missed: 5,
             probe_timeout: Duration::from_secs(2),
             capacity_per_server: FLEET_CAPACITY,
-            ..FleetOptions::default()
         },
     )
     .expect("spawn coordinator");

@@ -60,7 +60,7 @@ pub use capacity::{plan_capacity, CapacityPlan};
 pub use policy::MemoryPolicy;
 pub use profiler::{probe_with_random_input, profile_client, MemoryDemands};
 pub use runtime::{jain_fairness, run_experiment, run_experiment_traced, RunReport};
-pub use scheduler::{Decision, OpKind, Request, SchedPolicy, Scheduler};
+pub use scheduler::{Decision, OpKind, Request, Scheduler};
 pub use server::MenosServer;
 pub use state::{decode_session_record, encode_session_record, ServerState, SessionRecord};
 // The serving façade reports errors through the unified protocol

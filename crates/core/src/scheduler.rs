@@ -41,24 +41,6 @@ pub struct Decision {
     pub backfilled: bool,
 }
 
-/// The admission order a scheduler uses.
-///
-/// The paper adopts FCFS + backfilling (from EASY backfilling) for its
-/// balance of fairness and utilization; the alternatives exist for the
-/// ablation study — smallest-demand-first maximizes short-term
-/// utilization but starves memory-hungry backward requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Strict arrival order; a blocked head blocks everyone.
-    Fcfs,
-    /// Arrival order with backfilling around a blocked head
-    /// (Algorithm 2, the paper's choice).
-    FcfsBackfill,
-    /// Always admit the smallest waiting demand first (ablation:
-    /// utilization-greedy, starvation-prone).
-    SmallestFirst,
-}
-
 /// FCFS + backfilling memory scheduler (Algorithm 2).
 ///
 /// # Examples
@@ -81,7 +63,7 @@ pub struct Scheduler {
     m_avail: u64,
     waiting: VecDeque<Request>,
     allocation: HashMap<ClientId, u64>,
-    policy: SchedPolicy,
+    backfilling: bool,
     decisions: u64,
     backfills: u64,
 }
@@ -90,31 +72,14 @@ impl Scheduler {
     /// Creates a scheduler over `m_avail` bytes of schedulable memory.
     /// `backfilling = false` gives the pure-FCFS ablation.
     pub fn new(m_avail: u64, backfilling: bool) -> Self {
-        Scheduler::with_policy(
-            m_avail,
-            if backfilling {
-                SchedPolicy::FcfsBackfill
-            } else {
-                SchedPolicy::Fcfs
-            },
-        )
-    }
-
-    /// Creates a scheduler with an explicit admission policy.
-    pub fn with_policy(m_avail: u64, policy: SchedPolicy) -> Self {
         Scheduler {
             m_avail,
             waiting: VecDeque::new(),
             allocation: HashMap::new(),
-            policy,
+            backfilling,
             decisions: 0,
             backfills: 0,
         }
-    }
-
-    /// The admission policy in force.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
     }
 
     /// Bytes currently grantable.
@@ -200,12 +165,8 @@ impl Scheduler {
         self.schedule()
     }
 
-    /// The scheduling procedure (Alg. 2 lines 14-24, or the ablation
-    /// variants).
+    /// The scheduling procedure (Alg. 2 lines 14-24).
     fn schedule(&mut self) -> Vec<Decision> {
-        if self.policy == SchedPolicy::SmallestFirst {
-            return self.schedule_smallest_first();
-        }
         let mut out = Vec::new();
         // FCFS: admit from the head while it fits. This both prevents
         // starvation of memory-hungry backward requests and admits
@@ -223,7 +184,7 @@ impl Scheduler {
         }
         // Backfilling: the head is blocked; admit later requests that
         // fit in the remaining memory.
-        if self.policy == SchedPolicy::FcfsBackfill && !self.waiting.is_empty() {
+        if self.backfilling && !self.waiting.is_empty() {
             let mut i = 1; // index 0 is the blocked head
             while i < self.waiting.len() {
                 if self.waiting[i].demand <= self.m_avail {
@@ -238,32 +199,6 @@ impl Scheduler {
                     i += 1;
                 }
             }
-        }
-        out
-    }
-
-    /// Utilization-greedy ablation: repeatedly admit the smallest
-    /// fitting demand, regardless of arrival order.
-    fn schedule_smallest_first(&mut self) -> Vec<Decision> {
-        let mut out = Vec::new();
-        loop {
-            let best = self
-                .waiting
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.demand <= self.m_avail)
-                .min_by_key(|(_, r)| r.demand)
-                .map(|(i, _)| i);
-            let Some(i) = best else { break };
-            let req = self.waiting.remove(i).expect("index exists");
-            self.grant(req);
-            if i != 0 {
-                self.backfills += 1;
-            }
-            out.push(Decision {
-                request: req,
-                backfilled: i != 0,
-            });
         }
         out
     }
@@ -408,58 +343,6 @@ mod tests {
         assert!(s.data_arrived(req(0, OpKind::Backward, 50)).is_empty());
         let d = s.release_persistent(60);
         assert_eq!(d.len(), 1, "released reservation unblocks the head");
-    }
-
-    #[test]
-    fn smallest_first_starves_big_requests() {
-        // The ablation policy keeps picking small newcomers over an
-        // older big request — exactly why the paper chose FCFS.
-        let mut s = Scheduler::with_policy(100, SchedPolicy::SmallestFirst);
-        s.data_arrived(req(0, OpKind::Forward, 60)); // running
-        assert!(s.data_arrived(req(1, OpKind::Backward, 80)).is_empty()); // big, waits
-                                                                          // A stream of small requests: each admitted ahead of the big one.
-        for i in 2..6 {
-            let d = s.data_arrived(req(i, OpKind::Forward, 20));
-            if !d.is_empty() {
-                assert_ne!(d[0].request.client, ClientId(1));
-            }
-        }
-        // Even after a completion frees memory, a small waiter beats it.
-        s.data_arrived(req(9, OpKind::Forward, 30));
-        let d = s.task_completed(ClientId(0));
-        assert!(
-            d.iter()
-                .all(|x| x.request.client != ClientId(1) || x.request.demand <= 30)
-                || d.iter().any(|x| x.request.client != ClientId(1)),
-            "small requests admitted first under smallest-first"
-        );
-        assert_eq!(s.policy(), SchedPolicy::SmallestFirst);
-    }
-
-    #[test]
-    fn fcfs_admits_big_request_where_smallest_first_does_not() {
-        // Same arrival sequence, different policies: FCFS serves the
-        // big backward as soon as memory frees; smallest-first defers
-        // it behind any admissible small request.
-        let arrivals = [
-            req(0, OpKind::Forward, 60),
-            req(1, OpKind::Backward, 80),
-            req(2, OpKind::Forward, 50),
-        ];
-        let run = |policy: SchedPolicy| -> Vec<u64> {
-            let mut s = Scheduler::with_policy(100, policy);
-            for r in arrivals {
-                s.data_arrived(r);
-            }
-            s.task_completed(ClientId(0))
-                .iter()
-                .map(|d| d.request.client.0)
-                .collect()
-        };
-        let fcfs = run(SchedPolicy::FcfsBackfill);
-        let sjf = run(SchedPolicy::SmallestFirst);
-        assert_eq!(fcfs.first(), Some(&1), "FCFS serves the waiting backward");
-        assert_eq!(sjf.first(), Some(&2), "smallest-first bypasses it");
     }
 
     #[test]

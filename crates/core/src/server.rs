@@ -37,25 +37,29 @@ struct ClientState {
     /// The last gradient reply sent, kept so a resume that raced the
     /// reply can have it re-delivered inside `Resumed`.
     last_reply: Option<ServerMessage>,
+    /// `None` while a connection is bound to the session (it is live
+    /// and holds its Algorithm-2 reservation). `Some(when)` once the
+    /// connection is gone: the session is quarantined — parked so a
+    /// reconnecting client can resume exactly where it left off, until
+    /// the quarantine TTL expires it.
+    parked_since: Option<Instant>,
 }
 
-/// A disconnected client's parked state: the session survives the
-/// connection so a reconnecting client can resume exactly where it
-/// left off, until the quarantine TTL expires it.
-struct Quarantined {
-    state: ClientState,
-    since: Instant,
+impl ClientState {
+    fn is_live(&self) -> bool {
+        self.parked_since.is_none()
+    }
 }
 
 /// The reconnect hint carried in [`ProtocolError::Busy`] sheds.
 const BUSY_RETRY_AFTER_MS: u64 = 100;
 
 /// The snapshot/migration record of one session, live or parked.
-fn record_of(state: &ClientState, live: bool) -> SessionRecord {
+fn record_of(state: &ClientState) -> SessionRecord {
     SessionRecord {
         client: state.session.client(),
         epoch: state.epoch,
-        live,
+        live: state.is_live(),
         session: state.session.to_state(),
         last_reply: state.last_reply.as_ref().map(crate::state::encode_reply),
     }
@@ -93,8 +97,8 @@ pub struct MenosServer {
     registry: SharedBaseRegistry,
     spec: ServerSpec,
     mode: ForwardMode,
-    clients: HashMap<ClientId, ClientState>,
-    quarantined: HashMap<ClientId, Quarantined>,
+    /// Every session, live or quarantined.
+    sessions: HashMap<ClientId, ClientState>,
     seed: u64,
     supported_codecs: u64,
 }
@@ -123,8 +127,7 @@ impl MenosServer {
             registry,
             spec,
             mode: ForwardMode::NoGradReforward,
-            clients: HashMap::new(),
-            quarantined: HashMap::new(),
+            sessions: HashMap::new(),
             seed,
             supported_codecs: menos_net::supported_codec_mask(),
         }
@@ -160,7 +163,11 @@ impl MenosServer {
 
     /// Currently connected clients.
     pub fn active_clients(&self) -> usize {
-        self.clients.len()
+        self.live().count()
+    }
+
+    fn live(&self) -> impl Iterator<Item = &ClientState> {
+        self.sessions.values().filter(|c| c.is_live())
     }
 
     /// The shared-base registry (e.g. to verify aliasing in tests).
@@ -170,7 +177,8 @@ impl MenosServer {
 
     /// The profiled demands of a connected client.
     pub fn demands_of(&self, client: ClientId) -> Option<MemoryDemands> {
-        self.clients.get(&client).map(|c| c.demands)
+        let state = self.sessions.get(&client).filter(|c| c.is_live());
+        state.map(|c| c.demands)
     }
 
     /// Total profiled backward bytes currently reserved by *live*
@@ -180,45 +188,33 @@ impl MenosServer {
     /// connection; only their (host-side) adapter/optimizer state is
     /// parked.
     pub fn reserved_bytes(&self) -> u64 {
-        self.clients.values().map(|c| c.demands.m_b).sum()
+        self.live().map(|c| c.demands.m_b).sum()
     }
 
     /// Sessions currently parked for reconnection.
     pub fn quarantined_clients(&self) -> usize {
-        self.quarantined.len()
+        self.sessions.len() - self.active_clients()
     }
 
     /// The server-side adapter parameters of a client's session, live
     /// or quarantined (for bit-identity checks in tests and tooling).
     pub fn session_adapters(&self, client: ClientId) -> Option<&ParamStore> {
-        self.clients
-            .get(&client)
-            .map(|c| c.session.adapter_params())
-            .or_else(|| {
-                self.quarantined
-                    .get(&client)
-                    .map(|q| q.state.session.adapter_params())
-            })
+        let state = self.sessions.get(&client)?;
+        Some(state.session.adapter_params())
     }
 
     /// Parks a client's session for later resumption instead of
-    /// dropping it — the server side of a lost connection. The live
-    /// entry (and with it the Algorithm-2 reservation) is removed; the
-    /// session itself survives under quarantine until a [`Resume`]
+    /// dropping it — the server side of a lost connection. The
+    /// Algorithm-2 reservation goes with the connection; the session
+    /// itself survives under quarantine until a [`Resume`]
     /// re-attaches it or [`MenosServer::expire_idle`] reaps it.
     /// Unknown clients are ignored (the connection died before
     /// `Connect`).
     ///
     /// [`Resume`]: ClientMessage::Resume
     pub fn quarantine(&mut self, client: ClientId) {
-        if let Some(state) = self.clients.remove(&client) {
-            self.quarantined.insert(
-                client,
-                Quarantined {
-                    state,
-                    since: Instant::now(),
-                },
-            );
+        if let Some(state) = self.sessions.get_mut(&client) {
+            state.parked_since.get_or_insert_with(Instant::now);
         }
     }
 
@@ -228,8 +224,8 @@ impl MenosServer {
     /// good.
     pub fn expire_idle(&mut self, max_idle: Duration) -> Vec<ClientId> {
         let mut expired = Vec::new();
-        self.quarantined.retain(|client, q| {
-            let keep = q.since.elapsed() <= max_idle;
+        self.sessions.retain(|client, state| {
+            let keep = state.parked_since.is_none_or(|t| t.elapsed() <= max_idle);
             if !keep {
                 expired.push(*client);
             }
@@ -266,17 +262,14 @@ impl MenosServer {
                 last_step,
             } => self.resume(client, epoch, last_step).map(Some),
             ClientMessage::Disconnect { client } => {
-                if self.clients.remove(&client).is_none()
-                    && self.quarantined.remove(&client).is_none()
-                {
-                    return Err(ProtocolError::UnknownClient(client));
-                }
-                Ok(None)
+                let gone = self.sessions.remove(&client);
+                gone.map(|_| None)
+                    .ok_or(ProtocolError::UnknownClient(client))
             }
             ClientMessage::Ping { client, seq } => Ok(Some(ServerMessage::Pong {
                 client,
                 seq,
-                live_sessions: self.clients.len() as u64,
+                live_sessions: self.active_clients() as u64,
                 utilization_pct: self.utilization_pct(),
             })),
             ClientMessage::ImportSession { client, blob } => {
@@ -287,7 +280,7 @@ impl MenosServer {
                     // The frame was addressed to one client but the blob
                     // carries another; un-park and reject so nothing of
                     // the mismatched import survives.
-                    self.quarantined.remove(&imported);
+                    self.sessions.remove(&imported);
                     return Err(ProtocolError::Rejected(format!(
                         "import frame addressed to {client} but blob carries {imported}"
                     )));
@@ -298,8 +291,9 @@ impl MenosServer {
                 let client = tensor_msg.client();
                 let mode = self.mode;
                 let state = self
-                    .clients
+                    .sessions
                     .get_mut(&client)
+                    .filter(|c| c.is_live())
                     .ok_or(ProtocolError::UnknownClient(client))?;
                 let reply = dispatch_session(&mut state.session, mode, &tensor_msg)?;
                 if matches!(reply, ServerMessage::ServerGradients { .. }) {
@@ -330,17 +324,16 @@ impl MenosServer {
         epoch: u64,
         last_step: u64,
     ) -> Result<ServerMessage, ProtocolError> {
-        if self.clients.contains_key(&client) {
+        let q = self
+            .sessions
+            .get(&client)
+            .ok_or(ProtocolError::UnknownClient(client))?;
+        if q.is_live() {
             // The old connection is still live (its EOF has not been
             // processed yet). Retryable: the client backs off and tries
             // again rather than hijacking a live session.
             return Err(ProtocolError::SessionActive(client));
         }
-        let q = &self
-            .quarantined
-            .get(&client)
-            .ok_or(ProtocolError::UnknownClient(client))?
-            .state;
         // Re-attaching returns the session's Algorithm-2 reservation to
         // the pool; if the pool cannot take it back right now, shed
         // (retryable, quarantine intact) rather than oversubscribe.
@@ -375,19 +368,14 @@ impl MenosServer {
                 }
             }
         } else {
-            self.quarantined.remove(&client);
+            self.sessions.remove(&client);
             return Err(ProtocolError::OutOfOrder(format!(
                 "{client} resumed at step {last_step} but the server is at {server_step}"
             )));
         };
-        let q = self.quarantined.remove(&client).expect("checked above");
-        self.clients.insert(
-            client,
-            ClientState {
-                epoch: new_epoch,
-                ..q.state
-            },
-        );
+        let q = self.sessions.get_mut(&client).expect("looked up above");
+        q.epoch = new_epoch;
+        q.parked_since = None;
         Ok(ServerMessage::Resumed {
             client,
             epoch: new_epoch,
@@ -443,7 +431,7 @@ impl MenosServer {
         epoch: u64,
         codecs: u64,
     ) -> Result<Codec, ProtocolError> {
-        if self.clients.contains_key(&client) {
+        if self.sessions.get(&client).is_some_and(ClientState::is_live) {
             return Err(ProtocolError::Rejected(format!(
                 "{client} is already connected"
             )));
@@ -487,8 +475,7 @@ impl MenosServer {
         session.set_codec(codec);
         // A fresh Connect is an explicit restart: any parked state from
         // a previous incarnation is superseded.
-        self.quarantined.remove(&client);
-        self.clients.insert(
+        self.sessions.insert(
             client,
             ClientState {
                 session,
@@ -496,6 +483,7 @@ impl MenosServer {
                 // v1.0 peers send no epoch (decoded as 0); treat as 1.
                 epoch: epoch.max(1),
                 last_reply: None,
+                parked_since: None,
             },
         );
         Ok(codec)
@@ -511,16 +499,7 @@ impl MenosServer {
     /// session (the connections died with the process), so the
     /// reservations are re-derived when clients resume.
     pub fn to_state(&self) -> ServerState {
-        let mut sessions: Vec<SessionRecord> = self
-            .clients
-            .values()
-            .map(|s| record_of(s, true))
-            .chain(
-                self.quarantined
-                    .values()
-                    .map(|q| record_of(&q.state, false)),
-            )
-            .collect();
+        let mut sessions: Vec<SessionRecord> = self.sessions.values().map(record_of).collect();
         sessions.sort_by_key(|r| r.client.0);
         ServerState {
             seed: self.seed,
@@ -547,11 +526,11 @@ impl MenosServer {
     /// would derive different adapters than the snapshotted ones), or
     /// any record fails to rebuild against the registry's model.
     pub fn restore(&mut self, state: ServerState) -> Result<usize, CheckpointError> {
-        if !self.clients.is_empty() || !self.quarantined.is_empty() {
+        if !self.sessions.is_empty() {
             return Err(CheckpointError::Corrupt(format!(
                 "restore into a server with {} live / {} quarantined sessions",
-                self.clients.len(),
-                self.quarantined.len()
+                self.active_clients(),
+                self.quarantined_clients()
             )));
         }
         if state.seed != self.seed {
@@ -568,14 +547,14 @@ impl MenosServer {
         }
         let restored = rebuilt.len();
         self.mode = state.mode;
-        self.quarantined.extend(rebuilt);
+        self.sessions.extend(rebuilt);
         Ok(restored)
     }
 
     /// Rebuilds one record against the registry's model as a parked
     /// session: no Algorithm-2 reservation, demands re-profiled, the
     /// quarantine clock starting now. Parks nothing itself.
-    fn rebuild(&mut self, rec: &SessionRecord) -> Result<Quarantined, CheckpointError> {
+    fn rebuild(&mut self, rec: &SessionRecord) -> Result<ClientState, CheckpointError> {
         let session = ServerSession::from_state(self.registry.new_instance(), &rec.session)?;
         if session.client() != rec.client {
             return Err(CheckpointError::Corrupt(format!(
@@ -595,14 +574,12 @@ impl MenosServer {
             .as_deref()
             .map(crate::state::decode_reply)
             .transpose()?;
-        Ok(Quarantined {
-            state: ClientState {
-                session,
-                demands,
-                epoch: rec.epoch,
-                last_reply,
-            },
-            since: Instant::now(),
+        Ok(ClientState {
+            session,
+            demands,
+            epoch: rec.epoch,
+            last_reply,
+            parked_since: Some(Instant::now()),
         })
     }
 
@@ -617,10 +594,7 @@ impl MenosServer {
     /// `ImportSession` frame (or [`MenosServer::import_session`]
     /// directly).
     pub fn export_session(&self, client: ClientId) -> Option<Vec<u8>> {
-        let rec = match self.clients.get(&client) {
-            Some(s) => record_of(s, true),
-            None => record_of(&self.quarantined.get(&client)?.state, false),
-        };
+        let rec = record_of(self.sessions.get(&client)?);
         Some(crate::state::encode_session_record(self.seed, &rec))
     }
 
@@ -651,14 +625,14 @@ impl MenosServer {
                 seed, self.seed
             )));
         }
-        if self.clients.contains_key(&rec.client) || self.quarantined.contains_key(&rec.client) {
+        if self.sessions.contains_key(&rec.client) {
             return Err(CheckpointError::Corrupt(format!(
                 "{} already has a session on this server",
                 rec.client
             )));
         }
         let parked = self.rebuild(&rec)?;
-        self.quarantined.insert(rec.client, parked);
+        self.sessions.insert(rec.client, parked);
         Ok((rec.client, rec.epoch))
     }
 }

@@ -27,7 +27,7 @@
 
 use bytes::Bytes;
 use menos_split::{ClientId, ForwardMode, ServerMessage, WireMessage};
-use menos_tensor::{CheckpointError, SectionReader, SectionWriter};
+use menos_tensor::{ByteReader, CheckpointError, SectionReader, SectionWriter};
 
 /// Frame-size cap when re-decoding a cached reply out of a snapshot;
 /// snapshots are local trusted-path artifacts, but the decode is still
@@ -133,16 +133,11 @@ impl ServerState {
     /// record has been validated.
     pub fn from_bytes(bytes: &[u8]) -> Result<ServerState, CheckpointError> {
         let r = SectionReader::parse(bytes)?;
-        let meta = r.require(TAG_SERVER_META)?;
-        if meta.len() != 17 {
-            return Err(CheckpointError::Corrupt(format!(
-                "server meta of {} bytes",
-                meta.len()
-            )));
-        }
-        let seed = u64::from_le_bytes(meta[0..8].try_into().expect("8"));
-        let mode = mode_from_byte(meta[8])?;
-        let declared = u64::from_le_bytes(meta[9..17].try_into().expect("8"));
+        let mut meta = ByteReader::new(r.require(TAG_SERVER_META)?);
+        let seed = meta.u64()?;
+        let mode = mode_from_byte(meta.u8()?)?;
+        let declared = meta.u64()?;
+        meta.finish()?;
         let mut sessions = Vec::new();
         for (tag, body) in r.sections() {
             if tag != TAG_SESSION {
@@ -192,22 +187,17 @@ fn encode_record(rec: &SessionRecord) -> Vec<u8> {
 /// Decodes one nested session-record container.
 fn decode_record(body: &[u8]) -> Result<SessionRecord, CheckpointError> {
     let inner = SectionReader::parse(body)?;
-    let rec_meta = inner.require(TAG_RECORD_META)?;
-    if rec_meta.len() != 17 {
-        return Err(CheckpointError::Corrupt(format!(
-            "session record meta of {} bytes",
-            rec_meta.len()
-        )));
-    }
-    let client = ClientId(u64::from_le_bytes(rec_meta[0..8].try_into().expect("8")));
-    let epoch = u64::from_le_bytes(rec_meta[8..16].try_into().expect("8"));
-    let live = match rec_meta[16] {
+    let mut rec_meta = ByteReader::new(inner.require(TAG_RECORD_META)?);
+    let client = ClientId(rec_meta.u64()?);
+    let epoch = rec_meta.u64()?;
+    let live = match rec_meta.u8()? {
         0 => false,
         1 => true,
         other => {
             return Err(CheckpointError::Corrupt(format!("liveness byte {other}")));
         }
     };
+    rec_meta.finish()?;
     let session = inner.require(TAG_RECORD_SESSION)?.to_vec();
     let last_reply = inner.find(TAG_RECORD_REPLY).map(<[u8]>::to_vec);
     Ok(SessionRecord {
@@ -242,14 +232,9 @@ pub fn encode_session_record(seed: u64, rec: &SessionRecord) -> Vec<u8> {
 /// by mistake is rejected too (its meta section is 17 bytes, not 8).
 pub fn decode_session_record(bytes: &[u8]) -> Result<(u64, SessionRecord), CheckpointError> {
     let r = SectionReader::parse(bytes)?;
-    let meta = r.require(TAG_SERVER_META)?;
-    if meta.len() != 8 {
-        return Err(CheckpointError::Corrupt(format!(
-            "migration meta of {} bytes",
-            meta.len()
-        )));
-    }
-    let seed = u64::from_le_bytes(meta[0..8].try_into().expect("8"));
+    let mut meta = ByteReader::new(r.require(TAG_SERVER_META)?);
+    let seed = meta.u64()?;
+    meta.finish()?;
     let rec = decode_record(r.require(TAG_SESSION)?)?;
     Ok((seed, rec))
 }

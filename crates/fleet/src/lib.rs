@@ -92,16 +92,14 @@ pub struct FleetOptions {
     pub capacity_per_server: usize,
     /// Per-probe I/O deadline (connect errors count as misses too).
     pub probe_timeout: Duration,
-    /// `retry_after_ms` hint carried in `Redirect` replies. Zero is
-    /// honest for a placement: the target is ready now.
-    pub redirect_retry_after_ms: u64,
-    /// `retry_after_ms` hint carried in `Busy` replies (migration
-    /// window, or every backend full).
-    pub busy_retry_after_ms: u64,
-    /// Connections the coordinator's accept loop serves before
-    /// exiting — a test/demo bound, deliberately enormous by default.
-    pub accept_limit: usize,
 }
+
+/// `retry_after_ms` hint carried in `Redirect` replies. Zero is honest
+/// for a placement: the target is ready now.
+const REDIRECT_RETRY_AFTER_MS: u64 = 0;
+/// `retry_after_ms` hint carried in `Busy` replies (migration window,
+/// or every backend full).
+const BUSY_RETRY_AFTER_MS: u64 = 25;
 
 impl Default for FleetOptions {
     fn default() -> Self {
@@ -111,9 +109,6 @@ impl Default for FleetOptions {
             max_missed: 3,
             capacity_per_server: 64,
             probe_timeout: Duration::from_millis(250),
-            redirect_retry_after_ms: 0,
-            busy_retry_after_ms: 25,
-            accept_limit: 1_000_000,
         }
     }
 }
@@ -236,7 +231,7 @@ impl Shared {
         ServerMessage::Redirect {
             client,
             addr: self.backends[backend].addr.clone(),
-            retry_after_ms: self.options.redirect_retry_after_ms,
+            retry_after_ms: REDIRECT_RETRY_AFTER_MS,
         }
     }
 
@@ -244,7 +239,7 @@ impl Shared {
         st.stats.busy_turnaways += 1;
         ServerMessage::Busy {
             client,
-            retry_after_ms: self.options.busy_retry_after_ms,
+            retry_after_ms: BUSY_RETRY_AFTER_MS,
         }
     }
 
@@ -508,8 +503,9 @@ impl FleetCoordinator {
             shared: shared.clone(),
         };
         let tcp = TcpOptions::default();
+        // The control plane accepts until `shutdown` raises the loop's
+        // flag (`EventLoopOptions::accept_limit` defaults to unbounded).
         let loop_options = EventLoopOptions {
-            accept_limit: options.accept_limit,
             // A redirected client hangs up at once; a peer that dials
             // and then says nothing must not hold a connection forever.
             io_timeout: tcp.io_timeout,

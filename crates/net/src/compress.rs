@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use bytes::{Buf, Bytes};
 
-use menos_tensor::{lowp, pool, Tensor};
+use menos_tensor::{lowp, pool, put_f32s, ByteReader, Tensor};
 
 use crate::wire::{
     decode_tensor, encode_tensor, wire_size, WireError, COMPRESSED_MAGIC, MAGIC, MAX_ELEMS,
@@ -227,10 +227,13 @@ fn decode_compressed(bytes: &Bytes) -> Result<(Tensor, Codec), WireError> {
             if buf.remaining() < 8 {
                 return Err(WireError::Truncated);
             }
+            // §7: k is ⌈n/8⌉ exactly. Besides keeping one encoding per
+            // tensor, this ties the dense size `n` allocated below to
+            // the payload actually received (n ≤ 8k ≤ its bytes).
             let k = buf.get_u64_le();
-            if k > n as u64 {
+            if k != n.div_ceil(TOPK_DIVISOR) as u64 {
                 return Err(WireError::Malformed(format!(
-                    "top-k count {k} exceeds element count {n}"
+                    "top-k count {k} is not ⌈n/8⌉ of {n} elements"
                 )));
             }
             let k = k as usize;
@@ -419,9 +422,7 @@ impl TensorCodec {
         for (role, r) in live {
             out.push(*role);
             out.extend_from_slice(&(r.len() as u64).to_le_bytes());
-            for v in r {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            put_f32s(&mut out, r);
         }
         out
     }
@@ -433,44 +434,22 @@ impl TensorCodec {
     /// [`WireError`] on truncation, an unknown codec tag, or a
     /// residual length that disagrees with the payload.
     pub fn from_state(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut rest = bytes;
-        let mut take = |n: usize| -> Result<&[u8], WireError> {
-            if rest.len() < n {
-                return Err(WireError::Truncated);
-            }
-            let (head, tail) = rest.split_at(n);
-            rest = tail;
-            Ok(head)
-        };
-        let head = take(2)?;
-        let codec = Codec::from_tag(head[0])
-            .ok_or_else(|| WireError::Malformed(format!("unknown codec tag {}", head[0])))?;
-        let roles = head[1] as usize;
+        let mut r = ByteReader::new(bytes);
+        let tag = r.u8()?;
+        let codec = Codec::from_tag(tag)
+            .ok_or_else(|| WireError::Malformed(format!("unknown codec tag {tag}")))?;
+        let roles = r.u8()?;
         let mut residuals = BTreeMap::new();
         for _ in 0..roles {
-            let meta = take(9)?;
-            let role = meta[0];
-            let len = u64::from_le_bytes(meta[1..9].try_into().expect("8 bytes"));
-            if len > MAX_ELEMS {
-                return Err(WireError::Oversized(len));
-            }
-            let payload = take(4 * len as usize)?;
-            let mut r = Vec::with_capacity(len as usize);
-            for c in payload.chunks_exact(4) {
-                r.push(f32::from_le_bytes(c.try_into().expect("4-byte chunk")));
-            }
-            if residuals.insert(role, r).is_some() {
+            let role = r.u8()?;
+            let len = r.u64()?;
+            if residuals.insert(role, r.f32s(len)?).is_some() {
                 return Err(WireError::Malformed(format!(
                     "duplicate residual role {role}"
                 )));
             }
         }
-        if !rest.is_empty() {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes after codec state",
-                rest.len()
-            )));
-        }
+        r.finish()?;
         Ok(TensorCodec { codec, residuals })
     }
 }
@@ -593,7 +572,7 @@ mod tests {
     fn topk_rejects_non_canonical_indices() {
         // Handcraft a body with out-of-order indices.
         let mut buf = Vec::new();
-        put_compressed_head(&mut buf, Codec::TopK8, &[4]);
+        put_compressed_head(&mut buf, Codec::TopK8, &[16]);
         buf.extend_from_slice(&2u64.to_le_bytes());
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes()); // descending
@@ -613,14 +592,18 @@ mod tests {
             decode_tensor_any(&Bytes::from(buf)),
             Err(WireError::Malformed(_))
         ));
-        // k > n.
-        let mut buf = Vec::new();
-        put_compressed_head(&mut buf, Codec::TopK8, &[4]);
-        buf.extend_from_slice(&5u64.to_le_bytes());
-        assert!(matches!(
-            decode_tensor_any(&Bytes::from(buf)),
-            Err(WireError::Malformed(_))
-        ));
+        // k is not ⌈n/8⌉: too many, and — 33 bytes that used to make
+        // the decoder zero-fill 2^32 elements, aborting the process —
+        // none at all for a tensor declared `[65536, 65536]`.
+        for (dims, k) in [(vec![4], 5u64), (vec![65_536, 65_536], 0)] {
+            let mut buf = Vec::new();
+            put_compressed_head(&mut buf, Codec::TopK8, &dims);
+            buf.extend_from_slice(&k.to_le_bytes());
+            assert!(matches!(
+                decode_tensor_any(&Bytes::from(buf)),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 
 use std::io;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
-use menos_tensor::{pool, Tensor};
+use menos_tensor::{pool, put_f32s, ByteReadError, ByteReader, Tensor};
 
 pub(crate) const MAGIC: u32 = 0x4d4e_5331; // "MNS1"
 pub(crate) const COMPRESSED_MAGIC: u32 = 0x4d4e_4331; // "MNC1" (§7 bodies)
@@ -92,6 +92,17 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<ByteReadError> for WireError {
+    fn from(e: ByteReadError) -> Self {
+        match e {
+            ByteReadError::Short => WireError::Truncated,
+            ByteReadError::Trailing(n) => {
+                WireError::Malformed(format!("{n} trailing bytes after body"))
+            }
+        }
+    }
+}
 
 /// Errors reading a frame from a byte stream: either the transport
 /// failed ([`FrameError::Io`]) or the peer sent bytes that do not
@@ -310,13 +321,7 @@ pub fn encode_tensor(t: &Tensor) -> Bytes {
     for &d in dims {
         buf.extend_from_slice(&(d as u64).to_le_bytes());
     }
-    // Bulk f32 → LE conversion: one grow, then fixed 4-byte stores the
-    // compiler vectorizes — no per-element `put_f32_le` dispatch.
-    let head = buf.len();
-    buf.resize(head + 4 * data.len(), 0);
-    for (dst, &v) in buf[head..].chunks_exact_mut(4).zip(data.iter()) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
+    put_f32s(&mut buf, &data);
     pool::count_copied(4 * data.len());
     drop(data);
     Bytes::from(buf)
@@ -329,22 +334,16 @@ pub fn encode_tensor(t: &Tensor) -> Bytes {
 /// Returns [`WireError`] on truncation, magic mismatch, or an
 /// implausible shape.
 pub fn decode_tensor(bytes: &Bytes) -> Result<Tensor, WireError> {
-    let mut buf = bytes.clone();
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    let magic = buf.get_u32_le();
+    let mut r = ByteReader::new(bytes);
+    let magic = r.u32()?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let rank = buf.get_u32_le() as usize;
-    if buf.remaining() < 8 * rank {
-        return Err(WireError::Truncated);
-    }
-    let mut dims = Vec::with_capacity(rank);
+    let rank = r.u32()?;
+    let mut dims = Vec::new();
     let mut elems: u64 = 1;
     for _ in 0..rank {
-        let d = buf.get_u64_le();
+        let d = r.u64()?;
         elems = elems.saturating_mul(d.max(1));
         if elems > MAX_ELEMS {
             return Err(WireError::Oversized(elems));
@@ -352,16 +351,7 @@ pub fn decode_tensor(bytes: &Bytes) -> Result<Tensor, WireError> {
         dims.push(d as usize);
     }
     let n: usize = dims.iter().product();
-    if buf.remaining() < 4 * n {
-        return Err(WireError::Truncated);
-    }
-    // Bulk LE → f32 conversion.
-    let mut data = Vec::with_capacity(n);
-    data.extend(
-        buf[..4 * n]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
-    );
+    let data = r.f32s(n as u64)?;
     pool::count_copied(4 * n);
     Ok(Tensor::from_vec(data, dims))
 }

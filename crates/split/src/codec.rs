@@ -21,6 +21,7 @@ use bytes::Bytes;
 use menos_adapters::{AdapterKind, FineTuneConfig, OptimKind};
 use menos_models::{AdapterTarget, LoraSpec};
 use menos_net::{decode_frame_parts, encode_frame_header, Codec, WireError};
+use menos_tensor::ByteReader;
 
 use crate::message::{ClientId, ClientMessage, EvictionCode, ServerMessage};
 use crate::spec::SplitSpec;
@@ -212,10 +213,7 @@ fn client_message_from_kind(
             })
         }
         KIND_RESUME => {
-            let mut c = Cursor {
-                buf: &payload,
-                pos: 0,
-            };
+            let mut c = ByteReader::new(&payload);
             let epoch = c.u64()?;
             let last_step = c.u64()?;
             c.finish()?;
@@ -238,10 +236,7 @@ fn client_message_from_kind(
             Ok(ClientMessage::Disconnect { client })
         }
         KIND_PING => {
-            let mut c = Cursor {
-                buf: &payload,
-                pos: 0,
-            };
+            let mut c = ByteReader::new(&payload);
             let seq = c.u64()?;
             c.finish()?;
             Ok(ClientMessage::Ping { client, seq })
@@ -386,10 +381,7 @@ fn server_message_from_kind(
             frame: payload,
         }),
         KIND_RESUMED => {
-            let mut c = Cursor {
-                buf: &payload,
-                pos: 0,
-            };
+            let mut c = ByteReader::new(&payload);
             let epoch = c.u64()?;
             let server_step = c.u64()?;
             Ok(ServerMessage::Resumed {
@@ -412,10 +404,7 @@ fn server_message_from_kind(
             Ok(ServerMessage::Evicted { client, code })
         }
         KIND_BUSY => {
-            let mut c = Cursor {
-                buf: &payload,
-                pos: 0,
-            };
+            let mut c = ByteReader::new(&payload);
             let retry_after_ms = c.u64()?;
             c.finish()?;
             Ok(ServerMessage::Busy {
@@ -424,12 +413,9 @@ fn server_message_from_kind(
             })
         }
         KIND_REDIRECT => {
-            let mut c = Cursor {
-                buf: &payload,
-                pos: 0,
-            };
+            let mut c = ByteReader::new(&payload);
             let retry_after_ms = c.u64()?;
-            let addr_bytes = &payload[c.pos..];
+            let addr_bytes = c.take(c.remaining())?;
             if addr_bytes.is_empty() {
                 return Err(WireError::Malformed(
                     "Redirect body must carry a non-empty address".into(),
@@ -445,10 +431,7 @@ fn server_message_from_kind(
             })
         }
         KIND_PONG => {
-            let mut c = Cursor {
-                buf: &payload,
-                pos: 0,
-            };
+            let mut c = ByteReader::new(&payload);
             let seq = c.u64()?;
             let live_sessions = c.u64()?;
             let utilization_pct = c.u64()?;
@@ -461,10 +444,7 @@ fn server_message_from_kind(
             })
         }
         KIND_IMPORTED => {
-            let mut c = Cursor {
-                buf: &payload,
-                pos: 0,
-            };
+            let mut c = ByteReader::new(&payload);
             let epoch = c.u64()?;
             c.finish()?;
             Ok(ServerMessage::Imported { client, epoch })
@@ -598,44 +578,6 @@ pub(crate) fn encode_config_v12(
     out
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let v = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(v)
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let end = self.pos + 8;
-        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
-    }
-    fn f32(&mut self) -> Result<f32, WireError> {
-        let end = self.pos + 4;
-        let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(f32::from_le_bytes(bytes.try_into().expect("4 bytes")))
-    }
-    fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-    fn finish(&self) -> Result<(), WireError> {
-        if self.at_end() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} trailing bytes after body",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
 /// Decodes a Connect config body without the v1.2 codec mask — what
 /// session snapshots store (compression state is serialized separately
 /// from the config).
@@ -646,14 +588,14 @@ pub(crate) fn decode_config(buf: &[u8]) -> Result<(FineTuneConfig, SplitSpec, u6
 pub(crate) fn decode_config_v12(
     buf: &[u8],
 ) -> Result<(FineTuneConfig, SplitSpec, u64, u64), WireError> {
-    let mut c = Cursor { buf, pos: 0 };
+    let mut c = ByteReader::new(buf);
     let adapter = match c.u8()? {
         0 => {
             let rank = c.u64()? as usize;
             let alpha = c.f32()?;
             let targets_per_block = c.u64()? as usize;
-            let n = c.u8()? as usize;
-            let mut targets = Vec::with_capacity(n);
+            let n = c.u8()?;
+            let mut targets = Vec::new();
             for _ in 0..n {
                 targets.push(match c.u8()? {
                     0 => AdapterTarget::Q,
@@ -696,8 +638,8 @@ pub(crate) fn decode_config_v12(
     // "pre-lifecycle peer"), a v1.1 body after the epoch (codec mask
     // 0 ⇒ raw-only peer, the §7 fallback rule). A *partial* appended
     // field is still malformed — fields are all-or-nothing.
-    let epoch = if c.at_end() { 0 } else { c.u64()? };
-    let codecs = if c.at_end() { 0 } else { c.u64()? };
+    let epoch = if c.remaining() == 0 { 0 } else { c.u64()? };
+    let codecs = if c.remaining() == 0 { 0 } else { c.u64()? };
     c.finish()?;
     Ok((
         FineTuneConfig {

@@ -932,7 +932,7 @@ mod tests {
             ProtocolError::Disconnected
         ));
         assert!(matches!(
-            ProtocolError::from(Error::new(ErrorKind::Other, "o")),
+            ProtocolError::from(Error::other("o")),
             ProtocolError::Io(_)
         ));
     }

@@ -594,7 +594,7 @@ mod tests {
         fn handle(&mut self, msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
             if self.kill_every > 0 {
                 self.handled += 1;
-                if self.handled % self.kill_every == 0 {
+                if self.handled.is_multiple_of(self.kill_every) {
                     return Err(ProtocolError::Disconnected);
                 }
             }

@@ -8,8 +8,8 @@ use menos_models::CausalLm;
 use menos_net::TensorCodec;
 use menos_sim::seeded_rng;
 use menos_tensor::{
-    load_checkpoint, no_grad, restore_into, save_checkpoint, CheckpointError, GradStore,
-    ParamStore, SectionReader, SectionWriter, Tensor,
+    load_checkpoint, no_grad, restore_into, save_checkpoint, ByteReader, CheckpointError,
+    GradStore, ParamStore, SectionReader, SectionWriter, Tensor,
 };
 
 use crate::codec::{decode_config, encode_config};
@@ -163,16 +163,11 @@ impl ServerSession {
     /// inconsistent with `model`; never panics on untrusted input.
     pub fn from_state(model: CausalLm, bytes: &[u8]) -> Result<ServerSession, CheckpointError> {
         let r = SectionReader::parse(bytes)?;
-        let meta = r.require(TAG_SESSION_META)?;
-        if meta.len() != 40 {
-            return Err(CheckpointError::Corrupt(format!(
-                "session meta of {} bytes",
-                meta.len()
-            )));
-        }
-        let word = |i: usize| u64::from_le_bytes(meta[i * 8..(i + 1) * 8].try_into().expect("8"));
+        let mut meta = ByteReader::new(r.require(TAG_SESSION_META)?);
+        let mut word = || meta.u64();
         let (client, seed, steps, reforwards, micro) =
-            (word(0), word(1), word(2), word(3), word(4));
+            (word()?, word()?, word()?, word()?, word()?);
+        meta.finish()?;
         let (ft, split, _) = decode_config(r.require(TAG_SESSION_CONFIG)?)
             .map_err(|e| CheckpointError::Corrupt(format!("session config: {e}")))?;
         ft.validate(&model.config)

@@ -41,11 +41,6 @@ pub struct TcpOptions {
     pub max_frame: usize,
     /// Per-operation read/write deadline (`None` blocks forever).
     pub io_timeout: Option<Duration>,
-    /// Per-session reassembly staging cap for the nonblocking path
-    /// (`None` = header + `max_frame`). A *deployment* memory knob:
-    /// lowering it bounds what N slow-dripping sessions can pin in
-    /// server memory, independent of the protocol frame limit.
-    pub max_staged: Option<usize>,
 }
 
 impl Default for TcpOptions {
@@ -53,7 +48,6 @@ impl Default for TcpOptions {
         TcpOptions {
             max_frame: DEFAULT_MAX_FRAME,
             io_timeout: Some(Duration::from_secs(30)),
-            max_staged: None,
         }
     }
 }
@@ -150,13 +144,9 @@ impl TcpEventConn {
     pub fn from_stream(stream: TcpStream, options: TcpOptions) -> Result<Self, ProtocolError> {
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
-        let mut acc = FrameAccumulator::new(options.max_frame);
-        if let Some(cap) = options.max_staged {
-            acc = acc.with_staged_cap(cap);
-        }
         Ok(TcpEventConn {
             stream,
-            acc,
+            acc: FrameAccumulator::new(options.max_frame),
             writes: WriteQueue::new(),
             max_frame: options.max_frame,
         })
@@ -469,7 +459,6 @@ mod tests {
         let options = TcpOptions {
             max_frame: 1 << 20,
             io_timeout: Some(Duration::from_secs(5)),
-            max_staged: None,
         };
         let server = serve(session_handler(session), 1, options);
         let mut socket = TcpStream::connect(server.addr()).expect("connect");

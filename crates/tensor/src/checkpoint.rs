@@ -12,10 +12,15 @@
 //! layered with [`SectionWriter`]/[`SectionReader`]: a tagged, versioned
 //! container — `magic (u32) | version (u32) | count (u64)` then per
 //! section `tag (u32) | len (u64) | bytes`, closed by a CRC-32 over
-//! everything preceding it. Decode is length-validated before any
-//! allocation and rejects corruption with typed errors, mirroring the
-//! wire codec's discipline; the trailing checksum catches the payload
+//! everything preceding it. The trailing checksum catches the payload
 //! bit-flips that are structurally undetectable (any f32 is "valid").
+//!
+//! Every decoder of disk- or peer-supplied bytes — here and in the
+//! crates above — reads through one [`ByteReader`]. Its
+//! [`f32s`](ByteReader::f32s) is the only way to turn untrusted bytes
+//! into a `Vec`, and it checks the declared count against the bytes
+//! that are actually left *before* it allocates: no length field can
+//! make a decoder reserve more memory than its input occupies.
 
 use crate::param::ParamStore;
 use crate::shape::Shape;
@@ -28,8 +33,6 @@ const SECTION_MAGIC: u32 = 0x4d53_4543; // "MSEC"
 const SECTION_VERSION: u32 = 1;
 /// Upper bound on sections per container — far above any real snapshot.
 const MAX_SECTIONS: u64 = 1 << 16;
-/// Upper bound on one section's byte length.
-const MAX_SECTION_LEN: u64 = 1 << 32;
 
 /// Errors reading a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,6 +98,141 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// Why a [`ByteReader`] call failed. Each decoder's own error type
+/// converts from it (`CheckpointError`, `menos_net::WireError`), so
+/// `?` works unadorned at every read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ByteReadError {
+    /// Fewer bytes were left than the read (or declared count) needs.
+    Short,
+    /// [`ByteReader::finish`] found this many unread bytes.
+    Trailing(usize),
+}
+
+impl From<ByteReadError> for CheckpointError {
+    fn from(e: ByteReadError) -> Self {
+        match e {
+            ByteReadError::Short => CheckpointError::Truncated,
+            ByteReadError::Trailing(n) => CheckpointError::Corrupt(format!("{n} trailing bytes")),
+        }
+    }
+}
+
+/// A bounds-checked cursor over untrusted little-endian bytes.
+///
+/// # Examples
+///
+/// ```
+/// use menos_tensor::{put_f32s, ByteReadError, ByteReader};
+///
+/// let mut bytes = 2u64.to_le_bytes().to_vec();
+/// put_f32s(&mut bytes, &[1.5, -0.25]);
+/// let mut r = ByteReader::new(&bytes);
+/// let n = r.u64().unwrap();
+/// assert_eq!(r.f32s(n).unwrap(), vec![1.5, -0.25]);
+/// r.finish().unwrap();
+///
+/// // A count the input cannot back is refused before any allocation.
+/// let hostile = u64::MAX.to_le_bytes();
+/// let mut r = ByteReader::new(&hostile);
+/// let n = r.u64().unwrap();
+/// assert_eq!(r.f32s(n), Err(ByteReadError::Short));
+/// ```
+#[derive(Debug, Clone)]
+pub struct ByteReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ByteReader<'a> {
+    /// Starts reading at the front of `bytes`.
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        ByteReader { rest: bytes }
+    }
+
+    /// Bytes not yet read.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The next `n` bytes, borrowed from the input.
+    ///
+    /// # Errors
+    ///
+    /// [`ByteReadError::Short`] if fewer than `n` bytes are left; every
+    /// other read is built on this one and fails the same way.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ByteReadError> {
+        if n > self.rest.len() {
+            return Err(ByteReadError::Short);
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ByteReadError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, ByteReadError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, ByteReadError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, ByteReadError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A little-endian `f32`.
+    pub fn f32(&mut self) -> Result<f32, ByteReadError> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    /// `n` little-endian `f32`s, `n` being a count as declared by the
+    /// input. `4·n` is checked against [`remaining`](Self::remaining)
+    /// before the `Vec` is allocated, then converted in bulk.
+    pub fn f32s(&mut self, n: u64) -> Result<Vec<f32>, ByteReadError> {
+        let bytes = n
+            .checked_mul(4)
+            .and_then(|b| usize::try_from(b).ok())
+            .ok_or(ByteReadError::Short)?;
+        let raw = self.take(bytes)?.chunks_exact(4);
+        Ok(raw
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect())
+    }
+
+    /// Ends the read: every byte must have been consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`ByteReadError::Trailing`] with the number of unread bytes.
+    pub fn finish(self) -> Result<(), ByteReadError> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(ByteReadError::Trailing(n)),
+        }
+    }
+}
+
+/// Appends `data` as little-endian `f32`s — the writing counterpart of
+/// [`ByteReader::f32s`]: one grow, then fixed 4-byte stores the
+/// compiler vectorizes.
+pub fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
+    let head = out.len();
+    out.resize(head + 4 * data.len(), 0);
+    for (dst, &v) in out[head..].chunks_exact_mut(4).zip(data) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven. Implemented
 // locally: the workspace is offline and the guarantee we need is small —
@@ -199,7 +337,7 @@ impl<'a> SectionReader<'a> {
     /// implausible count or length, trailing garbage, or a checksum
     /// mismatch — never panics on untrusted input.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
+        let mut r = ByteReader::new(bytes);
         let magic = r.u32()?;
         if magic != SECTION_MAGIC {
             return Err(CheckpointError::BadMagic(magic));
@@ -208,43 +346,29 @@ impl<'a> SectionReader<'a> {
         if version != SECTION_VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
-        // Header (16) + trailing CRC (4) is the minimum container.
-        if bytes.len() < 20 {
-            return Err(CheckpointError::Truncated);
-        }
-        let body_end = bytes.len() - 4;
-        let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4"));
-        let actual = crc32(&bytes[..body_end]);
+        // What follows is the section list, then the CRC-32 of every
+        // byte before it.
+        let body_len = r
+            .remaining()
+            .checked_sub(4)
+            .ok_or(CheckpointError::Truncated)?;
+        let mut body = ByteReader::new(r.take(body_len)?);
+        let stored = r.u32()?;
+        let actual = crc32(&bytes[..bytes.len() - 4]);
         if stored != actual {
             return Err(CheckpointError::ChecksumMismatch { stored, actual });
         }
-        let count = r.u64()?;
+        let count = body.u64()?;
         if count > MAX_SECTIONS {
             return Err(CheckpointError::Corrupt(format!("{count} sections")));
         }
-        let mut sections = Vec::with_capacity(count as usize);
+        let mut sections = Vec::new();
         for _ in 0..count {
-            let tag = r.u32()?;
-            let len = r.u64()?;
-            if len > MAX_SECTION_LEN {
-                return Err(CheckpointError::Corrupt(format!(
-                    "section {tag} of {len} bytes"
-                )));
-            }
-            let len = len as usize;
-            let end = r.pos.checked_add(len).ok_or(CheckpointError::Truncated)?;
-            if end > body_end {
-                return Err(CheckpointError::Truncated);
-            }
-            sections.push((tag, &bytes[r.pos..end]));
-            r.pos = end;
+            let tag = body.u32()?;
+            let len = usize::try_from(body.u64()?).map_err(|_| CheckpointError::Truncated)?;
+            sections.push((tag, body.take(len)?));
         }
-        if r.pos != body_end {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after last section",
-                body_end - r.pos
-            )));
-        }
+        body.finish()?;
         Ok(Self { sections })
     }
 
@@ -312,40 +436,9 @@ pub fn save_checkpoint(store: &ParamStore) -> Vec<u8> {
         for &d in t.dims() {
             out.extend((d as u64).to_le_bytes());
         }
-        for &v in t.storage().read().iter() {
-            out.extend(v.to_le_bytes());
-        }
+        put_f32s(&mut out, &t.storage().read());
     }
     out
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(CheckpointError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
 }
 
 /// Restores a [`ParamStore`] from checkpoint bytes.
@@ -355,7 +448,7 @@ impl<'a> Reader<'a> {
 /// Returns [`CheckpointError`] on truncation, bad magic/version, or
 /// implausible sizes — never panics on untrusted input.
 pub fn load_checkpoint(bytes: &[u8]) -> Result<ParamStore, CheckpointError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = ByteReader::new(bytes);
     let magic = r.u32()?;
     if magic != MAGIC {
         return Err(CheckpointError::BadMagic(magic));
@@ -383,7 +476,7 @@ pub fn load_checkpoint(bytes: &[u8]) -> Result<ParamStore, CheckpointError> {
         if rank > 8 {
             return Err(CheckpointError::Corrupt(format!("rank {rank}")));
         }
-        let mut dims = Vec::with_capacity(rank);
+        let mut dims = Vec::new();
         let mut elems: u64 = 1;
         for _ in 0..rank {
             let d = r.u64()?;
@@ -394,10 +487,7 @@ pub fn load_checkpoint(bytes: &[u8]) -> Result<ParamStore, CheckpointError> {
             dims.push(d as usize);
         }
         let n: usize = dims.iter().product();
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(r.f32()?);
-        }
+        let data = r.f32s(n as u64)?;
         let t = if trainable {
             Tensor::var_from_vec(data, Shape::new(dims))
         } else {

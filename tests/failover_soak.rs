@@ -297,7 +297,6 @@ fn sigkilled_backend_fails_over_bit_identically_across_seeds() {
                 max_missed: 6,
                 probe_timeout: Duration::from_secs(2),
                 capacity_per_server: CLIENTS as usize,
-                ..FleetOptions::default()
             },
         )
         .expect("spawn coordinator");

@@ -8,6 +8,8 @@
 //! foreign, or duplicate blob is refused with a typed
 //! [`CheckpointError`] that commits nothing.
 
+mod common;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -15,10 +17,15 @@ use menos::adapters::FineTuneConfig;
 use menos::core::{
     decode_session_record, encode_session_record, MenosServer, ServerMode, ServerSpec,
 };
-use menos::models::ModelConfig;
+use menos::data::TokenDataset;
+use menos::models::{CausalLm, ModelConfig};
 use menos::net::encode_tensor;
-use menos::split::{ClientId, ClientMessage, ServerMessage, SplitSpec};
-use menos::tensor::Tensor;
+use menos::split::{
+    run_split_steps, run_tcp_client, ClientId, ClientMessage, EventLoopOptions, ForwardMode,
+    RetryPolicy, ServerMessage, ServerSession, SplitClient, SplitSpec, TcpEventServer, TcpOptions,
+    WireMessage,
+};
+use menos::tensor::{SectionReader, SectionWriter, Tensor};
 
 const SEED: u64 = 5;
 
@@ -165,6 +172,127 @@ fn pristine_blob() -> &'static [u8] {
             .export_session(ClientId(4))
             .expect("export")
     })
+}
+
+/// An `ImportSession` blob is peer input sealed by an unkeyed CRC-32,
+/// so the sender can re-seal anything. Every length, count and
+/// dimension field, at every nesting depth, overwritten with `0`,
+/// `1<<31`, `1<<32` and `u64::MAX` under valid checksums: a typed
+/// error, nothing allocated on the field's say-so, nothing imported.
+#[test]
+fn resealed_hostile_lengths_are_typed_errors_and_import_nothing() {
+    common::every_resealed_overwrite(pristine_blob(), |what, damaged| {
+        let mut target = fresh_target();
+        let result = target.import_session(damaged);
+        assert!(result.is_err(), "{what} was imported");
+        assert_untouched(&target);
+    });
+}
+
+/// `container` with the first section tagged `tag` replaced by
+/// `payload`, re-sealed.
+fn with_section(container: &[u8], tag: u32, payload: &[u8]) -> Vec<u8> {
+    let mut w = SectionWriter::new();
+    for (t, body) in SectionReader::parse(container)
+        .expect("own bytes")
+        .sections()
+    {
+        w.section(t, if t == tag { payload } else { body }.to_vec());
+    }
+    w.finish()
+}
+
+/// The one-frame kill switch, closed. `ImportSession` is legal on an
+/// unbound connection and its blob is sealed only by a CRC anyone can
+/// recompute, so a stranger who knows the model seed can make the
+/// server decode an adapter checkpoint, or optimizer moments, of their
+/// choosing. With a section that declares 2^32 elements and carries
+/// none, the parsers used to reserve 16 GiB and abort the process —
+/// every tenant's session gone. Now the push fails its own connection,
+/// commits nothing, and a client training on the same server the whole
+/// time never notices.
+#[test]
+fn a_resealed_hostile_import_costs_only_the_connection_that_pushed_it() {
+    // The adapter section (tag 3), then the optimizer section (tag 4),
+    // of a well-formed blob replaced under valid CRCs.
+    let (seed, rec) = decode_session_record(pristine_blob()).expect("own blob");
+    let checkpoint = common::checkpoint_declaring_2_pow_32_elements();
+    let optimizer = common::optimizer_state_declaring_2_pow_32_elements();
+    let hostile_blobs = [(3, checkpoint), (4, optimizer)].map(|(tag, payload)| {
+        let mut rec = rec.clone();
+        rec.session = with_section(&rec.session, tag, &payload);
+        encode_session_record(seed, &rec)
+    });
+
+    let srv = fresh_target();
+    let base = srv.registry().base_store().shared_view(false);
+    let model = || CausalLm::bind(&config(), &base.shared_view(false));
+    let trainer = || {
+        let mut ft = FineTuneConfig::paper(&config());
+        ft.batch_size = 2;
+        ft.seq_len = 8;
+        let data = TokenDataset::new((0..512).map(|i| i * 7 % 17).collect(), 8, 1);
+        SplitClient::new(ClientId(1), model(), SplitSpec::paper(), ft, data, 1)
+    };
+    // The oracle: client 1 against the session `MenosServer` builds
+    // for it at `Connect`, in process, no server at all.
+    const STEPS: usize = 6;
+    let expected = {
+        let (mut client, split) = (trainer(), SplitSpec::paper());
+        let mut session =
+            ServerSession::new(ClientId(1), model(), split, client.ft_config(), SEED + 1);
+        run_split_steps(
+            &mut client,
+            &mut session,
+            ForwardMode::NoGradReforward,
+            STEPS,
+        )
+    };
+
+    let handler = std::sync::Arc::new(std::sync::Mutex::new(srv));
+    let options = EventLoopOptions {
+        accept_limit: 1 + hostile_blobs.len(),
+        ..EventLoopOptions::default()
+    };
+    let tcp = TcpOptions::default();
+    let server = TcpEventServer::spawn("127.0.0.1:0", handler.clone(), options, tcp).expect("bind");
+    let addr = server.addr();
+
+    let curve = std::thread::scope(|scope| {
+        let training = scope.spawn(|| {
+            run_tcp_client(
+                &addr.to_string(),
+                &mut trainer(),
+                STEPS,
+                &RetryPolicy::none(),
+            )
+            .expect("the bystander trains to the end")
+        });
+        for blob in hostile_blobs {
+            use std::io::{Read, Write};
+            let push = ClientMessage::ImportSession {
+                client: rec.client,
+                blob: Bytes::from(blob),
+            };
+            let mut stranger = std::net::TcpStream::connect(addr).expect("dial");
+            let deadline = Some(std::time::Duration::from_secs(30));
+            stranger.set_read_timeout(deadline).expect("read deadline");
+            stranger.write_all(&push.to_wire()).expect("push");
+            // No `Imported`: the server drops the connection.
+            let mut reply = [0u8; 1];
+            assert!(matches!(stranger.read(&mut reply), Ok(0) | Err(_)));
+        }
+        training.join().expect("training thread")
+    });
+    let bits = |c: &menos::data::LossCurve| -> Vec<u32> {
+        c.points().iter().map(|&(_, loss)| loss.to_bits()).collect()
+    };
+    assert_eq!(bits(&curve), bits(&expected), "the bystander's curve moved");
+
+    let (_, stats) = server.join().expect("loop finished");
+    let counted = (stats.served, stats.conn_errors, stats.sessions_imported);
+    assert_eq!(counted, (1, 2, 0), "{stats:?}");
+    assert_untouched(&handler.lock().unwrap());
 }
 
 proptest! {

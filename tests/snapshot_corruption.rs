@@ -11,6 +11,8 @@
 //! is the only artifact that crosses a process-death boundary, so its
 //! decode path is held to the same standard.
 
+mod common;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -124,6 +126,22 @@ fn every_single_bit_flip_is_rejected_with_a_typed_error() {
             "bit flip at offset {offset} must be rejected"
         );
     }
+}
+
+/// The sweeps above never get past the outer CRC-32, and a CRC is not
+/// a key: whoever damages a snapshot can recompute it. So overwrite
+/// every length, count and dimension field — at every nesting depth —
+/// with `0`, `1<<31`, `1<<32` and `u64::MAX`, re-seal every checksum
+/// around it, and hold the decoders behind the checksum to the same
+/// standard: a typed error, nothing allocated on the field's say-so
+/// (a `1<<32`-element buffer would abort the process), nothing
+/// restored.
+#[test]
+fn resealed_hostile_lengths_are_typed_errors_and_restore_nothing() {
+    common::every_resealed_overwrite(snapshot_bytes(), |what, damaged| {
+        // `try_restore` checks the target is untouched on error.
+        assert!(try_restore(damaged).is_err(), "{what} restored");
+    });
 }
 
 proptest! {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use menos::data::Vocab;
 use menos::net::{decode_tensor, encode_tensor};
-use menos::tensor::Tensor;
+use menos::tensor::{put_f32s, ByteReadError, ByteReader, Tensor};
 
 fn small_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, 1..max_len)
@@ -121,6 +121,66 @@ proptest! {
         let back = decode_tensor(&encode_tensor(&t)).unwrap();
         prop_assert_eq!(back.dims(), t.dims());
         prop_assert_eq!(back.to_vec(), t.to_vec());
+    }
+
+    /// `ByteReader` against a model that only counts: arbitrary bytes,
+    /// arbitrary reads. A read succeeds exactly when its bytes are
+    /// there, returns exactly those bytes, and a refused read — `f32s`
+    /// above all, whenever `4·n` exceeds what is left — consumes
+    /// nothing; `finish` reports what was never read.
+    #[test]
+    fn byte_reader_never_overruns(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ops in prop::collection::vec((0u8..6, any::<u64>()), 0..24),
+    ) {
+        let mut r = ByteReader::new(&bytes);
+        let mut pos = 0usize;
+        for (op, arg) in ops {
+            // Half the counts are small enough to fit, half are anything.
+            let n = if arg & 1 == 0 { (arg >> 1) % 32 } else { arg };
+            let width = [Some(n), Some(1), Some(4), Some(8), Some(4), n.checked_mul(4)][op as usize];
+            let fits = width.is_some_and(|w| w <= (bytes.len() - pos) as u64);
+            let read: Result<Vec<u8>, ByteReadError> = match op {
+                0 => r.take(usize::try_from(n).unwrap_or(usize::MAX)).map(<[u8]>::to_vec),
+                1 => r.u8().map(|v| vec![v]),
+                2 => r.u32().map(|v| v.to_le_bytes().to_vec()),
+                3 => r.u64().map(|v| v.to_le_bytes().to_vec()),
+                4 => r.f32().map(|v| v.to_bits().to_le_bytes().to_vec()),
+                _ => r.f32s(n).map(|v| v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect()),
+            };
+            if fits {
+                let w = width.unwrap() as usize;
+                prop_assert_eq!(read, Ok(bytes[pos..pos + w].to_vec()), "op {} n {}", op, n);
+                pos += w;
+            } else {
+                prop_assert_eq!(read, Err(ByteReadError::Short), "op {} n {}", op, n);
+            }
+            prop_assert_eq!(r.remaining(), bytes.len() - pos);
+        }
+        let expected = match bytes.len() - pos {
+            0 => Ok(()),
+            left => Err(ByteReadError::Trailing(left)),
+        };
+        prop_assert_eq!(r.finish(), expected);
+    }
+
+    /// `put_f32s` writes what an element-at-a-time encoder writes and
+    /// `f32s` reads it back bit for bit — NaN payloads, signalling NaNs,
+    /// negative zero and subnormals included.
+    #[test]
+    fn put_f32s_round_trips_every_bit_pattern(random in prop::collection::vec(any::<u32>(), 0..64)) {
+        let mut bits = vec![0x7fc0_1234, 0xffa5_5a5a, 0x7f80_0001, 0x8000_0000, 0x0000_0001];
+        bits.extend(random);
+        let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let mut out = vec![0xAA];
+        put_f32s(&mut out, &data);
+        let naive: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+        prop_assert_eq!(out[0], 0xAA);
+        prop_assert_eq!(&out[1..], &naive[..]);
+        let mut r = ByteReader::new(&out[1..]);
+        let back = r.f32s(bits.len() as u64).unwrap();
+        prop_assert_eq!(back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+        prop_assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]

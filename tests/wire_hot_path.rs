@@ -289,3 +289,66 @@ fn golden_wire_frames() {
          0000000000100000 0000000000010000 0000000000010000 0000000000";
     check_golden(&v1_0, v1_0_frame, false);
 }
+
+/// FNV-1a, 64-bit: no keys and no version drift, so the literals below
+/// mean the same thing on every toolchain.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The durable formats, pinned like the wire frames above: the full
+/// snapshot (`to_state().to_bytes()`) and one migration blob
+/// (`export_session`) of a fixed-seed server holding two sessions two
+/// steps deep, one live and one parked. The literals were computed on
+/// the commit *before* the durable-state parsers and writers moved onto
+/// `ByteReader` / `put_f32s`; an edit that moves them changes what a
+/// `server.snap` or an `ImportSession` body looks like on disk and on
+/// the wire.
+#[test]
+fn golden_snapshot_and_migration_bytes() {
+    use menos::core::{MenosServer, ServerMode, ServerSpec};
+
+    let config = menos::models::ModelConfig::tiny_opt(17);
+    let mut ft = FineTuneConfig::paper(&config);
+    (ft.batch_size, ft.seq_len) = (2, 8);
+    let mut srv = MenosServer::new(config, ServerSpec::v100(ServerMode::menos()), 5);
+    for client in [ClientId(7), ClientId(3)] {
+        let connect = ClientMessage::Connect {
+            client,
+            ft: ft.clone(),
+            split: SplitSpec::paper(),
+            epoch: 1,
+            codecs: 0,
+        };
+        srv.handle(connect).expect("connect");
+        for step in 0..2 {
+            let x = 0.1 + step as f32 * 0.01 + client.0 as f32 * 0.001;
+            let frame = |v: f32| encode_tensor(&Tensor::full(v, [2, 8, 64]));
+            let activations = ClientMessage::Activations {
+                client,
+                frame: frame(x),
+            };
+            srv.handle(activations).expect("activations");
+            let gradients = ClientMessage::Gradients {
+                client,
+                frame: frame(x / 10.0),
+            };
+            srv.handle(gradients).expect("gradients");
+        }
+    }
+    srv.quarantine(ClientId(3));
+
+    let snapshot = srv.to_state().to_bytes();
+    let blob = srv.export_session(ClientId(7)).expect("client 7 exports");
+    let pinned = [
+        (snapshot.len(), fnv1a64(&snapshot)),
+        (blob.len(), fnv1a64(&blob)),
+    ];
+    let parent = [
+        (157_975, 0x5a9c_4826_586d_dcdd),
+        (79_003, 0x0d2d_99e2_b23a_f5fb),
+    ];
+    assert_eq!(pinned, parent, "snapshot or migration bytes moved");
+}
