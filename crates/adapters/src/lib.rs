@@ -33,13 +33,11 @@ mod finetune;
 mod lora;
 mod optim;
 mod prefix;
-mod schedule;
 
 pub use finetune::{
     adapter_bytes, build_optimizer, inject_adapters, optimizer_state_bytes, AdapterKind,
     FineTuneConfig, OptimKind,
 };
 pub use lora::LoraAdapter;
-pub use optim::{clip_grad_norm, Adam, OptimState, Optimizer, Sgd};
+pub use optim::{Adam, OptimState, Optimizer, Sgd};
 pub use prefix::PrefixAdapter;
-pub use schedule::LrSchedule;

@@ -19,8 +19,7 @@ pub trait Optimizer: Send {
     /// the parameters themselves.
     fn state_bytes(&self) -> u64;
 
-    /// Overrides the learning rate (driven by an
-    /// [`crate::LrSchedule`] between steps).
+    /// Overrides the learning rate between steps.
     fn set_lr(&mut self, lr: f32);
 
     /// Captures the full mutable state (hyper-parameters, step count,
@@ -311,44 +310,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Rescales all gradients in `grads` for `params` so their global L2
-/// norm does not exceed `max_norm`, returning the pre-clip norm — the
-/// standard stabilizer for LLM fine-tuning.
-///
-/// # Panics
-///
-/// Panics if `max_norm` is not positive.
-///
-/// # Examples
-///
-/// ```
-/// use menos_adapters::clip_grad_norm;
-/// use menos_tensor::Tensor;
-///
-/// let w = Tensor::var_from_vec(vec![3.0, 4.0], [2]);
-/// let mut grads = (&w * &w).sum_all().backward(); // grad (6, 8), norm 10
-/// let norm = clip_grad_norm(&mut grads, &[w.clone()], 1.0);
-/// assert!((norm - 10.0).abs() < 1e-5);
-/// let g = grads.get(&w).unwrap().to_vec();
-/// assert!((g[0] - 0.6).abs() < 1e-5 && (g[1] - 0.8).abs() < 1e-5);
-/// ```
-pub fn clip_grad_norm(grads: &mut GradStore, params: &[Tensor], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let mut sum_sq = 0.0f64;
-    for p in params {
-        if let Some(g) = grads.get(p) {
-            for v in g.storage().read().iter() {
-                sum_sq += f64::from(*v) * f64::from(*v);
-            }
-        }
-    }
-    let norm = (sum_sq as f32).sqrt();
-    if norm > max_norm {
-        grads.scale(max_norm / norm);
-    }
-    norm
-}
-
 /// Adam with bias correction — the paper's fine-tuning optimizer.
 #[derive(Debug)]
 pub struct Adam {
@@ -377,7 +338,7 @@ impl Adam {
     /// # Panics
     ///
     /// Panics if `lr` is not positive or a beta is outside `[0, 1)`.
-    pub fn with_betas(params: Vec<Tensor>, lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
+    fn with_betas(params: Vec<Tensor>, lr: f32, beta1: f32, beta2: f32, eps: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
         let m = params.iter().map(|p| vec![0.0; p.elem_count()]).collect();
@@ -573,21 +534,6 @@ mod tests {
     #[should_panic(expected = "learning rate")]
     fn bad_lr_rejected() {
         Sgd::new(vec![], 0.0, 0.0);
-    }
-
-    #[test]
-    fn clip_grad_norm_caps_and_reports() {
-        let w = Tensor::var_from_vec(vec![3.0, 4.0], [2]);
-        let mut grads = (&w * &w).sum_all().backward(); // (6, 8), norm 10
-        let norm = clip_grad_norm(&mut grads, std::slice::from_ref(&w), 5.0);
-        assert!((norm - 10.0).abs() < 1e-4);
-        let g = grads.get(&w).unwrap().to_vec();
-        let clipped = (g[0] * g[0] + g[1] * g[1]).sqrt();
-        assert!((clipped - 5.0).abs() < 1e-4);
-        // Already-small grads are untouched.
-        let mut grads = (&w * &w).sum_all().backward();
-        clip_grad_norm(&mut grads, std::slice::from_ref(&w), 100.0);
-        assert_eq!(grads.get(&w).unwrap().to_vec(), vec![6.0, 8.0]);
     }
 
     /// Runs `steps` identical quadratic-loss steps against `opt`.

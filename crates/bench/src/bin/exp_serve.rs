@@ -1,6 +1,6 @@
 //! Many-client serving throughput of the single-thread event-driven
 //! server (one ready-set per dispatch, members served one after
-//! another), over `SimTransport`.
+//! another), over the in-process channel transport.
 //!
 //! For each fleet size N the same N clients train the same number of
 //! steps against one shared `MenosServer`; the aggregate throughput is
@@ -30,6 +30,11 @@
 //! structural overload contract — sheds happened, the live-session
 //! peak respected the cap, and every client completed.
 //!
+//! The codec study trains one client over the geo-distributed WAN
+//! profile per codec and reports bytes/step, virtual WAN steps/s and
+//! the downlink bytes its connection charged; `--check` asserts that
+//! downlink equals the PROTOCOL.md §7 sizes of what the server sent.
+//!
 //! The fleet placement study (v1.4) compares the coordinator's two
 //! placement policies — round-robin vs memory-aware — over real TCP
 //! backends (spawned as `--worker backend` subprocesses) with one
@@ -50,7 +55,7 @@ use menos_models::{init_params, CausalLm, ModelConfig};
 use menos_net::{Codec, WanLink};
 use menos_sim::seeded_rng;
 use menos_split::{
-    activation_wire_bytes_with, already_connected, drive_client, event_sim_listener,
+    activation_wire_bytes_with, already_connected, drive_client, event_channel_listener,
     run_tcp_client, ClientId, EventLoopOptions, EventLoopStats, RetryPolicy, ServerEventLoop,
     ServerMessage, SnapshotPolicy, SplitClient, SplitSpec, TcpEventServer, TcpOptions, WireMessage,
 };
@@ -113,7 +118,8 @@ fn vm_hwm_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// One `ServerEventLoop` thread serving all N clients over SimTransport.
+/// One `ServerEventLoop` thread serving all N clients over in-process
+/// channels, each dialed over its own pair of LAN links.
 fn run_event_loop(
     n: u64,
     text: &str,
@@ -122,7 +128,7 @@ fn run_event_loop(
 ) -> (f64, EventLoopStats) {
     let none = RetryPolicy::none();
     let handler = make_server(config, base);
-    let (dialer, listener) = event_sim_listener();
+    let (dialer, listener) = event_channel_listener();
     let event_loop = ServerEventLoop::new(
         listener,
         handler,
@@ -140,7 +146,7 @@ fn run_event_loop(
         drivers.push(std::thread::spawn(move || {
             drive_client(
                 &mut client,
-                |_| dialer.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
+                |_| dialer.dial_over(WanLink::lan(7 + k), WanLink::lan(100 + k)),
                 STEPS,
                 &none,
             )
@@ -166,7 +172,7 @@ fn run_overload(
 ) -> (usize, EventLoopStats, Vec<f64>) {
     let capacity = (n as usize / 4).max(1);
     let handler = make_server(config, base);
-    let (dialer, listener) = event_sim_listener();
+    let (dialer, listener) = event_channel_listener();
     let event_loop = ServerEventLoop::new(
         listener,
         handler,
@@ -192,7 +198,7 @@ fn run_overload(
             let start = Instant::now();
             drive_client(
                 &mut client,
-                |_| dialer.dial(WanLink::lan(7 + k), WanLink::lan(100 + k)),
+                |_| dialer.dial_over(WanLink::lan(7 + k), WanLink::lan(100 + k)),
                 STEPS,
                 &policy,
             )
@@ -220,20 +226,20 @@ fn percentile(xs: &[f64], p: f64) -> f64 {
 /// One client training `CODEC_STEPS` steps against the shared server
 /// over the geo-distributed WAN profile (60 ms, 8 MB/s, 5% jitter),
 /// advertising exactly one codec. Returns `(bytes_per_step,
-/// virtual_steps_per_sec)`: uplink bytes are what the client's link
-/// actually charged; the downlink's end lives inside the event loop, so
-/// its bytes are the analytic PROTOCOL.md §7 post-compression sizes of
-/// the same two tensors per step plus the `Ready` frame. Time is the
-/// virtual WAN clock — wall time would measure this host's compute, not
-/// the network the codec exists to relieve.
+/// virtual_steps_per_sec, [measured, analytic] downlink bytes)`: bytes
+/// are what the two directions of the client's connection charged; the
+/// analytic downlink is the `Ready` frame plus, per step, the server's
+/// activations and gradients at their PROTOCOL.md §7 post-compression
+/// sizes. Time is the virtual WAN clock — wall time would measure this
+/// host's compute, not the network the codec exists to relieve.
 fn run_codec_wan(
     codec: Codec,
     text: &str,
     config: &ModelConfig,
     base: &Arc<Mutex<ParamStore>>,
-) -> (f64, f64) {
+) -> (f64, f64, [u64; 2]) {
     let none = RetryPolicy::none();
-    let (dialer, listener) = event_sim_listener();
+    let (dialer, listener) = event_channel_listener();
     let event_loop = ServerEventLoop::new(
         listener,
         make_server(config, base),
@@ -244,7 +250,7 @@ fn run_codec_wan(
     );
     let server = std::thread::spawn(move || event_loop.run());
     let mut client_t = dialer
-        .dial(
+        .dial_over(
             WanLink::geo_distributed(SEED),
             WanLink::geo_distributed(SEED + 1),
         )
@@ -267,35 +273,45 @@ fn run_codec_wan(
     );
     let (_handler, stats) = server.join().expect("server thread");
     assert_eq!((stats.served, stats.conn_errors), (1, 0), "clean serve");
-    let (up_bytes, _) = client_t.link_stats();
+    let [(up_bytes, _), (down_bytes, _)] = client_t.link_stats();
     let ready = ServerMessage::Ready {
         client: client.id(),
         codec,
     };
     let ft = client.ft_config();
     let tensor = activation_wire_bytes_with(codec, ft.batch_size, ft.seq_len, config.hidden);
-    let down_bytes = ready.to_wire().len() as u64 + 2 * CODEC_STEPS as u64 * tensor;
+    let analytic = ready.to_wire().len() as u64 + 2 * CODEC_STEPS as u64 * tensor;
     let bytes_per_step = (up_bytes + down_bytes) as f64 / CODEC_STEPS as f64;
     let steps_per_sec = CODEC_STEPS as f64 / client_t.elapsed().as_secs_f64();
-    (bytes_per_step, steps_per_sec)
+    (bytes_per_step, steps_per_sec, [down_bytes, analytic])
 }
 
 const CODEC_STEPS: usize = 3;
 const CODECS: [Codec; 4] = [Codec::F32Raw, Codec::F16, Codec::BF16, Codec::TopK8];
 
 /// Runs the per-codec WAN study, printing a table and returning the
-/// JSON lines plus the raw/f16 bytes-per-step pair for the CI guard.
-fn run_codec_study(lines: &mut Vec<String>) -> (f64, f64) {
+/// JSON lines plus, for the CI guard, the raw/f16 bytes-per-step pair
+/// and every codec whose measured downlink differs from its analytic
+/// size.
+fn run_codec_study(lines: &mut Vec<String>) -> (f64, f64, Vec<String>) {
     let (text, config, base) = setup();
     println!("\n== Wire compression over the WAN profile (60 ms / 8 MB/s, 1 client) ==");
     println!(
-        "{:>8} {:>14} {:>12} {:>14}",
-        "codec", "bytes/step", "vs raw", "WAN steps/s"
+        "{:>8} {:>14} {:>12} {:>14} {:>14}",
+        "codec", "bytes/step", "vs raw", "WAN steps/s", "downlink B"
     );
     let mut raw_bytes = 0.0;
     let mut f16_bytes = 0.0;
+    let mut downlink_mismatches = Vec::new();
     for codec in CODECS {
-        let (bytes_per_step, steps_per_sec) = run_codec_wan(codec, &text, &config, &base);
+        let (bytes_per_step, steps_per_sec, [down, analytic]) =
+            run_codec_wan(codec, &text, &config, &base);
+        if down != analytic {
+            downlink_mismatches.push(format!(
+                "{} downlink carried {down} bytes, PROTOCOL.md §7 sizes sum to {analytic}",
+                codec.name()
+            ));
+        }
         if codec == Codec::F32Raw {
             raw_bytes = bytes_per_step;
         }
@@ -303,20 +319,21 @@ fn run_codec_study(lines: &mut Vec<String>) -> (f64, f64) {
             f16_bytes = bytes_per_step;
         }
         println!(
-            "{:>8} {:>14.0} {:>11.2}x {:>14.2}",
+            "{:>8} {:>14.0} {:>11.2}x {:>14.2} {:>14}",
             codec.name(),
             bytes_per_step,
             bytes_per_step / raw_bytes,
             steps_per_sec,
+            down,
         );
         lines.push(format!(
             "{{\"group\":\"serve\",\"bench\":\"codec/{}\",\"clients\":1,\
              \"steps\":{CODEC_STEPS},\"bytes_per_step\":{bytes_per_step:.0},\
-             \"wan_steps_per_sec\":{steps_per_sec:.2}}}",
+             \"wan_steps_per_sec\":{steps_per_sec:.2},\"downlink_bytes\":{down}}}",
             codec.name(),
         ));
     }
-    (raw_bytes, f16_bytes)
+    (raw_bytes, f16_bytes, downlink_mismatches)
 }
 
 /// Median of an odd-length slice (sorted copy).
@@ -742,7 +759,11 @@ fn run_check() -> ! {
     let mut failures = Vec::new();
 
     let mut codec_lines = Vec::new();
-    let (raw_bytes, f16_bytes) = run_codec_study(&mut codec_lines);
+    let (raw_bytes, f16_bytes, downlink_mismatches) = run_codec_study(&mut codec_lines);
+    if downlink_mismatches.is_empty() {
+        println!("downlink bytes: measured = PROTOCOL.md §7 size for every codec — ok");
+    }
+    failures.extend(downlink_mismatches);
     if f16_bytes > F16_BYTES_RATIO_LIMIT * raw_bytes {
         failures.push(format!(
             "f16 bytes/step {f16_bytes:.0} exceeds {F16_BYTES_RATIO_LIMIT}x raw ({raw_bytes:.0})"
@@ -882,7 +903,7 @@ fn main() {
 
     let mut lines = Vec::new();
     println!("== Many-client serving: one event-loop thread, N clients ==");
-    println!("   (median of {REPEATS} repeats, {STEPS} steps/client, SimTransport,");
+    println!("   (median of {REPEATS} repeats, {STEPS} steps/client, LAN-linked channels,");
     println!("    one subprocess per configuration for honest VmHWM)\n");
     println!(
         "{:>8} {:>10} {:>10} {:>12} {:>12}",

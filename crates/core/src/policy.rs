@@ -32,12 +32,6 @@ impl MemoryPolicy {
         MemoryPolicy::NoGradFirstForward
     }
 
-    /// Whether the first forward pass caches activations for backward
-    /// (i.e. runs gradient-ready).
-    pub fn first_forward_cached(self) -> bool {
-        !matches!(self, MemoryPolicy::NoGradFirstForward)
-    }
-
     /// Whether intermediate memory is held across the wait for client
     /// gradients (forcing the backward demand to zero but pinning the
     /// memory).
@@ -114,7 +108,6 @@ mod tests {
     #[test]
     fn menos_is_fig_3d() {
         let p = MemoryPolicy::menos();
-        assert!(!p.first_forward_cached());
         assert!(p.requires_reforward());
         assert!(!p.holds_memory_while_waiting());
         assert!(!p.holds_memory_across_iterations());
@@ -149,7 +142,6 @@ mod tests {
         assert!(!MemoryPolicy::PreserveAll.requires_reforward());
         assert!(!MemoryPolicy::ReleaseAfterBackward.requires_reforward());
         assert!(MemoryPolicy::ReleaseWhileWaiting.requires_reforward());
-        assert!(MemoryPolicy::ReleaseWhileWaiting.first_forward_cached());
     }
 
     #[test]

@@ -29,18 +29,6 @@ pub struct MemoryDemands {
     pub persistent: u64,
 }
 
-impl MemoryDemands {
-    /// Demand for a forward or backward request under a policy — kept
-    /// here so callers don't juggle raw numbers.
-    pub fn demand_for(&self, policy: crate::policy::MemoryPolicy, backward: bool) -> u64 {
-        if backward {
-            policy.backward_demand(self.m_b)
-        } else {
-            policy.forward_demand(self.m_f, self.m_b)
-        }
-    }
-}
-
 /// Profiles a client's memory demands from its reported fine-tuning
 /// configuration (the analytic equivalent of the paper's random-input
 /// probe).
@@ -103,7 +91,6 @@ pub fn probe_with_random_input<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::MemoryPolicy;
     use menos_models::ModelConfig;
     use menos_sim::seeded_rng;
 
@@ -132,18 +119,6 @@ mod tests {
         let d8 = profile_client(&profile, &ft);
         assert_eq!(d16.m_b, 2 * d8.m_b, "I scales linearly with batch");
         assert_eq!(d16.persistent, d8.persistent, "A+O independent of batch");
-    }
-
-    #[test]
-    fn demand_for_policy_dispatch() {
-        let d = MemoryDemands {
-            m_f: 10,
-            m_b: 100,
-            persistent: 5,
-        };
-        assert_eq!(d.demand_for(MemoryPolicy::menos(), false), 10);
-        assert_eq!(d.demand_for(MemoryPolicy::menos(), true), 100);
-        assert_eq!(d.demand_for(MemoryPolicy::ReleaseAfterBackward, true), 0);
     }
 
     #[test]

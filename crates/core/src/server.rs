@@ -713,6 +713,20 @@ mod tests {
             .unwrap();
         assert!(matches!(ready, Some(ServerMessage::Ready { .. })));
         assert!(srv.demands_of(c).is_some());
+        // A heartbeat from any id is answered and reports the live count.
+        let pong = srv.handle(ClientMessage::Ping {
+            client: ClientId(99),
+            seq: 12,
+        });
+        assert!(matches!(
+            pong,
+            Ok(Some(ServerMessage::Pong {
+                client: ClientId(99),
+                seq: 12,
+                live_sessions: 1,
+                ..
+            }))
+        ));
 
         let x_c = Tensor::full(0.1, [2, 8, 64]);
         let reply = srv

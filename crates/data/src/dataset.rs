@@ -79,12 +79,12 @@ impl TokenDataset {
     }
 
     /// Number of available windows.
-    pub fn num_windows(&self) -> usize {
+    fn num_windows(&self) -> usize {
         self.window_order.len()
     }
 
     /// Number of batches per epoch at the given batch size (floor).
-    pub fn batches_per_epoch(&self, batch_size: usize) -> usize {
+    fn batches_per_epoch(&self, batch_size: usize) -> usize {
         self.num_windows() / batch_size
     }
 

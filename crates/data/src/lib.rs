@@ -29,10 +29,8 @@ mod corpus;
 mod dataset;
 mod metrics;
 mod vocab;
-mod word_vocab;
 
 pub use corpus::{shakespeare_corpus, wiki_corpus};
 pub use dataset::{Batch, TokenDataset};
-pub use metrics::{perplexity, EmaLoss, LossCurve};
+pub use metrics::{perplexity, LossCurve};
 pub use vocab::Vocab;
-pub use word_vocab::{WordVocab, UNK};

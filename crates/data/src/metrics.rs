@@ -13,70 +13,6 @@ pub fn perplexity(mean_cross_entropy: f32) -> f32 {
     mean_cross_entropy.exp()
 }
 
-/// Exponential-moving-average loss tracker, the smoothing commonly used
-/// for convergence plots.
-///
-/// # Examples
-///
-/// ```
-/// use menos_data::EmaLoss;
-///
-/// let mut ema = EmaLoss::new(0.5);
-/// ema.update(4.0);
-/// ema.update(2.0);
-/// assert_eq!(ema.value(), Some(3.0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct EmaLoss {
-    alpha: f32,
-    value: Option<f32>,
-    history: Vec<f32>,
-}
-
-impl EmaLoss {
-    /// Creates a tracker with smoothing factor `alpha` in `(0, 1]`
-    /// (weight of the new sample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f32) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        EmaLoss {
-            alpha,
-            value: None,
-            history: Vec::new(),
-        }
-    }
-
-    /// Incorporates a new raw loss sample and returns the smoothed
-    /// value.
-    pub fn update(&mut self, loss: f32) -> f32 {
-        let v = match self.value {
-            None => loss,
-            Some(prev) => prev + self.alpha * (loss - prev),
-        };
-        self.value = Some(v);
-        self.history.push(v);
-        v
-    }
-
-    /// The current smoothed loss.
-    pub fn value(&self) -> Option<f32> {
-        self.value
-    }
-
-    /// The smoothed-loss history, one entry per update.
-    pub fn history(&self) -> &[f32] {
-        &self.history
-    }
-
-    /// Current smoothed perplexity.
-    pub fn perplexity(&self) -> Option<f32> {
-        self.value.map(perplexity)
-    }
-}
-
 /// A convergence curve: (step, loss) points plus helpers the
 /// experiment harness uses for reporting.
 #[derive(Debug, Clone, Default)]
@@ -124,16 +60,6 @@ impl LossCurve {
             .sum();
         Some(s / take as f32)
     }
-
-    /// Whether the curve decreased overall: tail mean below the mean of
-    /// the first `n` samples.
-    pub fn decreased(&self, n: usize) -> bool {
-        if self.points.len() < 2 * n {
-            return false;
-        }
-        let head: f32 = self.points[..n].iter().map(|&(_, l)| l).sum::<f32>() / n as f32;
-        head > self.tail_mean(n).unwrap_or(head)
-    }
 }
 
 #[cfg(test)]
@@ -146,29 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn ema_first_sample_is_identity() {
-        let mut e = EmaLoss::new(0.1);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.update(5.0), 5.0);
-        assert_eq!(e.perplexity(), Some(5.0f32.exp()));
-    }
-
-    #[test]
-    fn ema_smooths_toward_new_samples() {
-        let mut e = EmaLoss::new(0.5);
-        e.update(10.0);
-        e.update(0.0);
-        assert_eq!(e.value(), Some(5.0));
-        assert_eq!(e.history(), &[10.0, 5.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn ema_rejects_bad_alpha() {
-        EmaLoss::new(0.0);
-    }
-
-    #[test]
     fn loss_curve_statistics() {
         let mut c = LossCurve::new();
         for (i, l) in [5.0, 4.0, 3.0, 1.0, 1.0, 1.0].iter().enumerate() {
@@ -176,7 +79,6 @@ mod tests {
         }
         assert_eq!(c.final_loss(), Some(1.0));
         assert_eq!(c.tail_mean(3), Some(1.0));
-        assert!(c.decreased(2));
         assert_eq!(c.points().len(), 6);
     }
 
@@ -185,6 +87,5 @@ mod tests {
         let c = LossCurve::new();
         assert_eq!(c.final_loss(), None);
         assert_eq!(c.tail_mean(3), None);
-        assert!(!c.decreased(1));
     }
 }

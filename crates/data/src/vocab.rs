@@ -72,11 +72,6 @@ impl Vocab {
     pub fn decode(&self, ids: &[usize]) -> String {
         ids.iter().map(|&i| self.id_to_char[i]).collect()
     }
-
-    /// The id for a character, if in vocabulary.
-    pub fn id_of(&self, c: char) -> Option<usize> {
-        self.char_to_id.get(&c).copied()
-    }
 }
 
 #[cfg(test)]
@@ -94,9 +89,7 @@ mod tests {
     fn ids_are_contiguous_and_sorted() {
         let v = Vocab::from_text("cba");
         assert_eq!(v.size(), 3);
-        assert_eq!(v.id_of('a'), Some(0));
-        assert_eq!(v.id_of('b'), Some(1));
-        assert_eq!(v.id_of('c'), Some(2));
+        assert_eq!(v.encode("abc"), vec![0, 1, 2]);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use menos_split::{
 /// The client id heartbeat probes travel under. Probes never bind a
 /// session (PROTOCOL.md §9.1), so the id only has to be recognizable
 /// in logs — it is deliberately outside any realistic client range.
-pub const PROBE_CLIENT: ClientId = ClientId(u64::MAX);
+const PROBE_CLIENT: ClientId = ClientId(u64::MAX);
 
 /// One supervised backend server.
 #[derive(Debug, Clone)]
@@ -387,7 +387,7 @@ fn import_session(addr: &str, client: ClientId, blob: bytes::Bytes) -> bool {
 
 /// One heartbeat probe: dial, `Ping`, await the `Pong`. Any failure —
 /// refused connect, deadline, wrong reply — reads as silence.
-fn probe(addr: &str, seq: u64, timeout: Duration) -> Option<(u64, u64, u64)> {
+fn probe(addr: &str, seq: u64, timeout: Duration) -> Option<u64> {
     let mut t = TcpTransport::connect(addr).ok()?;
     t.set_deadline(Some(timeout)).ok()?;
     t.send(&ClientMessage::Ping {
@@ -396,12 +396,7 @@ fn probe(addr: &str, seq: u64, timeout: Duration) -> Option<(u64, u64, u64)> {
     })
     .ok()?;
     match t.recv().ok()? {
-        ServerMessage::Pong {
-            seq,
-            live_sessions,
-            utilization_pct,
-            ..
-        } => Some((seq, live_sessions, utilization_pct)),
+        ServerMessage::Pong { seq, .. } => Some(seq),
         _ => None,
     }
 }
@@ -410,9 +405,7 @@ fn health_loop(shared: Arc<Shared>) {
     let mut monitors: Vec<HeartbeatMonitor> = shared
         .backends
         .iter()
-        .map(|_| {
-            HeartbeatMonitor::new(shared.options.heartbeat_interval, shared.options.max_missed)
-        })
+        .map(|_| HeartbeatMonitor::new(shared.options.max_missed))
         .collect();
     while !shared.shutdown.load(Ordering::Relaxed) {
         for (i, monitor) in monitors.iter_mut().enumerate() {
@@ -429,10 +422,8 @@ fn health_loop(shared: Arc<Shared>) {
                     continue;
                 }
             }
-            if let Some((got, live, util)) =
-                probe(&shared.backends[i].addr, seq, shared.options.probe_timeout)
-            {
-                monitor.note_pong(got, live, util);
+            if let Some(got) = probe(&shared.backends[i].addr, seq, shared.options.probe_timeout) {
+                monitor.note_reply(got);
             }
         }
         std::thread::sleep(shared.options.heartbeat_interval);

@@ -60,11 +60,6 @@ impl GpuCluster {
         }
     }
 
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
-    }
-
     /// A device by index.
     ///
     /// # Panics
@@ -92,13 +87,6 @@ impl GpuCluster {
     /// Sum of per-device peaks (upper bound on cluster peak).
     pub fn peak(&self) -> u64 {
         self.devices.iter().map(GpuDevice::peak).sum()
-    }
-
-    /// Resets every device's peak.
-    pub fn reset_peaks(&mut self) {
-        for d in &mut self.devices {
-            d.reset_peak();
-        }
     }
 
     /// Allocates on a single device (first-fit over devices in index
@@ -275,16 +263,6 @@ mod tests {
         c.alloc(GIB / 4, AllocKind::Activation, "a").unwrap();
         assert_eq!(c.used_by_kind(AllocKind::Model), 3 * GIB);
         assert_eq!(c.used_by_kind(AllocKind::Activation), GIB / 4);
-    }
-
-    #[test]
-    fn peaks_reset() {
-        let mut c = GpuCluster::new(2, GIB);
-        let a = c.alloc(GIB / 2, AllocKind::Activation, "x").unwrap();
-        c.free(a);
-        assert_eq!(c.peak(), GIB / 2);
-        c.reset_peaks();
-        assert_eq!(c.peak(), 0);
     }
 
     #[test]

@@ -151,20 +151,9 @@ impl GpuDevice {
         self.tracker.peak()
     }
 
-    /// Resets the peak to the current usage.
-    pub fn reset_peak(&mut self) {
-        self.tracker.reset_peak();
-    }
-
     /// Number of live allocations.
     pub fn live_allocations(&self) -> usize {
         self.allocs.len()
-    }
-
-    /// Lifetime (alloc, free) operation counts — the release/realloc
-    /// churn that Menos' cost model charges overhead for.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (self.alloc_count, self.free_count)
     }
 
     /// Allocates `bytes` for `owner` at a concrete address.
@@ -238,15 +227,6 @@ impl GpuDevice {
             .sum()
     }
 
-    /// Bytes used by allocations belonging to `owner`.
-    pub fn used_by_owner(&self, owner: &str) -> u64 {
-        self.allocs
-            .values()
-            .filter(|a| a.owner == owner)
-            .map(|a| a.bytes)
-            .sum()
-    }
-
     /// Frees every allocation belonging to `owner`, returning the total
     /// bytes released.
     pub fn free_owner(&mut self, owner: &str) -> u64 {
@@ -278,7 +258,7 @@ mod tests {
         assert_eq!(gpu.free(b), 2 * GIB);
         assert_eq!(gpu.used(), 0);
         assert_eq!(gpu.peak(), 6 * GIB);
-        assert_eq!(gpu.op_counts(), (2, 2));
+        assert_eq!((gpu.alloc_count, gpu.free_count), (2, 2));
     }
 
     #[test]
@@ -317,20 +297,9 @@ mod tests {
         gpu.alloc(20, AllocKind::Optimizer, "client-1").unwrap();
         gpu.alloc(10, AllocKind::Adapter, "client-2").unwrap();
         assert_eq!(gpu.used_by_kind(AllocKind::Adapter), 20);
-        assert_eq!(gpu.used_by_owner("client-1"), 30);
         assert_eq!(gpu.free_owner("client-1"), 30);
         assert_eq!(gpu.used(), 110);
-        assert_eq!(gpu.used_by_owner("client-1"), 0);
-    }
-
-    #[test]
-    fn peak_reset() {
-        let mut gpu = GpuDevice::new(0, 1000);
-        let a = gpu.alloc(500, AllocKind::Activation, "x").unwrap();
-        gpu.free(a);
-        assert_eq!(gpu.peak(), 500);
-        gpu.reset_peak();
-        assert_eq!(gpu.peak(), 0);
+        assert_eq!(gpu.free_owner("client-1"), 0, "nothing of client-1 is left");
     }
 
     #[test]

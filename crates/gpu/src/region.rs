@@ -66,7 +66,7 @@ impl RegionAllocator {
     }
 
     /// Total free bytes (may be scattered).
-    pub fn free_bytes(&self) -> u64 {
+    fn free_bytes(&self) -> u64 {
         self.free.iter().map(|r| r.len).sum()
     }
 
@@ -84,11 +84,6 @@ impl RegionAllocator {
             return 0.0;
         }
         1.0 - self.largest_free() as f64 / total as f64
-    }
-
-    /// Number of free-list holes.
-    pub fn hole_count(&self) -> usize {
-        self.free.len()
     }
 
     /// Allocates `len` bytes at the first fitting offset, or `None` if
@@ -168,7 +163,7 @@ mod tests {
         a.free(r2);
         a.free(r1);
         a.free(r3);
-        assert_eq!(a.hole_count(), 1);
+        assert_eq!(a.free.len(), 1);
         assert_eq!(a.free_bytes(), 100);
         assert_eq!(a.fragmentation(), 0.0);
     }
@@ -188,7 +183,7 @@ mod tests {
             "fragmented space rejects large alloc"
         );
         assert!(a.fragmentation() > 0.7);
-        assert_eq!(a.hole_count(), 5);
+        assert_eq!(a.free.len(), 5);
     }
 
     #[test]
@@ -228,8 +223,8 @@ mod tests {
     fn exact_fit_consumes_hole() {
         let mut a = RegionAllocator::new(50);
         let r = a.alloc(50).unwrap();
-        assert_eq!(a.hole_count(), 0);
+        assert_eq!(a.free.len(), 0);
         a.free(r);
-        assert_eq!(a.hole_count(), 1);
+        assert_eq!(a.free.len(), 1);
     }
 }

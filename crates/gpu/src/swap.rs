@@ -173,11 +173,6 @@ impl SwapManager {
         self.tasks.get(name).map(|t| t.resident).unwrap_or(false)
     }
 
-    /// Number of registered tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Bytes currently resident on the GPU.
     pub fn gpu_used(&self) -> u64 {
         self.gpu_used
@@ -374,7 +369,7 @@ mod tests {
             .register("client-4", 29 * GIB, llama_transfer)
             .unwrap_err();
         assert!(matches!(err, SwapError::HostExhausted { .. }));
-        assert_eq!(s.num_tasks(), 4);
+        assert_eq!(s.tasks.len(), 4);
     }
 
     #[test]

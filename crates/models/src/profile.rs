@@ -52,7 +52,7 @@ impl Precision {
 
     /// Bytes needed to store `params` parameters at this precision
     /// (rounded up).
-    pub fn bytes_for(self, params: u64) -> u64 {
+    fn bytes_for(self, params: u64) -> u64 {
         (params * self.bits()).div_ceil(8)
     }
 }
@@ -153,26 +153,26 @@ impl ModelProfile {
 
     /// Adapter parameter bytes on the server (A) for a LoRA spec: each
     /// adapted projection adds `2 * hidden * rank` parameters.
-    pub fn lora_adapter_bytes(&self, lora: &LoraSpec) -> u64 {
+    fn lora_adapter_bytes(&self, lora: &LoraSpec) -> u64 {
         let per_target = 2 * self.config.hidden as u64 * lora.rank as u64;
         self.server_layers() as u64 * lora.targets_per_block as u64 * per_target * BYTES_PER_ELEM
     }
 
     /// Optimizer state bytes (O) for Adam over the adapter: two moment
     /// buffers plus the gradient buffer, i.e. `3 × A`.
-    pub fn optimizer_bytes(&self, adapter_bytes: u64) -> u64 {
+    fn optimizer_bytes(&self, adapter_bytes: u64) -> u64 {
         3 * adapter_bytes
     }
 
     /// Intermediate-result bytes (I): activations cached by a
     /// gradient-ready forward pass over the server blocks.
-    pub fn cached_activation_bytes(&self, batch: usize, seq: usize) -> u64 {
+    fn cached_activation_bytes(&self, batch: usize, seq: usize) -> u64 {
         let per_layer = self.cached_activation_bytes_per_layer(batch, seq);
         self.server_layers() as u64 * per_layer
     }
 
     /// Cached activation bytes for a single block.
-    pub fn cached_activation_bytes_per_layer(&self, batch: usize, seq: usize) -> u64 {
+    fn cached_activation_bytes_per_layer(&self, batch: usize, seq: usize) -> u64 {
         let h = self.config.hidden as u64;
         let ffn = self.config.intermediate as u64;
         let heads = self.config.heads as u64;
@@ -183,7 +183,7 @@ impl ModelProfile {
     /// Peak transient bytes of a **no-grad** forward pass: one block's
     /// working set plus the layer output — nothing accumulates across
     /// layers because nothing is cached.
-    pub fn nograd_forward_bytes(&self, batch: usize, seq: usize) -> u64 {
+    fn nograd_forward_bytes(&self, batch: usize, seq: usize) -> u64 {
         let h = self.config.hidden as u64;
         let ffn = self.config.intermediate as u64;
         let heads = self.config.heads as u64;

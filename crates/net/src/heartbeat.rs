@@ -20,8 +20,6 @@
 //!
 //! [`tick`]: HeartbeatMonitor::tick
 
-use std::time::Duration;
-
 /// What one [`HeartbeatMonitor::tick`] ruled about the *previous*
 /// probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +29,8 @@ pub enum HeartbeatVerdict {
     /// The previous probe went unanswered, but the consecutive-miss
     /// count is still below the death threshold.
     Missed,
-    /// Consecutive misses reached `max_missed`: the peer is dead until
-    /// [`HeartbeatMonitor::reset`].
+    /// Consecutive misses reached `max_missed`: the peer is dead for
+    /// good — no later reply revives it.
     Dead,
 }
 
@@ -43,7 +41,7 @@ pub enum HeartbeatVerdict {
 /// ```
 /// use menos_net::{HeartbeatMonitor, HeartbeatVerdict};
 ///
-/// let mut hb = HeartbeatMonitor::new(std::time::Duration::from_millis(50), 3);
+/// let mut hb = HeartbeatMonitor::new(3);
 /// let seq = hb.tick().0;        // probe 0 goes out
 /// assert!(hb.note_reply(seq));  // ...and is answered
 /// hb.tick();                    // probe 1 goes out
@@ -51,11 +49,9 @@ pub enum HeartbeatVerdict {
 /// hb.tick();                    // unanswered: 2
 /// let (_, verdict) = hb.tick(); // unanswered: 3 of 3 — dead
 /// assert_eq!(verdict, HeartbeatVerdict::Dead);
-/// assert!(hb.is_dead());
 /// ```
 #[derive(Debug, Clone)]
 pub struct HeartbeatMonitor {
-    interval: Duration,
     max_missed: u32,
     next_seq: u64,
     outstanding: Option<u64>,
@@ -63,18 +59,16 @@ pub struct HeartbeatMonitor {
     total_missed: u64,
     replies: u64,
     dead: bool,
-    last_live_sessions: u64,
-    last_utilization_pct: u64,
 }
 
 impl HeartbeatMonitor {
     /// A monitor that declares death after `max_missed` consecutive
-    /// unanswered probes sent `interval` apart. `max_missed` is
-    /// clamped to at least 1 — a threshold of 0 would declare a peer
-    /// dead before the first probe is even ruled on.
-    pub fn new(interval: Duration, max_missed: u32) -> Self {
+    /// unanswered probes. It never reads a clock: the probe loop owns
+    /// the cadence. `max_missed` is clamped to at least 1 — a threshold
+    /// of 0 would declare a peer dead before the first probe is even
+    /// ruled on.
+    pub fn new(max_missed: u32) -> Self {
         HeartbeatMonitor {
-            interval,
             max_missed: max_missed.max(1),
             next_seq: 0,
             outstanding: None,
@@ -82,17 +76,7 @@ impl HeartbeatMonitor {
             total_missed: 0,
             replies: 0,
             dead: false,
-            last_live_sessions: 0,
-            last_utilization_pct: 0,
         }
-    }
-
-    /// How long the probe loop should sleep between [`tick`]s. The
-    /// monitor never reads a clock itself; the loop owns the cadence.
-    ///
-    /// [`tick`]: HeartbeatMonitor::tick
-    pub fn interval(&self) -> Duration {
-        self.interval
     }
 
     /// Issues the next probe: returns the sequence number to send and
@@ -123,10 +107,7 @@ impl HeartbeatMonitor {
     /// outstanding sequence clears the miss streak; anything else is a
     /// stale duplicate and is ignored (returns `false`). A reply never
     /// resurrects a peer already ruled dead — failover has started and
-    /// a late pong must not race it; the coordinator re-admits a
-    /// recovered backend explicitly via [`reset`].
-    ///
-    /// [`reset`]: HeartbeatMonitor::reset
+    /// a late pong must not race it.
     pub fn note_reply(&mut self, seq: u64) -> bool {
         if self.dead || self.outstanding != Some(seq) {
             return false;
@@ -136,62 +117,6 @@ impl HeartbeatMonitor {
         self.replies += 1;
         true
     }
-
-    /// [`note_reply`] plus the telemetry a v1.4 `Pong` carries
-    /// (PROTOCOL.md §3.7); stored only if the reply is accepted.
-    ///
-    /// [`note_reply`]: HeartbeatMonitor::note_reply
-    pub fn note_pong(&mut self, seq: u64, live_sessions: u64, utilization_pct: u64) -> bool {
-        if !self.note_reply(seq) {
-            return false;
-        }
-        self.last_live_sessions = live_sessions;
-        self.last_utilization_pct = utilization_pct;
-        true
-    }
-
-    /// Whether the peer has been ruled dead (sticky until [`reset`]).
-    ///
-    /// [`reset`]: HeartbeatMonitor::reset
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
-    /// Clears the death ruling and the miss streak, e.g. after the
-    /// coordinator restarts or re-admits the backend. Sequence numbers
-    /// keep advancing so pre-reset pongs stay unmatchable.
-    pub fn reset(&mut self) {
-        self.dead = false;
-        self.consecutive_missed = 0;
-        self.outstanding = None;
-    }
-
-    /// Unanswered probes in the current streak.
-    pub fn consecutive_missed(&self) -> u32 {
-        self.consecutive_missed
-    }
-
-    /// Unanswered probes over the monitor's lifetime — the
-    /// `heartbeats_missed` stat a fleet reports per backend.
-    pub fn total_missed(&self) -> u64 {
-        self.total_missed
-    }
-
-    /// Accepted replies over the monitor's lifetime.
-    pub fn replies(&self) -> u64 {
-        self.replies
-    }
-
-    /// `live_sessions` from the most recent accepted pong — the
-    /// memory-aware placement signal.
-    pub fn last_live_sessions(&self) -> u64 {
-        self.last_live_sessions
-    }
-
-    /// `utilization_pct` from the most recent accepted pong.
-    pub fn last_utilization_pct(&self) -> u64 {
-        self.last_utilization_pct
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +124,7 @@ mod tests {
     use super::*;
 
     fn monitor(max_missed: u32) -> HeartbeatMonitor {
-        HeartbeatMonitor::new(Duration::from_millis(10), max_missed)
+        HeartbeatMonitor::new(max_missed)
     }
 
     #[test]
@@ -208,13 +133,11 @@ mod tests {
         for _ in 0..100 {
             let (seq, verdict) = hb.tick();
             assert_eq!(verdict, HeartbeatVerdict::Healthy);
-            assert!(hb.note_pong(seq, 5, 40));
+            assert!(hb.note_reply(seq));
         }
-        assert!(!hb.is_dead());
-        assert_eq!(hb.total_missed(), 0);
-        assert_eq!(hb.replies(), 100);
-        assert_eq!(hb.last_live_sessions(), 5);
-        assert_eq!(hb.last_utilization_pct(), 40);
+        assert!(!hb.dead);
+        assert_eq!(hb.total_missed, 0);
+        assert_eq!(hb.replies, 100);
     }
 
     #[test]
@@ -224,9 +147,9 @@ mod tests {
         assert_eq!(hb.tick().1, HeartbeatVerdict::Missed);
         assert_eq!(hb.tick().1, HeartbeatVerdict::Missed);
         assert_eq!(hb.tick().1, HeartbeatVerdict::Dead);
-        assert!(hb.is_dead());
-        assert_eq!(hb.consecutive_missed(), 3);
-        assert_eq!(hb.total_missed(), 3);
+        assert!(hb.dead);
+        assert_eq!(hb.consecutive_missed, 3);
+        assert_eq!(hb.total_missed, 3);
     }
 
     #[test]
@@ -236,12 +159,12 @@ mod tests {
         let (seq, verdict) = hb.tick(); // miss 1, probe 1 out
         assert_eq!(verdict, HeartbeatVerdict::Missed);
         assert!(hb.note_reply(seq));
-        assert_eq!(hb.consecutive_missed(), 0);
-        assert_eq!(hb.total_missed(), 1, "lifetime count is monotonic");
+        assert_eq!(hb.consecutive_missed, 0);
+        assert_eq!(hb.total_missed, 1, "lifetime count is monotonic");
         // A fresh streak must again take the full max_missed.
         hb.tick();
         assert_eq!(hb.tick().1, HeartbeatVerdict::Missed);
-        assert!(!hb.is_dead());
+        assert!(!hb.dead);
     }
 
     #[test]
@@ -259,17 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn death_is_sticky_until_reset() {
+    fn death_is_sticky() {
         let mut hb = monitor(1);
         let (seq, _) = hb.tick();
-        assert_eq!(hb.tick().1, HeartbeatVerdict::Dead);
+        let (next, verdict) = hb.tick();
+        assert_eq!(verdict, HeartbeatVerdict::Dead);
         assert!(!hb.note_reply(seq), "a late pong must not race failover");
-        assert!(hb.is_dead());
-        hb.reset();
-        assert!(!hb.is_dead());
-        let (seq, verdict) = hb.tick();
-        assert_eq!(verdict, HeartbeatVerdict::Healthy);
-        assert!(hb.note_reply(seq));
+        assert!(!hb.note_reply(next), "nor a current one");
+        assert!(hb.dead);
     }
 
     #[test]

@@ -101,17 +101,6 @@ impl FrameAccumulator {
         self
     }
 
-    /// Number of buffered bytes belonging to a not-yet-complete frame.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no partial frame is buffered (a clean frame boundary —
-    /// safe to close the connection without losing data).
-    pub fn is_clean(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Validates the header bytes received so far. Called after every
     /// header byte lands, so a bad magic or version is rejected at the
     /// earliest byte that proves it, and the declared length is checked
@@ -340,7 +329,7 @@ mod tests {
         for &b in &stream {
             got.extend(acc.push(&[b]).expect("valid stream"));
         }
-        assert!(acc.is_clean());
+        assert!(acc.buf.is_empty());
 
         let mut reader = std::io::Cursor::new(stream);
         let blocking: Vec<Bytes> = (0..frames.len())
@@ -359,11 +348,11 @@ mod tests {
         // third stays pending.
         let most = acc.push(&stream[..stream.len() - 1]).unwrap();
         assert_eq!(most, frames[..2]);
-        assert!(!acc.is_clean());
-        assert_eq!(acc.pending_bytes(), frames[2].len() - 1);
+        assert!(!acc.buf.is_empty());
+        assert_eq!(acc.buf.len(), frames[2].len() - 1);
         let last = acc.push(&stream[stream.len() - 1..]).unwrap();
         assert_eq!(last, frames[2..]);
-        assert!(acc.is_clean());
+        assert!(acc.buf.is_empty());
     }
 
     #[test]

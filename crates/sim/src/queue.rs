@@ -91,11 +91,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events popped so far.
-    pub fn events_processed(&self) -> u64 {
-        self.popped
-    }
-
     /// Number of pending events (including cancelled ones not yet
     /// reaped).
     pub fn len(&self) -> usize {
@@ -172,19 +167,6 @@ impl<E> EventQueue<E> {
         }
         None
     }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        // Cancelled entries may shadow the true head; scan past them.
-        // The cancelled list is tiny in practice so this stays cheap.
-        let mut times: Vec<(Nanos, u64, EventId)> =
-            self.heap.iter().map(|s| (s.at, s.seq, s.id)).collect();
-        times.sort();
-        times
-            .into_iter()
-            .find(|(_, _, id)| !self.cancelled.contains(id))
-            .map(|(at, _, _)| at)
-    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -256,30 +238,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_sees_past_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(Nanos::from_secs(1), "a");
-        q.schedule_at(Nanos::from_secs(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(Nanos::from_secs(2)));
-    }
-
-    #[test]
     fn schedule_now_runs_after_existing_same_time_events() {
         let mut q = EventQueue::new();
         q.schedule_at(Nanos::ZERO, 1);
         q.schedule_now(2);
         assert_eq!(q.pop().map(|(_, e)| e), Some(1));
         assert_eq!(q.pop().map(|(_, e)| e), Some(2));
-    }
-
-    #[test]
-    fn counts_processed() {
-        let mut q = EventQueue::new();
-        q.schedule_now(());
-        q.schedule_now(());
-        q.pop();
-        q.pop();
-        assert_eq!(q.events_processed(), 2);
     }
 }

@@ -2,8 +2,8 @@
 
 use crate::time::Nanos;
 
-/// Streaming summary of a series of samples (Welford's algorithm for
-/// mean/variance plus retained samples for exact percentiles).
+/// Streaming summary of a series of samples (running mean plus
+/// retained samples for exact percentiles).
 ///
 /// # Examples
 ///
@@ -23,7 +23,6 @@ use crate::time::Nanos;
 pub struct Summary {
     samples: Vec<f64>,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -34,7 +33,6 @@ impl Summary {
         Summary {
             samples: Vec::new(),
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -46,7 +44,6 @@ impl Summary {
         let n = self.samples.len() as f64;
         let d = x - self.mean;
         self.mean += d / n;
-        self.m2 += d * (x - self.mean);
         if x < self.min {
             self.min = x;
         }
@@ -72,20 +69,6 @@ impl Summary {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance; zero when fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.samples.len() < 2 {
-            0.0
-        } else {
-            self.m2 / self.samples.len() as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest sample; zero when empty.
@@ -182,11 +165,6 @@ impl PeakTracker {
     pub fn peak(&self) -> u64 {
         self.peak
     }
-
-    /// Resets the peak to the current value.
-    pub fn reset_peak(&mut self) {
-        self.peak = self.current;
-    }
 }
 
 /// Formats a byte count with binary units, matching how the paper
@@ -223,7 +201,6 @@ mod tests {
             s.add(x);
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert_eq!(s.count(), 8);
@@ -234,7 +211,6 @@ mod tests {
     fn summary_empty_is_zero() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.percentile(50.0), 0.0);
@@ -273,8 +249,6 @@ mod tests {
         p.sub(120);
         assert_eq!(p.current(), 30);
         assert_eq!(p.peak(), 150);
-        p.reset_peak();
-        assert_eq!(p.peak(), 30);
         p.sub(100);
         assert_eq!(p.current(), 0);
     }

@@ -91,11 +91,6 @@ impl Nanos {
         self.0 as f64 / 1e9
     }
 
-    /// This time expressed as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction: returns zero instead of wrapping.
     pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_sub(rhs.0))

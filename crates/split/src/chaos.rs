@@ -185,17 +185,6 @@ impl<L> ChaosListener<L> {
             forced: Some(fault),
         }
     }
-
-    /// How many connections each client has opened so far — useful for
-    /// asserting a soak actually exercised reconnects.
-    pub fn incarnations_of(&self, client: ClientId) -> u64 {
-        self.incarnations
-            .lock()
-            .expect("incarnation lock")
-            .get(&client)
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 impl<L: EventListener> EventListener for ChaosListener<L> {

@@ -135,11 +135,6 @@ impl MessageKind {
             MessageKind::Imported => "Imported",
         }
     }
-
-    /// True for client→server kinds.
-    pub fn client_to_server(self) -> bool {
-        self.code() <= 16
-    }
 }
 
 /// The `PROTOCOL.md` name of a server message's kind, for error text —
@@ -1008,7 +1003,7 @@ mod tests {
 
         let expected: Vec<(String, u8, bool)> = MessageKind::ALL
             .iter()
-            .map(|k| (k.name().to_string(), k.code(), k.client_to_server()))
+            .map(|k| (k.name().to_string(), k.code(), k.code() <= 16))
             .collect();
         assert_eq!(
             documented

@@ -8,7 +8,7 @@
 //! * [`EventConn`] / [`EventListener`] — the nonblocking face of a
 //!   transport: drain whatever messages are ready *now*, queue replies,
 //!   flush partial writes later. Implemented by the in-memory channel
-//!   and simulated-WAN transports here, and by nonblocking TCP in
+//!   transport here, and by nonblocking TCP in
 //!   [`crate::tcp`] (built on `menos-net`'s `FrameAccumulator` /
 //!   `WriteQueue`).
 //! * [`BatchHandler`] — a [`MessageHandler`] that accepts a whole
@@ -25,15 +25,16 @@
 //!   never notice.
 //!
 //! Two rules keep sessions apart. A connection is *bound* to the one
-//! client its `Connect`/`Resume` named, and a tensor or `Disconnect`
-//! message naming anyone else fails that connection before any handler
-//! sees it (PROTOCOL.md §4). And because the lock-step protocol allows
-//! at most one outstanding message per client, the ready-set rule is
-//! simple: collect tensor messages until a sweep adds none (the ready
-//! set went quiet) or the set reaches 32 messages, then dispatch the
-//! whole set. While the handler works through it, the replies release
-//! every client in the set; their next messages land together — so
-//! large ready-sets are self-sustaining.
+//! client its `Connect`/`Resume` named; a tensor or `Disconnect`
+//! message naming anyone else, or a second `Connect`/`Resume`, fails
+//! that connection before any handler sees it (PROTOCOL.md §4). And
+//! because the lock-step protocol allows at most one outstanding
+//! message per client, the ready-set rule is simple: collect tensor
+//! messages until a sweep adds none (the ready set went quiet) or the
+//! set reaches 32 messages, then dispatch the whole set. While the
+//! handler works through it, the replies release every client in the
+//! set; their next messages land together — so large ready-sets are
+//! self-sustaining.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -44,8 +45,7 @@ use std::time::{Duration, Instant};
 
 use crate::message::{ClientId, ClientMessage, EvictionCode, ServerMessage};
 use crate::protocol::{
-    channel_pair, sim_pair, ChannelTransport, MessageHandler, ProtocolError, SimTransport,
-    Transport,
+    channel_pair, free_link, ChannelTransport, MessageHandler, ProtocolError, Transport,
 };
 use menos_net::WanLink;
 
@@ -180,8 +180,6 @@ impl<H: BatchHandler> BatchHandler for Arc<std::sync::Mutex<H>> {
         }
     }
 }
-
-impl BatchHandler for crate::protocol::SessionHandler {}
 
 // ----------------------------------------------------------------------
 // Loop configuration and observability
@@ -338,7 +336,7 @@ impl SnapshotPolicy {
     }
 
     /// Path of the live snapshot file under this policy's directory.
-    pub fn snapshot_path(&self) -> PathBuf {
+    fn snapshot_path(&self) -> PathBuf {
         self.dir.join(SNAPSHOT_FILE)
     }
 
@@ -449,7 +447,7 @@ fn send_best_effort(conn: &mut impl EventConn, notice: &ServerMessage) {
 /// messages, and hands each sweep's ready tensor messages to a
 /// [`BatchHandler`] as one ready-set. One thread, any transport — the
 /// same codec, the same handler state machine and the same
-/// reclaim-on-error behaviour over channels, the simulated WAN and TCP.
+/// reclaim-on-error behaviour over in-process channels and TCP.
 pub struct ServerEventLoop<L: EventListener, H: BatchHandler> {
     listener: L,
     handler: H,
@@ -760,8 +758,17 @@ impl<L: EventListener, H: BatchHandler> Pump<L, H> {
     fn on_message(&mut self, key: u64, msg: ClientMessage) -> bool {
         let bound = self.conns.get(&key).and_then(|s| s.client);
         match msg {
+            // A connection binds once (PROTOCOL.md §4). A second
+            // handshake would rebind it and orphan the session it speaks
+            // for — live, holding its reservation, reachable by no
+            // connection. It fails the connection instead, and the bound
+            // session takes the lost-connection path like any fault.
+            ClientMessage::Connect { .. } | ClientMessage::Resume { .. } if bound.is_some() => {
+                self.fail(key);
+                false
+            }
             ClientMessage::Connect { .. } | ClientMessage::Resume { .. } => {
-                self.on_handshake(key, bound, msg)
+                self.on_handshake(key, msg)
             }
             // v1.4 control messages are legal on unbound connections
             // and never bind one (PROTOCOL.md §9): a monitor's probe
@@ -807,13 +814,13 @@ impl<L: EventListener, H: BatchHandler> Pump<L, H> {
     }
 
     /// `Connect` / `Resume`: admission, then binding.
-    fn on_handshake(&mut self, key: u64, bound: Option<ClientId>, msg: ClientMessage) -> bool {
+    fn on_handshake(&mut self, key: u64, msg: ClientMessage) -> bool {
         let client = msg.client();
         let is_resume = matches!(msg, ClientMessage::Resume { .. });
         // v1.3 admission: shed at the door when live sessions are at
         // capacity. The handler is never consulted, so no session state
         // is created or mutated — shedding is idempotent.
-        if bound.is_none() && self.live_sessions() >= self.options.capacity {
+        if self.live_sessions() >= self.options.capacity {
             let hint = self.options.busy_retry_after.as_millis() as u64;
             self.shed(key, client, hint);
             return false;
@@ -972,12 +979,12 @@ impl<L: EventListener, H: BatchHandler> Pump<L, H> {
 }
 
 // ----------------------------------------------------------------------
-// In-memory listeners: channel and simulated-WAN dialers
+// The in-memory listener and its dialer
 // ----------------------------------------------------------------------
 
 /// An [`EventListener`] over an in-process queue of pre-built
-/// connections — how the channel and simulated-WAN transports reach
-/// the event loop without sockets.
+/// connections — how the channel transport reaches the event loop
+/// without sockets.
 pub struct QueueListener<C> {
     rx: mpsc::Receiver<C>,
 }
@@ -1004,13 +1011,30 @@ pub struct ChannelDialer {
 }
 
 impl ChannelDialer {
-    /// Opens a new connection, returning the client endpoint.
+    /// Opens a new connection over free links (no latency, no
+    /// bandwidth limit), returning the client endpoint.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Disconnected`] when the event loop is gone.
     pub fn dial(&self) -> Result<ChannelTransport<ClientMessage, ServerMessage>, ProtocolError> {
-        let (client, server) = channel_pair();
+        self.dial_over(free_link(), free_link())
+    }
+
+    /// Opens a new connection whose frames are timed by `uplink`
+    /// (client→server) and `downlink` (server→client), returning the
+    /// client endpoint. Each dial carries its own links, so
+    /// heterogeneous client networks share one server.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Disconnected`] when the event loop is gone.
+    pub fn dial_over(
+        &self,
+        uplink: WanLink,
+        downlink: WanLink,
+    ) -> Result<ChannelTransport<ClientMessage, ServerMessage>, ProtocolError> {
+        let (client, server) = channel_pair(uplink, downlink);
         self.tx
             .send(server)
             .map_err(|_| ProtocolError::Disconnected)?;
@@ -1029,45 +1053,6 @@ pub fn event_channel_listener() -> (
     (ChannelDialer { tx }, QueueListener { rx })
 }
 
-/// Client-side factory for simulated-WAN connections to an event
-/// loop. Each dial carries its own uplink/downlink [`WanLink`], so
-/// heterogeneous client networks share one server.
-#[derive(Clone)]
-pub struct SimDialer {
-    tx: mpsc::Sender<SimTransport<ServerMessage, ClientMessage>>,
-}
-
-impl SimDialer {
-    /// Opens a new simulated connection with the given link timings,
-    /// returning the client endpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Disconnected`] when the event loop is gone.
-    pub fn dial(
-        &self,
-        uplink: WanLink,
-        downlink: WanLink,
-    ) -> Result<SimTransport<ClientMessage, ServerMessage>, ProtocolError> {
-        let (client, server) = sim_pair(uplink, downlink);
-        self.tx
-            .send(server)
-            .map_err(|_| ProtocolError::Disconnected)?;
-        Ok(client)
-    }
-}
-
-/// Creates a connected `(dialer, listener)` pair for simulated-WAN
-/// transports — the [`event_channel_listener`] analogue with per-dial
-/// link timing.
-pub fn event_sim_listener() -> (
-    SimDialer,
-    QueueListener<SimTransport<ServerMessage, ClientMessage>>,
-) {
-    let (tx, rx) = mpsc::channel();
-    (SimDialer { tx }, QueueListener { rx })
-}
-
 impl EventConn for ChannelTransport<ServerMessage, ClientMessage> {
     fn poll_recv(&mut self, out: &mut Vec<ClientMessage>) -> Result<(), ProtocolError> {
         loop {
@@ -1076,26 +1061,6 @@ impl EventConn for ChannelTransport<ServerMessage, ClientMessage> {
                 Ok(None) => return Ok(()),
                 // Deliver buffered messages first; the error resurfaces
                 // on the next sweep.
-                Err(e) => return if out.is_empty() { Err(e) } else { Ok(()) },
-            }
-        }
-    }
-
-    fn queue(&mut self, msg: &ServerMessage) -> Result<(), ProtocolError> {
-        Transport::send(self, msg)
-    }
-
-    fn flush(&mut self) -> Result<bool, ProtocolError> {
-        Ok(true)
-    }
-}
-
-impl EventConn for SimTransport<ServerMessage, ClientMessage> {
-    fn poll_recv(&mut self, out: &mut Vec<ClientMessage>) -> Result<(), ProtocolError> {
-        loop {
-            match self.try_recv() {
-                Ok(Some(msg)) => out.push(msg),
-                Ok(None) => return Ok(()),
                 Err(e) => return if out.is_empty() { Err(e) } else { Ok(()) },
             }
         }
@@ -1114,65 +1079,27 @@ impl EventConn for SimTransport<ServerMessage, ClientMessage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::SplitClient;
-    use crate::driver::ForwardMode;
-    use crate::protocol::SessionHandler;
     use crate::retry::{drive_client, RetryPolicy};
-    use crate::server::ServerSession;
-    use crate::spec::SplitSpec;
-    use menos_adapters::FineTuneConfig;
-    use menos_data::{wiki_corpus, TokenDataset, Vocab};
-    use menos_models::{CausalLm, ModelConfig};
-    use menos_sim::seeded_rng;
+    use crate::testkit::{self, connect_msg, EchoHandler};
 
-    fn pair(seed: u64) -> (SplitClient, ServerSession) {
-        let text = wiki_corpus(5, 4000);
-        let vocab = Vocab::from_text(&text);
-        let cfg = ModelConfig::tiny_opt(33);
-        let mut rng = seeded_rng(100, "event-loop-test");
-        let ps = menos_models::init_params(&cfg, &mut rng);
-        let ds = TokenDataset::new(vocab.encode(&text), 16, 5);
-        let mut ft = FineTuneConfig::paper(&cfg);
-        ft.batch_size = 2;
-        ft.seq_len = 16;
-        let split = SplitSpec::paper();
-        let client = SplitClient::new(
-            ClientId(0),
-            CausalLm::bind(&cfg, &ps.shared_view(false)),
-            split,
-            ft.clone(),
-            ds,
-            seed,
-        );
-        let session = ServerSession::new(
-            ClientId(0),
-            CausalLm::bind(&cfg, &ps.shared_view(false)),
-            split,
-            &ft,
-            seed,
-        );
-        (client, session)
+    fn one_client() -> EventLoopOptions {
+        EventLoopOptions {
+            accept_limit: 1,
+            ..EventLoopOptions::default()
+        }
     }
 
     #[test]
     fn event_loop_serves_a_channel_client_end_to_end() {
-        let (mut client, session) = pair(7);
+        let mut client = testkit::client(7);
         let (dialer, listener) = event_channel_listener();
-        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-        let event_loop = ServerEventLoop::new(
-            listener,
-            handler,
-            EventLoopOptions {
-                accept_limit: 1,
-                ..EventLoopOptions::default()
-            },
-        );
+        let event_loop = ServerEventLoop::new(listener, EchoHandler::default(), one_client());
         let server = std::thread::spawn(move || event_loop.run());
         let curve = drive_client(&mut client, |_| dialer.dial(), 3, &RetryPolicy::none())
             .expect("training");
         assert_eq!(curve.points().len(), 3);
         let (handler, stats) = server.join().expect("loop thread");
-        assert!(handler.session().is_none(), "disconnect reclaims session");
+        assert!(handler.lost.is_empty(), "a clean Disconnect loses nothing");
         assert_eq!(stats.accepted, 1);
         assert_eq!(stats.served, 1);
         assert_eq!(stats.conn_errors, 0);
@@ -1181,33 +1108,13 @@ mod tests {
     }
 
     #[test]
-    fn mid_training_drop_reclaims_the_session() {
-        let (mut client, session) = pair(8);
-        let (dialer, listener) = event_channel_listener();
-        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-        let event_loop = ServerEventLoop::new(
-            listener,
-            handler,
-            EventLoopOptions {
-                accept_limit: 1,
-                ..EventLoopOptions::default()
-            },
-        );
-        let server = std::thread::spawn(move || event_loop.run());
-        // One clean step; the driver drops the connection on return.
-        drive_client(&mut client, |_| dialer.dial(), 1, &RetryPolicy::none()).ok();
-        let (handler, stats) = server.join().expect("loop thread");
-        assert!(handler.session().is_none());
-        assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.served + stats.conn_errors, 1);
-    }
-
-    #[test]
     fn shutdown_flag_stops_an_unbounded_loop() {
         let (_dialer, listener) = event_channel_listener();
-        let (_client, session) = pair(9);
-        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-        let event_loop = ServerEventLoop::new(listener, handler, EventLoopOptions::default());
+        let event_loop = ServerEventLoop::new(
+            listener,
+            EchoHandler::default(),
+            EventLoopOptions::default(),
+        );
         let stop = event_loop.shutdown_handle();
         let server = std::thread::spawn(move || event_loop.run());
         stop.store(true, Ordering::Relaxed);
@@ -1264,52 +1171,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A [`SessionHandler`] wrapper that versions its state: every
-    /// dispatch bumps a counter, and snapshots carry the counter —
-    /// letting the test pin exactly *when* the loop persisted.
-    struct VersionedHandler {
-        inner: SessionHandler,
-        version: u64,
-    }
-
-    impl MessageHandler for VersionedHandler {
-        fn handle(&mut self, msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
-            self.version += 1;
-            self.inner.handle(msg)
-        }
-
-        fn snapshot_bytes(&mut self) -> Option<Vec<u8>> {
-            Some(self.version.to_le_bytes().to_vec())
-        }
-    }
-
-    impl BatchHandler for VersionedHandler {}
-
     #[test]
     fn durable_mode_snapshots_every_dispatch_and_at_exit() {
         let dir = scratch_dir("durable");
-        let (mut client, session) = pair(11);
+        let mut client = testkit::client(11);
         let (dialer, listener) = event_channel_listener();
-        let handler = VersionedHandler {
-            inner: SessionHandler::new(session, ForwardMode::NoGradReforward),
-            version: 0,
+        let handler = EchoHandler {
+            durable: true,
+            ..EchoHandler::default()
         };
-        let event_loop = ServerEventLoop::new(
-            listener,
-            handler,
-            EventLoopOptions {
-                accept_limit: 1,
-                ..EventLoopOptions::default()
-            },
-        )
-        .with_snapshots(SnapshotPolicy::durable(&dir));
+        let event_loop = ServerEventLoop::new(listener, handler, one_client())
+            .with_snapshots(SnapshotPolicy::durable(&dir));
         let server = std::thread::spawn(move || event_loop.run());
         drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("training");
         let (handler, stats) = server.join().expect("loop thread");
         // Connect + 2×(activations, gradients) + Disconnect = 6
         // dispatched messages; durable mode snapshots Connect,
         // Disconnect, and each batch, plus the exit snapshot.
-        assert_eq!(handler.version, 6);
+        assert_eq!(handler.handled, 6);
         assert!(
             stats.snapshots >= 4,
             "expected connect+batches+disconnect+exit snapshots, got {}",
@@ -1319,55 +1198,40 @@ mod tests {
         // The on-disk snapshot is the *final* version: nothing
         // advanced after the last persisted state.
         let bytes = SnapshotPolicy::read(&dir).expect("snapshot exists");
-        assert_eq!(bytes, 6u64.to_le_bytes().to_vec());
+        assert_eq!(bytes, 6u32.to_le_bytes().to_vec());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn periodic_mode_counts_dispatches_but_always_snapshots_at_exit() {
         let dir = scratch_dir("periodic");
-        let (mut client, session) = pair(12);
+        let mut client = testkit::client(12);
         let (dialer, listener) = event_channel_listener();
-        let handler = VersionedHandler {
-            inner: SessionHandler::new(session, ForwardMode::NoGradReforward),
-            version: 0,
+        let handler = EchoHandler {
+            durable: true,
+            ..EchoHandler::default()
         };
-        let event_loop = ServerEventLoop::new(
-            listener,
-            handler,
-            EventLoopOptions {
-                accept_limit: 1,
-                ..EventLoopOptions::default()
-            },
-        )
-        // Cadence larger than the run's dispatch count: only the exit
-        // snapshot fires.
-        .with_snapshots(SnapshotPolicy::periodic(&dir, 1000));
+        let event_loop = ServerEventLoop::new(listener, handler, one_client())
+            // Cadence larger than the run's dispatch count: only the exit
+            // snapshot fires.
+            .with_snapshots(SnapshotPolicy::periodic(&dir, 1000));
         let server = std::thread::spawn(move || event_loop.run());
         drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("training");
         let (handler, stats) = server.join().expect("loop thread");
         assert_eq!(stats.snapshots, 1, "only the exit snapshot");
         let bytes = SnapshotPolicy::read(&dir).expect("snapshot exists");
-        assert_eq!(bytes, handler.version.to_le_bytes().to_vec());
+        assert_eq!(bytes, handler.handled.to_le_bytes().to_vec());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn handlers_without_durable_state_produce_no_snapshot_file() {
         let dir = scratch_dir("none");
-        let (mut client, session) = pair(13);
+        let mut client = testkit::client(13);
         let (dialer, listener) = event_channel_listener();
-        // Plain SessionHandler: snapshot_bytes() is the default None.
-        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-        let event_loop = ServerEventLoop::new(
-            listener,
-            handler,
-            EventLoopOptions {
-                accept_limit: 1,
-                ..EventLoopOptions::default()
-            },
-        )
-        .with_snapshots(SnapshotPolicy::durable(&dir));
+        // Not durable: snapshot_bytes() reports nothing to persist.
+        let event_loop = ServerEventLoop::new(listener, EchoHandler::default(), one_client())
+            .with_snapshots(SnapshotPolicy::durable(&dir));
         let server = std::thread::spawn(move || event_loop.run());
         drive_client(&mut client, |_| dialer.dial(), 1, &RetryPolicy::none()).expect("training");
         let (_handler, stats) = server.join().expect("loop thread");
@@ -1377,27 +1241,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A bare `Connect` for manual handshakes (SessionHandler ignores
-    /// the ft/split beyond the client id and codec mask).
-    fn connect_msg(c: u64) -> ClientMessage {
-        let cfg = ModelConfig::tiny_opt(33);
-        ClientMessage::Connect {
-            client: ClientId(c),
-            ft: FineTuneConfig::paper(&cfg),
-            split: SplitSpec::paper(),
-            epoch: 1,
-            codecs: 0,
-        }
-    }
-
     #[test]
     fn capacity_sheds_surplus_connects_with_busy() {
-        let (_client, session) = pair(20);
         let (dialer, listener) = event_channel_listener();
-        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
         let event_loop = ServerEventLoop::new(
             listener,
-            handler,
+            EchoHandler::default(),
             EventLoopOptions {
                 accept_limit: 2,
                 capacity: 1,
@@ -1442,17 +1291,9 @@ mod tests {
     fn accept_limit_bounds_accepts_independently_of_capacity() {
         // accept_limit 1 with unlimited capacity: the second dial is
         // simply never accepted (no shed — the knobs are distinct).
-        let (mut client, session) = pair(21);
+        let mut client = testkit::client(21);
         let (dialer, listener) = event_channel_listener();
-        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
-        let event_loop = ServerEventLoop::new(
-            listener,
-            handler,
-            EventLoopOptions {
-                accept_limit: 1,
-                ..EventLoopOptions::default()
-            },
-        );
+        let event_loop = ServerEventLoop::new(listener, EchoHandler::default(), one_client());
         let server = std::thread::spawn(move || event_loop.run());
         let curve = drive_client(&mut client, |_| dialer.dial(), 1, &RetryPolicy::none())
             .expect("training");
@@ -1493,18 +1334,6 @@ mod tests {
         }
     }
 
-    /// Accepts everything, replies to nothing — staging is the loop's
-    /// job, and these tests only watch the loop.
-    struct NullHandler;
-
-    impl MessageHandler for NullHandler {
-        fn handle(&mut self, _msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
-            Ok(None)
-        }
-    }
-
-    impl BatchHandler for NullHandler {}
-
     #[test]
     fn one_burst_past_the_staged_cap_drops_the_offender() {
         let (tx, rx) = mpsc::channel();
@@ -1516,14 +1345,8 @@ mod tests {
         })
         .expect("queue conn");
         drop(tx);
-        let event_loop = ServerEventLoop::new(
-            QueueListener { rx },
-            NullHandler,
-            EventLoopOptions {
-                accept_limit: 1,
-                ..EventLoopOptions::default()
-            },
-        );
+        let event_loop =
+            ServerEventLoop::new(QueueListener { rx }, EchoHandler::default(), one_client());
         let (_handler, stats) = event_loop.run();
         assert_eq!(stats.staged_overflows, 1);
         assert_eq!(stats.conn_errors, 1, "the offender is failed, not served");
@@ -1566,7 +1389,6 @@ mod tests {
 
     #[test]
     fn stalled_consumer_is_evicted_by_the_write_buffer_bound() {
-        let (_client, session) = pair(22);
         let (tx, rx) = mpsc::channel();
         tx.send(StalledConn {
             sent_connect: false,
@@ -1574,10 +1396,9 @@ mod tests {
         })
         .expect("queue conn");
         drop(tx);
-        let handler = SessionHandler::new(session, ForwardMode::NoGradReforward);
         let event_loop = ServerEventLoop::new(
             QueueListener { rx },
-            handler,
+            EchoHandler::default(),
             EventLoopOptions {
                 accept_limit: 1,
                 max_write_buffer: Some(100),
@@ -1591,8 +1412,9 @@ mod tests {
         assert_eq!(stats.write_overflows, 1);
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.max_queued_write_bytes, 256);
-        assert!(
-            handler.session().is_none(),
+        assert_eq!(
+            handler.lost,
+            vec![ClientId(0)],
             "the stalled client's session went through connection_lost"
         );
     }

@@ -64,6 +64,8 @@ mod retry;
 mod server;
 mod spec;
 mod tcp;
+#[cfg(test)]
+mod testkit;
 
 pub use chaos::{ChaosConn, ChaosListener, ChaosOptions, Fault};
 pub use client::SplitClient;
@@ -75,19 +77,17 @@ pub use driver::{
     evaluate_loss, local_finetune, local_finetune_returning_model, run_split_steps, ForwardMode,
 };
 pub use event_loop::{
-    event_channel_listener, event_sim_listener, BatchHandler, ChannelDialer, EventConn,
-    EventListener, EventLoopOptions, EventLoopStats, QueueListener, ServerEventLoop, SimDialer,
-    SnapshotPolicy,
+    event_channel_listener, BatchHandler, ChannelDialer, EventConn, EventListener,
+    EventLoopOptions, EventLoopStats, QueueListener, ServerEventLoop, SnapshotPolicy,
 };
 pub use message::{
     activation_wire_bytes, activation_wire_bytes_with, ClientId, ClientMessage, EvictionCode,
     ServerMessage,
 };
 pub use protocol::{
-    channel_pair, dispatch_session, sim_pair, ChannelTransport, MessageHandler, ProtocolError,
-    SessionHandler, SimTransport, Transport, WireMessage,
+    dispatch_session, ChannelTransport, MessageHandler, ProtocolError, Transport, WireMessage,
 };
-pub use retry::{already_connected, drive_client, RetryPolicy, MIN_BUSY_DELAY};
+pub use retry::{already_connected, drive_client, RetryPolicy};
 pub use server::ServerSession;
 pub use spec::SplitSpec;
 pub use tcp::{

@@ -46,7 +46,7 @@ use crate::protocol::{ProtocolError, Transport, WireMessage};
 /// spin — a tight reconnect loop against an overloaded server is a
 /// self-inflicted DoS. Jitter applies on top, so even floored waits
 /// spread a herd.
-pub const MIN_BUSY_DELAY: Duration = Duration::from_millis(1);
+const MIN_BUSY_DELAY: Duration = Duration::from_millis(1);
 
 /// Reconnect policy: how many times to retry, and how long to wait
 /// between attempts (capped exponential backoff with deterministic
@@ -124,7 +124,7 @@ impl RetryPolicy {
     /// floored at [`MIN_BUSY_DELAY`], so a zero hint meeting a
     /// zero-backoff policy still sleeps instead of reconnecting in a
     /// tight loop.
-    pub fn busy_delay(&self, retry_after_ms: u64, rng: &mut StdRng) -> Duration {
+    fn busy_delay(&self, retry_after_ms: u64, rng: &mut StdRng) -> Duration {
         let base = if retry_after_ms == 0 {
             self.backoff.max(MIN_BUSY_DELAY)
         } else {
@@ -137,7 +137,7 @@ impl RetryPolicy {
     /// hint means "the target is ready now": only the
     /// [`MIN_BUSY_DELAY`] anti-spin floor applies, never the fault
     /// backoff — placement is not a failure to back off from.
-    pub fn redirect_delay(&self, retry_after_ms: u64, rng: &mut StdRng) -> Duration {
+    fn redirect_delay(&self, retry_after_ms: u64, rng: &mut StdRng) -> Duration {
         self.hinted_delay(
             Duration::from_millis(retry_after_ms).max(MIN_BUSY_DELAY),
             rng,
@@ -570,102 +570,20 @@ mod tests {
 
     use std::sync::Arc;
 
-    use bytes::Bytes;
-
-    use crate::client::SplitClient;
     use crate::event_loop::{
-        event_channel_listener, BatchHandler, ChannelDialer, EventLoopOptions, ServerEventLoop,
+        event_channel_listener, ChannelDialer, EventLoopOptions, ServerEventLoop,
     };
-    use crate::protocol::{channel_pair, MessageHandler};
+    use crate::protocol::{channel_pair, free_link, ChannelTransport};
+    use crate::testkit::{client as test_client, EchoHandler};
     use crate::ClientId;
 
-    /// The smallest resumable server: echoes tensor frames back (the
-    /// shapes line up because both cut tensors are `[batch, seq,
-    /// hidden]`), keeps no per-step state, and — unlike
-    /// `SessionHandler` — survives connection loss so `Resume` works.
-    /// `kill_every` injects a handler-side fault every N messages.
-    struct EchoHandler {
-        epoch: u64,
-        kill_every: u32,
-        handled: u32,
-    }
-
-    impl MessageHandler for EchoHandler {
-        fn handle(&mut self, msg: ClientMessage) -> Result<Option<ServerMessage>, ProtocolError> {
-            if self.kill_every > 0 {
-                self.handled += 1;
-                if self.handled.is_multiple_of(self.kill_every) {
-                    return Err(ProtocolError::Disconnected);
-                }
-            }
-            Ok(match msg {
-                ClientMessage::Connect { client, .. } => Some(ServerMessage::Ready {
-                    client,
-                    codec: menos_net::Codec::F32Raw,
-                }),
-                ClientMessage::Resume {
-                    client,
-                    epoch,
-                    last_step,
-                } => {
-                    self.epoch = epoch + 1;
-                    Some(ServerMessage::Resumed {
-                        client,
-                        epoch: self.epoch,
-                        server_step: last_step,
-                        replay: Bytes::new(),
-                    })
-                }
-                ClientMessage::Activations { client, frame } => {
-                    Some(ServerMessage::ServerActivations { client, frame })
-                }
-                ClientMessage::Gradients { client, frame } => {
-                    Some(ServerMessage::ServerGradients { client, frame })
-                }
-                ClientMessage::Disconnect { .. } => None,
-                ClientMessage::Ping { client, seq } => Some(ServerMessage::Pong {
-                    client,
-                    seq,
-                    live_sessions: 0,
-                    utilization_pct: 0,
-                }),
-                ClientMessage::ImportSession { .. } => {
-                    return Err(ProtocolError::Unexpected(
-                        "echo handler does not import sessions".into(),
-                    ))
-                }
-            })
-        }
-
-        fn connection_lost(&mut self, _client: ClientId) {
-            // Keep the session resumable — the whole point.
-        }
-    }
-
-    impl BatchHandler for EchoHandler {}
-
-    fn test_client(seed: u64) -> SplitClient {
-        use menos_adapters::FineTuneConfig;
-        use menos_data::{wiki_corpus, TokenDataset, Vocab};
-        use menos_models::{CausalLm, ModelConfig};
-
-        let text = wiki_corpus(5, 4000);
-        let vocab = Vocab::from_text(&text);
-        let cfg = ModelConfig::tiny_opt(33);
-        let mut rng = seeded_rng(100, "retry-test");
-        let ps = menos_models::init_params(&cfg, &mut rng);
-        let ds = TokenDataset::new(vocab.encode(&text), 16, 5);
-        let mut ft = FineTuneConfig::paper(&cfg);
-        ft.batch_size = 2;
-        ft.seq_len = 16;
-        SplitClient::new(
-            ClientId(0),
-            CausalLm::bind(&cfg, &ps.shared_view(false)),
-            crate::spec::SplitSpec::paper(),
-            ft,
-            ds,
-            seed,
-        )
+    /// A hand-scripted server end: what a test sends on the second
+    /// endpoint is what the driver reads.
+    fn scripted() -> (
+        ChannelTransport<ClientMessage, ServerMessage>,
+        ChannelTransport<ServerMessage, ClientMessage>,
+    ) {
+        channel_pair(free_link(), free_link())
     }
 
     /// An event loop over the echo handler, stopped and joined when the
@@ -678,9 +596,8 @@ mod tests {
 
     fn echo_server(kill_every: u32) -> EchoServer {
         let handler = EchoHandler {
-            epoch: 1,
             kill_every,
-            handled: 0,
+            ..EchoHandler::default()
         };
         let (dialer, listener) = event_channel_listener();
         let event_loop = ServerEventLoop::new(listener, handler, EventLoopOptions::default());
@@ -721,7 +638,7 @@ mod tests {
                 dials += 1;
                 if dials <= 2 {
                     // Shed with a hint, twice, before admitting.
-                    let (client_t, mut server_t) = channel_pair();
+                    let (client_t, mut server_t) = scripted();
                     server_t.send(&ServerMessage::Busy {
                         client: ClientId(0),
                         retry_after_ms: 1,
@@ -765,7 +682,7 @@ mod tests {
                         // The "coordinator": answer the handshake with
                         // a Redirect and keep the connection alive long
                         // enough for the client to read it.
-                        let (client_t, mut server_t) = channel_pair();
+                        let (client_t, mut server_t) = scripted();
                         server_t.send(&ServerMessage::Redirect {
                             client: ClientId(0),
                             addr: "worker-1".into(),
@@ -810,7 +727,7 @@ mod tests {
                 routes_seen.push(route.map(str::to_owned));
                 match route {
                     None => {
-                        let (client_t, mut server_t) = channel_pair();
+                        let (client_t, mut server_t) = scripted();
                         let addr = if coordinator_conns.is_empty() {
                             "dead-worker"
                         } else {
@@ -895,7 +812,7 @@ mod tests {
         ] {
             // The channel buffers, so the server's half of the script
             // can be queued up front: Ready, then the eviction.
-            let (client_t, mut server_t) = channel_pair();
+            let (client_t, mut server_t) = scripted();
             let (client, codec) = (ClientId(0), menos_net::Codec::F32Raw);
             server_t
                 .send(&ServerMessage::Ready { client, codec })

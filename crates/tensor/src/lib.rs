@@ -70,4 +70,4 @@ pub use parallel::{set_threads, threads};
 pub use param::ParamStore;
 pub use shape::Shape;
 pub use storage::Storage;
-pub use tensor::{is_grad_enabled, no_grad, Tensor};
+pub use tensor::{no_grad, Tensor};

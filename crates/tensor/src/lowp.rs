@@ -24,7 +24,7 @@ fn rne_shift(x: u32, shift: u32) -> u32 {
 /// Out-of-range magnitudes saturate to ±Inf exactly as a hardware
 /// `cvtps2ph` would; every NaN canonicalises to a quiet NaN with the
 /// sign preserved.
-pub fn f32_to_f16_bits(x: f32) -> u16 {
+fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let abs = bits & 0x7fff_ffff;
@@ -55,7 +55,7 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 }
 
 /// Convert IEEE-754 binary16 bits to the exactly-representable `f32`.
-pub fn f16_bits_to_f32(h: u16) -> f32 {
+fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1f) as u32;
     let man = (h & 0x03ff) as u32;
@@ -74,7 +74,7 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 }
 
 /// Convert one `f32` to bfloat16 bits (round to nearest even).
-pub fn f32_to_bf16_bits(x: f32) -> u16 {
+fn f32_to_bf16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     if x.is_nan() {
         // Truncation could turn a NaN with a low-half payload into
@@ -87,7 +87,7 @@ pub fn f32_to_bf16_bits(x: f32) -> u16 {
 }
 
 /// Convert bfloat16 bits to the exactly-representable `f32`.
-pub fn bf16_bits_to_f32(h: u16) -> f32 {
+fn bf16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits((h as u32) << 16)
 }
 

@@ -38,7 +38,6 @@ pub(crate) enum Op {
     Matmul(Tensor, Tensor),
     SumAll(Tensor),
     MeanAll(Tensor),
-    SumLastKeepdim(Tensor),
     Reshape(Tensor),
     Permute(Tensor, Vec<usize>),
     Narrow(Tensor, usize, usize, usize),
@@ -68,11 +67,6 @@ pub(crate) enum Op {
         base: f32,
         pos_offset: usize,
     },
-    Dropout {
-        x: Tensor,
-        /// Pre-scaled keep mask (0 or 1/(1-p)) applied in both passes.
-        mask: Tensor,
-    },
 }
 
 impl Op {
@@ -96,7 +90,6 @@ impl Op {
             | Op::Silu(a)
             | Op::SumAll(a)
             | Op::MeanAll(a)
-            | Op::SumLastKeepdim(a)
             | Op::Reshape(a)
             | Op::Permute(a, _)
             | Op::Narrow(a, _, _, _)
@@ -109,7 +102,6 @@ impl Op {
             Op::Embedding { table, .. } => vec![table.clone()],
             Op::CrossEntropy { logits, .. } => vec![logits.clone()],
             Op::Rope { x, .. } => vec![x.clone()],
-            Op::Dropout { x, .. } => vec![x.clone()],
         }
     }
 
@@ -199,16 +191,6 @@ impl Op {
                 let g = grad[0] / a.elem_count() as f32;
                 vec![(a.clone(), vec![g; a.elem_count()])]
             }
-            Op::SumLastKeepdim(a) => {
-                let (rows, cols) = a.shape().rows_cols();
-                let mut g = vec![0.0f32; a.elem_count()];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        g[r * cols + c] = grad[r];
-                    }
-                }
-                vec![(a.clone(), g)]
-            }
             Op::Reshape(a) => vec![(a.clone(), grad.to_vec())],
             Op::Permute(a, perm) => {
                 let inv = inverse_perm(perm);
@@ -268,12 +250,6 @@ impl Op {
                 pos_offset,
             } => {
                 vec![(x.clone(), rope_backward(x, *base, *pos_offset, grad))]
-            }
-            Op::Dropout { x, mask } => {
-                let m = mask.storage().read();
-                let g = grad.iter().zip(m.iter()).map(|(g, m)| g * m).collect();
-                drop(m);
-                vec![(x.clone(), g)]
             }
         }
     }

@@ -74,48 +74,6 @@ pub(crate) fn silu_prime(x: f32) -> f32 {
     s * (1.0 + x * (1.0 - s))
 }
 
-impl Tensor {
-    /// Inverted dropout: zeroes each element with probability `p` and
-    /// scales survivors by `1/(1-p)`, so the expectation is unchanged.
-    /// The same mask applies in the backward pass. With `p = 0` this is
-    /// the identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= p < 1`.
-    pub fn dropout<R: rand::Rng>(&self, p: f32, rng: &mut R) -> Tensor {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout probability {p} outside [0, 1)"
-        );
-        if p == 0.0 {
-            // Identity without graph noise: still record a node so the
-            // call site is uniform in train loops.
-            return self.mul_scalar(1.0);
-        }
-        let scale = 1.0 / (1.0 - p);
-        let mask_data: Vec<f32> = (0..self.elem_count())
-            .map(|_| if rng.gen::<f32>() < p { 0.0 } else { scale })
-            .collect();
-        let mask = Tensor::from_vec(mask_data, self.shape().clone());
-        let data = self
-            .storage()
-            .read()
-            .iter()
-            .zip(mask.storage().read().iter())
-            .map(|(x, m)| x * m)
-            .collect();
-        Tensor::from_op(
-            data,
-            self.shape().clone(),
-            Op::Dropout {
-                x: self.clone(),
-                mask,
-            },
-        )
-    }
-}
-
 /// Threshold scaling for transcendental element-wise ops (exp/tanh/…
 /// cost roughly an order of magnitude more than an add).
 const UNARY_WORK: usize = 8;
@@ -267,57 +225,6 @@ mod tests {
             let s = sigmoid(1.702 * x);
             let ideal = s + 1.702 * x * s * (1.0 - s);
             assert_close(gelu_prime(x), ideal, 2e-3);
-        }
-    }
-
-    #[test]
-    fn dropout_statistics_and_backward() {
-        use menos_sim_shim::seeded_rng;
-        let mut rng = seeded_rng(5);
-        let x = Tensor::var_from_vec(vec![1.0; 1000], [1000]);
-        let y = x.dropout(0.3, &mut rng);
-        let v = y.to_vec();
-        let zeros = v.iter().filter(|&&e| e == 0.0).count();
-        // ~30% dropped.
-        assert!((200..400).contains(&zeros), "{zeros} zeros");
-        // Survivors scaled to preserve expectation.
-        let mean: f32 = v.iter().sum::<f32>() / v.len() as f32;
-        assert!((mean - 1.0).abs() < 0.15, "mean {mean}");
-        // Backward reuses the same mask: zero grads exactly where
-        // activations were dropped.
-        let grads = y.sum_all().backward();
-        let g = grads.get(&x).unwrap().to_vec();
-        for (gi, vi) in g.iter().zip(v.iter()) {
-            if *vi == 0.0 {
-                assert_eq!(*gi, 0.0);
-            } else {
-                assert!((*gi - 1.0 / 0.7).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn dropout_zero_is_identity() {
-        use menos_sim_shim::seeded_rng;
-        let mut rng = seeded_rng(5);
-        let x = Tensor::from_vec(vec![1.0, 2.0], [2]);
-        assert_eq!(x.dropout(0.0, &mut rng).to_vec(), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dropout probability")]
-    fn dropout_rejects_bad_p() {
-        use menos_sim_shim::seeded_rng;
-        let mut rng = seeded_rng(5);
-        Tensor::zeros([2]).dropout(1.0, &mut rng);
-    }
-
-    /// Local rng helper (menos-tensor cannot depend on menos-sim).
-    mod menos_sim_shim {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        pub fn seeded_rng(seed: u64) -> StdRng {
-            StdRng::seed_from_u64(seed)
         }
     }
 

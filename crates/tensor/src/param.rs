@@ -144,13 +144,6 @@ impl ParamStore {
                     .unwrap_or(false)
             })
     }
-
-    /// Merges another store into this one under a name prefix.
-    pub fn extend_prefixed(&mut self, prefix: &str, other: ParamStore) {
-        for (k, v) in other.params {
-            self.params.insert(format!("{prefix}{k}"), v);
-        }
-    }
 }
 
 impl FromIterator<(String, Tensor)> for ParamStore {
@@ -235,15 +228,6 @@ mod tests {
         let mut partial = ps.shared_view(false);
         partial.remove("b");
         assert!(!ps.shares_storage_with(&partial));
-    }
-
-    #[test]
-    fn extend_prefixed_namespaces() {
-        let mut root = ParamStore::new();
-        let mut child = ParamStore::new();
-        child.insert("w", Tensor::zeros([1]));
-        root.extend_prefixed("layer0.", child);
-        assert!(root.get("layer0.w").is_some());
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl Shape {
     /// # Panics
     ///
     /// Panics on a scalar shape.
-    pub fn last_dim(&self) -> usize {
+    fn last_dim(&self) -> usize {
         *self.0.last().expect("scalar shape has no last dimension")
     }
 

@@ -17,7 +17,7 @@ thread_local! {
 }
 
 /// Whether operations currently record the autograd graph.
-pub fn is_grad_enabled() -> bool {
+pub(crate) fn is_grad_enabled() -> bool {
     GRAD_ENABLED.with(|g| g.get())
 }
 
@@ -204,14 +204,6 @@ impl Tensor {
         Tensor::make(data, shape, None, false)
     }
 
-    /// Uniform random tensor in `[lo, hi)`.
-    pub fn rand_uniform<R: Rng>(rng: &mut R, shape: impl Into<Shape>, lo: f32, hi: f32) -> Tensor {
-        let shape = shape.into();
-        let n = shape.elem_count();
-        let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor::make(data, shape, None, false)
-    }
-
     /// Returns a copy of this tensor marked trainable (a new leaf with
     /// its own identity, sharing the same storage).
     pub fn trainable(&self) -> Tensor {
@@ -282,15 +274,6 @@ impl Tensor {
         self.0.storage.read()[0]
     }
 
-    /// Element at a flat (row-major) offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is out of bounds.
-    pub fn get_flat(&self, offset: usize) -> f32 {
-        self.0.storage.read()[offset]
-    }
-
     /// Logical size of this tensor's data in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.elem_count() as u64 * 4
@@ -358,7 +341,6 @@ mod tests {
         assert_eq!(t.elem_count(), 4);
         assert!(!t.requires_grad());
         assert_eq!(t.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.get_flat(2), 3.0);
         assert_eq!(t.size_bytes(), 16);
     }
 
@@ -455,14 +437,6 @@ mod tests {
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((var - 1.0).abs() < 0.2, "var {var}");
         assert!(t.all_finite());
-    }
-
-    #[test]
-    fn rand_uniform_bounds() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let t = Tensor::rand_uniform(&mut rng, [1000], -0.5, 0.5);
-        assert!(t.to_vec().iter().all(|&x| (-0.5..0.5).contains(&x)));
     }
 
     #[test]

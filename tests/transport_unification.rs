@@ -18,10 +18,10 @@ use menos::models::{CausalLm, ModelConfig};
 use menos::net::{encode_frame_header, read_frame_bytes, DEFAULT_MAX_FRAME};
 use menos::sim::seeded_rng;
 use menos::split::{
-    drive_client, event_channel_listener, event_sim_listener, run_split_steps, run_tcp_client,
-    ClientId, ClientMessage, EventLoopOptions, EventLoopStats, EvictionCode, ForwardMode,
-    RetryPolicy, ServerEventLoop, ServerMessage, ServerSession, SplitClient, SplitSpec,
-    TcpEventServer, TcpOptions, Transport, WireMessage,
+    drive_client, event_channel_listener, run_split_steps, run_tcp_client, ClientId, ClientMessage,
+    EventLoopOptions, EventLoopStats, EvictionCode, ForwardMode, RetryPolicy, ServerEventLoop,
+    ServerMessage, ServerSession, SplitClient, SplitSpec, TcpEventServer, TcpOptions, Transport,
+    WireMessage,
 };
 
 const SEED: u64 = 4100;
@@ -377,10 +377,10 @@ fn event_loop_curves_are_bit_identical_to_the_oracle_on_all_transports() {
     assert_eq!(stats.conn_errors, 0);
     assert_eq!(stats.batched_messages, N * STEPS as u64 * 2);
 
-    // Simulated WAN through the event loop (same bytes, plus virtual
-    // transfer time on heterogeneous per-client links).
+    // Channels over simulated links (same bytes, plus virtual transfer
+    // time on heterogeneous per-client links).
     let handler = make_server(&config, &base);
-    let (dialer, listener) = event_sim_listener();
+    let (dialer, listener) = event_channel_listener();
     let event_loop = ServerEventLoop::new(listener, handler.clone(), accepting(N as usize));
     let loop_thread = std::thread::spawn(move || event_loop.run());
     let mut drivers = Vec::new();
@@ -389,20 +389,20 @@ fn event_loop_curves_are_bit_identical_to_the_oracle_on_all_transports() {
         let dialer = dialer.clone();
         drivers.push(std::thread::spawn(move || {
             let dial = |_: Option<&str>| {
-                dialer.dial(
+                dialer.dial_over(
                     menos::net::WanLink::lan(7 + k),
                     menos::net::WanLink::lan(100 + k),
                 )
             };
-            bits(&drive_client(&mut client, dial, STEPS, &none).expect("sim event loop"))
+            bits(&drive_client(&mut client, dial, STEPS, &none).expect("linked event loop"))
         }));
     }
-    let sim_curves: Vec<CurveBits> = drivers
+    let linked_curves: Vec<CurveBits> = drivers
         .into_iter()
         .map(|d| d.join().expect("driver thread"))
         .collect();
     loop_thread.join().expect("loop thread");
-    assert_eq!(sim_curves, reference, "sim event loop diverged");
+    assert_eq!(linked_curves, reference, "linked event loop diverged");
 
     // Real TCP sockets through the event loop (nonblocking reads,
     // partial-frame reassembly, write queues).
@@ -869,4 +869,83 @@ fn a_connection_can_only_act_on_the_session_it_bound() {
         "only the victim's own Disconnect is served"
     );
     assert_eq!(stats.conn_errors, 6, "every intruder is failed: {stats:?}");
+}
+
+/// A connection binds once. Were a second handshake to rebind it, each
+/// earlier session would stay live and reserved with no connection to
+/// speak for it, and one peer cycling `Connect` on one connection could
+/// fill the pool until every honest `Connect` got `Busy`. The second
+/// handshake — `Connect` or `Resume` — fails the connection, and the
+/// session it was bound to is parked like any other lost connection's.
+#[test]
+fn a_second_handshake_fails_the_connection_instead_of_orphaning_its_session() {
+    const N: u64 = 3;
+    let (text, _vocab, config, base) = setup();
+    let m_b = {
+        let probe = make_server(&config, &base);
+        let mut srv = probe.lock().unwrap();
+        srv.handle(connect_msg(&make_client(0, &text, &config, &base)))
+            .unwrap();
+        srv.demands_of(ClientId(0)).unwrap().m_b
+    };
+    // A pool that fits N sessions and not N + 1.
+    let mut spec = ServerSpec::v100(ServerMode::menos());
+    spec.gpu_capacity = N * m_b + m_b / 2;
+    let view = base.lock().unwrap().shared_view(false);
+    let handler = Arc::new(Mutex::new(MenosServer::from_store(
+        config.clone(),
+        view,
+        spec,
+        SEED,
+    )));
+    let (dialer, listener) = event_channel_listener();
+    let event_loop = ServerEventLoop::new(listener, handler.clone(), accepting(3));
+    let loop_thread = std::thread::spawn(move || event_loop.run());
+    // Sends every message, then reads until the server closes the
+    // connection; returns how many `Ready`s came back.
+    let burst = |msgs: &[ClientMessage]| {
+        let mut wire = dialer.dial().expect("dial");
+        for msg in msgs {
+            // The server may close the connection mid-burst.
+            let _ = wire.send(msg);
+        }
+        let mut readies = 0;
+        while let Ok(reply) = wire.recv() {
+            readies += usize::from(matches!(reply, ServerMessage::Ready { .. }));
+        }
+        readies
+    };
+    let connect = |k: u64| connect_msg(&make_client(k, &text, &config, &base));
+
+    // The Connect arm: one connection, N + 1 handshakes.
+    let cycle: Vec<ClientMessage> = (1..=N + 1).map(connect).collect();
+    assert_eq!(burst(&cycle), 1, "only the first handshake binds");
+    let srv = handler.lock().unwrap();
+    assert_eq!((srv.active_clients(), srv.quarantined_clients()), (0, 1));
+    assert_eq!(srv.reserved_bytes(), 0, "the bound session was parked");
+    drop(srv);
+
+    // The Resume arm: bound to a fresh session, the peer resumes the
+    // parked one.
+    let resume = ClientMessage::Resume {
+        client: ClientId(1),
+        epoch: 1,
+        last_step: 0,
+    };
+    assert_eq!(burst(&[connect(N + 2), resume]), 1);
+    let srv = handler.lock().unwrap();
+    assert_eq!(srv.active_clients(), 0, "no session is left live");
+    assert_eq!(srv.reserved_bytes(), 0, "no reservation is left behind");
+    assert_eq!(srv.quarantined_clients(), 2);
+    drop(srv);
+
+    // The pool is whole: an honest client is admitted and trains
+    // bit-identically to the in-process oracle.
+    let mut honest = make_client(0, &text, &config, &base);
+    let curve = drive_client(&mut honest, |_| dialer.dial(), 3, &RetryPolicy::none())
+        .expect("an honest client is admitted");
+    assert_eq!(bits(&curve), reference_curve(0, 3, &text, &config, &base));
+    let (_h, stats) = loop_thread.join().expect("loop thread");
+    assert_eq!((stats.accepted, stats.served, stats.shed), (3, 1, 0));
+    assert_eq!(stats.conn_errors, 2, "each cycling connection is failed");
 }
