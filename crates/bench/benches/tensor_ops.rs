@@ -1,11 +1,11 @@
 //! Tensor-engine kernel throughput: the real-engine substrate behind
 //! the convergence experiments.
 //!
-//! The `matmul`/`nn_primitives` groups measure the kernels at whatever
-//! pool size `MENOS_THREADS` selects (default: all cores); the
-//! `threads_sweep` group re-runs the hot kernels at 1/2/4/8 workers —
-//! as many of those widths as the host has cores — to expose the
-//! scaling curve of the shared compute backend.
+//! The `matmul`/`nn_primitives`/`served_block` groups measure the
+//! kernels at whatever pool size `MENOS_THREADS` selects (default: all
+//! cores); the `threads_sweep` group re-runs the hot kernels at 1/2/4/8
+//! workers — as many of those widths as the host has cores — to expose
+//! the scaling curve of the shared compute backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -91,6 +91,35 @@ fn bench_backward(c: &mut Criterion) {
     group.finish();
 }
 
+/// The served block's non-GEMM kernels and its frozen-linear backward
+/// at `solo_wide`'s geometry (batch 2, seq 32, hidden 128, 4 heads):
+/// the ops that dominated a served step before the broadcast and
+/// permute fast paths and the gradient-only-where-required rule.
+fn bench_served_block(c: &mut Criterion) {
+    let mut group = c.benchmark_group("served_block");
+    let mut rng = seeded_rng(5, "bench");
+    let act = Tensor::randn(&mut rng, [2, 32, 128], 1.0);
+    let bias = Tensor::randn(&mut rng, [128], 0.1);
+    group.bench_function("bias_add_2x32x128+128", |b| b.iter(|| act.add(&bias)));
+    let scores = Tensor::randn(&mut rng, [2, 4, 32, 32], 1.0);
+    let mask = Tensor::causal_mask(32);
+    group.bench_function("mask_add_2x4x32x32+32x32", |b| b.iter(|| scores.add(&mask)));
+    let heads = Tensor::randn(&mut rng, [2, 32, 4, 32], 1.0);
+    group.bench_function("head_split_permute_2x32x4x32", |b| {
+        b.iter(|| heads.permute(&[0, 2, 1, 3]))
+    });
+    // A trainable input through a frozen weight: backward owes dA only.
+    let x = Tensor::randn(&mut rng, [64, 512], 1.0).trainable();
+    let w = Tensor::randn(&mut rng, [512, 128], 0.05);
+    let y = x.matmul(&w);
+    let seed = Tensor::randn(&mut rng, [64, 128], 1.0);
+    group.throughput(Throughput::Elements((2 * 64 * 512 * 128) as u64));
+    group.bench_function("frozen_linear_backward_64x512x128", |b| {
+        b.iter(|| y.backward_with_grad(&seed))
+    });
+    group.finish();
+}
+
 /// Throughput of the hot kernels as the worker pool widens. Results are
 /// bitwise identical at every width; only the wall clock should move.
 fn bench_threads_sweep(c: &mut Criterion) {
@@ -124,6 +153,7 @@ criterion_group!(
     bench_matmul,
     bench_nn_primitives,
     bench_backward,
+    bench_served_block,
     bench_threads_sweep
 );
 criterion_main!(benches);

@@ -187,13 +187,14 @@ impl Tensor {
                 }
             }
             if let Some(op) = t.op() {
+                // `Op::backward` returns gradients only for parents that
+                // require one, and computes nothing for the rest.
                 for (parent, pgrad) in op.backward(t, &acc) {
-                    if parent.requires_grad() {
-                        pending
-                            .entry(parent.id())
-                            .or_default()
-                            .push((t.id(), pgrad));
-                    }
+                    debug_assert!(parent.requires_grad());
+                    pending
+                        .entry(parent.id())
+                        .or_default()
+                        .push((t.id(), pgrad));
                 }
             }
             // Interior gradients could be dropped here to save memory;
@@ -526,6 +527,79 @@ mod tests {
         let y = (&s * &x).sum_all();
         let grads = y.backward();
         assert_close(&grads.get(&x).unwrap().to_vec(), &[6.0], 1e-5);
+    }
+
+    /// A served block in miniature: a frozen linear with bias, a frozen
+    /// LayerNorm, a constant mask under a softmax, and a trainable
+    /// low-rank path. Returns the trainable tensors' gradients in bits
+    /// and, per base tensor, whether it received a gradient.
+    fn served_block_grads(train_base: bool) -> (Vec<Vec<u32>>, Vec<bool>) {
+        let finite = |seed: u64, len: usize| -> Vec<f32> {
+            crate::ops::fill(seed, len)
+                .into_iter()
+                .map(|v| if v.is_finite() { v } else { 0.5 })
+                .collect()
+        };
+        let base = |v: Vec<f32>, shape: &[usize]| {
+            let t = Tensor::from_vec(v, shape.to_vec());
+            if train_base {
+                t.trainable()
+            } else {
+                t
+            }
+        };
+        let x = Tensor::var_from_vec(finite(1, 2 * 5 * 8), [2, 5, 8]);
+        let w = base(finite(2, 8 * 8), &[8, 8]);
+        let bias = base(finite(3, 8), &[8]);
+        let gamma = base(finite(4, 8), &[8]);
+        let beta = base(finite(5, 8), &[8]);
+        let lora_a = Tensor::var_from_vec(finite(6, 8 * 2), [8, 2]);
+        let lora_b = Tensor::var_from_vec(finite(7, 2 * 8), [2, 8]);
+        let h = &x.matmul(&w).add(&bias) + &x.matmul(&lora_a).matmul(&lora_b);
+        let h = h.layer_norm(&gamma, &beta, 1e-5);
+        let scores = h.matmul(&h.t()).add(&Tensor::causal_mask(5)).softmax_last();
+        let y = scores.matmul(&h.permute(&[0, 2, 1]).t());
+        let grads = (&y * &y).sum_all().backward();
+        let bits = |t: &Tensor| {
+            let g = grads.get(t).expect("trainable tensor has a gradient");
+            g.to_vec().iter().map(|v| v.to_bits()).collect()
+        };
+        let frozen = [&w, &bias, &gamma, &beta];
+        (
+            vec![bits(&x), bits(&lora_a), bits(&lora_b)],
+            frozen.iter().map(|t| grads.get(t).is_some()).collect(),
+        )
+    }
+
+    #[test]
+    fn frozen_parents_cost_nothing_and_change_nothing() {
+        // Op level: the frozen operand of each op gets no entry, so its
+        // kernel was told not to compute it.
+        let x = Tensor::var_from_vec(vec![0.5, -1.0, 2.0, 1.5], [2, 2]);
+        let w = Tensor::from_vec(vec![1.0, 2.0, -3.0, 0.25], [2, 2]);
+        let bias = Tensor::from_vec(vec![0.1, 0.2], [2]);
+        let gamma = Tensor::ones([2]);
+        let beta = Tensor::zeros([2]);
+        for y in [
+            x.matmul(&w),
+            x.add(&bias),
+            x.layer_norm(&gamma, &beta, 1e-5),
+        ] {
+            let parents = y.op().unwrap().backward(&y, &[1.0, -2.0, 0.5, 3.0]);
+            let ids: Vec<u64> = parents.iter().map(|(p, _)| p.id()).collect();
+            assert_eq!(
+                ids,
+                vec![x.id()],
+                "only the trainable input gets a gradient"
+            );
+        }
+        // Graph level: freezing the base changes no trainable gradient
+        // by a single bit.
+        let (frozen, none) = served_block_grads(false);
+        let (all, some) = served_block_grads(true);
+        assert_eq!(none, vec![false; 4]);
+        assert_eq!(some, vec![true; 4]);
+        assert_eq!(frozen, all);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::ops::binary::reduce_grad_to;
+use crate::ops::binary::{broadcast_zip, reduce_grad_to};
 use crate::ops::matmul::matmul_backward;
 use crate::ops::nn::{
     cross_entropy_backward, embedding_backward, layer_norm_backward, rms_norm_backward,
@@ -10,14 +10,16 @@ use crate::ops::nn::{
 };
 use crate::ops::shape_ops::{inverse_perm, narrow_backward_kernel, permute_kernel};
 use crate::ops::unary::{gelu_exact_prime, gelu_prime, sigmoid, silu_prime};
+use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// A recorded tensor operation, holding its inputs.
 ///
 /// Backward passes *recompute* any forward quantities they need (e.g.
-/// softmax outputs, normalization statistics) from the stored inputs
-/// rather than caching them — this keeps the graph small and matches
-/// the recompute-oriented design of Menos' on-demand memory policy.
+/// normalization statistics) from the stored inputs rather than caching
+/// them — this keeps the graph small and matches the recompute-oriented
+/// design of Menos' on-demand memory policy. Softmax is the exception:
+/// its gradient reads the op's own output, which the graph holds anyway.
 pub(crate) enum Op {
     Add(Tensor, Tensor),
     Sub(Tensor, Tensor),
@@ -105,51 +107,51 @@ impl Op {
         }
     }
 
-    /// Computes gradients for each parent given the output gradient,
-    /// returned as `(parent, grad_data)` pairs in parent order.
+    /// Computes the gradients of the parents that require one, given
+    /// the output gradient, as `(parent, grad_data)` pairs in parent
+    /// order. This is the one place the rule lives: a parent that does
+    /// not require a gradient (a frozen base weight, a constant mask)
+    /// gets no entry and costs no arithmetic, and every gradient that
+    /// is computed runs the same arithmetic as if all were.
+    ///
+    /// A recorded op has at least one parent that requires a gradient
+    /// (see [`Tensor::from_op`]), so single-parent ops always compute.
     pub(crate) fn backward(&self, out: &Tensor, grad: &[f32]) -> Vec<(Tensor, Vec<f32>)> {
+        let os = out.shape();
         match self {
-            Op::Add(a, b) => vec![
-                (a.clone(), reduce_grad_to(grad, out.shape(), a.shape())),
-                (b.clone(), reduce_grad_to(grad, out.shape(), b.shape())),
-            ],
-            Op::Sub(a, b) => {
-                let gb: Vec<f32> = grad.iter().map(|g| -g).collect();
-                vec![
-                    (a.clone(), reduce_grad_to(grad, out.shape(), a.shape())),
-                    (b.clone(), reduce_grad_to(&gb, out.shape(), b.shape())),
-                ]
-            }
-            Op::Mul(a, b) => {
-                // Gradient w.r.t. a is grad * broadcast(b); expand each
-                // operand to the output shape first.
-                let (b_bcast, _) =
-                    crate::ops::binary::broadcast_binary_kernel(b, &out_like(out), |bv, _| bv);
-                let (a_bcast, _) =
-                    crate::ops::binary::broadcast_binary_kernel(a, &out_like(out), |av, _| av);
-                let ga: Vec<f32> = grad.iter().zip(&b_bcast).map(|(g, bv)| g * bv).collect();
-                let gb: Vec<f32> = grad.iter().zip(&a_bcast).map(|(g, av)| g * av).collect();
-                vec![
-                    (a.clone(), reduce_grad_to(&ga, out.shape(), a.shape())),
-                    (b.clone(), reduce_grad_to(&gb, out.shape(), b.shape())),
-                ]
-            }
-            Op::Div(a, b) => {
-                let (b_bcast, _) =
-                    crate::ops::binary::broadcast_binary_kernel(b, &out_like(out), |bv, _| bv);
-                let (a_bcast, _) =
-                    crate::ops::binary::broadcast_binary_kernel(a, &out_like(out), |av, _| av);
-                let ga: Vec<f32> = grad.iter().zip(&b_bcast).map(|(g, bv)| g / bv).collect();
-                let gb: Vec<f32> = grad
-                    .iter()
-                    .zip(a_bcast.iter().zip(&b_bcast))
-                    .map(|(g, (av, bv))| -g * av / (bv * bv))
-                    .collect();
-                vec![
-                    (a.clone(), reduce_grad_to(&ga, out.shape(), a.shape())),
-                    (b.clone(), reduce_grad_to(&gb, out.shape(), b.shape())),
-                ]
-            }
+            Op::Add(a, b) => wanted([
+                (a, &|| reduce_grad_to(grad, os, a.shape())),
+                (b, &|| reduce_grad_to(grad, os, b.shape())),
+            ]),
+            Op::Sub(a, b) => wanted([
+                (a, &|| reduce_grad_to(grad, os, a.shape())),
+                (b, &|| {
+                    let gb: Vec<f32> = grad.iter().map(|g| -g).collect();
+                    reduce_grad_to(&gb, os, b.shape())
+                }),
+            ]),
+            Op::Mul(a, b) => wanted([
+                (a, &|| {
+                    let ga = with_operand(grad, os, b, |g, bv| g * bv);
+                    reduce_grad_to(&ga, os, a.shape())
+                }),
+                (b, &|| {
+                    let gb = with_operand(grad, os, a, |g, av| g * av);
+                    reduce_grad_to(&gb, os, b.shape())
+                }),
+            ]),
+            Op::Div(a, b) => wanted([
+                (a, &|| {
+                    let ga = with_operand(grad, os, b, |g, bv| g / bv);
+                    reduce_grad_to(&ga, os, a.shape())
+                }),
+                (b, &|| {
+                    // -g * a / (b * b), rounded step by step as written.
+                    let ga = with_operand(grad, os, a, |g, av| -g * av);
+                    let gb = with_operand(&ga, os, b, |q, bv| q / (bv * bv));
+                    reduce_grad_to(&gb, os, b.shape())
+                }),
+            ]),
             Op::AddScalar(a) => vec![(a.clone(), grad.to_vec())],
             Op::MulScalar(a, s) => {
                 vec![(a.clone(), grad.iter().map(|g| g * s).collect())]
@@ -180,8 +182,8 @@ impl Op {
             Op::GeluExact(a) => unary_grad(a, grad, gelu_exact_prime),
             Op::Silu(a) => unary_grad(a, grad, silu_prime),
             Op::Matmul(a, b) => {
-                let (ga, gb) = matmul_backward(a, b, grad);
-                vec![(a.clone(), ga), (b.clone(), gb)]
+                let (ga, gb) = matmul_backward(a, b, grad, a.requires_grad(), b.requires_grad());
+                paired([(a, ga), (b, gb)])
             }
             Op::SumAll(a) => {
                 let g = grad[0];
@@ -194,7 +196,7 @@ impl Op {
             Op::Reshape(a) => vec![(a.clone(), grad.to_vec())],
             Op::Permute(a, perm) => {
                 let inv = inverse_perm(perm);
-                let (g, _) = permute_kernel(grad, out.shape(), &inv);
+                let (g, _) = permute_kernel(grad, os, &inv);
                 vec![(a.clone(), g)]
             }
             Op::Narrow(a, dim, start, len) => {
@@ -206,34 +208,45 @@ impl Op {
                 let outer: usize = out.dims()[..dim].iter().product();
                 let inner: usize = out.dims()[dim + 1..].iter().product();
                 let total = out.shape().dim(dim);
-                let mut grads: Vec<Vec<f32>> =
-                    ts.iter().map(|t| vec![0.0f32; t.elem_count()]).collect();
-                for o in 0..outer {
-                    let mut offset = 0usize;
-                    for (ti, t) in ts.iter().enumerate() {
-                        let d = t.shape().dim(dim);
-                        let src = o * total * inner + offset * inner;
-                        let dst = o * d * inner;
-                        grads[ti][dst..dst + d * inner]
-                            .copy_from_slice(&grad[src..src + d * inner]);
-                        offset += d;
+                let mut grads = Vec::new();
+                let mut offset = 0usize;
+                for t in ts {
+                    let d = t.shape().dim(dim);
+                    if t.requires_grad() {
+                        let mut g = Vec::with_capacity(t.elem_count());
+                        for o in 0..outer {
+                            let src = o * total * inner + offset * inner;
+                            g.extend_from_slice(&grad[src..src + d * inner]);
+                        }
+                        grads.push((t.clone(), g));
                     }
+                    offset += d;
                 }
-                ts.iter().cloned().zip(grads).collect()
+                grads
             }
-            Op::Softmax(a) => vec![(a.clone(), softmax_backward(a, grad))],
+            Op::Softmax(a) => vec![(a.clone(), softmax_backward(out, grad))],
             Op::LayerNorm {
                 x,
                 gamma,
                 beta,
                 eps,
             } => {
-                let (dx, dg, db) = layer_norm_backward(x, gamma, *eps, grad);
-                vec![(x.clone(), dx), (gamma.clone(), dg), (beta.clone(), db)]
+                let need_affine = gamma.requires_grad() || beta.requires_grad();
+                let (dx, affine) =
+                    layer_norm_backward(x, gamma, *eps, grad, x.requires_grad(), need_affine);
+                let (dg, db) = affine.unzip();
+                paired([(x, dx), (gamma, dg), (beta, db)])
             }
             Op::RmsNorm { x, gamma, eps } => {
-                let (dx, dg) = rms_norm_backward(x, gamma, *eps, grad);
-                vec![(x.clone(), dx), (gamma.clone(), dg)]
+                let (dx, dg) = rms_norm_backward(
+                    x,
+                    gamma,
+                    *eps,
+                    grad,
+                    x.requires_grad(),
+                    gamma.requires_grad(),
+                );
+                paired([(x, dx), (gamma, dg)])
             }
             Op::Embedding { table, ids } => {
                 vec![(table.clone(), embedding_backward(table, ids, grad))]
@@ -255,10 +268,36 @@ impl Op {
     }
 }
 
-/// A zero tensor with the same shape as `out`, used as a shape carrier
-/// for broadcasting kernels during backward.
-fn out_like(out: &Tensor) -> Tensor {
-    Tensor::zeros(out.shape().clone())
+/// `f(g, t)` for each element `g` of an output-shaped gradient and the
+/// element of operand `t` broadcast to it.
+fn with_operand(
+    grad: &[f32],
+    out: &Shape,
+    t: &Tensor,
+    f: impl Fn(f32, f32) -> f32 + Sync,
+) -> Vec<f32> {
+    broadcast_zip(grad, out, &t.storage().read(), t.shape(), out, f)
+}
+
+/// Runs each parent's gradient closure only if that parent requires a
+/// gradient.
+fn wanted<const N: usize>(parts: [(&Tensor, &dyn Fn() -> Vec<f32>); N]) -> Vec<(Tensor, Vec<f32>)> {
+    parts
+        .into_iter()
+        .filter(|(t, _)| t.requires_grad())
+        .map(|(t, g)| (t.clone(), g()))
+        .collect()
+}
+
+/// Pairs the gradients a multi-output kernel computed with their
+/// parents, dropping any a parent that requires no gradient shares
+/// with one that does (LayerNorm's `dgamma`/`dbeta`).
+fn paired<const N: usize>(parts: [(&Tensor, Option<Vec<f32>>); N]) -> Vec<(Tensor, Vec<f32>)> {
+    parts
+        .into_iter()
+        .filter(|(t, _)| t.requires_grad())
+        .filter_map(|(t, g)| g.map(|g| (t.clone(), g)))
+        .collect()
 }
 
 fn unary_grad(a: &Tensor, grad: &[f32], dfdx: impl Fn(f32) -> f32) -> Vec<(Tensor, Vec<f32>)> {

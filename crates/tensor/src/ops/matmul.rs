@@ -177,34 +177,102 @@ pub(crate) fn matmul_at_b_accum(
     at_b_rows(a, b, out, m, k, n, 0);
 }
 
-/// `C[rows,k] += A[rows,n] @ B[k,n]^T` where `a_rows`/`out_rows` cover
-/// the same band of rows. Dot products use four independent
-/// accumulators (combined in a fixed tree) for ILP; the `B` row block
-/// is tiled so it stays cache-resident across the row band.
-fn a_bt_rows(a_rows: &[f32], b: &[f32], out_rows: &mut [f32], n: usize, k: usize) {
-    let rows = out_rows.len() / k.max(1);
-    for k0 in (0..k).step_by(KB) {
-        let k1 = (k0 + KB).min(k);
-        for i in 0..rows {
-            let a_row = &a_rows[i * n..(i + 1) * n];
-            let out_row = &mut out_rows[i * k + k0..i * k + k1];
-            for (kk, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[(k0 + kk) * n..(k0 + kk + 1) * n];
-                let mut c = a_row.chunks_exact(4).zip(b_row.chunks_exact(4));
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0, 0.0, 0.0);
-                for (xa, xb) in &mut c {
-                    s0 += xa[0] * xb[0];
-                    s1 += xa[1] * xb[1];
-                    s2 += xa[2] * xb[2];
-                    s3 += xa[3] * xb[3];
-                }
-                let mut acc = (s0 + s1) + (s2 + s3);
-                let tail = n - n % 4;
-                for (x, y) in a_row[tail..].iter().zip(&b_row[tail..]) {
-                    acc += x * y;
-                }
-                *o += acc;
+/// Output columns per `A·Bᵀ` register tile: one vector of lanes per
+/// tile row and partial sum.
+const L: usize = 16;
+
+/// The dot product of `dA = dC·Bᵀ`, as one output element's chain:
+/// four non-fused partial sums over `c ≡ q (mod 4)` ascending, combined
+/// as `(s0 + s1) + (s2 + s3)`, then the `n % 4` tail in order. Every
+/// `A·Bᵀ` path reproduces this chain exactly; this form is the edge
+/// path and the oracle.
+#[inline(always)]
+fn dot4(a_row: &[f32], b_row: &[f32]) -> f32 {
+    let mut c = a_row.chunks_exact(4).zip(b_row.chunks_exact(4));
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0, 0.0, 0.0);
+    for (xa, xb) in &mut c {
+        s0 += xa[0] * xb[0];
+        s1 += xa[1] * xb[1];
+        s2 += xa[2] * xb[2];
+        s3 += xa[3] * xb[3];
+    }
+    let mut acc = (s0 + s1) + (s2 + s3);
+    let tail = a_row.len() - a_row.len() % 4;
+    for (x, y) in a_row[tail..].iter().zip(&b_row[tail..]) {
+        acc += x * y;
+    }
+    acc
+}
+
+/// `B[k,n]` repacked for [`a_bt_rows`]: for each full `L`-wide band of
+/// `k`, an `[n][L]` panel whose row `c` holds `B[band, c]`, so a tile
+/// reads its `L` output columns as one contiguous vector per `c`. The
+/// last `k % L` rows of `B` are not packed; the edge path reads `B`.
+fn pack_bt(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+    let mut packed = vec![0.0; k / L * L * n];
+    for (band, panel) in packed.chunks_exact_mut(n.max(1) * L).enumerate() {
+        for l in 0..L {
+            let b_row = &b[(band * L + l) * n..(band * L + l + 1) * n];
+            for (c, &v) in b_row.iter().enumerate() {
+                panel[c * L + l] = v;
             }
+        }
+    }
+    packed
+}
+
+/// One partial sum of an `MR x L` tile: `acc[r][l] += a[r][c] * bt[c][l]`
+/// over `c = q, q + 4, ..` below `n4`, each element's chain ascending.
+#[inline(always)]
+fn bt_partial(a_rows: &[f32], panel: &[f32], n: usize, n4: usize, q: usize) -> [[f32; L]; MR] {
+    let mut acc = [[0.0f32; L]; MR];
+    for c in (q..n4).step_by(4) {
+        let bv: &[f32; L] = panel[c * L..(c + 1) * L]
+            .try_into()
+            .expect("L-wide panel row");
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let ar = a_rows[r * n + c];
+            for (ac, &bl) in accr.iter_mut().zip(bv) {
+                *ac += ar * bl;
+            }
+        }
+    }
+    acc
+}
+
+/// `C[rows,k] += A[rows,n] @ B[k,n]^T` where `a_rows`/`out_rows` cover
+/// the same band of rows and `bt` is `pack_bt(b)`. Full `MR x L` tiles
+/// vectorise across output columns: each of the four partial sums of
+/// [`dot4`] is its own register tile, then the tile combines and adds
+/// the tail exactly as `dot4` does. Leftover rows and columns take
+/// `dot4` itself, so tile membership never changes a result.
+fn a_bt_rows(a_rows: &[f32], b: &[f32], bt: &[f32], out_rows: &mut [f32], n: usize, k: usize) {
+    let rows = out_rows.len() / k.max(1);
+    let tiled_rows = rows - rows % MR;
+    let n4 = n - n % 4;
+    for (band, panel) in bt.chunks_exact(n.max(1) * L).enumerate() {
+        for i in (0..tiled_rows).step_by(MR) {
+            let a_tile = &a_rows[i * n..(i + MR) * n];
+            let s = [0, 1, 2, 3].map(|q| bt_partial(a_tile, panel, n, n4, q));
+            for r in 0..MR {
+                let a_row = &a_tile[r * n..(r + 1) * n];
+                let out = &mut out_rows[(i + r) * k + band * L..(i + r) * k + (band + 1) * L];
+                for (l, o) in out.iter_mut().enumerate() {
+                    let mut acc = (s[0][r][l] + s[1][r][l]) + (s[2][r][l] + s[3][r][l]);
+                    for c in n4..n {
+                        acc += a_row[c] * panel[c * L + l];
+                    }
+                    *o += acc;
+                }
+            }
+        }
+    }
+    let packed_cols = bt.len().checked_div(n).unwrap_or(0);
+    for i in 0..rows {
+        let a_row = &a_rows[i * n..(i + 1) * n];
+        let first = if i < tiled_rows { packed_cols } else { 0 };
+        for kk in first..k {
+            out_rows[i * k + kk] += dot4(a_row, &b[kk * n..(kk + 1) * n]);
         }
     }
 }
@@ -221,7 +289,7 @@ pub(crate) fn matmul_a_bt_accum(
 ) {
     debug_assert_eq!(out.len(), m * k);
     debug_assert_eq!(a.len(), m * n);
-    a_bt_rows(a, b, out, n, k);
+    a_bt_rows(a, b, &pack_bt(b, k, n), out, n, k);
 }
 
 /// Describes how a matmul's operands line up.
@@ -347,78 +415,134 @@ impl Tensor {
     }
 }
 
-/// Backward kernels returning `(grad_a, grad_b)` as flat data.
-pub(crate) fn matmul_backward(a: &Tensor, b: &Tensor, grad_out: &[f32]) -> (Vec<f32>, Vec<f32>) {
+/// Backward kernels returning `(grad_a, grad_b)` as flat data, each
+/// computed only if its flag asks for it: a frozen operand (the shared
+/// base weights) costs no gradient work.
+pub(crate) fn matmul_backward(
+    a: &Tensor,
+    b: &Tensor,
+    grad_out: &[f32],
+    need_a: bool,
+    need_b: bool,
+) -> (Option<Vec<f32>>, Option<Vec<f32>>) {
     let d = matmul_dims(a.shape(), b.shape());
-    let da = a.storage().read();
-    let db = b.storage().read();
-    let mut ga = vec![0.0; da.len()];
-    let mut gb = vec![0.0; db.len()];
     let work = 2 * d.batch * d.m * d.k * d.n;
-
-    // dA = dC @ B^T : [m,n] @ [k,n]^T -> [m,k]. The grad rows are
-    // independent, so partition the global row space batch*m.
-    parallel::par_chunks_mut(&mut ga, d.k, work, |start, chunk| {
-        let mut r = start / d.k;
-        let end = r + chunk.len() / d.k;
-        let mut off = 0usize;
-        while r < end {
-            let bi = r / d.m;
-            let take = ((bi + 1) * d.m).min(end) - r;
-            let b_off = if d.rhs_2d { 0 } else { bi * d.k * d.n };
-            a_bt_rows(
-                &grad_out[r * d.n..(r + take) * d.n],
-                &db[b_off..b_off + d.k * d.n],
-                &mut chunk[off..off + take * d.k],
-                d.n,
-                d.k,
-            );
-            r += take;
-            off += take * d.k;
-        }
-    });
-
-    // dB = A^T @ dC : [m,k]^T @ [m,n] -> [k,n].
-    if d.rhs_2d {
-        // The shared rhs accumulates over the whole batch; flattening
-        // to one [batch*m, k]^T @ [batch*m, n] product keeps the `i`
-        // loop globally ascending (the serial summation order) while
-        // workers own disjoint bands of the k output rows.
-        parallel::par_chunks_mut(&mut gb, d.n, work, |start, chunk| {
-            at_b_rows(&da, grad_out, chunk, d.batch * d.m, d.k, d.n, start / d.n);
-        });
-    } else {
-        // Per-batch grads are independent: partition the global
-        // batch*k output row space.
-        parallel::par_chunks_mut(&mut gb, d.n, work, |start, chunk| {
-            let mut r = start / d.n;
-            let end = r + chunk.len() / d.n;
+    let ga = need_a.then(|| {
+        let db = b.storage().read();
+        // Each matrix of B packed on its own, so batch offsets into the
+        // packed copy match those into B.
+        let bt: Vec<f32> = db
+            .chunks((d.k * d.n).max(1))
+            .flat_map(|bm| pack_bt(bm, d.k, d.n))
+            .collect();
+        let bt_len = d.k / L * L * d.n;
+        let mut ga = vec![0.0; d.batch * d.m * d.k];
+        // dA = dC @ B^T : [m,n] @ [k,n]^T -> [m,k]. The grad rows are
+        // independent, so partition the global row space batch*m.
+        parallel::par_chunks_mut(&mut ga, d.k, work, |start, chunk| {
+            let mut r = start / d.k;
+            let end = r + chunk.len() / d.k;
             let mut off = 0usize;
             while r < end {
-                let bi = r / d.k;
-                let take = ((bi + 1) * d.k).min(end) - r;
-                let a_off = bi * d.m * d.k;
-                let o_off = bi * d.m * d.n;
-                at_b_rows(
-                    &da[a_off..a_off + d.m * d.k],
-                    &grad_out[o_off..o_off + d.m * d.n],
-                    &mut chunk[off..off + take * d.n],
-                    d.m,
-                    d.k,
+                let bi = r / d.m;
+                let take = ((bi + 1) * d.m).min(end) - r;
+                let bm = if d.rhs_2d { 0 } else { bi };
+                a_bt_rows(
+                    &grad_out[r * d.n..(r + take) * d.n],
+                    &db[bm * d.k * d.n..(bm + 1) * d.k * d.n],
+                    &bt[bm * bt_len..(bm + 1) * bt_len],
+                    &mut chunk[off..off + take * d.k],
                     d.n,
-                    r - bi * d.k,
+                    d.k,
                 );
                 r += take;
-                off += take * d.n;
+                off += take * d.k;
             }
         });
-    }
+        ga
+    });
+    let gb = need_b.then(|| {
+        let da = a.storage().read();
+        let mut gb = vec![0.0; b.elem_count()];
+        // dB = A^T @ dC : [m,k]^T @ [m,n] -> [k,n].
+        if d.rhs_2d {
+            // The shared rhs accumulates over the whole batch; flattening
+            // to one [batch*m, k]^T @ [batch*m, n] product keeps the `i`
+            // loop globally ascending (the serial summation order) while
+            // workers own disjoint bands of the k output rows.
+            parallel::par_chunks_mut(&mut gb, d.n, work, |start, chunk| {
+                at_b_rows(&da, grad_out, chunk, d.batch * d.m, d.k, d.n, start / d.n);
+            });
+        } else {
+            // Per-batch grads are independent: partition the global
+            // batch*k output row space.
+            parallel::par_chunks_mut(&mut gb, d.n, work, |start, chunk| {
+                let mut r = start / d.n;
+                let end = r + chunk.len() / d.n;
+                let mut off = 0usize;
+                while r < end {
+                    let bi = r / d.k;
+                    let take = ((bi + 1) * d.k).min(end) - r;
+                    let a_off = bi * d.m * d.k;
+                    let o_off = bi * d.m * d.n;
+                    at_b_rows(
+                        &da[a_off..a_off + d.m * d.k],
+                        &grad_out[o_off..o_off + d.m * d.n],
+                        &mut chunk[off..off + take * d.n],
+                        d.m,
+                        d.k,
+                        d.n,
+                        r - bi * d.k,
+                    );
+                    r += take;
+                    off += take * d.n;
+                }
+            });
+        }
+        gb
+    });
     (ga, gb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{bits, fill};
+    use proptest::prelude::*;
+
+    /// [`matmul_a_bt_accum`] with [`dot4`] for every element: the oracle of
+    /// the register tiles.
+    fn matmul_a_bt_dot(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize) {
+        for (i, out_row) in out.chunks_exact_mut(k.max(1)).enumerate() {
+            for (kk, o) in out_row.iter_mut().enumerate() {
+                *o += dot4(&a[i * n..(i + 1) * n], &b[kk * n..(kk + 1) * n]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The register-tiled `dA = dC·Bᵀ` equals the dot-product oracle
+        /// bit for bit, accumulating into a non-zero `out`: rows below
+        /// and across `MR`, `k` below and across the lane width `L`, and
+        /// every `n % 4`.
+        #[test]
+        fn a_bt_tiles_match_the_dot_oracle(
+            rows in 0usize..11,
+            n in 0usize..38,
+            k in 0usize..41,
+            seed in any::<u64>(),
+        ) {
+            let a = fill(seed, rows * n);
+            let b = fill(seed ^ 0x1234, k * n);
+            let init = fill(seed ^ 0x9876, rows * k);
+            let (mut got, mut want) = (init.clone(), init);
+            matmul_a_bt_accum(&a, &b, &mut got, rows, n, k);
+            matmul_a_bt_dot(&a, &b, &mut want, n, k);
+            prop_assert_eq!(bits(&got), bits(&want), "rows {} n {} k {}", rows, n, k);
+        }
+    }
 
     #[test]
     fn matmul_2d() {
@@ -477,7 +601,8 @@ mod tests {
         let a = Tensor::var_from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
         let b = Tensor::var_from_vec(vec![5.0, 6.0, 7.0, 8.0], [2, 2]);
         let grad_out = vec![1.0, 1.0, 1.0, 1.0];
-        let (ga, gb) = matmul_backward(&a, &b, &grad_out);
+        let (ga, gb) = matmul_backward(&a, &b, &grad_out, true, true);
+        let (ga, gb) = (ga.unwrap(), gb.unwrap());
         // dA = dC @ B^T with dC = ones: row sums of B columns.
         assert_eq!(ga, vec![11.0, 15.0, 11.0, 15.0]);
         // dB = A^T @ dC: column sums of A rows.
@@ -489,7 +614,9 @@ mod tests {
         let a = Tensor::var_from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 1, 2]);
         let w = Tensor::var_from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]);
         let grad_out = vec![1.0, 1.0, 1.0, 1.0];
-        let (_, gw) = matmul_backward(&a, &w, &grad_out);
+        let (ga, gw) = matmul_backward(&a, &w, &grad_out, false, true);
+        assert!(ga.is_none(), "dA computed though not asked for");
+        let gw = gw.unwrap();
         // Both batch elements contribute to the shared weight grad.
         assert_eq!(gw, vec![4.0, 4.0, 6.0, 6.0]);
     }

@@ -294,10 +294,11 @@ impl Tensor {
 // Backward kernels (called from Op::backward)
 // ----------------------------------------------------------------------
 
-pub(crate) fn softmax_backward(x: &Tensor, grad: &[f32]) -> Vec<f32> {
-    let (rows, cols) = x.shape().rows_cols();
-    let mut y = x.to_vec();
-    softmax_rows(&mut y, rows, cols);
+/// `dx` of a softmax from its forward output `y`, the very values the
+/// forward wrote, so nothing is recomputed.
+pub(crate) fn softmax_backward(y: &Tensor, grad: &[f32]) -> Vec<f32> {
+    let (rows, cols) = y.shape().rows_cols();
+    let y = y.storage().read();
     let mut dx = vec![0.0; y.len()];
     parallel::par_chunks_mut(&mut dx, cols, rows * cols * 4, |start, chunk| {
         for (local, drow) in chunk.chunks_exact_mut(cols).enumerate() {
@@ -313,29 +314,75 @@ pub(crate) fn softmax_backward(x: &Tensor, grad: &[f32]) -> Vec<f32> {
     dx
 }
 
+/// Runs `body(block, dx_block)` over fixed `ROW_BLOCK`-row blocks, with
+/// `dx_block` the block's rows of a fresh `dx` when `need_x` and `None`
+/// otherwise. Returns `dx` (if needed) and the per-block partials in
+/// block order, so folding them is thread-count independent.
+fn norm_backward_blocks<T: Send>(
+    rows: usize,
+    cols: usize,
+    work: usize,
+    need_x: bool,
+    body: impl Fn(usize, Option<&mut [f32]>) -> T + Sync,
+) -> (Option<Vec<f32>>, Vec<T>) {
+    if need_x {
+        let mut dx = vec![0.0; rows * cols];
+        let partials =
+            parallel::par_blocks_mut(&mut dx, ROW_BLOCK * cols, work, |bi, c| body(bi, Some(c)));
+        (Some(dx), partials)
+    } else {
+        let partials = parallel::par_blocks(rows.div_ceil(ROW_BLOCK), work, |bi| body(bi, None));
+        (None, partials)
+    }
+}
+
+/// Sums per-block `[cols]` partials in block order.
+fn fold_partials(cols: usize, partials: impl Iterator<Item = Vec<f32>>) -> Vec<f32> {
+    let mut sum = vec![0.0f32; cols];
+    for p in partials {
+        for (s, v) in sum.iter_mut().zip(&p) {
+            *s += v;
+        }
+    }
+    sum
+}
+
+/// `(dx, (dgamma, dbeta))` of a layer norm, each computed only if its
+/// flag asks for it.
+#[allow(clippy::type_complexity)] // two optional outputs, one of them a pair
 pub(crate) fn layer_norm_backward(
     x: &Tensor,
     gamma: &Tensor,
     eps: f32,
     grad: &[f32],
-) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    need_x: bool,
+    need_affine: bool,
+) -> (Option<Vec<f32>>, Option<(Vec<f32>, Vec<f32>)>) {
     let (rows, cols) = x.shape().rows_cols();
     let xd = x.storage().read();
     let g = gamma.storage().read();
     let n = cols as f32;
-    let mut dx = vec![0.0; xd.len()];
     // One pass per fixed row block: writes the block's dx rows and
     // returns its dgamma/dbeta partials; folding the partials in block
     // order reproduces one summation order at any pool size.
-    let partials =
-        parallel::par_blocks_mut(&mut dx, ROW_BLOCK * cols, rows * cols * 10, |bi, chunk| {
-            let mut dgamma = vec![0.0f32; cols];
-            let mut dbeta = vec![0.0f32; cols];
-            for (local, drow) in chunk.chunks_exact_mut(cols).enumerate() {
-                let r = bi * ROW_BLOCK + local;
+    let (dx, partials) =
+        norm_backward_blocks(rows, cols, rows * cols * 10, need_x, |bi, mut dx| {
+            let mut affine = need_affine.then(|| (vec![0.0f32; cols], vec![0.0f32; cols]));
+            for r in bi * ROW_BLOCK..((bi + 1) * ROW_BLOCK).min(rows) {
                 let row = &xd[r * cols..(r + 1) * cols];
                 let gr = &grad[r * cols..(r + 1) * cols];
                 let (mu, rstd) = layer_norm_stats(row, eps);
+                if let Some((dgamma, dbeta)) = affine.as_mut() {
+                    for c in 0..cols {
+                        let xhat = (row[c] - mu) * rstd;
+                        dgamma[c] += gr[c] * xhat;
+                        dbeta[c] += gr[c];
+                    }
+                }
+                let Some(dx) = dx.as_deref_mut() else {
+                    continue;
+                };
+                let drow = &mut dx[(r - bi * ROW_BLOCK) * cols..][..cols];
                 // xhat and dxhat.
                 let mut sum_dxhat = 0.0f32;
                 let mut sum_dxhat_xhat = 0.0f32;
@@ -344,8 +391,6 @@ pub(crate) fn layer_norm_backward(
                     let dxhat = gr[c] * g[c];
                     sum_dxhat += dxhat;
                     sum_dxhat_xhat += dxhat * xhat;
-                    dgamma[c] += gr[c] * xhat;
-                    dbeta[c] += gr[c];
                 }
                 for c in 0..cols {
                     let xhat = (row[c] - mu) * rstd;
@@ -353,56 +398,59 @@ pub(crate) fn layer_norm_backward(
                     drow[c] = rstd / n * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat);
                 }
             }
-            (dgamma, dbeta)
+            affine
         });
-    let mut dgamma = vec![0.0f32; cols];
-    let mut dbeta = vec![0.0f32; cols];
-    for (pg, pb) in partials {
-        for c in 0..cols {
-            dgamma[c] += pg[c];
-            dbeta[c] += pb[c];
-        }
-    }
-    (dx, dgamma, dbeta)
+    let affine = need_affine.then(|| {
+        let (pg, pb): (Vec<_>, Vec<_>) = partials.into_iter().flatten().unzip();
+        (
+            fold_partials(cols, pg.into_iter()),
+            fold_partials(cols, pb.into_iter()),
+        )
+    });
+    (dx, affine)
 }
 
+/// `(dx, dgamma)` of an RMS norm, each computed only if its flag asks
+/// for it.
 pub(crate) fn rms_norm_backward(
     x: &Tensor,
     gamma: &Tensor,
     eps: f32,
     grad: &[f32],
-) -> (Vec<f32>, Vec<f32>) {
+    need_x: bool,
+    need_gamma: bool,
+) -> (Option<Vec<f32>>, Option<Vec<f32>>) {
     let (rows, cols) = x.shape().rows_cols();
     let xd = x.storage().read();
     let g = gamma.storage().read();
     let n = cols as f32;
-    let mut dx = vec![0.0; xd.len()];
-    let partials =
-        parallel::par_blocks_mut(&mut dx, ROW_BLOCK * cols, rows * cols * 8, |bi, chunk| {
-            let mut dgamma = vec![0.0f32; cols];
-            for (local, drow) in chunk.chunks_exact_mut(cols).enumerate() {
-                let r = bi * ROW_BLOCK + local;
-                let row = &xd[r * cols..(r + 1) * cols];
-                let gr = &grad[r * cols..(r + 1) * cols];
-                let rrms = rms_norm_rrms(row, eps);
-                let mut dot = 0.0f32; // sum_i dy_i * gamma_i * x_i
+    let (dx, partials) = norm_backward_blocks(rows, cols, rows * cols * 8, need_x, |bi, mut dx| {
+        let mut dgamma = need_gamma.then(|| vec![0.0f32; cols]);
+        for r in bi * ROW_BLOCK..((bi + 1) * ROW_BLOCK).min(rows) {
+            let row = &xd[r * cols..(r + 1) * cols];
+            let gr = &grad[r * cols..(r + 1) * cols];
+            let rrms = rms_norm_rrms(row, eps);
+            if let Some(dgamma) = dgamma.as_mut() {
                 for c in 0..cols {
-                    dot += gr[c] * g[c] * row[c];
                     dgamma[c] += gr[c] * row[c] * rrms;
                 }
-                let k = rrms * rrms * rrms / n;
-                for c in 0..cols {
-                    drow[c] = gr[c] * g[c] * rrms - k * row[c] * dot;
-                }
             }
-            dgamma
-        });
-    let mut dgamma = vec![0.0f32; cols];
-    for pg in partials {
-        for c in 0..cols {
-            dgamma[c] += pg[c];
+            let Some(dx) = dx.as_deref_mut() else {
+                continue;
+            };
+            let drow = &mut dx[(r - bi * ROW_BLOCK) * cols..][..cols];
+            let mut dot = 0.0f32; // sum_i dy_i * gamma_i * x_i
+            for c in 0..cols {
+                dot += gr[c] * g[c] * row[c];
+            }
+            let k = rrms * rrms * rrms / n;
+            for c in 0..cols {
+                drow[c] = gr[c] * g[c] * rrms - k * row[c] * dot;
+            }
         }
-    }
+        dgamma
+    });
+    let dgamma = need_gamma.then(|| fold_partials(cols, partials.into_iter().flatten()));
     (dx, dgamma)
 }
 

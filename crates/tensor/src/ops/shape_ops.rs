@@ -2,23 +2,47 @@
 
 use crate::op::Op;
 use crate::pool;
-use crate::shape::{for_each_index, Shape};
+use crate::shape::Shape;
 use crate::tensor::Tensor;
 
+/// Copies `data` (shaped `shape`) into the layout of
+/// `shape.permute(perm)`, one output row at a time: the source offset
+/// of each row advances incrementally with an odometer over the outer
+/// output dims, and the row itself is a slice copy when its source is
+/// contiguous and a strided gather otherwise.
 pub(crate) fn permute_kernel(data: &[f32], shape: &Shape, perm: &[usize]) -> (Vec<f32>, Shape) {
     let out_dims: Vec<usize> = perm.iter().map(|&d| shape.dim(d)).collect();
     let out_shape = Shape::new(out_dims);
+    let n = shape.elem_count();
+    let Some((&row_len, outer)) = out_shape.dims().split_last() else {
+        return (data.to_vec(), out_shape);
+    };
+    if n == 0 {
+        return (Vec::new(), out_shape);
+    }
     let in_strides = shape.strides();
-    let mut out = vec![0.0; shape.elem_count()];
-    let mut oi = 0usize;
-    for_each_index(&out_shape, |out_idx| {
-        let mut in_off = 0;
-        for (od, &src_dim) in perm.iter().enumerate() {
-            in_off += out_idx[od] * in_strides[src_dim];
+    let src: Vec<usize> = perm.iter().map(|&d| in_strides[d]).collect();
+    let (&row_stride, outer_src) = src.split_last().expect("same rank as the output");
+    let mut out = Vec::with_capacity(n);
+    let mut idx = vec![0usize; outer.len()];
+    let mut off = 0usize;
+    for _ in 0..n / row_len {
+        if row_stride == 1 {
+            out.extend_from_slice(&data[off..off + row_len]);
+        } else {
+            out.extend((0..row_len).map(|j| data[off + j * row_stride]));
         }
-        out[oi] = data[in_off];
-        oi += 1;
-    });
+        // Odometer over the outer dims, moving the source offset along.
+        for d in (0..outer.len()).rev() {
+            idx[d] += 1;
+            off += outer_src[d];
+            if idx[d] < outer[d] {
+                break;
+            }
+            off -= outer[d] * outer_src[d];
+            idx[d] = 0;
+        }
+    }
     (out, out_shape)
 }
 
@@ -211,6 +235,51 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{bits, fill};
+    use crate::shape::for_each_index;
+    use proptest::prelude::*;
+
+    /// [`permute_kernel`] element by element through the output odometer:
+    /// the oracle of its row copies.
+    fn permute_indexed(data: &[f32], shape: &Shape, perm: &[usize]) -> Vec<f32> {
+        let out_shape = Shape::new(perm.iter().map(|&d| shape.dim(d)).collect());
+        let in_strides = shape.strides();
+        let mut out = Vec::with_capacity(shape.elem_count());
+        for_each_index(&out_shape, |out_idx| {
+            let off: usize = perm
+                .iter()
+                .zip(out_idx)
+                .map(|(&d, &i)| i * in_strides[d])
+                .sum();
+            out.push(data[off]);
+        });
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Row copies equal the per-element oracle for any permutation
+        /// of any shape up to rank 5, zero-size dims included.
+        #[test]
+        fn permute_kernel_matches_the_index_loop(
+            dims in prop::collection::vec(0usize..5, 0..6),
+            shuffle in any::<u64>(),
+        ) {
+            let mut perm: Vec<usize> = (0..dims.len()).collect();
+            let mut s = shuffle;
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, (s % (i as u64 + 1)) as usize);
+                s /= i as u64 + 1;
+            }
+            let shape = Shape::new(dims);
+            let data = fill(shuffle, shape.elem_count());
+            let (got, out_shape) = permute_kernel(&data, &shape, &perm);
+            let want = permute_indexed(&data, &shape, &perm);
+            prop_assert_eq!(out_shape.elem_count(), shape.elem_count());
+            prop_assert_eq!(bits(&got), bits(&want), "permute {} by {:?}", shape, perm);
+        }
+    }
 
     #[test]
     fn reshape_preserves_data() {

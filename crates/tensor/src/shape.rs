@@ -196,26 +196,27 @@ pub fn for_each_index(shape: &Shape, mut f: impl FnMut(&[usize])) {
     }
 }
 
-/// Maps a multi-dimensional index in the broadcast (output) shape back
-/// to the flat offset in an input of shape `in_shape`.
-///
-/// Dimensions where the input has size 1 (or is missing, for lower
-/// rank) contribute offset 0 — that is what broadcasting means.
-pub fn broadcast_offset(out_idx: &[usize], in_shape: &Shape) -> usize {
-    let in_rank = in_shape.rank();
-    let out_rank = out_idx.len();
-    let strides = in_shape.strides();
-    let mut off = 0;
-    for (d, &stride) in strides.iter().enumerate().take(in_rank) {
-        let out_d = out_rank - in_rank + d;
-        let i = if in_shape.dim(d) == 1 {
-            0
-        } else {
-            out_idx[out_d]
-        };
-        off += i * stride;
+/// Strides of `in_shape` read through a broadcast output of rank
+/// `out_rank`, one per output dimension: the input's row-major stride
+/// where it has the dimension, and 0 where it is broadcast (size 1, or
+/// missing for lower rank) — that is what broadcasting means. Computed
+/// once per kernel call; [`broadcast_offset`] then maps each index.
+pub fn broadcast_strides(in_shape: &Shape, out_rank: usize) -> Vec<usize> {
+    let mut strides = vec![0; out_rank];
+    let lead = out_rank - in_shape.rank();
+    for (d, stride) in in_shape.strides().into_iter().enumerate() {
+        if in_shape.dim(d) != 1 {
+            strides[lead + d] = stride;
+        }
     }
-    off
+    strides
+}
+
+/// Maps a multi-dimensional index in the broadcast (output) shape back
+/// to the flat offset in an input whose [`broadcast_strides`] are
+/// `strides`.
+pub fn broadcast_offset(out_idx: &[usize], strides: &[usize]) -> usize {
+    out_idx.iter().zip(strides).map(|(i, s)| i * s).sum()
 }
 
 #[cfg(test)]
@@ -299,13 +300,14 @@ mod tests {
     fn broadcast_offsets() {
         // Input [3] broadcast into output [2, 3]: offset ignores the
         // leading output dim.
-        let in_shape = Shape::new(vec![3]);
-        assert_eq!(broadcast_offset(&[0, 2], &in_shape), 2);
-        assert_eq!(broadcast_offset(&[1, 2], &in_shape), 2);
+        let strides = broadcast_strides(&Shape::new(vec![3]), 2);
+        assert_eq!(strides, vec![0, 1]);
+        assert_eq!(broadcast_offset(&[0, 2], &strides), 2);
+        assert_eq!(broadcast_offset(&[1, 2], &strides), 2);
         // Input [2, 1] broadcast into [2, 3]: column index is pinned.
-        let in_shape = Shape::new(vec![2, 1]);
-        assert_eq!(broadcast_offset(&[1, 2], &in_shape), 1);
-        assert_eq!(broadcast_offset(&[0, 1], &in_shape), 0);
+        let strides = broadcast_strides(&Shape::new(vec![2, 1]), 2);
+        assert_eq!(broadcast_offset(&[1, 2], &strides), 1);
+        assert_eq!(broadcast_offset(&[0, 1], &strides), 0);
     }
 
     #[test]

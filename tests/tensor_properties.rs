@@ -228,8 +228,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The acceptance property of the parallel backend: every kernel —
-    /// forward and backward — is **bitwise** identical at 1, 2, and 4
-    /// worker threads. Sizes are chosen above the parallelism
+    /// forward and backward, the broadcast and permute fast paths and
+    /// the frozen-weight `dA` included — is **bitwise** identical at 1,
+    /// 2, and 4 worker threads. Sizes are chosen above the parallelism
     /// threshold so the multi-threaded paths actually execute.
     #[test]
     fn kernels_bitwise_invariant_across_thread_counts(seed in any::<u64>()) {
@@ -258,6 +259,20 @@ proptest! {
             let act = y.gelu();
             let loss = y.cross_entropy(&targets);
             let grads = loss.backward();
+            // The served block's paths: a frozen weight (dA only, through
+            // the register-tiled A·Bᵀ), a bias broadcast and its row-sum
+            // gradient, a permute, and a causal mask over scores large
+            // enough for the broadcast kernel to fan out.
+            let w_frozen = Tensor::from_vec(ws.clone(), [k, n]);
+            let bias = Tensor::var_from_vec(fill(seed ^ 0x33, n, 0.1), [n]);
+            let biased = x.matmul(&w_frozen).add(&bias);
+            let permuted = biased.permute(&[0, 2, 1]);
+            let linear_grads = (&permuted * &permuted).sum_all().backward();
+            let (sb, sh, ss) = (4usize, 8usize, 96usize);
+            let scores = Tensor::var_from_vec(fill(seed ^ 0x5c, sb * sh * ss * ss, 2.0), [sb, sh, ss, ss]);
+            let probs = scores.add(&Tensor::causal_mask(ss)).softmax_last();
+            let score_grads = (&probs * &probs).sum_all().backward();
+            prop_assert!(linear_grads.get(&w_frozen).is_none(), "a frozen weight got a gradient");
             let outs = vec![
                 bits(&y.to_vec()),
                 bits(&sm.to_vec()),
@@ -268,6 +283,12 @@ proptest! {
                 bits(&grads.get(&x).unwrap().to_vec()),
                 bits(&grads.get(&w).unwrap().to_vec()),
                 bits(&ln.sum_all().backward().get(&gamma).unwrap().to_vec()),
+                bits(&biased.to_vec()),
+                bits(&permuted.to_vec()),
+                bits(&linear_grads.get(&x).unwrap().to_vec()),
+                bits(&linear_grads.get(&bias).unwrap().to_vec()),
+                bits(&probs.to_vec()),
+                bits(&score_grads.get(&scores).unwrap().to_vec()),
             ];
             match &reference {
                 None => reference = Some(outs),

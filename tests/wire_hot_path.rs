@@ -352,3 +352,73 @@ fn golden_snapshot_and_migration_bytes() {
     ];
     assert_eq!(pinned, parent, "snapshot or migration bytes moved");
 }
+
+/// The served arithmetic at `solo_wide`'s geometry (hidden 128, six
+/// layers, batch 2, sequence 32): two clients, two steps each, every
+/// reply frame and the final snapshot hashed. Unlike the tiny pins
+/// above, the activations vary per element, so LayerNorm, the attention
+/// softmax and every frozen linear's backward see non-degenerate data.
+/// The literal was computed on the commit before the tensor kernels
+/// gained their broadcast, permute and `A·Bᵀ` fast paths; those paths
+/// are bitwise by construction, and this pin is the end-to-end proof.
+#[test]
+fn golden_wide_geometry_step_bytes() {
+    use menos::core::{MenosServer, ServerMode, ServerSpec};
+
+    let mut config = menos::models::ModelConfig::tiny_opt(17);
+    (config.hidden, config.layers, config.intermediate) = (128, 6, 512);
+    let mut ft = FineTuneConfig::paper(&config);
+    (ft.batch_size, ft.seq_len) = (2, 32);
+    let mut srv = MenosServer::new(config, ServerSpec::v100(ServerMode::menos()), 5);
+    let fill = |seed: u32, scale: f32| {
+        let data = (0..2 * 32 * 128u32)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9e37_79b1) ^ seed.wrapping_mul(0x85eb_ca6b);
+                (h >> 8) as f32 / (1u32 << 24) as f32 * scale - scale / 2.0
+            })
+            .collect();
+        encode_tensor(&Tensor::from_vec(data, [2, 32, 128]))
+    };
+    let mut replies = Vec::new();
+    for client in [ClientId(7), ClientId(3)] {
+        let connect = ClientMessage::Connect {
+            client,
+            ft: ft.clone(),
+            split: SplitSpec::paper(),
+            epoch: 1,
+            codecs: 0,
+        };
+        srv.handle(connect).expect("connect");
+        for step in 0..2u32 {
+            let seed = client.0 as u32 * 16 + step;
+            for msg in [
+                ClientMessage::Activations {
+                    client,
+                    frame: fill(seed, 2.0),
+                },
+                ClientMessage::Gradients {
+                    client,
+                    frame: fill(seed ^ 0x55, 0.02),
+                },
+            ] {
+                match srv.handle(msg).expect("step message") {
+                    Some(ServerMessage::ServerActivations { frame, .. })
+                    | Some(ServerMessage::ServerGradients { frame, .. }) => {
+                        replies.extend_from_slice(&frame)
+                    }
+                    other => panic!("unexpected reply {other:?}"),
+                }
+            }
+        }
+    }
+    let snapshot = srv.to_state().to_bytes();
+    let pinned = [
+        (replies.len(), fnv1a64(&replies)),
+        (snapshot.len(), fnv1a64(&snapshot)),
+    ];
+    let parent = [
+        (262_400, 0x0951_a3ad_4be0_9b14),
+        (560_391, 0x0573_2c4a_5ffc_23ee),
+    ];
+    assert_eq!(pinned, parent, "wide-geometry step bytes moved");
+}
