@@ -5,12 +5,18 @@
 //! kernels at whatever pool size `MENOS_THREADS` selects (default: all
 //! cores); the `threads_sweep` group re-runs the hot kernels at 1/2/4/8
 //! workers — as many of those widths as the host has cores — to expose
-//! the scaling curve of the shared compute backend.
+//! the scaling curve of the shared compute backend. The `checkpoint`
+//! group measures what a durable snapshot costs to seal and to read.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use menos_adapters::FineTuneConfig;
+use menos_core::{MenosServer, ServerMode, ServerSpec, ServerState};
+use menos_models::ModelConfig;
+use menos_net::{encode_tensor, Codec};
 use menos_sim::seeded_rng;
-use menos_tensor::{set_threads, threads, Tensor};
+use menos_split::{ClientId, ClientMessage, SplitSpec};
+use menos_tensor::{crc32, set_threads, threads, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -120,6 +126,66 @@ fn bench_served_block(c: &mut Criterion) {
     group.finish();
 }
 
+/// A server holding eight sessions at the durable benchmark workload's
+/// geometry (hidden 64, 4 layers, batch 2, seq 16, topk8 codec), each
+/// one full step in: adapters, optimizer moments, codec residuals and
+/// a cached reply are all live state.
+fn durable_server() -> MenosServer {
+    let mut config = ModelConfig::tiny_opt(64);
+    config.hidden = 64;
+    config.layers = 4;
+    config.intermediate = 256;
+    let mut ft = FineTuneConfig::paper(&config);
+    ft.batch_size = 2;
+    ft.seq_len = 16;
+    let mut server = MenosServer::new(config, ServerSpec::v100(ServerMode::menos()), 3);
+    let mut rng = seeded_rng(6, "bench");
+    for id in 0..8 {
+        let client = ClientId(id);
+        let mut send = |msg| server.handle(msg).expect("in-geometry step");
+        send(ClientMessage::Connect {
+            client,
+            ft: ft.clone(),
+            split: SplitSpec::paper(),
+            epoch: 1,
+            codecs: Codec::TopK8.flag(),
+        });
+        for gradients in [false, true] {
+            let frame = encode_tensor(&Tensor::randn(&mut rng, [2, 16, 64], 1.0));
+            send(if gradients {
+                ClientMessage::Gradients { client, frame }
+            } else {
+                ClientMessage::Activations { client, frame }
+            });
+        }
+    }
+    server
+}
+
+/// Sealing and reading the durable snapshot of [`durable_server`]: the
+/// checksum alone, the outer encode of captured sessions, the whole
+/// durable-mode encode (capture included), and the validated decode.
+fn bench_checkpoint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("checkpoint");
+    let server = durable_server();
+    let state = server.to_state();
+    let bytes = state.to_bytes();
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function(format!("crc32_{}kB", bytes.len() / 1000), |b| {
+        b.iter(|| crc32(&bytes))
+    });
+    group.bench_function("server_state_to_bytes_8_sessions", |b| {
+        b.iter(|| state.to_bytes())
+    });
+    group.bench_function("snapshot_bytes_8_sessions", |b| {
+        b.iter(|| server.to_state().to_bytes())
+    });
+    group.bench_function("server_state_from_bytes_8_sessions", |b| {
+        b.iter(|| ServerState::from_bytes(&bytes).expect("own snapshot"))
+    });
+    group.finish();
+}
+
 /// Throughput of the hot kernels as the worker pool widens. Results are
 /// bitwise identical at every width; only the wall clock should move.
 fn bench_threads_sweep(c: &mut Criterion) {
@@ -154,6 +220,7 @@ criterion_group!(
     bench_nn_primitives,
     bench_backward,
     bench_served_block,
+    bench_checkpoint,
     bench_threads_sweep
 );
 criterion_main!(benches);

@@ -865,10 +865,18 @@ mod tests {
         assert_eq!(other.quarantined_clients(), 0);
 
         // Corrupt record: validate-then-commit leaves the target
-        // untouched.
+        // untouched. A record only holds a sealed container, so the
+        // damage (the micro-step counter) is re-sealed: what rejects
+        // it is the session's own validation, not its checksum.
         let mut fresh = MenosServer::new(config, ServerSpec::v100(ServerMode::menos()), 5);
         let mut broken = state;
-        broken.sessions[0].session[60] ^= 0xFF;
+        let mut raw = broken.sessions[0].session.clone().into_bytes();
+        raw[60] ^= 0xFF;
+        assert!(menos_tensor::Sealed::parse(&raw).is_err());
+        let body = raw.len() - 4;
+        let crc = menos_tensor::crc32(&raw[..body]);
+        raw[body..].copy_from_slice(&crc.to_le_bytes());
+        broken.sessions[0].session = menos_tensor::Sealed::parse(&raw).unwrap();
         assert!(fresh.restore(broken).is_err());
         assert_eq!(fresh.quarantined_clients(), 0);
         assert_eq!(fresh.active_clients(), 0);

@@ -27,7 +27,7 @@
 
 use bytes::Bytes;
 use menos_split::{ClientId, ForwardMode, ServerMessage, WireMessage};
-use menos_tensor::{ByteReader, CheckpointError, SectionReader, SectionWriter};
+use menos_tensor::{ByteReader, CheckpointError, Sealed, SectionReader, SectionWriter};
 
 /// Frame-size cap when re-decoding a cached reply out of a snapshot;
 /// snapshots are local trusted-path artifacts, but the decode is still
@@ -56,8 +56,8 @@ pub struct SessionRecord {
     /// Restore parks every record either way — the connections died
     /// with the process — so this is diagnostic, not behavioural.
     pub live: bool,
-    /// `ServerSession::to_state` bytes.
-    pub session: Vec<u8>,
+    /// The `ServerSession::to_state` container.
+    pub session: Sealed,
     /// The last `ServerGradients` reply, wire-encoded, kept so a
     /// resume that raced the reply can replay it after a restart.
     pub last_reply: Option<Vec<u8>>,
@@ -113,12 +113,13 @@ impl ServerState {
         meta.extend(self.seed.to_le_bytes());
         meta.push(mode_to_byte(self.mode));
         meta.extend((self.sessions.len() as u64).to_le_bytes());
+        let records: Vec<Sealed> = self.sessions.iter().map(encode_record).collect();
         let mut w = SectionWriter::new();
         w.section(TAG_SERVER_META, meta);
-        for rec in &self.sessions {
-            w.section(TAG_SESSION, encode_record(rec));
+        for record in &records {
+            w.nested(TAG_SESSION, record);
         }
-        w.finish()
+        w.finish().into_bytes()
     }
 
     /// Decodes snapshot bytes written by [`to_bytes`](Self::to_bytes).
@@ -170,14 +171,14 @@ impl ServerState {
 
 /// Serializes one session record into its nested container bytes —
 /// the body of a `TAG_SESSION` section.
-fn encode_record(rec: &SessionRecord) -> Vec<u8> {
+fn encode_record(rec: &SessionRecord) -> Sealed {
     let mut rec_meta = Vec::new();
     rec_meta.extend(rec.client.0.to_le_bytes());
     rec_meta.extend(rec.epoch.to_le_bytes());
     rec_meta.push(u8::from(rec.live));
     let mut inner = SectionWriter::new();
     inner.section(TAG_RECORD_META, rec_meta);
-    inner.section(TAG_RECORD_SESSION, rec.session.clone());
+    inner.nested(TAG_RECORD_SESSION, &rec.session);
     if let Some(reply) = &rec.last_reply {
         inner.section(TAG_RECORD_REPLY, reply.clone());
     }
@@ -198,7 +199,7 @@ fn decode_record(body: &[u8]) -> Result<SessionRecord, CheckpointError> {
         }
     };
     rec_meta.finish()?;
-    let session = inner.require(TAG_RECORD_SESSION)?.to_vec();
+    let session = Sealed::parse(inner.require(TAG_RECORD_SESSION)?)?;
     let last_reply = inner.find(TAG_RECORD_REPLY).map(<[u8]>::to_vec);
     Ok(SessionRecord {
         client,
@@ -216,10 +217,11 @@ fn decode_record(body: &[u8]) -> Result<SessionRecord, CheckpointError> {
 /// different base model.
 #[must_use]
 pub fn encode_session_record(seed: u64, rec: &SessionRecord) -> Vec<u8> {
+    let record = encode_record(rec);
     let mut w = SectionWriter::new();
     w.section(TAG_SERVER_META, seed.to_le_bytes().to_vec());
-    w.section(TAG_SESSION, encode_record(rec));
-    w.finish()
+    w.nested(TAG_SESSION, &record);
+    w.finish().into_bytes()
 }
 
 /// Decodes a migration blob written by [`encode_session_record`],
@@ -261,6 +263,14 @@ pub(crate) fn decode_reply(bytes: &[u8]) -> Result<ServerMessage, CheckpointErro
 mod tests {
     use super::*;
 
+    /// A one-section container standing in for a session's state: the
+    /// record only needs it to be a sealed container.
+    fn session_state(bytes: Vec<u8>) -> Sealed {
+        let mut w = SectionWriter::new();
+        w.section(1, bytes);
+        w.finish()
+    }
+
     fn sample() -> ServerState {
         ServerState {
             seed: 21,
@@ -270,14 +280,14 @@ mod tests {
                     client: ClientId(3),
                     epoch: 2,
                     live: true,
-                    session: vec![1, 2, 3, 4],
+                    session: session_state(vec![1, 2, 3, 4]),
                     last_reply: Some(vec![9, 9]),
                 },
                 SessionRecord {
                     client: ClientId(7),
                     epoch: 1,
                     live: false,
-                    session: vec![5; 64],
+                    session: session_state(vec![5; 64]),
                     last_reply: None,
                 },
             ],

@@ -340,13 +340,18 @@ impl SnapshotPolicy {
         self.dir.join(SNAPSHOT_FILE)
     }
 
-    /// Atomically replaces the live snapshot with `bytes`
-    /// (tmp file + `write_all` + `sync_all` + rename).
+    /// Atomically and durably replaces the live snapshot with `bytes`
+    /// (tmp file + `write_all` + `sync_all` + rename + directory
+    /// `sync_all`). The rename is itself durable only once its
+    /// directory is synced: until then a power loss can bring back the
+    /// old snapshot, although replies past it were already released.
     ///
     /// # Errors
     ///
     /// Any I/O fault creating the directory, writing, syncing, or
-    /// renaming. On error the previous snapshot (if any) is untouched.
+    /// renaming. On error the previous snapshot (if any) is untouched,
+    /// except when syncing the directory fails: the rename has then
+    /// happened, but is not known to be on disk.
     pub fn write(&self, bytes: &[u8]) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
         let tmp = self.dir.join("server.snap.tmp");
@@ -356,7 +361,8 @@ impl SnapshotPolicy {
             f.write_all(bytes)?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, self.snapshot_path())
+        std::fs::rename(&tmp, self.snapshot_path())?;
+        std::fs::File::open(&self.dir)?.sync_all()
     }
 
     /// Reads the live snapshot under `dir`, if one exists. Validation

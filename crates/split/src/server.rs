@@ -9,7 +9,7 @@ use menos_net::TensorCodec;
 use menos_sim::seeded_rng;
 use menos_tensor::{
     load_checkpoint, no_grad, restore_into, save_checkpoint, ByteReader, CheckpointError,
-    GradStore, ParamStore, SectionReader, SectionWriter, Tensor,
+    GradStore, ParamStore, Sealed, SectionReader, SectionWriter, Tensor,
 };
 
 use crate::codec::{decode_config, encode_config};
@@ -115,7 +115,7 @@ impl ServerSession {
     /// makes the client redo an unacknowledged step, so a restored
     /// session only ever needs completed-step state.
     #[must_use]
-    pub fn to_state(&self) -> Vec<u8> {
+    pub fn to_state(&self) -> Sealed {
         let mut meta = Vec::new();
         meta.extend(self.client.0.to_le_bytes());
         meta.extend(self.seed.to_le_bytes());

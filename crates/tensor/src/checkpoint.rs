@@ -14,6 +14,9 @@
 //! section `tag (u32) | len (u64) | bytes`, closed by a CRC-32 over
 //! everything preceding it. The trailing checksum catches the payload
 //! bit-flips that are structurally undetectable (any f32 is "valid").
+//! A finished container is a [`Sealed`] value, and a writer nests one
+//! without rescanning it, so sealing costs one CRC pass however deep
+//! the containers nest; reading still checks every level.
 //!
 //! Every decoder of disk- or peer-supplied bytes — here and in the
 //! crates above — reads through one [`ByteReader`]. Its
@@ -234,9 +237,12 @@ pub fn put_f32s(out: &mut Vec<u8>, data: &[f32]) {
     }
 }
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven. Implemented
-// locally: the workspace is offline and the guarantee we need is small —
-// every single-bit flip in a snapshot is detected.
+// CRC-32 (IEEE 802.3, reflected 0xEDB88320). Implemented locally: the
+// workspace is offline and the guarantee we need is small — every
+// single-bit flip in a snapshot is detected.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC_TABLE[b]`: the register after shifting byte `b` through it.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -245,7 +251,7 @@ const CRC_TABLE: [u32; 256] = {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                CRC_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -257,15 +263,163 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
+/// Slicing-by-16: `CRC_TABLES[k][b]` is `CRC_TABLE[b]` advanced over
+/// `k` more zero bytes, so sixteen independent lookups fold a 16-byte
+/// block where the byte-wise loop makes sixteen dependent ones.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [CRC_TABLE; 16];
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// The CRC-32 of every finished container, trailer included: bytes
+/// followed by their own little-endian CRC-32 always check to this
+/// constant, whatever the bytes are.
+const CRC_RESIDUE: u32 = 0x2144_DF1C;
+
 /// CRC-32 (IEEE) of `bytes` — the checksum closing every section
 /// container.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    crc32_extend(0, bytes)
+}
+
+/// `crc32(A‖bytes)` from `crc = crc32(A)`, sixteen bytes per step.
+fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let mut c = !crc;
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let (head, tail) = block.split_at(4);
+        let head = c ^ u32::from_le_bytes(head.try_into().expect("4-byte head"));
+        c = head
+            .to_le_bytes()
+            .iter()
+            .chain(tail)
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
+    }
+    crc32_bytewise(!c, blocks.remainder())
+}
+
+/// `crc32(A‖bytes)` from `crc = crc32(A)`, one byte per step: the
+/// sliced loop's tail, and its oracle.
+fn crc32_bytewise(crc: u32, bytes: &[u8]) -> u32 {
+    let mut c = !crc;
     for &b in bytes {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    !c
+}
+
+/// `a·b mod P` over GF(2), both polynomials reflected (bit 31 is x⁰).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC_POLY
+        } else {
+            b >> 1
+        };
+        m >>= 1;
+    }
+    product
+}
+
+/// `X2N_TABLE[k]` is `x^(2^k) mod P`.
+const X2N_TABLE: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x¹
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// `crc32(A‖B)` from `crc32(A)`, `crc32(B)` and `|B|`, without reading
+/// either: `crc(A)·x^(8|B|) ⊕ crc(B)` (zlib's `crc32_combine`), in
+/// O(log |B|) multiplications.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    // x^(8n) = Π x^(2^(k+3)) over the set bits k of n.
+    let mut shift = 1u32 << 31; // x⁰
+    let mut n = len_b as u64;
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = multmodp(X2N_TABLE[k % 32], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    multmodp(shift, crc_a) ^ crc_b
+}
+
+/// A finished section container. Only [`SectionWriter::finish`] and a
+/// validating [`Sealed::parse`] make one, so its CRC-32, trailer
+/// included, is the fixed residue `0x2144DF1C` by construction: an
+/// enclosing writer folds it in by CRC combination instead of scanning
+/// it again. No caller can vouch for arbitrary bytes — a wrong vouch
+/// would seal a container that fails its own check.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sealed(Vec<u8>);
+
+impl Sealed {
+    /// Copies `bytes` after validating them exactly as
+    /// [`SectionReader::parse`] does.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`SectionReader::parse`] reports.
+    pub fn parse(bytes: &[u8]) -> Result<Sealed, CheckpointError> {
+        SectionReader::parse(bytes)?;
+        Ok(Sealed(bytes.to_vec()))
+    }
+
+    /// The container bytes, for writing out.
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
+}
+
+impl std::ops::Deref for Sealed {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// One section body: bytes the writer must scan, or a container it
+/// borrows and folds in unscanned.
+#[derive(Debug)]
+enum Body<'a> {
+    Raw(Vec<u8>),
+    Nested(&'a Sealed),
+}
+
+impl Body<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Body::Raw(bytes) => bytes,
+            Body::Nested(sealed) => sealed,
+        }
+    }
 }
 
 /// Builds a tagged, versioned, CRC-closed section container.
@@ -278,19 +432,24 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// ```
 /// use menos_tensor::{SectionReader, SectionWriter};
 ///
+/// let mut inner = SectionWriter::new();
+/// inner.section(3, vec![0u8; 8]);
+/// let inner = inner.finish();
+///
 /// let mut w = SectionWriter::new();
 /// w.section(1, b"meta".to_vec());
-/// w.section(2, vec![0u8; 8]);
+/// w.nested(2, &inner);
 /// let bytes = w.finish();
 /// let r = SectionReader::parse(&bytes).unwrap();
 /// assert_eq!(r.find(1), Some(&b"meta"[..]));
+/// assert_eq!(r.find(2), Some(&inner[..]));
 /// ```
 #[derive(Debug, Default)]
-pub struct SectionWriter {
-    sections: Vec<(u32, Vec<u8>)>,
+pub struct SectionWriter<'a> {
+    sections: Vec<(u32, Body<'a>)>,
 }
 
-impl SectionWriter {
+impl<'a> SectionWriter<'a> {
     /// Creates an empty container builder.
     #[must_use]
     pub fn new() -> Self {
@@ -299,25 +458,57 @@ impl SectionWriter {
 
     /// Appends one tagged section.
     pub fn section(&mut self, tag: u32, bytes: Vec<u8>) -> &mut Self {
-        self.sections.push((tag, bytes));
+        self.sections.push((tag, Body::Raw(bytes)));
+        self
+    }
+
+    /// Appends a finished container as one tagged section. Its bytes
+    /// are copied once and never rescanned: see [`finish`](Self::finish).
+    pub fn nested(&mut self, tag: u32, container: &'a Sealed) -> &mut Self {
+        self.sections.push((tag, Body::Nested(container)));
         self
     }
 
     /// Serializes the container: header, sections, trailing CRC-32.
+    ///
+    /// One CRC pass over the bytes this level adds. A nested
+    /// container's CRC is the fixed residue whatever its bytes, so it is
+    /// folded in by CRC combination in O(log len) — however deep
+    /// the nesting, every byte of the result is scanned once, by the
+    /// writer of the innermost container holding it.
     #[must_use]
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::new();
+    pub fn finish(self) -> Sealed {
+        let len = 16
+            + self
+                .sections
+                .iter()
+                .map(|(_, body)| 12 + body.bytes().len())
+                .sum::<usize>()
+            + 4;
+        let mut out = Vec::with_capacity(len);
         out.extend(SECTION_MAGIC.to_le_bytes());
         out.extend(SECTION_VERSION.to_le_bytes());
         out.extend((self.sections.len() as u64).to_le_bytes());
-        for (tag, bytes) in &self.sections {
+        // `out[..scanned]` is folded into `crc`; the rest is not yet.
+        let (mut crc, mut scanned) = (0, 0);
+        for (tag, body) in &self.sections {
             out.extend(tag.to_le_bytes());
-            out.extend((bytes.len() as u64).to_le_bytes());
-            out.extend(bytes);
+            out.extend((body.bytes().len() as u64).to_le_bytes());
+            match body {
+                Body::Raw(bytes) => out.extend_from_slice(bytes),
+                Body::Nested(sealed) => {
+                    crc = crc32_extend(crc, &out[scanned..]);
+                    out.extend_from_slice(sealed);
+                    crc = crc32_combine(crc, CRC_RESIDUE, sealed.len());
+                    scanned = out.len();
+                }
+            }
         }
-        let crc = crc32(&out);
+        let crc = crc32_extend(crc, &out[scanned..]);
+        debug_assert_eq!(crc, crc32(&out), "combined CRC disagrees with a scan");
         out.extend(crc.to_le_bytes());
-        out
+        debug_assert_eq!(out.len(), len);
+        Sealed(out)
     }
 }
 
@@ -670,7 +861,7 @@ mod tests {
         w.section(7, b"meta-bytes".to_vec());
         w.section(9, save_checkpoint(&sample()));
         w.section(7, b"again".to_vec());
-        w.finish()
+        w.finish().into_bytes()
     }
 
     #[test]
@@ -764,7 +955,7 @@ mod tests {
     fn section_container_rejects_implausible_sizes() {
         // Count beyond the cap, CRC re-sealed so the structural check
         // (not the checksum) must reject it.
-        let mut bytes = SectionWriter::new().finish();
+        let mut bytes = SectionWriter::new().finish().into_bytes();
         bytes.truncate(bytes.len() - 4);
         bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         let crc = crc32(&bytes);
@@ -780,6 +971,152 @@ mod tests {
         // The canonical IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(0, b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn every_finished_container_checks_to_the_residue() {
+        assert_eq!(crc32(&SectionWriter::new().finish()), CRC_RESIDUE);
+        assert_eq!(crc32(&sample_container()), CRC_RESIDUE);
+    }
+
+    /// The container writer as it was before nested containers were
+    /// folded in by combination: one byte-wise pass over everything.
+    fn rescanning_finish(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend(SECTION_MAGIC.to_le_bytes());
+        out.extend(SECTION_VERSION.to_le_bytes());
+        out.extend((sections.len() as u64).to_le_bytes());
+        for (tag, bytes) in sections {
+            out.extend(tag.to_le_bytes());
+            out.extend((bytes.len() as u64).to_le_bytes());
+            out.extend(bytes);
+        }
+        let crc = crc32_bytewise(0, &out);
+        out.extend(crc.to_le_bytes());
+        out
+    }
+
+    /// A random container tree at most `depth` levels deep — empty
+    /// sections, empty containers and absent sections included —
+    /// built once by [`SectionWriter`] and once by
+    /// [`rescanning_finish`].
+    fn random_tree(rng: &mut rand::rngs::StdRng, depth: u32) -> (Sealed, Vec<u8>) {
+        use rand::Rng;
+        enum Child {
+            Raw(Vec<u8>),
+            Nested(Sealed, Vec<u8>),
+        }
+        let children: Vec<(u32, Child)> = (0..rng.gen_range(0..5usize))
+            .map(|_| {
+                let tag = rng.gen_range(0..4u32);
+                if depth > 0 && rng.gen_bool(0.4) {
+                    let (sealed, rescanned) = random_tree(rng, depth - 1);
+                    (tag, Child::Nested(sealed, rescanned))
+                } else {
+                    let len = rng.gen_range(0..48usize);
+                    (
+                        tag,
+                        Child::Raw((0..len).map(|_| rng.gen::<u32>() as u8).collect()),
+                    )
+                }
+            })
+            .collect();
+        let mut w = SectionWriter::new();
+        let mut reference = Vec::new();
+        for (tag, child) in &children {
+            match child {
+                Child::Raw(bytes) => {
+                    w.section(*tag, bytes.clone());
+                    reference.push((*tag, bytes.clone()));
+                }
+                Child::Nested(sealed, rescanned) => {
+                    w.nested(*tag, sealed);
+                    reference.push((*tag, rescanned.clone()));
+                }
+            }
+        }
+        (w.finish(), rescanning_finish(&reference))
+    }
+
+    mod crc_properties {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Every length 0–300 at every alignment mod 16, from an
+            /// arbitrary running CRC: the sliced loop is the byte-wise
+            /// one, bit for bit.
+            #[test]
+            fn sliced_crc_equals_the_bytewise_oracle(
+                data in prop::collection::vec(any::<u8>(), 316),
+                running in any::<u32>(),
+            ) {
+                for start in 0..16 {
+                    for len in 0..=300 {
+                        let bytes = &data[start..start + len];
+                        prop_assert_eq!(crc32(bytes), crc32_bytewise(0, bytes));
+                        prop_assert_eq!(
+                            crc32_extend(running, bytes),
+                            crc32_bytewise(running, bytes)
+                        );
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn combine_equals_the_crc_of_the_concatenation(
+                a in prop::collection::vec(any::<u8>(), 0..64),
+                b_len in 0usize..5000,
+                b_seed in any::<u8>(),
+            ) {
+                let b: Vec<u8> = (0..b_len).map(|i| (i as u8).wrapping_mul(31) ^ b_seed).collect();
+                let joined: Vec<u8> = a.iter().chain(&b).copied().collect();
+                prop_assert_eq!(
+                    crc32_combine(crc32(&a), crc32(&b), b.len()),
+                    crc32_bytewise(0, &joined)
+                );
+                prop_assert_eq!(crc32_combine(crc32(&a), crc32(&[]), 0), crc32(&a));
+            }
+
+            #[test]
+            fn bytes_followed_by_their_crc_check_to_the_residue(
+                data in prop::collection::vec(any::<u8>(), 0..200),
+            ) {
+                let mut sealed = data.clone();
+                sealed.extend(crc32(&data).to_le_bytes());
+                prop_assert_eq!(crc32_bytewise(0, &sealed), CRC_RESIDUE);
+            }
+
+            #[test]
+            fn nested_containers_seal_to_the_rescanning_writers_bytes(seed in any::<u64>()) {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let (sealed, rescanned) = random_tree(&mut rng, 3);
+                prop_assert_eq!(&sealed[..], &rescanned[..]);
+                prop_assert!(SectionReader::parse(&sealed).is_ok());
+                prop_assert_eq!(Sealed::parse(&sealed).expect("own bytes"), sealed);
+            }
+        }
+    }
+
+    #[test]
+    fn sealed_parse_rejects_what_the_reader_rejects() {
+        let bytes = sample_container();
+        assert_eq!(&Sealed::parse(&bytes).unwrap()[..], &bytes[..]);
+        let mut flipped = bytes.clone();
+        flipped[20] ^= 1;
+        assert!(matches!(
+            Sealed::parse(&flipped),
+            Err(CheckpointError::ChecksumMismatch { .. })
+        ));
+        assert_eq!(Sealed::parse(&[1, 2, 3]), Err(CheckpointError::Truncated));
     }
 
     #[test]

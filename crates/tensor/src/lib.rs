@@ -64,7 +64,7 @@ mod tensor;
 pub use autograd::GradStore;
 pub use checkpoint::{
     crc32, load_checkpoint, put_f32s, restore_into, save_checkpoint, ByteReadError, ByteReader,
-    CheckpointError, SectionReader, SectionWriter,
+    CheckpointError, Sealed, SectionReader, SectionWriter,
 };
 pub use parallel::{set_threads, threads};
 pub use param::ParamStore;

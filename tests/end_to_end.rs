@@ -111,8 +111,10 @@ fn training_one_client_does_not_perturb_anothers_output() {
     run_split_steps(&mut c0, &mut s0, ForwardMode::NoGradReforward, 8);
 
     let after = probe_session.forward_nograd(&probe);
-    assert!(
-        before.max_abs_diff(&after) < 1e-6,
+    let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&before),
+        bits(&after),
         "client 0's training leaked into client 1's computation"
     );
 }

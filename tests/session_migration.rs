@@ -25,7 +25,7 @@ use menos::split::{
     RetryPolicy, ServerMessage, ServerSession, SplitClient, SplitSpec, TcpEventServer, TcpOptions,
     WireMessage,
 };
-use menos::tensor::{SectionReader, SectionWriter, Tensor};
+use menos::tensor::{Sealed, SectionReader, SectionWriter, Tensor};
 
 const SEED: u64 = 5;
 
@@ -191,7 +191,7 @@ fn resealed_hostile_lengths_are_typed_errors_and_import_nothing() {
 
 /// `container` with the first section tagged `tag` replaced by
 /// `payload`, re-sealed.
-fn with_section(container: &[u8], tag: u32, payload: &[u8]) -> Vec<u8> {
+fn with_section(container: &[u8], tag: u32, payload: &[u8]) -> Sealed {
     let mut w = SectionWriter::new();
     for (t, body) in SectionReader::parse(container)
         .expect("own bytes")

@@ -145,6 +145,11 @@ fn resealed_hostile_lengths_are_typed_errors_and_restore_nothing() {
 }
 
 proptest! {
+    // A case costs about one CRC pass over the snapshot, so the
+    // sweep can be wide and still finish inside the every-offset arms'
+    // time.
+    #![proptest_config(ProptestConfig::with_cases(65536))]
+
     /// Random multi-site damage: between 1 and 8 independent bit
     /// flips anywhere in the snapshot. Multi-bit damage can in
     /// principle slip past a CRC-32 (unlike single flips), but the
