@@ -1,22 +1,23 @@
 //! Tensor-engine kernel throughput: the real-engine substrate behind
 //! the convergence experiments.
 //!
-//! The `matmul`/`nn_primitives`/`served_block` groups measure the
-//! kernels at whatever pool size `MENOS_THREADS` selects (default: all
-//! cores); the `threads_sweep` group re-runs the hot kernels at 1/2/4/8
-//! workers — as many of those widths as the host has cores — to expose
-//! the scaling curve of the shared compute backend. The `checkpoint`
-//! group measures what a durable snapshot costs to seal and to read.
+//! The `matmul`/`nn_primitives`/`served_block` groups measure single
+//! kernels; `served_step` measures one whole split step in process at
+//! two benchmark workloads' geometry. The `checkpoint` group measures
+//! what a durable snapshot costs to seal and to read.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use menos_adapters::FineTuneConfig;
 use menos_core::{MenosServer, ServerMode, ServerSpec, ServerState};
-use menos_models::ModelConfig;
+use menos_data::{wiki_corpus, TokenDataset, Vocab};
+use menos_models::{init_params, CausalLm, ModelConfig};
 use menos_net::{encode_tensor, Codec};
 use menos_sim::seeded_rng;
-use menos_split::{ClientId, ClientMessage, SplitSpec};
-use menos_tensor::{crc32, set_threads, threads, Tensor};
+use menos_split::{
+    run_split_steps, ClientId, ClientMessage, ForwardMode, ServerSession, SplitClient, SplitSpec,
+};
+use menos_tensor::{crc32, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -68,8 +69,7 @@ fn bench_nn_primitives(c: &mut Criterion) {
     group.bench_function("rms_norm_8x64x128", |b| b.iter(|| x.rms_norm(&gamma, 1e-5)));
     let q = Tensor::randn(&mut rng, [2, 4, 64, 16], 1.0);
     group.bench_function("rope_2x4x64x16", |b| b.iter(|| q.rope(10_000.0, 0)));
-    // A [batch, seq, d_model] activation large enough to engage the
-    // worker pool.
+    // A [batch, seq, d_model] activation at a larger model's width.
     let big = Tensor::randn(&mut rng, [8, 128, 512], 1.0);
     let gamma_big = Tensor::ones([512]);
     let beta_big = Tensor::zeros([512]);
@@ -123,6 +123,33 @@ fn bench_served_block(c: &mut Criterion) {
     group.bench_function("frozen_linear_backward_64x512x128", |b| {
         b.iter(|| y.backward_with_grad(&seed))
     });
+    group.finish();
+}
+
+/// One split fine-tuning step in process: the client's forward, the
+/// server's no-grad forward, re-forward and backward, and the client's
+/// backward, every message through the wire codec. Run at the geometry
+/// of the benchmark's `solo_tiny` (hidden 64, 4 layers, 2×16 tokens)
+/// and `solo_wide` (hidden 128, 6 layers, 2×32) workloads.
+fn bench_served_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("served_step");
+    for (name, hidden, layers, seq) in [("solo_tiny", 64, 4, 16), ("solo_wide", 128, 6, 32)] {
+        let text = wiki_corpus(1, 12_000);
+        let vocab = Vocab::from_text(&text);
+        let mut config = ModelConfig::tiny_opt(vocab.size());
+        (config.hidden, config.layers, config.intermediate) = (hidden, layers, 4 * hidden);
+        let mut ft = FineTuneConfig::paper(&config);
+        (ft.batch_size, ft.seq_len) = (2, seq);
+        let base = init_params(&config, &mut seeded_rng(1, "base-model"));
+        let model = || CausalLm::bind(&config, &base.shared_view(false));
+        let dataset = TokenDataset::new(vocab.encode(&text), seq, 1);
+        let split = SplitSpec::paper();
+        let mut client = SplitClient::new(ClientId(0), model(), split, ft.clone(), dataset, 1);
+        let mut session = ServerSession::new(ClientId(0), model(), split, &ft, 1);
+        group.bench_function(name, |b| {
+            b.iter(|| run_split_steps(&mut client, &mut session, ForwardMode::NoGradReforward, 1))
+        });
+    }
     group.finish();
 }
 
@@ -186,41 +213,13 @@ fn bench_checkpoint(c: &mut Criterion) {
     group.finish();
 }
 
-/// Throughput of the hot kernels as the worker pool widens. Results are
-/// bitwise identical at every width; only the wall clock should move.
-fn bench_threads_sweep(c: &mut Criterion) {
-    let restore = threads();
-    let mut group = c.benchmark_group("threads_sweep");
-    let mut rng = seeded_rng(4, "bench");
-    let n = 256usize;
-    let a = Tensor::randn(&mut rng, [n, n], 1.0);
-    let b = Tensor::randn(&mut rng, [n, n], 1.0);
-    let act = Tensor::randn(&mut rng, [8, 128, 512], 1.0);
-    // Wider than the host only measures oversubscription.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for t in [1usize, 2, 4, 8].into_iter().filter(|&t| t <= cores) {
-        set_threads(t);
-        group.throughput(Throughput::Elements((2 * n * n * n) as u64));
-        group.sample_size(15);
-        group.bench_function(format!("matmul_{n}/t{t}"), |bench| {
-            bench.iter(|| a.matmul(&b))
-        });
-        group.throughput(Throughput::Elements(act.elem_count() as u64));
-        group.bench_function(format!("softmax_8x128x512/t{t}"), |bench| {
-            bench.iter(|| act.softmax_last())
-        });
-    }
-    group.finish();
-    set_threads(restore);
-}
-
 criterion_group!(
     benches,
     bench_matmul,
     bench_nn_primitives,
     bench_backward,
     bench_served_block,
-    bench_checkpoint,
-    bench_threads_sweep
+    bench_served_step,
+    bench_checkpoint
 );
 criterion_main!(benches);

@@ -15,11 +15,12 @@
 //! * **Seeded backward** ([`Tensor::backward_with_grad`]): split
 //!   learning resumes back-propagation from gradients received over the
 //!   network rather than from a local loss.
-//! * **Parallel compute backend** ([`threads`] / [`set_threads`], or
-//!   the `MENOS_THREADS` environment variable): matmul and the heavy
-//!   NN primitives fan out over a shared worker pool with a
-//!   partitioning scheme that keeps results bitwise identical at any
-//!   thread count. See `DESIGN.md` § "Compute backend".
+//! * **Single-threaded kernels with a pinned summation order**: every
+//!   kernel runs on the calling thread, cache- and register-blocked,
+//!   and every reduction folds fixed-size blocks in block order, so an
+//!   output's bits depend only on its inputs and the build's target
+//!   features. A server scales across sessions, not across the rows of
+//!   one product. See `DESIGN.md` §4.6.
 //!
 //! Tensors are dense, contiguous, row-major `f32` arrays. Autograd is
 //! reverse-mode over an op graph captured at execution time; backward
@@ -54,7 +55,6 @@ mod checkpoint;
 pub mod lowp;
 mod op;
 mod ops;
-mod parallel;
 mod param;
 pub mod pool;
 mod shape;
@@ -66,8 +66,14 @@ pub use checkpoint::{
     crc32, load_checkpoint, put_f32s, restore_into, save_checkpoint, ByteReadError, ByteReader,
     CheckpointError, Sealed, SectionReader, SectionWriter,
 };
-pub use parallel::{set_threads, threads};
 pub use param::ParamStore;
 pub use shape::Shape;
 pub use storage::Storage;
 pub use tensor::{no_grad, Tensor};
+
+/// Does nothing: the kernels are single-threaded and have no thread
+/// count to set. It remains only because the benchmark harness under
+/// `benchmark/` still calls `set_threads(1)`; it goes once those calls
+/// are dropped.
+#[doc(hidden)]
+pub fn set_threads(_n: usize) {}

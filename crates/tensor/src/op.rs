@@ -270,12 +270,7 @@ impl Op {
 
 /// `f(g, t)` for each element `g` of an output-shaped gradient and the
 /// element of operand `t` broadcast to it.
-fn with_operand(
-    grad: &[f32],
-    out: &Shape,
-    t: &Tensor,
-    f: impl Fn(f32, f32) -> f32 + Sync,
-) -> Vec<f32> {
+fn with_operand(grad: &[f32], out: &Shape, t: &Tensor, f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
     broadcast_zip(grad, out, &t.storage().read(), t.shape(), out, f)
 }
 

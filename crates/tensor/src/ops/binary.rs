@@ -6,7 +6,6 @@
 //! the index-loop fallback that stays as their proptest oracle.
 
 use crate::op::Op;
-use crate::parallel;
 use crate::shape::{broadcast_offset, broadcast_strides, for_each_index, Shape};
 use crate::tensor::Tensor;
 
@@ -15,7 +14,7 @@ use crate::tensor::Tensor;
 pub(crate) fn broadcast_binary_kernel(
     a: &Tensor,
     b: &Tensor,
-    f: impl Fn(f32, f32) -> f32 + Sync,
+    f: impl Fn(f32, f32) -> f32,
 ) -> (Vec<f32>, Shape) {
     let out_shape = a
         .shape()
@@ -43,12 +42,12 @@ pub(crate) fn broadcast_zip(
     y: &[f32],
     sy: &Shape,
     out: &Shape,
-    f: impl Fn(f32, f32) -> f32 + Sync,
+    f: impl Fn(f32, f32) -> f32,
 ) -> Vec<f32> {
     let n = out.elem_count();
     if sx.elem_count() == n && sy.elem_count() == n {
         // Both already in the output's layout.
-        return parallel::par_map2(x, y, 2, f);
+        return x.iter().zip(y).map(|(&xv, &yv)| f(xv, yv)).collect();
     }
     if trailing_block(sx, sy, out) {
         return zip_rows(x, y, f);
@@ -61,23 +60,20 @@ pub(crate) fn broadcast_zip(
 
 /// `f(full[i], block[i % block.len()])`, one output row per block
 /// repeat, so the inner loop is a plain zip that vectorises.
-fn zip_rows(full: &[f32], block: &[f32], f: impl Fn(f32, f32) -> f32 + Sync) -> Vec<f32> {
+fn zip_rows(full: &[f32], block: &[f32], f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
     let len = block.len();
     if len == 1 {
         let y = block[0];
-        return parallel::par_map(full, 2, |x| f(x, y));
+        return full.iter().map(|&x| f(x, y)).collect();
     }
     let mut out = vec![0.0; full.len()];
-    parallel::par_chunks_mut(&mut out, len, 2 * full.len(), |start, chunk| {
-        let rows = chunk
-            .chunks_exact_mut(len)
-            .zip(full[start..].chunks_exact(len));
-        for (orow, xrow) in rows {
+    if len > 0 {
+        for (orow, xrow) in out.chunks_exact_mut(len).zip(full.chunks_exact(len)) {
             for ((o, &x), &y) in orow.iter_mut().zip(xrow).zip(block) {
                 *o = f(x, y);
             }
         }
-    });
+    }
     out
 }
 
@@ -168,19 +164,19 @@ impl Tensor {
 
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
-        let data = crate::parallel::par_map(&self.storage().read(), 2, |x| x + s);
+        let data = self.storage().read().iter().map(|&x| x + s).collect();
         Tensor::from_op(data, self.shape().clone(), Op::AddScalar(self.clone()))
     }
 
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
-        let data = crate::parallel::par_map(&self.storage().read(), 2, |x| x * s);
+        let data = self.storage().read().iter().map(|&x| x * s).collect();
         Tensor::from_op(data, self.shape().clone(), Op::MulScalar(self.clone(), s))
     }
 
     /// Raises every element to an integer power.
     pub fn powi(&self, p: i32) -> Tensor {
-        let data = crate::parallel::par_map(&self.storage().read(), 4, |x| x.powi(p));
+        let data = self.storage().read().iter().map(|&x| x.powi(p)).collect();
         Tensor::from_op(data, self.shape().clone(), Op::PowScalar(self.clone(), p))
     }
 }

@@ -1,16 +1,14 @@
 //! Matrix multiplication: 2-D and batched, with a 2-D right-hand-side
 //! fast path for linear layers.
 //!
-//! The kernels are cache-blocked (tiled over `k` and `n`), register-
+//! The kernels are cache-blocked (tiled over `k` and `n`) and register-
 //! blocked (`MR x NR` accumulator tiles that vectorize to FMA where the
-//! target supports it), and fan out over the shared worker pool (see
-//! [`crate::parallel`]) by partitioning *output rows* into disjoint
-//! slices. Each output element is produced by exactly one worker
-//! running the same accumulation chain in the same `k`-ascending
-//! order, so results are bitwise identical at any thread count.
+//! target supports it). Each output element runs one accumulation chain
+//! in `k`-ascending order, the same whether it lands in a register tile
+//! or on an edge: a pinned summation order that the tile sizes never
+//! change.
 
 use crate::op::Op;
-use crate::parallel;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -106,8 +104,8 @@ fn edge_cols(
 /// around an `MR x NR` register-tiled microkernel, with scalar edges.
 ///
 /// For any fixed output element the `k` contributions accumulate in
-/// ascending order regardless of tiling, so tile sizes and row
-/// partitioning never change the result.
+/// ascending order regardless of tiling, so tile sizes never change the
+/// result.
 pub(crate) fn matmul_2d_accum(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -140,31 +138,9 @@ pub(crate) fn matmul_2d_accum(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k
     }
 }
 
-/// `C[krows,n] += A[m,k]^T @ B[m,n]` restricted to the output rows
-/// `kk0 .. kk0 + krows` (with `out_rows` covering exactly that band).
-/// The `i` (sample) loop stays outermost and ascending, so every
-/// output element accumulates its `m` contributions in the same order
-/// no matter how the `k` rows are partitioned across workers.
-fn at_b_rows(a: &[f32], b: &[f32], out_rows: &mut [f32], m: usize, k: usize, n: usize, kk0: usize) {
-    let krows = out_rows.len() / n;
-    for j0 in (0..n).step_by(NB) {
-        let j1 = (j0 + NB).min(n);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let b_row = &b[i * n + j0..i * n + j1];
-            for kk in 0..krows {
-                let aik = a_row[kk0 + kk];
-                let out_row = &mut out_rows[kk * n + j0..kk * n + j1];
-                for (o, &bin) in out_row.iter_mut().zip(b_row) {
-                    *o += aik * bin;
-                }
-            }
-        }
-    }
-}
-
-/// `C[k,n] += A[m,k]^T @ B[m,n]` over the full output (serial).
-#[cfg(test)]
+/// `C[k,n] += A[m,k]^T @ B[m,n]`. The `i` (sample) loop stays
+/// outermost and ascending within each `NB`-wide column strip, so every
+/// output element accumulates its `m` contributions in sample order.
 pub(crate) fn matmul_at_b_accum(
     a: &[f32],
     b: &[f32],
@@ -174,7 +150,19 @@ pub(crate) fn matmul_at_b_accum(
     n: usize,
 ) {
     debug_assert_eq!(out.len(), k * n);
-    at_b_rows(a, b, out, m, k, n, 0);
+    for j0 in (0..n).step_by(NB) {
+        let j1 = (j0 + NB).min(n);
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let b_row = &b[i * n + j0..i * n + j1];
+            for (kk, &aik) in a_row.iter().enumerate() {
+                let out_row = &mut out[kk * n + j0..kk * n + j1];
+                for (o, &bin) in out_row.iter_mut().zip(b_row) {
+                    *o += aik * bin;
+                }
+            }
+        }
+    }
 }
 
 /// Output columns per `A·Bᵀ` register tile: one vector of lanes per
@@ -346,39 +334,22 @@ pub(crate) fn matmul_forward(a: &Tensor, b: &Tensor) -> (Vec<f32>, Shape) {
     let da = a.storage().read();
     let db = b.storage().read();
     let mut out = vec![0.0; d.batch * d.m * d.n];
-    let work = 2 * d.batch * d.m * d.k * d.n;
     if d.rhs_2d {
         // A shared 2-D rhs makes the whole batch one flat
-        // [batch*m, k] @ [k, n] product: partition the flat rows.
-        parallel::par_chunks_mut(&mut out, d.n, work, |start, chunk| {
-            let r0 = start / d.n;
-            let rows = chunk.len() / d.n;
-            matmul_2d_accum(&da[r0 * d.k..(r0 + rows) * d.k], &db, chunk, rows, d.k, d.n);
-        });
+        // [batch*m, k] @ [k, n] product.
+        matmul_2d_accum(&da, &db, &mut out, d.batch * d.m, d.k, d.n);
     } else {
-        // Batched rhs: partition the global row space batch*m so small
-        // batches still use the full pool; each worker walks the
-        // batches its row band intersects.
-        parallel::par_chunks_mut(&mut out, d.n, work, |start, chunk| {
-            let mut r = start / d.n;
-            let end = r + chunk.len() / d.n;
-            let mut off = 0usize;
-            while r < end {
-                let bi = r / d.m;
-                let take = ((bi + 1) * d.m).min(end) - r;
-                let b_off = bi * d.k * d.n;
-                matmul_2d_accum(
-                    &da[r * d.k..(r + take) * d.k],
-                    &db[b_off..b_off + d.k * d.n],
-                    &mut chunk[off..off + take * d.n],
-                    take,
-                    d.k,
-                    d.n,
-                );
-                r += take;
-                off += take * d.n;
-            }
-        });
+        let (a_len, b_len, o_len) = (d.m * d.k, d.k * d.n, d.m * d.n);
+        for bi in 0..d.batch {
+            matmul_2d_accum(
+                &da[bi * a_len..(bi + 1) * a_len],
+                &db[bi * b_len..(bi + 1) * b_len],
+                &mut out[bi * o_len..(bi + 1) * o_len],
+                d.m,
+                d.k,
+                d.n,
+            );
+        }
     }
     let mut dims = a.dims()[..a.rank() - 2].to_vec();
     dims.push(d.m);
@@ -426,7 +397,6 @@ pub(crate) fn matmul_backward(
     need_b: bool,
 ) -> (Option<Vec<f32>>, Option<Vec<f32>>) {
     let d = matmul_dims(a.shape(), b.shape());
-    let work = 2 * d.batch * d.m * d.k * d.n;
     let ga = need_a.then(|| {
         let db = b.storage().read();
         // Each matrix of B packed on its own, so batch offsets into the
@@ -437,28 +407,18 @@ pub(crate) fn matmul_backward(
             .collect();
         let bt_len = d.k / L * L * d.n;
         let mut ga = vec![0.0; d.batch * d.m * d.k];
-        // dA = dC @ B^T : [m,n] @ [k,n]^T -> [m,k]. The grad rows are
-        // independent, so partition the global row space batch*m.
-        parallel::par_chunks_mut(&mut ga, d.k, work, |start, chunk| {
-            let mut r = start / d.k;
-            let end = r + chunk.len() / d.k;
-            let mut off = 0usize;
-            while r < end {
-                let bi = r / d.m;
-                let take = ((bi + 1) * d.m).min(end) - r;
-                let bm = if d.rhs_2d { 0 } else { bi };
-                a_bt_rows(
-                    &grad_out[r * d.n..(r + take) * d.n],
-                    &db[bm * d.k * d.n..(bm + 1) * d.k * d.n],
-                    &bt[bm * bt_len..(bm + 1) * bt_len],
-                    &mut chunk[off..off + take * d.k],
-                    d.n,
-                    d.k,
-                );
-                r += take;
-                off += take * d.k;
-            }
-        });
+        // dA = dC @ B^T : [m,n] @ [k,n]^T -> [m,k], one batch at a time.
+        for bi in 0..d.batch {
+            let bm = if d.rhs_2d { 0 } else { bi };
+            a_bt_rows(
+                &grad_out[bi * d.m * d.n..(bi + 1) * d.m * d.n],
+                &db[bm * d.k * d.n..(bm + 1) * d.k * d.n],
+                &bt[bm * bt_len..(bm + 1) * bt_len],
+                &mut ga[bi * d.m * d.k..(bi + 1) * d.m * d.k],
+                d.n,
+                d.k,
+            );
+        }
         ga
     });
     let gb = need_b.then(|| {
@@ -466,38 +426,22 @@ pub(crate) fn matmul_backward(
         let mut gb = vec![0.0; b.elem_count()];
         // dB = A^T @ dC : [m,k]^T @ [m,n] -> [k,n].
         if d.rhs_2d {
-            // The shared rhs accumulates over the whole batch; flattening
-            // to one [batch*m, k]^T @ [batch*m, n] product keeps the `i`
-            // loop globally ascending (the serial summation order) while
-            // workers own disjoint bands of the k output rows.
-            parallel::par_chunks_mut(&mut gb, d.n, work, |start, chunk| {
-                at_b_rows(&da, grad_out, chunk, d.batch * d.m, d.k, d.n, start / d.n);
-            });
+            // The shared rhs accumulates over the whole batch: one
+            // [batch*m, k]^T @ [batch*m, n] product keeps the `i` loop
+            // ascending across the batch.
+            matmul_at_b_accum(&da, grad_out, &mut gb, d.batch * d.m, d.k, d.n);
         } else {
-            // Per-batch grads are independent: partition the global
-            // batch*k output row space.
-            parallel::par_chunks_mut(&mut gb, d.n, work, |start, chunk| {
-                let mut r = start / d.n;
-                let end = r + chunk.len() / d.n;
-                let mut off = 0usize;
-                while r < end {
-                    let bi = r / d.k;
-                    let take = ((bi + 1) * d.k).min(end) - r;
-                    let a_off = bi * d.m * d.k;
-                    let o_off = bi * d.m * d.n;
-                    at_b_rows(
-                        &da[a_off..a_off + d.m * d.k],
-                        &grad_out[o_off..o_off + d.m * d.n],
-                        &mut chunk[off..off + take * d.n],
-                        d.m,
-                        d.k,
-                        d.n,
-                        r - bi * d.k,
-                    );
-                    r += take;
-                    off += take * d.n;
-                }
-            });
+            let (a_len, o_len, g_len) = (d.m * d.k, d.m * d.n, d.k * d.n);
+            for bi in 0..d.batch {
+                matmul_at_b_accum(
+                    &da[bi * a_len..(bi + 1) * a_len],
+                    &grad_out[bi * o_len..(bi + 1) * o_len],
+                    &mut gb[bi * g_len..(bi + 1) * g_len],
+                    d.m,
+                    d.k,
+                    d.n,
+                );
+            }
         }
         gb
     });

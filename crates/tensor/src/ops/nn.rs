@@ -1,22 +1,19 @@
 //! Neural-network primitives: softmax, normalization layers, embedding
 //! lookup, fused cross-entropy, and rotary position embeddings.
 //!
-//! Row-wise kernels fan out over the shared worker pool (see
-//! [`crate::parallel`]); rows are independent, so any partition of
-//! them yields bitwise-identical results. Cross-row reductions
-//! (the cross-entropy loss, `dgamma`/`dbeta`) accumulate over
-//! fixed-size row blocks combined in block order, which keeps them
-//! independent of the thread count too.
+//! Row-wise kernels compute each row independently. Cross-row
+//! reductions (the cross-entropy loss, `dgamma`/`dbeta`) accumulate
+//! over fixed-size row blocks combined in block order: a pinned
+//! summation order.
 
 use std::sync::Arc;
 
 use crate::op::Op;
-use crate::parallel;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Rows per reduction block for blocked cross-row accumulations. Fixed
-/// (not derived from the pool size) so the summation tree never moves.
+/// Rows per reduction block for blocked cross-row accumulations. Pinned
+/// summation order: changing it changes the reductions' bits.
 const ROW_BLOCK: usize = 64;
 
 // ----------------------------------------------------------------------
@@ -37,14 +34,12 @@ fn softmax_row(row: &mut [f32]) {
 }
 
 /// Numerically stable softmax along the last dimension, in place row by
-/// row (rows are distributed over the worker pool).
+/// row.
 pub(crate) fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
     debug_assert_eq!(data.len(), rows * cols);
-    parallel::par_chunks_mut(data, cols, rows * cols * 8, |_, chunk| {
-        for row in chunk.chunks_exact_mut(cols) {
-            softmax_row(row);
-        }
-    });
+    for row in data.chunks_exact_mut(cols.max(1)) {
+        softmax_row(row);
+    }
 }
 
 pub(crate) fn layer_norm_stats(row: &[f32], eps: f32) -> (f32, f32) {
@@ -93,16 +88,15 @@ impl Tensor {
         let g = gamma.storage().read();
         let b = beta.storage().read();
         let mut out = vec![0.0; rows * cols];
-        parallel::par_chunks_mut(&mut out, cols, rows * cols * 6, |start, chunk| {
-            for (local, orow) in chunk.chunks_exact_mut(cols).enumerate() {
-                let r = start / cols + local;
-                let row = &x[r * cols..(r + 1) * cols];
-                let (mu, rstd) = layer_norm_stats(row, eps);
-                for c in 0..cols {
-                    orow[c] = (row[c] - mu) * rstd * g[c] + b[c];
-                }
+        for (orow, row) in out
+            .chunks_exact_mut(cols.max(1))
+            .zip(x.chunks_exact(cols.max(1)))
+        {
+            let (mu, rstd) = layer_norm_stats(row, eps);
+            for (((o, &xv), &gv), &bv) in orow.iter_mut().zip(row).zip(g.iter()).zip(b.iter()) {
+                *o = (xv - mu) * rstd * gv + bv;
             }
-        });
+        }
         drop((x, g, b));
         Tensor::from_op(
             out,
@@ -128,16 +122,15 @@ impl Tensor {
         let x = self.storage().read();
         let g = gamma.storage().read();
         let mut out = vec![0.0; rows * cols];
-        parallel::par_chunks_mut(&mut out, cols, rows * cols * 4, |start, chunk| {
-            for (local, orow) in chunk.chunks_exact_mut(cols).enumerate() {
-                let r = start / cols + local;
-                let row = &x[r * cols..(r + 1) * cols];
-                let rrms = rms_norm_rrms(row, eps);
-                for c in 0..cols {
-                    orow[c] = row[c] * rrms * g[c];
-                }
+        for (orow, row) in out
+            .chunks_exact_mut(cols.max(1))
+            .zip(x.chunks_exact(cols.max(1)))
+        {
+            let rrms = rms_norm_rrms(row, eps);
+            for ((o, &xv), &gv) in orow.iter_mut().zip(row).zip(g.iter()) {
+                *o = xv * rrms * gv;
             }
-        });
+        }
         drop((x, g));
         Tensor::from_op(
             out,
@@ -173,12 +166,9 @@ impl Tensor {
         }
         let t = table.storage().read();
         let mut out = vec![0.0; ids.len() * dim];
-        parallel::par_chunks_mut(&mut out, dim, ids.len() * dim, |start, chunk| {
-            for (local, orow) in chunk.chunks_exact_mut(dim).enumerate() {
-                let id = ids[start / dim + local];
-                orow.copy_from_slice(&t[id * dim..(id + 1) * dim]);
-            }
-        });
+        for (orow, &id) in out.chunks_exact_mut(dim.max(1)).zip(ids) {
+            orow.copy_from_slice(&t[id * dim..(id + 1) * dim]);
+        }
         drop(t);
         let mut dims = batch_dims.to_vec();
         dims.push(dim);
@@ -208,21 +198,21 @@ impl Tensor {
         assert_eq!(targets.len(), rows, "one target per logit row");
         let mut probs = self.to_vec();
         softmax_rows(&mut probs, rows, cols);
-        // Fixed-size row blocks keep the f64 summation order identical
-        // at any thread count.
-        let blocks = rows.div_ceil(ROW_BLOCK);
-        let partials = parallel::par_blocks(blocks, rows * 8, |bi| {
-            let lo = bi * ROW_BLOCK;
-            let hi = (lo + ROW_BLOCK).min(rows);
+        // Fixed-size row blocks pin the f64 summation order.
+        let partials = targets.chunks(ROW_BLOCK).enumerate().map(|(bi, block)| {
             let mut s = 0.0f64;
-            for (r, &t) in targets[lo..hi].iter().enumerate().map(|(i, t)| (lo + i, t)) {
+            for (r, &t) in block
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (bi * ROW_BLOCK + i, t))
+            {
                 assert!(t < cols, "target {t} out of range {cols}");
                 // Clamp to avoid -inf on underflow.
                 s -= f64::from(probs[r * cols + t].max(1e-12).ln());
             }
             s
         });
-        let loss = (partials.iter().sum::<f64>() / rows as f64) as f32;
+        let loss = (partials.sum::<f64>() / rows as f64) as f32;
         Tensor::from_op(
             vec![loss],
             Shape::scalar(),
@@ -249,21 +239,18 @@ impl Tensor {
         let x = self.storage().read();
         let mut out = vec![0.0; x.len()];
         let half = d / 2;
-        parallel::par_chunks_mut(&mut out, d, x.len() * 12, |start, chunk| {
-            for (local, orow) in chunk.chunks_exact_mut(d).enumerate() {
-                let row = start / d + local;
-                let si = row % s;
-                let off = row * d;
-                for i in 0..half {
-                    let theta = rope_angle(si + pos_offset, i, half, base);
-                    let (sin, cos) = theta.sin_cos();
-                    let x0 = x[off + 2 * i];
-                    let x1 = x[off + 2 * i + 1];
-                    orow[2 * i] = x0 * cos - x1 * sin;
-                    orow[2 * i + 1] = x0 * sin + x1 * cos;
-                }
+        for (row, orow) in out.chunks_exact_mut(d.max(1)).enumerate() {
+            let si = row % s;
+            let off = row * d;
+            for i in 0..half {
+                let theta = rope_angle(si + pos_offset, i, half, base);
+                let (sin, cos) = theta.sin_cos();
+                let x0 = x[off + 2 * i];
+                let x1 = x[off + 2 * i + 1];
+                orow[2 * i] = x0 * cos - x1 * sin;
+                orow[2 * i + 1] = x0 * sin + x1 * cos;
             }
-        });
+        }
         drop(x);
         Tensor::from_op(
             out,
@@ -297,41 +284,44 @@ impl Tensor {
 /// `dx` of a softmax from its forward output `y`, the very values the
 /// forward wrote, so nothing is recomputed.
 pub(crate) fn softmax_backward(y: &Tensor, grad: &[f32]) -> Vec<f32> {
-    let (rows, cols) = y.shape().rows_cols();
+    let cols = y.shape().rows_cols().1;
     let y = y.storage().read();
     let mut dx = vec![0.0; y.len()];
-    parallel::par_chunks_mut(&mut dx, cols, rows * cols * 4, |start, chunk| {
-        for (local, drow) in chunk.chunks_exact_mut(cols).enumerate() {
-            let r = start / cols + local;
-            let yr = &y[r * cols..(r + 1) * cols];
-            let gr = &grad[r * cols..(r + 1) * cols];
-            let dot: f32 = yr.iter().zip(gr.iter()).map(|(a, b)| a * b).sum();
-            for c in 0..cols {
-                drow[c] = yr[c] * (gr[c] - dot);
-            }
+    let rows = dx
+        .chunks_exact_mut(cols.max(1))
+        .zip(y.chunks_exact(cols.max(1)))
+        .zip(grad.chunks_exact(cols.max(1)));
+    for ((drow, yr), gr) in rows {
+        let dot: f32 = yr.iter().zip(gr.iter()).map(|(a, b)| a * b).sum();
+        for ((d, &yv), &gv) in drow.iter_mut().zip(yr).zip(gr) {
+            *d = yv * (gv - dot);
         }
-    });
+    }
     dx
 }
 
 /// Runs `body(block, dx_block)` over fixed `ROW_BLOCK`-row blocks, with
 /// `dx_block` the block's rows of a fresh `dx` when `need_x` and `None`
 /// otherwise. Returns `dx` (if needed) and the per-block partials in
-/// block order, so folding them is thread-count independent.
-fn norm_backward_blocks<T: Send>(
+/// block order, so folding them keeps the pinned summation order.
+fn norm_backward_blocks<T>(
     rows: usize,
     cols: usize,
-    work: usize,
     need_x: bool,
-    body: impl Fn(usize, Option<&mut [f32]>) -> T + Sync,
+    body: impl Fn(usize, Option<&mut [f32]>) -> T,
 ) -> (Option<Vec<f32>>, Vec<T>) {
     if need_x {
         let mut dx = vec![0.0; rows * cols];
-        let partials =
-            parallel::par_blocks_mut(&mut dx, ROW_BLOCK * cols, work, |bi, c| body(bi, Some(c)));
+        let partials = dx
+            .chunks_mut((ROW_BLOCK * cols).max(1))
+            .enumerate()
+            .map(|(bi, c)| body(bi, Some(c)))
+            .collect();
         (Some(dx), partials)
     } else {
-        let partials = parallel::par_blocks(rows.div_ceil(ROW_BLOCK), work, |bi| body(bi, None));
+        let partials = (0..rows.div_ceil(ROW_BLOCK))
+            .map(|bi| body(bi, None))
+            .collect();
         (None, partials)
     }
 }
@@ -363,43 +353,41 @@ pub(crate) fn layer_norm_backward(
     let g = gamma.storage().read();
     let n = cols as f32;
     // One pass per fixed row block: writes the block's dx rows and
-    // returns its dgamma/dbeta partials; folding the partials in block
-    // order reproduces one summation order at any pool size.
-    let (dx, partials) =
-        norm_backward_blocks(rows, cols, rows * cols * 10, need_x, |bi, mut dx| {
-            let mut affine = need_affine.then(|| (vec![0.0f32; cols], vec![0.0f32; cols]));
-            for r in bi * ROW_BLOCK..((bi + 1) * ROW_BLOCK).min(rows) {
-                let row = &xd[r * cols..(r + 1) * cols];
-                let gr = &grad[r * cols..(r + 1) * cols];
-                let (mu, rstd) = layer_norm_stats(row, eps);
-                if let Some((dgamma, dbeta)) = affine.as_mut() {
-                    for c in 0..cols {
-                        let xhat = (row[c] - mu) * rstd;
-                        dgamma[c] += gr[c] * xhat;
-                        dbeta[c] += gr[c];
-                    }
-                }
-                let Some(dx) = dx.as_deref_mut() else {
-                    continue;
-                };
-                let drow = &mut dx[(r - bi * ROW_BLOCK) * cols..][..cols];
-                // xhat and dxhat.
-                let mut sum_dxhat = 0.0f32;
-                let mut sum_dxhat_xhat = 0.0f32;
+    // returns its dgamma/dbeta partials, folded in block order.
+    let (dx, partials) = norm_backward_blocks(rows, cols, need_x, |bi, mut dx| {
+        let mut affine = need_affine.then(|| (vec![0.0f32; cols], vec![0.0f32; cols]));
+        for r in bi * ROW_BLOCK..((bi + 1) * ROW_BLOCK).min(rows) {
+            let row = &xd[r * cols..(r + 1) * cols];
+            let gr = &grad[r * cols..(r + 1) * cols];
+            let (mu, rstd) = layer_norm_stats(row, eps);
+            if let Some((dgamma, dbeta)) = affine.as_mut() {
                 for c in 0..cols {
                     let xhat = (row[c] - mu) * rstd;
-                    let dxhat = gr[c] * g[c];
-                    sum_dxhat += dxhat;
-                    sum_dxhat_xhat += dxhat * xhat;
-                }
-                for c in 0..cols {
-                    let xhat = (row[c] - mu) * rstd;
-                    let dxhat = gr[c] * g[c];
-                    drow[c] = rstd / n * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat);
+                    dgamma[c] += gr[c] * xhat;
+                    dbeta[c] += gr[c];
                 }
             }
-            affine
-        });
+            let Some(dx) = dx.as_deref_mut() else {
+                continue;
+            };
+            let drow = &mut dx[(r - bi * ROW_BLOCK) * cols..][..cols];
+            // xhat and dxhat.
+            let mut sum_dxhat = 0.0f32;
+            let mut sum_dxhat_xhat = 0.0f32;
+            for c in 0..cols {
+                let xhat = (row[c] - mu) * rstd;
+                let dxhat = gr[c] * g[c];
+                sum_dxhat += dxhat;
+                sum_dxhat_xhat += dxhat * xhat;
+            }
+            for c in 0..cols {
+                let xhat = (row[c] - mu) * rstd;
+                let dxhat = gr[c] * g[c];
+                drow[c] = rstd / n * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat);
+            }
+        }
+        affine
+    });
     let affine = need_affine.then(|| {
         let (pg, pb): (Vec<_>, Vec<_>) = partials.into_iter().flatten().unzip();
         (
@@ -424,7 +412,7 @@ pub(crate) fn rms_norm_backward(
     let xd = x.storage().read();
     let g = gamma.storage().read();
     let n = cols as f32;
-    let (dx, partials) = norm_backward_blocks(rows, cols, rows * cols * 8, need_x, |bi, mut dx| {
+    let (dx, partials) = norm_backward_blocks(rows, cols, need_x, |bi, mut dx| {
         let mut dgamma = need_gamma.then(|| vec![0.0f32; cols]);
         for r in bi * ROW_BLOCK..((bi + 1) * ROW_BLOCK).min(rows) {
             let row = &xd[r * cols..(r + 1) * cols];
@@ -478,14 +466,12 @@ pub(crate) fn cross_entropy_backward(
     let mut probs = logits.to_vec();
     softmax_rows(&mut probs, rows, cols);
     let scale = grad_scalar / rows as f32;
-    parallel::par_chunks_mut(&mut probs, cols, rows * cols * 2, |start, chunk| {
-        for (local, prow) in chunk.chunks_exact_mut(cols).enumerate() {
-            prow[targets[start / cols + local]] -= 1.0;
-            for p in prow.iter_mut() {
-                *p *= scale;
-            }
+    for (prow, &t) in probs.chunks_exact_mut(cols.max(1)).zip(targets) {
+        prow[t] -= 1.0;
+        for p in prow.iter_mut() {
+            *p *= scale;
         }
-    });
+    }
     probs
 }
 
@@ -493,22 +479,19 @@ pub(crate) fn rope_backward(x: &Tensor, base: f32, pos_offset: usize, grad: &[f3
     let (s, d) = (x.shape().dim(2), x.shape().dim(3));
     let half = d / 2;
     let mut dx = vec![0.0; grad.len()];
-    parallel::par_chunks_mut(&mut dx, d, grad.len() * 12, |start, chunk| {
-        for (local, drow) in chunk.chunks_exact_mut(d).enumerate() {
-            let row = start / d + local;
-            let si = row % s;
-            let off = row * d;
-            for i in 0..half {
-                let theta = rope_angle(si + pos_offset, i, half, base);
-                let (sin, cos) = theta.sin_cos();
-                let g0 = grad[off + 2 * i];
-                let g1 = grad[off + 2 * i + 1];
-                // Rotation is orthogonal: the adjoint rotates by -theta.
-                drow[2 * i] = g0 * cos + g1 * sin;
-                drow[2 * i + 1] = -g0 * sin + g1 * cos;
-            }
+    for (row, drow) in dx.chunks_exact_mut(d.max(1)).enumerate() {
+        let si = row % s;
+        let off = row * d;
+        for i in 0..half {
+            let theta = rope_angle(si + pos_offset, i, half, base);
+            let (sin, cos) = theta.sin_cos();
+            let g0 = grad[off + 2 * i];
+            let g1 = grad[off + 2 * i + 1];
+            // Rotation is orthogonal: the adjoint rotates by -theta.
+            drow[2 * i] = g0 * cos + g1 * sin;
+            drow[2 * i + 1] = -g0 * sin + g1 * cos;
         }
-    });
+    }
     dx
 }
 

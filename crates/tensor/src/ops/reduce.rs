@@ -1,31 +1,25 @@
 //! Reduction operations.
 //!
 //! Full reductions accumulate over fixed-size element blocks combined
-//! in block order, so the result is independent of the worker-pool
-//! size (and, as a side effect, slightly more accurate than a single
-//! running sum).
+//! in block order: a pinned summation order (and, as a side effect,
+//! slightly more accurate than a single running sum).
 
 use crate::op::Op;
-use crate::parallel;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Elements per partial-sum block. Fixed (never derived from the
-/// thread count) so the summation tree is stable.
+/// Elements per partial-sum block. Pinned summation order: changing it,
+/// or folding into one running sum, changes the result's bits.
 const SUM_BLOCK: usize = 4096;
 
-/// Block-wise sum: partials in block order, folded serially.
+/// Block-wise sum: one partial per block, folded in block order.
 fn blocked_sum(data: &[f32]) -> f32 {
     if data.len() <= SUM_BLOCK {
         return data.iter().sum();
     }
-    let blocks = data.len().div_ceil(SUM_BLOCK);
-    let partials = parallel::par_blocks(blocks, data.len(), |b| {
-        let lo = b * SUM_BLOCK;
-        let hi = (lo + SUM_BLOCK).min(data.len());
-        data[lo..hi].iter().sum::<f32>()
-    });
-    partials.iter().sum()
+    data.chunks(SUM_BLOCK)
+        .map(|block| block.iter().sum::<f32>())
+        .sum()
 }
 
 impl Tensor {

@@ -74,15 +74,11 @@ pub(crate) fn silu_prime(x: f32) -> f32 {
     s * (1.0 + x * (1.0 - s))
 }
 
-/// Threshold scaling for transcendental element-wise ops (exp/tanh/…
-/// cost roughly an order of magnitude more than an add).
-const UNARY_WORK: usize = 8;
-
 macro_rules! unary_method {
     ($name:ident, $opvar:ident, $f:expr, $doc:expr) => {
         #[doc = $doc]
         pub fn $name(&self) -> Tensor {
-            let data = crate::parallel::par_map(&self.storage().read(), UNARY_WORK, |x| $f(x));
+            let data = self.storage().read().iter().map(|&x| $f(x)).collect();
             Tensor::from_op(data, self.shape().clone(), Op::$opvar(self.clone()))
         }
     };

@@ -34,14 +34,15 @@ usage:
                [--client-timeout MS] [--max-session-idle MS]
                [--max-write-buffer BYTES] [--retry-after-ms MS]
                [--snapshot-dir DIR] [--snapshot-every N]
-               [--micro-model] [--cached] [--threads T]
+               [--micro-model] [--cached]
   menos client --addr HOST:PORT [--steps N] [--seed S] [--model-seed S]
                [--retries R] [--backoff-ms MS] [--codec C] [--micro-model]
-               [--threads T]
   menos fleet  [--port P] [--servers N] [--policy round-robin|memory-aware]
                [--heartbeat-ms MS] [--max-missed N] [--capacity N]
                [--model-seed S] [--snapshot-root DIR] [--duration-secs T]
-               [--micro-model] [--threads T]
+               [--micro-model]
+
+An unknown flag, or a flag missing its value, exits with status 2.
 
 options:
   --port P          listen port (default 7700)
@@ -103,22 +104,75 @@ options:
                     fleet: parent directory for per-backend snapshot dirs
                     (default: a fresh directory under the system temp dir)
   --duration-secs T fleet: run for T seconds then shut down; without it the
-                    fleet runs until stdin reaches end-of-file
-  --threads T       tensor-kernel worker threads (default: MENOS_THREADS env
-                    var, else all cores; results are identical at any T)";
+                    fleet runs until stdin reaches end-of-file";
+
+/// The flags each subcommand accepts, with whether each takes a value.
+const SERVER_FLAGS: &[(&str, bool)] = &[
+    ("--port", true),
+    ("--accept-limit", true),
+    ("--capacity", true),
+    ("--model-seed", true),
+    ("--client-timeout", true),
+    ("--max-session-idle", true),
+    ("--max-write-buffer", true),
+    ("--retry-after-ms", true),
+    ("--snapshot-dir", true),
+    ("--snapshot-every", true),
+    ("--micro-model", false),
+    ("--cached", false),
+];
+const CLIENT_FLAGS: &[(&str, bool)] = &[
+    ("--addr", true),
+    ("--steps", true),
+    ("--seed", true),
+    ("--model-seed", true),
+    ("--retries", true),
+    ("--backoff-ms", true),
+    ("--codec", true),
+    ("--micro-model", false),
+];
+const FLEET_FLAGS: &[(&str, bool)] = &[
+    ("--port", true),
+    ("--servers", true),
+    ("--policy", true),
+    ("--heartbeat-ms", true),
+    ("--max-missed", true),
+    ("--capacity", true),
+    ("--model-seed", true),
+    ("--snapshot-root", true),
+    ("--duration-secs", true),
+    ("--micro-model", false),
+];
+
+/// Checks a subcommand's arguments (after its name) against its flag
+/// list: every argument is a known flag, and every flag that takes a
+/// value has one that is not itself a flag.
+fn check_flags(args: &[String], known: &[(&str, bool)]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(&(_, takes_value)) = known.iter().find(|(name, _)| name == arg) else {
+            return Err(format!("unknown flag {arg}"));
+        };
+        if takes_value && rest.next().is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("{arg} needs a value"));
+        }
+    }
+    Ok(())
+}
+
+/// [`check_flags`] on `args[1..]`, exiting with status 2 and the usage
+/// text on a violation.
+fn require_known_flags(args: &[String], known: &[(&str, bool)]) {
+    if let Err(e) = check_flags(&args[1..], known) {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    }
+}
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Applies `--threads` to the tensor compute backend (the
-/// `MENOS_THREADS` environment variable covers the no-flag case).
-fn configure_threads(args: &[String]) {
-    if let Some(t) = parse_flag(args, "--threads") {
-        menos::tensor::set_threads(t.parse().expect("--threads must be a positive number"));
-    }
 }
 
 fn shared_model(model_seed: u64, micro: bool) -> (Vocab, ModelConfig) {
@@ -154,7 +208,7 @@ fn main() {
 }
 
 fn run_server(args: &[String]) {
-    configure_threads(args);
+    require_known_flags(args, SERVER_FLAGS);
     let port: u16 = parse_flag(args, "--port")
         .map(|v| v.parse().expect("--port must be a number"))
         .unwrap_or(7700);
@@ -240,10 +294,8 @@ fn run_server(args: &[String]) {
     }
     .expect("bind server port");
     println!(
-        "menos event-loop server on {} serving up to {clients} client(s), \
-         {} tensor thread(s), policy: {policy}",
+        "menos event-loop server on {} serving up to {clients} client(s), policy: {policy}",
         server.addr(),
-        menos::tensor::threads(),
     );
     if let Some((_, stats)) = server.join() {
         println!(
@@ -255,7 +307,7 @@ fn run_server(args: &[String]) {
 }
 
 fn run_client(args: &[String]) {
-    configure_threads(args);
+    require_known_flags(args, CLIENT_FLAGS);
     let addr = parse_flag(args, "--addr").unwrap_or_else(|| {
         eprintln!("client needs --addr HOST:PORT\n{USAGE}");
         std::process::exit(2);
@@ -401,6 +453,7 @@ fn spawn_backend(
 }
 
 fn run_fleet(args: &[String]) {
+    require_known_flags(args, FLEET_FLAGS);
     let port: u16 = parse_flag(args, "--port")
         .map(|v| v.parse().expect("--port must be a number"))
         .unwrap_or(7800);
@@ -491,4 +544,68 @@ fn run_fleet(args: &[String]) {
         stats.sessions_migrated,
         stats.migrations_failed,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn every_flag_a_spawned_backend_passes_is_accepted() {
+        // The fleet's backend spawn and the chaos and failover soaks.
+        let spawned = args(&[
+            "--port",
+            "0",
+            "--micro-model",
+            "--accept-limit",
+            "1000000",
+            "--snapshot-every",
+            "0",
+            "--model-seed",
+            "21",
+            "--snapshot-dir",
+            "/tmp/snap",
+        ]);
+        assert_eq!(check_flags(&spawned, SERVER_FLAGS), Ok(()));
+        let client = args(&[
+            "--addr",
+            "127.0.0.1:7700",
+            "--retries",
+            "3",
+            "--micro-model",
+        ]);
+        assert_eq!(check_flags(&client, CLIENT_FLAGS), Ok(()));
+        let fleet = args(&["--servers", "4", "--duration-secs", "1", "--micro-model"]);
+        assert_eq!(check_flags(&fleet, FLEET_FLAGS), Ok(()));
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_rejected() {
+        for known in [SERVER_FLAGS, CLIENT_FLAGS, FLEET_FLAGS] {
+            assert_eq!(
+                check_flags(&args(&["--threads", "2"]), known),
+                Err("unknown flag --threads".into())
+            );
+        }
+        assert_eq!(
+            check_flags(&args(&["--snapshot-dri", "x"]), SERVER_FLAGS),
+            Err("unknown flag --snapshot-dri".into())
+        );
+        assert_eq!(
+            check_flags(&args(&["--micro-model", "--snapshot-dir"]), SERVER_FLAGS),
+            Err("--snapshot-dir needs a value".into())
+        );
+        assert_eq!(
+            check_flags(&args(&["--snapshot-dir", "--micro-model"]), SERVER_FLAGS),
+            Err("--snapshot-dir needs a value".into())
+        );
+        assert_eq!(
+            check_flags(&args(&["stray"]), CLIENT_FLAGS),
+            Err("unknown flag stray".into())
+        );
+    }
 }
