@@ -16,61 +16,25 @@ use menos_models::{AdapterTarget, CausalLm, LoraSpec, ModelConfig};
 use menos_tensor::{ParamStore, Tensor};
 
 use crate::lora::LoraAdapter;
-use crate::optim::{Adam, Optimizer, Sgd};
-use crate::prefix::PrefixAdapter;
-
-/// Which adapter family a client fine-tunes with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AdapterKind {
-    /// LoRA on the listed projection targets.
-    Lora {
-        /// Rank/alpha settings.
-        spec: LoraSpec,
-        /// Projections to adapt in every block (paper: `[Q, V]`).
-        targets: Vec<AdapterTarget>,
-    },
-    /// Prefix tuning with `len` learned KV positions per block.
-    Prefix {
-        /// Number of prefix positions.
-        len: usize,
-    },
-}
-
-/// Optimizer selection and hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum OptimKind {
-    /// Adam with the given learning rate.
-    Adam {
-        /// Learning rate.
-        lr: f32,
-    },
-    /// SGD with learning rate and momentum.
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-        /// Momentum in `[0, 1)`.
-        momentum: f32,
-    },
-}
+use crate::optim::Adam;
 
 /// Everything a client reports to the server before fine-tuning starts
 /// (paper §3.3): adapter settings (determine `A`) and fine-tuning
-/// settings (determine `O` and `I`).
+/// settings (determine `O` and `I`). Every client fine-tunes with LoRA
+/// and Adam at one optimizer step per batch; tenants differ in cut,
+/// rank, alpha and target set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FineTuneConfig {
-    /// Adapter family and settings.
-    pub adapter: AdapterKind,
-    /// Optimizer settings.
-    pub optimizer: OptimKind,
+    /// LoRA rank/alpha settings.
+    pub lora: LoraSpec,
+    /// Projections to adapt in every block (paper: `[Q, V]`).
+    pub targets: Vec<AdapterTarget>,
+    /// Adam learning rate.
+    pub lr: f32,
     /// Training batch size.
     pub batch_size: usize,
     /// Maximum sequence length.
     pub seq_len: usize,
-    /// Micro-steps accumulated per optimizer step (≥ 1). Gradient
-    /// accumulation is one of the orthogonal memory techniques the
-    /// paper cites (§1): k micro-batches emulate a k× batch at the
-    /// memory cost of one.
-    pub grad_accumulation: usize,
 }
 
 /// Largest batch size a configuration may declare. A `Connect` body, a
@@ -84,14 +48,11 @@ impl FineTuneConfig {
     /// The paper's configuration: LoRA r=8 α=16 on Q and V, Adam.
     pub fn paper(model: &ModelConfig) -> Self {
         FineTuneConfig {
-            adapter: AdapterKind::Lora {
-                spec: LoraSpec::paper(),
-                targets: vec![AdapterTarget::Q, AdapterTarget::V],
-            },
-            optimizer: OptimKind::Adam { lr: 3e-4 },
+            lora: LoraSpec::paper(),
+            targets: vec![AdapterTarget::Q, AdapterTarget::V],
+            lr: 3e-4,
             batch_size: menos_models::paper_batch_size(model),
             seq_len: menos_models::PAPER_SEQ_LEN,
-            grad_accumulation: 1,
         }
     }
 
@@ -107,44 +68,25 @@ impl FineTuneConfig {
                 self.batch_size
             ));
         }
-        if self.grad_accumulation == 0 {
-            return Err("grad_accumulation must be at least 1".into());
-        }
         if self.seq_len == 0 || self.seq_len > model.max_seq {
             return Err(format!(
                 "seq_len {} outside (0, {}]",
                 self.seq_len, model.max_seq
             ));
         }
-        match &self.adapter {
-            AdapterKind::Lora { spec, targets } => {
-                if targets.is_empty() {
-                    return Err("LoRA needs at least one target projection".into());
-                }
-                if spec.rank == 0 || spec.rank > model.hidden {
-                    return Err(format!(
-                        "LoRA rank {} invalid for hidden {}",
-                        spec.rank, model.hidden
-                    ));
-                }
-            }
-            AdapterKind::Prefix { len } => {
-                if *len == 0 || *len >= model.max_seq {
-                    return Err(format!("prefix length {len} invalid"));
-                }
-            }
+        if self.targets.is_empty() {
+            return Err("LoRA needs at least one target projection".into());
         }
-        match self.optimizer {
-            OptimKind::Adam { lr } => {
-                if lr <= 0.0 {
-                    return Err("Adam lr must be positive".into());
-                }
-            }
-            OptimKind::Sgd { lr, momentum } => {
-                if lr <= 0.0 || !(0.0..1.0).contains(&momentum) {
-                    return Err("SGD lr/momentum invalid".into());
-                }
-            }
+        if self.lora.rank == 0 || self.lora.rank > model.hidden {
+            return Err(format!(
+                "LoRA rank {} invalid for hidden {}",
+                self.lora.rank, model.hidden
+            ));
+        }
+        // Written so that NaN fails too: a NaN lr from the wire would
+        // otherwise reach `Adam::new` and panic there.
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return Err(format!("Adam lr {} must be finite and positive", self.lr));
         }
         Ok(())
     }
@@ -184,18 +126,10 @@ pub fn inject_adapters<R: Rng>(
     let cfg = model.config.clone();
     let injected = layers.clone();
     for layer in layers {
-        match &ft.adapter {
-            AdapterKind::Lora { spec, targets } => {
-                for &t in targets {
-                    let (in_dim, out_dim) = target_dims(&cfg, t);
-                    let adapter = Arc::new(LoraAdapter::new(rng, in_dim, out_dim, spec));
-                    model.set_linear_adapter(layer, t, adapter);
-                }
-            }
-            AdapterKind::Prefix { len } => {
-                let adapter = Arc::new(PrefixAdapter::new(rng, cfg.heads, cfg.head_dim(), *len));
-                model.set_kv_prefix(layer, adapter);
-            }
+        for &t in &ft.targets {
+            let (in_dim, out_dim) = target_dims(&cfg, t);
+            let adapter = Arc::new(LoraAdapter::new(rng, in_dim, out_dim, &ft.lora));
+            model.set_linear_adapter(layer, t, adapter);
         }
     }
     // Return only the params injected by THIS call: a model may carry
@@ -213,48 +147,24 @@ pub fn inject_adapters<R: Rng>(
         .collect()
 }
 
-/// Builds the optimizer described by `ft` over `params`.
-pub fn build_optimizer(ft: &FineTuneConfig, params: Vec<Tensor>) -> Box<dyn Optimizer> {
-    match ft.optimizer {
-        OptimKind::Adam { lr } => Box::new(Adam::new(params, lr)),
-        OptimKind::Sgd { lr, momentum } => Box::new(Sgd::new(params, lr, momentum)),
-    }
+/// Builds the Adam optimizer described by `ft` over `params`.
+pub fn build_optimizer(ft: &FineTuneConfig, params: Vec<Tensor>) -> Adam {
+    Adam::new(params, ft.lr)
 }
 
 /// Analytic adapter byte count for a config over `n_layers` blocks —
 /// used by the paper-scale memory accounting so the analytic and real
 /// paths agree.
 pub fn adapter_bytes(ft: &FineTuneConfig, model: &ModelConfig, n_layers: usize) -> u64 {
-    match &ft.adapter {
-        AdapterKind::Lora { spec, targets } => {
-            let per_layer: u64 = targets
-                .iter()
-                .map(|&t| {
-                    let (i, o) = target_dims(model, t);
-                    ((i + o) * spec.rank) as u64 * 4
-                })
-                .sum();
-            n_layers as u64 * per_layer
-        }
-        AdapterKind::Prefix { len } => {
-            let per_layer = 2 * (model.heads * len * model.head_dim()) as u64 * 4;
-            n_layers as u64 * per_layer
-        }
-    }
-}
-
-/// Analytic optimizer-state bytes for a config (`O` component).
-pub fn optimizer_state_bytes(ft: &FineTuneConfig, adapter_bytes: u64) -> u64 {
-    match ft.optimizer {
-        OptimKind::Adam { .. } => 2 * adapter_bytes,
-        OptimKind::Sgd { momentum, .. } => {
-            if momentum > 0.0 {
-                adapter_bytes
-            } else {
-                0
-            }
-        }
-    }
+    let per_layer: u64 = ft
+        .targets
+        .iter()
+        .map(|&t| {
+            let (i, o) = target_dims(model, t);
+            ((i + o) * ft.lora.rank) as u64 * 4
+        })
+        .sum();
+    n_layers as u64 * per_layer
 }
 
 #[cfg(test)]
@@ -299,25 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_injection_creates_expected_params() {
-        let (_cfg, mut lm) = tiny_model(Arch::Opt);
-        let ft = FineTuneConfig {
-            adapter: AdapterKind::Prefix { len: 4 },
-            optimizer: OptimKind::Sgd {
-                lr: 0.1,
-                momentum: 0.0,
-            },
-            batch_size: 2,
-            seq_len: 8,
-            grad_accumulation: 1,
-        };
-        let mut rng = seeded_rng(2, "inject");
-        let params = inject_adapters(&mut lm, 0..2, &ft, &mut rng);
-        assert_eq!(params.len(), 4); // 2 layers × (k, v)
-        assert!(params.get("blocks.0.attn.prefix.prefix.k").is_some());
-    }
-
-    #[test]
     fn fresh_lora_does_not_change_forward() {
         let (cfg, mut lm) = tiny_model(Arch::Llama);
         let ids = [1usize, 5, 9, 2];
@@ -340,32 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_state_bytes_by_kind() {
-        let cfg = ModelConfig::tiny_opt(13);
-        let mut ft = FineTuneConfig::paper(&cfg);
-        assert_eq!(optimizer_state_bytes(&ft, 100), 200);
-        ft.optimizer = OptimKind::Sgd {
-            lr: 0.1,
-            momentum: 0.9,
-        };
-        assert_eq!(optimizer_state_bytes(&ft, 100), 100);
-        ft.optimizer = OptimKind::Sgd {
-            lr: 0.1,
-            momentum: 0.0,
-        };
-        assert_eq!(optimizer_state_bytes(&ft, 100), 0);
-    }
-
-    #[test]
-    fn build_optimizer_matches_kind() {
+    fn build_optimizer_holds_two_moments() {
         let p = vec![Tensor::var_from_vec(vec![0.0], [1])];
-        let ft = FineTuneConfig {
-            adapter: AdapterKind::Prefix { len: 1 },
-            optimizer: OptimKind::Adam { lr: 0.01 },
-            batch_size: 1,
-            seq_len: 4,
-            grad_accumulation: 1,
-        };
+        let ft = FineTuneConfig::paper(&ModelConfig::tiny_opt(13));
         let opt = build_optimizer(&ft, p);
         assert_eq!(opt.state_bytes(), 8); // Adam: 2 buffers × 1 elem × 4B
     }
@@ -374,18 +242,15 @@ mod tests {
     fn end_to_end_lora_training_reduces_loss() {
         let (_cfg, mut lm) = tiny_model(Arch::Opt);
         let ft = FineTuneConfig {
-            adapter: AdapterKind::Lora {
-                spec: LoraSpec {
-                    rank: 4,
-                    alpha: 8.0,
-                    targets_per_block: 2,
-                },
-                targets: vec![AdapterTarget::Q, AdapterTarget::V],
+            lora: LoraSpec {
+                rank: 4,
+                alpha: 8.0,
+                targets_per_block: 2,
             },
-            optimizer: OptimKind::Adam { lr: 0.01 },
+            targets: vec![AdapterTarget::Q, AdapterTarget::V],
+            lr: 0.01,
             batch_size: 1,
             seq_len: 8,
-            grad_accumulation: 1,
         };
         let mut rng = seeded_rng(5, "train");
         let params = inject_adapters(&mut lm, 0..4, &ft, &mut rng);
@@ -416,20 +281,18 @@ mod tests {
         ft.seq_len = 10_000;
         assert!(ft.validate(&cfg).is_err());
 
-        let ft = FineTuneConfig {
-            adapter: AdapterKind::Lora {
-                spec: LoraSpec {
-                    rank: 0,
-                    alpha: 1.0,
-                    targets_per_block: 1,
-                },
-                targets: vec![AdapterTarget::Q],
-            },
-            optimizer: OptimKind::Adam { lr: 0.1 },
-            batch_size: 1,
-            seq_len: 8,
-            grad_accumulation: 1,
-        };
+        let mut ft = FineTuneConfig::paper(&cfg);
+        ft.lora.rank = 0;
         assert!(ft.validate(&cfg).is_err());
+
+        let mut ft = FineTuneConfig::paper(&cfg);
+        ft.targets.clear();
+        assert!(ft.validate(&cfg).is_err());
+
+        for lr in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let mut ft = FineTuneConfig::paper(&cfg);
+            ft.lr = lr;
+            assert!(ft.validate(&cfg).is_err(), "lr {lr}");
+        }
     }
 }

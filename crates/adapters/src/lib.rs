@@ -1,9 +1,10 @@
 //! # menos-adapters — parameter-efficient fine-tuning methods
 //!
-//! LoRA and prefix-tuning adapters implementing the injection hooks
-//! defined by `menos-models`, plus the optimizers (Adam, SGD) that train
-//! only adapter parameters, and the [`FineTuneConfig`] clients report to
-//! the Menos server before profiling.
+//! The paper's one fine-tuning recipe: LoRA adapters on the linear
+//! injection hook defined by `menos-models`, trained by Adam at one
+//! optimizer step per batch, and the [`FineTuneConfig`] clients report
+//! to the Menos server before profiling. Tenants differ in cut, LoRA
+//! rank, alpha and target set.
 //!
 //! The central property exploited by Menos: adapters own their (tiny)
 //! trainable parameters privately, while the base weights they attach to
@@ -32,12 +33,7 @@
 mod finetune;
 mod lora;
 mod optim;
-mod prefix;
 
-pub use finetune::{
-    adapter_bytes, build_optimizer, inject_adapters, optimizer_state_bytes, AdapterKind,
-    FineTuneConfig, OptimKind,
-};
+pub use finetune::{adapter_bytes, build_optimizer, inject_adapters, FineTuneConfig};
 pub use lora::LoraAdapter;
-pub use optim::{Adam, OptimState, Optimizer, Sgd};
-pub use prefix::PrefixAdapter;
+pub use optim::{Adam, OptimState};

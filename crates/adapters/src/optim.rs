@@ -1,4 +1,4 @@
-//! Optimizers over adapter parameters.
+//! Adam over adapter parameters.
 //!
 //! Only adapter parameters train in adapter-based fine-tuning, so
 //! optimizer state (the `O` component of the paper's memory model) is
@@ -6,38 +6,8 @@
 
 use menos_tensor::{put_f32s, ByteReader, CheckpointError, GradStore, Tensor};
 
-/// Shared interface for the optimizers used in the experiments.
-pub trait Optimizer: Send {
-    /// Applies one update step from `grads` to the managed parameters
-    /// (in place; the autograd graph is not touched).
-    fn step(&mut self, grads: &GradStore);
-
-    /// The managed parameters.
-    fn params(&self) -> &[Tensor];
-
-    /// Bytes of optimizer state (momentum/moment buffers), excluding
-    /// the parameters themselves.
-    fn state_bytes(&self) -> u64;
-
-    /// Overrides the learning rate between steps.
-    fn set_lr(&mut self, lr: f32);
-
-    /// Captures the full mutable state (hyper-parameters, step count,
-    /// moment buffers) for a durable snapshot.
-    fn to_state(&self) -> OptimState;
-
-    /// Restores state captured by [`to_state`](Self::to_state) into
-    /// this optimizer, resuming bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Corrupt`] if the state is for a different
-    /// optimizer kind or its buffers do not match the managed
-    /// parameters.
-    fn restore_state(&mut self, state: OptimState) -> Result<(), CheckpointError>;
-}
-
-/// Serializable snapshot of an optimizer's mutable state.
+/// Serializable snapshot of [`Adam`]'s mutable state: hyper-parameters,
+/// the bias-correction step count, and both moment buffers.
 ///
 /// Paired with the parameter values themselves (a [`ParamStore`]
 /// checkpoint), this is everything needed to resume training
@@ -45,37 +15,24 @@ pub trait Optimizer: Send {
 ///
 /// [`ParamStore`]: menos_tensor::ParamStore
 #[derive(Debug, Clone, PartialEq)]
-pub enum OptimState {
-    /// [`Sgd`] state: hyper-parameters plus per-parameter velocity
-    /// buffers (empty when momentum is zero).
-    Sgd {
-        /// Learning rate at snapshot time.
-        lr: f32,
-        /// Momentum coefficient.
-        momentum: f32,
-        /// Per-parameter velocity buffers.
-        velocity: Vec<Vec<f32>>,
-    },
-    /// [`Adam`] state: hyper-parameters, the bias-correction step
-    /// count, and both moment buffers.
-    Adam {
-        /// Learning rate at snapshot time.
-        lr: f32,
-        /// First-moment decay.
-        beta1: f32,
-        /// Second-moment decay.
-        beta2: f32,
-        /// Denominator stabilizer.
-        eps: f32,
-        /// Steps taken (drives bias correction).
-        t: u64,
-        /// Per-parameter first moments.
-        m: Vec<Vec<f32>>,
-        /// Per-parameter second moments.
-        v: Vec<Vec<f32>>,
-    },
+pub struct OptimState {
+    /// Learning rate at snapshot time.
+    pub lr: f32,
+    /// First-moment decay.
+    pub beta1: f32,
+    /// Second-moment decay.
+    pub beta2: f32,
+    /// Denominator stabilizer.
+    pub eps: f32,
+    /// Steps taken (drives bias correction).
+    pub t: u64,
+    /// Per-parameter first moments.
+    pub m: Vec<Vec<f32>>,
+    /// Per-parameter second moments.
+    pub v: Vec<Vec<f32>>,
 }
 
+/// Kind tag of a retired SGD state, refused on decode.
 const OPTIM_KIND_SGD: u8 = 0;
 const OPTIM_KIND_ADAM: u8 = 1;
 
@@ -102,51 +59,19 @@ fn write_buffers(out: &mut Vec<u8>, bufs: &[Vec<f32>]) {
 }
 
 impl OptimState {
-    /// Human-readable kind tag (for mismatch diagnostics).
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OptimState::Sgd { .. } => "sgd",
-            OptimState::Adam { .. } => "adam",
-        }
-    }
-
     /// Serializes to the little-endian byte form embedded in session
-    /// snapshots: `kind (u8)` then kind-specific hyper-parameters and
-    /// length-prefixed moment buffers.
+    /// snapshots: kind tag `1` (Adam), the hyper-parameters, the step
+    /// count, then both length-prefixed moment buffer lists.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            OptimState::Sgd {
-                lr,
-                momentum,
-                velocity,
-            } => {
-                out.push(OPTIM_KIND_SGD);
-                out.extend(lr.to_le_bytes());
-                out.extend(momentum.to_le_bytes());
-                write_buffers(&mut out, velocity);
-            }
-            OptimState::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                t,
-                m,
-                v,
-            } => {
-                out.push(OPTIM_KIND_ADAM);
-                out.extend(lr.to_le_bytes());
-                out.extend(beta1.to_le_bytes());
-                out.extend(beta2.to_le_bytes());
-                out.extend(eps.to_le_bytes());
-                out.extend(t.to_le_bytes());
-                write_buffers(&mut out, m);
-                write_buffers(&mut out, v);
-            }
-        }
+        let mut out = vec![OPTIM_KIND_ADAM];
+        out.extend(self.lr.to_le_bytes());
+        out.extend(self.beta1.to_le_bytes());
+        out.extend(self.beta2.to_le_bytes());
+        out.extend(self.eps.to_le_bytes());
+        out.extend(self.t.to_le_bytes());
+        write_buffers(&mut out, &self.m);
+        write_buffers(&mut out, &self.v);
         out
     }
 
@@ -155,27 +80,27 @@ impl OptimState {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on truncation, an unknown kind tag, or
-    /// buffer counts/lengths the input cannot back — never panics, and
-    /// never allocates more than the input's own length.
+    /// [`CheckpointError`] on truncation, an unknown kind tag, the
+    /// retired SGD tag, or buffer counts/lengths the input cannot back
+    /// — never panics, and never allocates more than the input's own
+    /// length.
     pub fn from_bytes(bytes: &[u8]) -> Result<OptimState, CheckpointError> {
         let mut c = ByteReader::new(bytes);
-        let state = match c.u8()? {
-            OPTIM_KIND_SGD => OptimState::Sgd {
-                lr: c.f32()?,
-                momentum: c.f32()?,
-                velocity: read_buffers(&mut c)?,
-            },
-            OPTIM_KIND_ADAM => OptimState::Adam {
-                lr: c.f32()?,
-                beta1: c.f32()?,
-                beta2: c.f32()?,
-                eps: c.f32()?,
-                t: c.u64()?,
-                m: read_buffers(&mut c)?,
-                v: read_buffers(&mut c)?,
-            },
+        match c.u8()? {
+            OPTIM_KIND_ADAM => {}
+            // Kept shorter than the smallest SGD image (17 bytes), so
+            // refusing one allocates nothing beyond the input.
+            OPTIM_KIND_SGD => return Err(CheckpointError::Corrupt("SGD is retired".into())),
             k => return Err(CheckpointError::Corrupt(format!("optimizer kind {k}"))),
+        }
+        let state = OptimState {
+            lr: c.f32()?,
+            beta1: c.f32()?,
+            beta2: c.f32()?,
+            eps: c.f32()?,
+            t: c.u64()?,
+            m: read_buffers(&mut c)?,
+            v: read_buffers(&mut c)?,
         };
         c.finish()?;
         Ok(state)
@@ -203,111 +128,6 @@ fn check_buffers(what: &str, bufs: &[Vec<f32>], params: &[Tensor]) -> Result<(),
         }
     }
     Ok(())
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer over `params`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive or `momentum` is outside
-    /// `[0, 1)`.
-    pub fn new(params: Vec<Tensor>, lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        let velocity = if momentum > 0.0 {
-            params.iter().map(|p| vec![0.0; p.elem_count()]).collect()
-        } else {
-            Vec::new()
-        };
-        Sgd {
-            params,
-            lr,
-            momentum,
-            velocity,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, grads: &GradStore) {
-        for (i, p) in self.params.iter().enumerate() {
-            let Some(g) = grads.get(p) else { continue };
-            let g = g.to_vec();
-            let mut w = p.storage().write();
-            if self.momentum > 0.0 {
-                let v = &mut self.velocity[i];
-                for j in 0..w.len() {
-                    v[j] = self.momentum * v[j] + g[j];
-                    w[j] -= self.lr * v[j];
-                }
-            } else {
-                for j in 0..w.len() {
-                    w[j] -= self.lr * g[j];
-                }
-            }
-        }
-    }
-
-    fn params(&self) -> &[Tensor] {
-        &self.params
-    }
-
-    fn state_bytes(&self) -> u64 {
-        self.velocity.iter().map(|v| v.len() as u64 * 4).sum()
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn to_state(&self) -> OptimState {
-        OptimState::Sgd {
-            lr: self.lr,
-            momentum: self.momentum,
-            velocity: self.velocity.clone(),
-        }
-    }
-
-    fn restore_state(&mut self, state: OptimState) -> Result<(), CheckpointError> {
-        let OptimState::Sgd {
-            lr,
-            momentum,
-            velocity,
-        } = state
-        else {
-            return Err(CheckpointError::Corrupt(format!(
-                "restoring {} state into sgd",
-                state.kind()
-            )));
-        };
-        if !lr.is_finite() || lr <= 0.0 || !(0.0..1.0).contains(&momentum) {
-            return Err(CheckpointError::Corrupt(format!(
-                "sgd hyper-parameters lr={lr} momentum={momentum}"
-            )));
-        }
-        if momentum > 0.0 {
-            check_buffers("sgd velocity", &velocity, &self.params)?;
-        } else if !velocity.is_empty() {
-            return Err(CheckpointError::Corrupt(
-                "sgd velocity present with zero momentum".into(),
-            ));
-        }
-        self.lr = lr;
-        self.momentum = momentum;
-        self.velocity = velocity;
-        Ok(())
-    }
 }
 
 /// Adam with bias correction — the paper's fine-tuning optimizer.
@@ -355,14 +175,10 @@ impl Adam {
         }
     }
 
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, grads: &GradStore) {
+    /// Applies one update step from `grads` to the managed parameters
+    /// (in place; the autograd graph is not touched). Parameters
+    /// without a gradient are left as they are.
+    pub fn step(&mut self, grads: &GradStore) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
@@ -382,11 +198,9 @@ impl Optimizer for Adam {
         }
     }
 
-    fn params(&self) -> &[Tensor] {
-        &self.params
-    }
-
-    fn state_bytes(&self) -> u64 {
+    /// Bytes of optimizer state (the two moment buffers), excluding
+    /// the parameters themselves.
+    pub fn state_bytes(&self) -> u64 {
         // Two moment buffers, 4 bytes per element each.
         self.m
             .iter()
@@ -395,13 +209,10 @@ impl Optimizer for Adam {
             .sum()
     }
 
-    fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn to_state(&self) -> OptimState {
-        OptimState::Adam {
+    /// Captures the full mutable state (hyper-parameters, step count,
+    /// moment buffers) for a durable snapshot.
+    pub fn to_state(&self) -> OptimState {
+        OptimState {
             lr: self.lr,
             beta1: self.beta1,
             beta2: self.beta2,
@@ -412,8 +223,16 @@ impl Optimizer for Adam {
         }
     }
 
-    fn restore_state(&mut self, state: OptimState) -> Result<(), CheckpointError> {
-        let OptimState::Adam {
+    /// Restores state captured by [`to_state`](Self::to_state) into
+    /// this optimizer, resuming bit-identically.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Corrupt`] if the hyper-parameters are outside
+    /// the constructor's contract or the buffers do not match the
+    /// managed parameters.
+    pub fn restore_state(&mut self, state: OptimState) -> Result<(), CheckpointError> {
+        let OptimState {
             lr,
             beta1,
             beta2,
@@ -421,13 +240,7 @@ impl Optimizer for Adam {
             t,
             m,
             v,
-        } = state
-        else {
-            return Err(CheckpointError::Corrupt(format!(
-                "restoring {} state into adam",
-                state.kind()
-            )));
-        };
+        } = state;
         if !lr.is_finite()
             || lr <= 0.0
             || !(0.0..1.0).contains(&beta1)
@@ -454,35 +267,19 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimizes `(w - 3)^2` and returns the final weight.
-    fn optimize(mut opt: impl Optimizer, steps: usize) -> f32 {
-        let w = opt.params()[0].clone();
+    /// Runs `steps` identical steps of the quadratic loss `(w - 3)^2`.
+    fn drive(opt: &mut Adam, w: &Tensor, steps: usize) {
         for _ in 0..steps {
             let loss = (&w.add_scalar(-3.0) * &w.add_scalar(-3.0)).sum_all();
-            let grads = loss.backward();
-            opt.step(&grads);
+            opt.step(&loss.backward());
         }
-        w.to_vec()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = Tensor::var_from_vec(vec![0.0], [1]);
-        let end = optimize(Sgd::new(vec![w], 0.1, 0.0), 50);
-        assert!((end - 3.0).abs() < 1e-3, "w = {end}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let w = Tensor::var_from_vec(vec![0.0], [1]);
-        let end = optimize(Sgd::new(vec![w], 0.05, 0.9), 100);
-        assert!((end - 3.0).abs() < 0.1, "w = {end}");
     }
 
     #[test]
     fn adam_converges_on_quadratic() {
         let w = Tensor::var_from_vec(vec![0.0], [1]);
-        let end = optimize(Adam::new(vec![w], 0.3), 100);
+        drive(&mut Adam::new(vec![w.clone()], 0.3), &w, 100);
+        let end = w.to_vec()[0];
         assert!((end - 3.0).abs() < 0.05, "w = {end}");
     }
 
@@ -490,7 +287,7 @@ mod tests {
     fn optimizer_ignores_params_without_grads() {
         let w = Tensor::var_from_vec(vec![1.0], [1]);
         let unused = Tensor::var_from_vec(vec![5.0], [1]);
-        let mut opt = Sgd::new(vec![w.clone(), unused.clone()], 0.1, 0.0);
+        let mut opt = Adam::new(vec![w.clone(), unused.clone()], 0.1);
         let loss = (&w * &w).sum_all();
         opt.step(&loss.backward());
         assert_eq!(unused.to_vec(), vec![5.0]);
@@ -500,8 +297,6 @@ mod tests {
     #[test]
     fn state_bytes_accounting() {
         let params = vec![Tensor::var_from_vec(vec![0.0; 10], [10])];
-        assert_eq!(Sgd::new(params.clone(), 0.1, 0.0).state_bytes(), 0);
-        assert_eq!(Sgd::new(params.clone(), 0.1, 0.5).state_bytes(), 40);
         // Adam: m and v, 2 * 10 * 4 bytes.
         assert_eq!(Adam::new(params, 0.1).state_bytes(), 80);
     }
@@ -510,10 +305,10 @@ mod tests {
     fn adam_counts_steps() {
         let w = Tensor::var_from_vec(vec![0.0], [1]);
         let mut opt = Adam::new(vec![w.clone()], 0.1);
-        assert_eq!(opt.steps(), 0);
+        assert_eq!(opt.to_state().t, 0);
         let loss = (&w * &w).sum_all();
         opt.step(&loss.backward());
-        assert_eq!(opt.steps(), 1);
+        assert_eq!(opt.to_state().t, 1);
     }
 
     #[test]
@@ -523,7 +318,7 @@ mod tests {
         // adapters bound into a model structure.
         let w = Tensor::var_from_vec(vec![1.0], [1]);
         let alias = w.detach();
-        let mut opt = Sgd::new(vec![w.clone()], 0.5, 0.0);
+        let mut opt = Adam::new(vec![w.clone()], 0.5);
         let loss = (&w * &w).sum_all();
         opt.step(&loss.backward());
         assert_eq!(alias.to_vec(), w.to_vec());
@@ -533,92 +328,57 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate")]
     fn bad_lr_rejected() {
-        Sgd::new(vec![], 0.0, 0.0);
+        Adam::new(vec![], 0.0);
     }
 
-    /// Runs `steps` identical quadratic-loss steps against `opt`.
-    fn drive(opt: &mut dyn Optimizer, w: &Tensor, steps: usize) {
-        for _ in 0..steps {
-            let loss = (&w.add_scalar(-3.0) * &w.add_scalar(-3.0)).sum_all();
-            opt.step(&loss.backward());
-        }
-    }
-
-    /// Snapshot mid-run, restore into a fresh optimizer over a copied
-    /// parameter, continue both — trajectories must match bit-for-bit.
-    fn assert_resumes_bit_identically(
-        make: impl Fn(Vec<Tensor>) -> Box<dyn Optimizer>,
-        total: usize,
-        cut: usize,
-    ) {
+    #[test]
+    fn adam_state_round_trips_and_resumes_bit_identically() {
+        // Snapshot mid-run, restore into a fresh optimizer over a
+        // copied parameter, continue both — trajectories must match
+        // bit-for-bit. The cut lands mid-bias-correction: `t` must be
+        // restored or the continuation diverges immediately.
+        let (total, cut) = (20, 5);
         let w = Tensor::var_from_vec(vec![0.25, -1.5], [2]);
-        let mut opt = make(vec![w.clone()]);
-        drive(opt.as_mut(), &w, cut);
+        let mut opt = Adam::new(vec![w.clone()], 0.3);
+        drive(&mut opt, &w, cut);
 
         let state_bytes = opt.to_state().to_bytes();
         let w2 = Tensor::var_from_vec(w.to_vec(), [2]);
-        let mut resumed = make(vec![w2.clone()]);
+        let mut resumed = Adam::new(vec![w2.clone()], 0.3);
         resumed
             .restore_state(OptimState::from_bytes(&state_bytes).unwrap())
             .unwrap();
 
-        drive(opt.as_mut(), &w, total - cut);
-        drive(resumed.as_mut(), &w2, total - cut);
+        drive(&mut opt, &w, total - cut);
+        drive(&mut resumed, &w2, total - cut);
         let bits = |t: &Tensor| t.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&w), bits(&w2), "restored run diverged");
         assert_eq!(opt.to_state(), resumed.to_state(), "state diverged");
     }
 
     #[test]
-    fn sgd_state_round_trips_and_resumes_bit_identically() {
-        assert_resumes_bit_identically(|p| Box::new(Sgd::new(p, 0.05, 0.9)), 20, 7);
-        assert_resumes_bit_identically(|p| Box::new(Sgd::new(p, 0.1, 0.0)), 10, 3);
-    }
-
-    #[test]
-    fn adam_state_round_trips_and_resumes_bit_identically() {
-        // The cut lands mid-bias-correction: `t` must be restored or
-        // the continuation diverges immediately.
-        assert_resumes_bit_identically(|p| Box::new(Adam::new(p, 0.3)), 20, 5);
-    }
-
-    #[test]
-    fn optim_state_rejects_kind_mismatch_and_bad_buffers() {
+    fn optim_state_rejects_bad_buffers_and_hyper_parameters() {
         let w = Tensor::var_from_vec(vec![0.0; 4], [4]);
-        let mut sgd = Sgd::new(vec![w.clone()], 0.1, 0.9);
         let mut adam = Adam::new(vec![w.clone()], 0.1);
-
-        // Kind crossover both ways.
-        assert!(sgd.restore_state(adam.to_state()).is_err());
-        assert!(adam.restore_state(sgd.to_state()).is_err());
-
-        // Velocity buffer sized for a different parameter.
-        let bad = OptimState::Sgd {
-            lr: 0.1,
-            momentum: 0.9,
-            velocity: vec![vec![0.0; 3]],
-        };
-        assert!(sgd.restore_state(bad).is_err());
+        let good = adam.to_state();
 
         // Moment buffer count mismatch.
-        let bad = OptimState::Adam {
-            lr: 0.1,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 1,
-            m: vec![vec![0.0; 4], vec![0.0; 4]],
-            v: vec![vec![0.0; 4]],
-        };
+        let mut bad = good.clone();
+        bad.m.push(vec![0.0; 4]);
+        assert!(adam.restore_state(bad).is_err());
+
+        // Moment buffer sized for a different parameter.
+        let mut bad = good.clone();
+        bad.v = vec![vec![0.0; 3]];
         assert!(adam.restore_state(bad).is_err());
 
         // Hyper-parameters outside the constructor's contract.
-        let bad = OptimState::Sgd {
-            lr: -1.0,
-            momentum: 0.0,
-            velocity: vec![],
-        };
-        assert!(sgd.restore_state(bad).is_err());
+        let mut bad = good.clone();
+        bad.lr = -1.0;
+        assert!(adam.restore_state(bad).is_err());
+        let mut bad = good;
+        bad.beta2 = 1.0;
+        assert!(adam.restore_state(bad).is_err());
     }
 
     #[test]
@@ -636,27 +396,24 @@ mod tests {
         let mut grown = bytes.clone();
         grown.push(0);
         assert!(OptimState::from_bytes(&grown).is_err());
-        // Implausible buffer count.
-        let mut sgd_bytes = OptimState::Sgd {
-            lr: 0.1,
-            momentum: 0.0,
-            velocity: vec![],
-        }
-        .to_bytes();
-        let n = sgd_bytes.len();
-        sgd_bytes[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(OptimState::from_bytes(&sgd_bytes).is_err());
+        // Implausible buffer count in the second-moment list, the last
+        // field before the final buffer.
+        let mut huge = bytes.clone();
+        let at = 1 + 16 + 8 + 8 + (8 + 16);
+        huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(OptimState::from_bytes(&huge).is_err());
     }
 
     #[test]
-    fn set_lr_changes_step_size() {
-        let w = Tensor::var_from_vec(vec![0.0], [1]);
-        let mut opt = Sgd::new(vec![w.clone()], 0.1, 0.0);
-        let grads = w.sum_all().backward(); // dw = 1
-        opt.step(&grads);
-        assert!((w.to_vec()[0] + 0.1).abs() < 1e-6);
-        opt.set_lr(0.5);
-        opt.step(&grads);
-        assert!((w.to_vec()[0] + 0.6).abs() < 1e-6);
+    fn retired_sgd_state_is_refused_by_name() {
+        // Tag 0 was SGD: lr, momentum, one velocity list.
+        let mut sgd = vec![OPTIM_KIND_SGD];
+        sgd.extend(0.1f32.to_le_bytes());
+        sgd.extend(0.0f32.to_le_bytes());
+        sgd.extend(0u64.to_le_bytes());
+        match OptimState::from_bytes(&sgd) {
+            Err(CheckpointError::Corrupt(why)) => assert!(why.contains("SGD"), "{why}"),
+            other => panic!("SGD state decoded as {other:?}"),
+        }
     }
 }

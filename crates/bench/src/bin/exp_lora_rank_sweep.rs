@@ -5,11 +5,11 @@
 //! barely matters to Menos' memory story: A + O stays orders of
 //! magnitude below M for every practical rank.
 
-use menos_adapters::{AdapterKind, FineTuneConfig};
+use menos_adapters::FineTuneConfig;
 use menos_bench::render_table;
 use menos_core::profile_client;
 use menos_data::{wiki_corpus, TokenDataset, Vocab};
-use menos_models::{AdapterTarget, CausalLm, LoraSpec, ModelConfig, ModelProfile};
+use menos_models::{CausalLm, LoraSpec, ModelConfig, ModelProfile};
 use menos_sim::seeded_rng;
 use menos_split::{local_finetune, SplitSpec};
 
@@ -22,13 +22,10 @@ fn main() {
     let mut rows = Vec::new();
     for rank in [2usize, 4, 8, 16, 32] {
         let mut ft = FineTuneConfig::paper(&cfg);
-        ft.adapter = AdapterKind::Lora {
-            spec: LoraSpec {
-                rank,
-                alpha: 2.0 * rank as f32,
-                targets_per_block: 2,
-            },
-            targets: vec![AdapterTarget::Q, AdapterTarget::V],
+        ft.lora = LoraSpec {
+            rank,
+            alpha: 2.0 * rank as f32,
+            targets_per_block: 2,
         };
         let d = profile_client(&profile, &ft);
         rows.push(vec![
@@ -57,13 +54,10 @@ fn main() {
         let mut ft = FineTuneConfig::paper(&tiny);
         ft.batch_size = 4;
         ft.seq_len = 32;
-        ft.adapter = AdapterKind::Lora {
-            spec: LoraSpec {
-                rank,
-                alpha: 2.0 * rank as f32,
-                targets_per_block: 2,
-            },
-            targets: vec![AdapterTarget::Q, AdapterTarget::V],
+        ft.lora = LoraSpec {
+            rank,
+            alpha: 2.0 * rank as f32,
+            targets_per_block: 2,
         };
         let mut rng = seeded_rng(7, "rank-sweep");
         let base = menos_models::init_params(&tiny, &mut rng);

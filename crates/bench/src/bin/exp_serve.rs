@@ -504,7 +504,7 @@ fn run_backend_worker(snapshot_dir: &str) -> ! {
             ..EventLoopOptions::default()
         },
         TcpOptions::default(),
-        SnapshotPolicy::periodic(snapshot_dir, 0),
+        SnapshotPolicy::durable(snapshot_dir),
     )
     .expect("bind backend");
     println!("server on {}", server.addr());

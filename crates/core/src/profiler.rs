@@ -11,7 +11,7 @@
 
 use rand::Rng;
 
-use menos_adapters::{adapter_bytes, optimizer_state_bytes, FineTuneConfig};
+use menos_adapters::{adapter_bytes, FineTuneConfig};
 use menos_models::ModelProfile;
 use menos_split::{ServerSession, SplitSpec};
 use menos_tensor::Tensor;
@@ -49,7 +49,7 @@ pub struct MemoryDemands {
 /// ```
 pub fn profile_client(profile: &ModelProfile, ft: &FineTuneConfig) -> MemoryDemands {
     let a = adapter_bytes(ft, &profile.config, profile.server_layers());
-    let o = optimizer_state_bytes(ft, a) + a; // states + gradient buffer
+    let o = 3 * a; // Adam's two moment buffers + gradient buffer
     MemoryDemands {
         m_f: profile.forward_memory_demand(ft.batch_size, ft.seq_len),
         m_b: profile.backward_memory_demand(ft.batch_size, ft.seq_len),

@@ -1041,19 +1041,23 @@ mod tests {
 
     #[test]
     fn invalid_config_rejected_at_connect() {
-        let (mut srv, mut ft) = server();
-        ft.batch_size = 0;
-        let err = srv
-            .handle(ClientMessage::Connect {
-                client: ClientId(0),
-                ft,
-                split: SplitSpec::paper(),
-                epoch: 1,
-                codecs: 0,
-            })
-            .unwrap_err();
-        assert!(matches!(err, ProtocolError::Rejected(_)));
-        assert_eq!(srv.active_clients(), 0);
+        let (mut srv, ft) = server();
+        let bad: [fn(&mut FineTuneConfig); 2] = [|ft| ft.batch_size = 0, |ft| ft.lr = f32::NAN];
+        for make_bad in bad {
+            let mut ft = ft.clone();
+            make_bad(&mut ft);
+            let err = srv
+                .handle(ClientMessage::Connect {
+                    client: ClientId(0),
+                    ft,
+                    split: SplitSpec::paper(),
+                    epoch: 1,
+                    codecs: 0,
+                })
+                .unwrap_err();
+            assert!(matches!(err, ProtocolError::Rejected(_)));
+            assert_eq!(srv.active_clients(), 0);
+        }
     }
 
     #[test]

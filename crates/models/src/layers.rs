@@ -22,20 +22,6 @@ pub trait LinearAdapter: Send + Sync + std::fmt::Debug {
     fn trainable_params(&self) -> Vec<(String, Tensor)>;
 }
 
-/// Hook for adapters that prepend learned key/value prefixes to
-/// attention — prefix tuning attaches here.
-pub trait KvPrefixProvider: Send + Sync + std::fmt::Debug {
-    /// Returns `(k, v)` prefixes, each shaped `[heads, prefix_len,
-    /// head_dim]`.
-    fn prefix_kv(&self) -> (Tensor, Tensor);
-
-    /// Number of prefix positions.
-    fn prefix_len(&self) -> usize;
-
-    /// The adapter's trainable parameters as `(suffix, tensor)` pairs.
-    fn trainable_params(&self) -> Vec<(String, Tensor)>;
-}
-
 /// A linear projection `y = x W (+ b)` with an optional adapter hook.
 ///
 /// The weight is stored `[in, out]` so no transpose is needed on the
@@ -115,8 +101,7 @@ impl Norm {
     }
 }
 
-/// Multi-head causal self-attention with optional RoPE and an optional
-/// KV-prefix hook.
+/// Multi-head causal self-attention with optional RoPE.
 #[derive(Debug, Clone)]
 pub struct Attention {
     /// Query projection.
@@ -133,8 +118,6 @@ pub struct Attention {
     pub head_dim: usize,
     /// RoPE base frequency; `None` for absolute-position models.
     pub rope_base: Option<f32>,
-    /// Optional prefix-tuning hook.
-    pub prefix: Option<Arc<dyn KvPrefixProvider>>,
 }
 
 impl Attention {
@@ -158,59 +141,23 @@ impl Attention {
 
         let mut q = split(&self.q.forward(x));
         let mut k = split(&self.k.forward(x));
-        let mut v = split(&self.v.forward(x));
+        let v = split(&self.v.forward(x));
 
         if let Some(base) = self.rope_base {
             q = q.rope(base, 0);
             k = k.rope(base, 0);
         }
 
-        // Prefix tuning: prepend learned KV positions (attendable by
-        // every query, so they carry no causal restriction).
-        let mut p = 0usize;
-        if let Some(provider) = &self.prefix {
-            let (pk, pv) = provider.prefix_kv();
-            p = provider.prefix_len();
-            assert_eq!(
-                pk.dims(),
-                &[self.heads, p, self.head_dim],
-                "prefix kv shape"
-            );
-            // Broadcast prefix across the batch by explicit repetition.
-            let pk_b = Tensor::concat(&vec![pk.reshape([1, self.heads, p, self.head_dim]); b], 0);
-            let pv_b = Tensor::concat(&vec![pv.reshape([1, self.heads, p, self.head_dim]); b], 0);
-            k = Tensor::concat(&[pk_b, k], 2);
-            v = Tensor::concat(&[pv_b, v], 2);
-        }
-
-        // Scores: [b, heads, s, p + s].
+        // Scores: [b, heads, s, s].
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let scores = q.matmul(&k.t()).mul_scalar(scale);
-        let mask = causal_mask_with_prefix(s, p);
+        let mask = Tensor::causal_mask(s);
         let probs = scores.add(&mask).softmax_last();
 
         let ctx = probs.matmul(&v); // [b, heads, s, head_dim]
         let merged = ctx.permute(&[0, 2, 1, 3]).reshape([b, s, h]);
         self.o.forward(&merged)
     }
-}
-
-/// Additive mask of shape `[seq, prefix + seq]`: queries may attend to
-/// every prefix position and to keys at their own position or earlier.
-fn causal_mask_with_prefix(seq: usize, prefix: usize) -> Tensor {
-    if prefix == 0 {
-        return Tensor::causal_mask(seq);
-    }
-    let cols = prefix + seq;
-    let mut data = vec![0.0f32; seq * cols];
-    for i in 0..seq {
-        for j in 0..seq {
-            if j > i {
-                data[i * cols + prefix + j] = -1e9;
-            }
-        }
-    }
-    Tensor::from_vec(data, [seq, cols])
 }
 
 /// Feed-forward block: GELU MLP (OPT) or SwiGLU (Llama).
@@ -300,11 +247,6 @@ impl Block {
                 }
             }
         }
-        if let Some(p) = &self.attn.prefix {
-            for (suffix, t) in p.trainable_params() {
-                out.push((format!("attn.prefix.{suffix}"), t));
-            }
-        }
         out
     }
 }
@@ -379,7 +321,6 @@ mod tests {
             heads,
             head_dim,
             rope_base: rope,
-            prefix: None,
         }
     }
 
@@ -425,7 +366,6 @@ mod tests {
             heads: 1,
             head_dim: 2,
             rope_base: None,
-            prefix: None,
         };
         let x0 = [1.0f32, 0.0];
         let x1 = [0.0f32, 2.0];
@@ -464,49 +404,6 @@ mod tests {
         assert!(attn.forward(&x).all_finite());
     }
 
-    #[derive(Debug)]
-    struct FixedPrefix {
-        k: Tensor,
-        v: Tensor,
-    }
-    impl KvPrefixProvider for FixedPrefix {
-        fn prefix_kv(&self) -> (Tensor, Tensor) {
-            (self.k.clone(), self.v.clone())
-        }
-        fn prefix_len(&self) -> usize {
-            self.k.dims()[1]
-        }
-        fn trainable_params(&self) -> Vec<(String, Tensor)> {
-            vec![("k".into(), self.k.clone()), ("v".into(), self.v.clone())]
-        }
-    }
-
-    #[test]
-    fn attention_with_prefix_changes_output() {
-        let mut attn = attention(2, 4, None);
-        let x = Tensor::from_vec((0..24).map(|i| 0.05 * i as f32).collect(), [1, 3, 8]);
-        let plain = attn.forward(&x);
-        attn.prefix = Some(Arc::new(FixedPrefix {
-            k: Tensor::full(0.3, [2, 2, 4]),
-            v: Tensor::full(1.0, [2, 2, 4]),
-        }));
-        let with_prefix = attn.forward(&x);
-        assert_eq!(plain.dims(), with_prefix.dims());
-        assert!(plain.max_abs_diff(&with_prefix) > 1e-4);
-    }
-
-    #[test]
-    fn prefix_mask_allows_prefix_blocks_future() {
-        let m = causal_mask_with_prefix(2, 3);
-        assert_eq!(m.dims(), &[2, 5]);
-        let v = m.to_vec();
-        // Row 0: prefix cols 0-2 open, own position open, future blocked.
-        assert_eq!(&v[0..4], &[0.0, 0.0, 0.0, 0.0]);
-        assert_eq!(v[4], -1e9);
-        // Row 1: everything open.
-        assert!(v[5..10].iter().all(|&x| x == 0.0));
-    }
-
     #[test]
     fn mlp_variants() {
         let x = Tensor::from_vec(vec![0.5, -0.5], [1, 2]);
@@ -541,7 +438,6 @@ mod tests {
                 heads: 2,
                 head_dim: 4,
                 rope_base: None,
-                prefix: None,
             },
             mlp_norm: Norm::Rms {
                 gamma: Tensor::ones([h]),

@@ -10,7 +10,7 @@ use rand::Rng;
 use menos_tensor::{ParamStore, Tensor};
 
 use crate::config::{Arch, ModelConfig};
-use crate::layers::{Attention, Block, KvPrefixProvider, Linear, LinearAdapter, Mlp, Norm};
+use crate::layers::{Attention, Block, Linear, LinearAdapter, Mlp, Norm};
 
 /// Initializes a fresh parameter store for `cfg` with canonical names.
 ///
@@ -155,7 +155,6 @@ impl CausalLm {
                         heads: cfg.heads,
                         head_dim: cfg.head_dim(),
                         rope_base: (cfg.arch == Arch::Llama).then_some(cfg.rope_base),
-                        prefix: None,
                     },
                     mlp_norm: make_norm(&p("mlp_norm")),
                     mlp: match cfg.arch {
@@ -276,15 +275,6 @@ impl CausalLm {
             },
         };
         slot.adapter = Some(adapter);
-    }
-
-    /// Attaches a KV-prefix provider (prefix tuning) to block `layer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn set_kv_prefix(&mut self, layer: usize, provider: Arc<dyn KvPrefixProvider>) {
-        self.blocks[layer].attn.prefix = Some(provider);
     }
 
     /// All trainable adapter parameters across blocks, named

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 
-use menos_adapters::{build_optimizer, inject_adapters, FineTuneConfig, Optimizer};
+use menos_adapters::{build_optimizer, inject_adapters, Adam, FineTuneConfig};
 use menos_data::{Batch, LossCurve, TokenDataset};
 use menos_models::{causal_lm_loss, CausalLm};
 use menos_net::{TensorCodec, WireError, ROLE_ACTIVATIONS, ROLE_GRADIENTS};
@@ -41,13 +41,11 @@ pub struct SplitClient {
     split: SplitSpec,
     ft: FineTuneConfig,
     dataset: TokenDataset,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Adam,
     adapter_params: menos_tensor::ParamStore,
     step: usize,
     epoch: u64,
     pending: Option<PendingStep>,
-    accum: Option<GradStore>,
-    micro: usize,
     curve: LossCurve,
     advertised_codecs: u64,
     codec: TensorCodec,
@@ -86,8 +84,6 @@ impl SplitClient {
             step: 0,
             epoch: 1,
             pending: None,
-            accum: None,
-            micro: 0,
             curve: LossCurve::new(),
             advertised_codecs: 0,
             codec: TensorCodec::default(),
@@ -282,22 +278,7 @@ impl SplitClient {
         let pending = self.pending.take().expect("no step in flight");
         let mut grads = pending.x_c.backward_with_grad(g_s);
         grads.merge(pending.head_grads.expect("head grads recorded"));
-        // Gradient accumulation: average k micro-steps into one
-        // optimizer step.
-        match &mut self.accum {
-            Some(acc) => acc.merge(grads),
-            None => self.accum = Some(grads),
-        }
-        self.micro += 1;
-        let k = self.ft.grad_accumulation.max(1);
-        if self.micro >= k {
-            let mut acc = self.accum.take().expect("accumulated grads");
-            if k > 1 {
-                acc.scale(1.0 / k as f32);
-            }
-            self.optimizer.step(&acc);
-            self.micro = 0;
-        }
+        self.optimizer.step(&grads);
         self.step += 1;
     }
 }

@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 
-use menos_adapters::{AdapterKind, FineTuneConfig, OptimKind};
+use menos_adapters::FineTuneConfig;
 use menos_models::{AdapterTarget, LoraSpec};
 use menos_net::{decode_frame_parts, encode_frame_header, Codec, WireError};
 use menos_tensor::ByteReader;
@@ -510,45 +510,35 @@ fn expect_empty(payload: &Bytes) -> Result<(), WireError> {
 // is in the dependency set).
 // ----------------------------------------------------------------------
 
+// The layout keeps the fields of options that are now constants (the
+// adapter kind, the optimizer kind, the accumulation factor), so a LoRA
+// + Adam body is byte-identical to one from before their retirement.
+const ADAPTER_LORA: u8 = 0;
+const ADAPTER_PREFIX_RETIRED: u8 = 1;
+const OPTIMIZER_ADAM: u8 = 0;
+const OPTIMIZER_SGD_RETIRED: u8 = 1;
+
 pub(crate) fn encode_config(ft: &FineTuneConfig, split: SplitSpec, epoch: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    match &ft.adapter {
-        AdapterKind::Lora { spec, targets } => {
-            out.push(0u8);
-            out.extend((spec.rank as u64).to_le_bytes());
-            out.extend(spec.alpha.to_le_bytes());
-            out.extend((spec.targets_per_block as u64).to_le_bytes());
-            out.push(targets.len() as u8);
-            for t in targets {
-                out.push(match t {
-                    AdapterTarget::Q => 0,
-                    AdapterTarget::K => 1,
-                    AdapterTarget::V => 2,
-                    AdapterTarget::O => 3,
-                    AdapterTarget::MlpUp => 4,
-                    AdapterTarget::MlpDown => 5,
-                });
-            }
-        }
-        AdapterKind::Prefix { len } => {
-            out.push(1u8);
-            out.extend((*len as u64).to_le_bytes());
-        }
+    let mut out = vec![ADAPTER_LORA];
+    out.extend((ft.lora.rank as u64).to_le_bytes());
+    out.extend(ft.lora.alpha.to_le_bytes());
+    out.extend((ft.lora.targets_per_block as u64).to_le_bytes());
+    out.push(ft.targets.len() as u8);
+    for t in &ft.targets {
+        out.push(match t {
+            AdapterTarget::Q => 0,
+            AdapterTarget::K => 1,
+            AdapterTarget::V => 2,
+            AdapterTarget::O => 3,
+            AdapterTarget::MlpUp => 4,
+            AdapterTarget::MlpDown => 5,
+        });
     }
-    match ft.optimizer {
-        OptimKind::Adam { lr } => {
-            out.push(0u8);
-            out.extend(lr.to_le_bytes());
-        }
-        OptimKind::Sgd { lr, momentum } => {
-            out.push(1u8);
-            out.extend(lr.to_le_bytes());
-            out.extend(momentum.to_le_bytes());
-        }
-    }
+    out.push(OPTIMIZER_ADAM);
+    out.extend(ft.lr.to_le_bytes());
     out.extend((ft.batch_size as u64).to_le_bytes());
     out.extend((ft.seq_len as u64).to_le_bytes());
-    out.extend((ft.grad_accumulation as u64).to_le_bytes());
+    out.extend(1u64.to_le_bytes()); // gradient accumulation: one step per batch
     out.extend((split.front_layers as u64).to_le_bytes());
     // v1.1: the session epoch rides as an appended field, per the §5
     // versioning policy (v1.0 decoders never read this far; v1.0
@@ -584,49 +574,50 @@ pub(crate) fn decode_config_v12(
     buf: &[u8],
 ) -> Result<(FineTuneConfig, SplitSpec, u64, u64), WireError> {
     let mut c = ByteReader::new(buf);
-    let adapter = match c.u8()? {
-        0 => {
-            let rank = c.u64()? as usize;
-            let alpha = c.f32()?;
-            let targets_per_block = c.u64()? as usize;
-            let n = c.u8()?;
-            let mut targets = Vec::new();
-            for _ in 0..n {
-                targets.push(match c.u8()? {
-                    0 => AdapterTarget::Q,
-                    1 => AdapterTarget::K,
-                    2 => AdapterTarget::V,
-                    3 => AdapterTarget::O,
-                    4 => AdapterTarget::MlpUp,
-                    5 => AdapterTarget::MlpDown,
-                    x => return Err(WireError::Malformed(format!("bad adapter target {x}"))),
-                });
-            }
-            AdapterKind::Lora {
-                spec: LoraSpec {
-                    rank,
-                    alpha,
-                    targets_per_block,
-                },
-                targets,
-            }
+    match c.u8()? {
+        ADAPTER_LORA => {}
+        ADAPTER_PREFIX_RETIRED => {
+            return Err(WireError::Malformed(
+                "adapter kind 1 (prefix tuning) is retired: sessions fine-tune with LoRA".into(),
+            ))
         }
-        1 => AdapterKind::Prefix {
-            len: c.u64()? as usize,
-        },
         x => return Err(WireError::Malformed(format!("bad adapter kind {x}"))),
-    };
-    let optimizer = match c.u8()? {
-        0 => OptimKind::Adam { lr: c.f32()? },
-        1 => OptimKind::Sgd {
-            lr: c.f32()?,
-            momentum: c.f32()?,
-        },
+    }
+    let rank = c.u64()? as usize;
+    let alpha = c.f32()?;
+    let targets_per_block = c.u64()? as usize;
+    let n = c.u8()?;
+    let mut targets = Vec::new();
+    for _ in 0..n {
+        targets.push(match c.u8()? {
+            0 => AdapterTarget::Q,
+            1 => AdapterTarget::K,
+            2 => AdapterTarget::V,
+            3 => AdapterTarget::O,
+            4 => AdapterTarget::MlpUp,
+            5 => AdapterTarget::MlpDown,
+            x => return Err(WireError::Malformed(format!("bad adapter target {x}"))),
+        });
+    }
+    match c.u8()? {
+        OPTIMIZER_ADAM => {}
+        OPTIMIZER_SGD_RETIRED => {
+            return Err(WireError::Malformed(
+                "optimizer kind 1 (SGD) is retired: sessions train with Adam".into(),
+            ))
+        }
         x => return Err(WireError::Malformed(format!("bad optimizer kind {x}"))),
-    };
+    }
+    let lr = c.f32()?;
     let batch_size = c.u64()? as usize;
     let seq_len = c.u64()? as usize;
-    let grad_accumulation = c.u64()? as usize;
+    let accumulation = c.u64()?;
+    if accumulation != 1 {
+        return Err(WireError::Malformed(format!(
+            "gradient accumulation {accumulation} is retired: it must be 1, \
+             one optimizer step per batch"
+        )));
+    }
     let front_layers = c.u64()? as usize;
     // Appended fields are ordered and decoded tolerantly, per the §5
     // versioning policy: a v1.0 body ends right here (epoch 0 ⇒
@@ -638,11 +629,15 @@ pub(crate) fn decode_config_v12(
     c.finish()?;
     Ok((
         FineTuneConfig {
-            adapter,
-            optimizer,
+            lora: LoraSpec {
+                rank,
+                alpha,
+                targets_per_block,
+            },
+            targets,
+            lr,
             batch_size,
             seq_len,
-            grad_accumulation,
         },
         SplitSpec::new(front_layers),
         epoch,
@@ -668,16 +663,13 @@ mod tests {
         assert_eq!(split, split2);
         assert_eq!(epoch2, 3);
 
-        let ft = FineTuneConfig {
-            adapter: AdapterKind::Prefix { len: 6 },
-            optimizer: OptimKind::Sgd {
-                lr: 0.1,
-                momentum: 0.5,
-            },
-            batch_size: 3,
-            seq_len: 17,
-            grad_accumulation: 4,
-        };
+        let mut ft = FineTuneConfig::paper(&cfg);
+        ft.lora.rank = 4;
+        ft.lora.alpha = 3.5;
+        ft.targets = vec![AdapterTarget::K, AdapterTarget::MlpDown];
+        ft.lr = 0.1;
+        ft.batch_size = 3;
+        ft.seq_len = 17;
         let (ft2, _, _) = decode_config(&encode_config(&ft, split, 1)).unwrap();
         assert_eq!(ft, ft2);
     }
@@ -704,6 +696,41 @@ mod tests {
     fn config_decode_rejects_garbage() {
         assert!(decode_config(&[]).is_err());
         assert!(decode_config(&[9, 0, 0]).is_err());
+    }
+
+    /// The paper config's Connect body, patched, decoded as a whole
+    /// `Connect` frame: the error it is refused with.
+    fn refuse_connect(patch: impl FnOnce(&mut Vec<u8>)) -> String {
+        let ft = FineTuneConfig::paper(&ModelConfig::tiny_opt(10));
+        let mut body = encode_config(&ft, SplitSpec::paper(), 1);
+        patch(&mut body);
+        let header = encode_frame_header(KIND_CONNECT, 3, body.len() as u32);
+        match ClientMessage::from_wire_parts(&header, &Bytes::from(body), DEFAULT_MAX_FRAME) {
+            Err(WireError::Malformed(why)) => why,
+            other => panic!("retired option decoded as {other:?}"),
+        }
+    }
+
+    // Offsets in the paper config's body: adapter kind at 0; rank,
+    // alpha, targets-per-block, the target count and two targets up to
+    // 24; optimizer kind at 24; lr, batch size, sequence length;
+    // accumulation at 45.
+    #[test]
+    fn a_connect_with_prefix_tuning_is_refused_by_name() {
+        let why = refuse_connect(|b| b[0] = 1);
+        assert!(why.contains("prefix tuning"), "{why}");
+    }
+
+    #[test]
+    fn a_connect_with_sgd_is_refused_by_name() {
+        let why = refuse_connect(|b| b[24] = 1);
+        assert!(why.contains("SGD"), "{why}");
+    }
+
+    #[test]
+    fn a_connect_with_gradient_accumulation_is_refused_by_name() {
+        let why = refuse_connect(|b| b[45..53].copy_from_slice(&3u64.to_le_bytes()));
+        assert!(why.contains("gradient accumulation 3"), "{why}");
     }
 
     #[test]

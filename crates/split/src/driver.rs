@@ -37,7 +37,9 @@ pub enum ForwardMode {
 /// same [`dispatch_session`] state machine every transport-backed
 /// server uses.
 ///
-/// Returns the client's loss curve.
+/// Returns the loss points of the steps this call ran — for a fresh
+/// client, its whole curve; the client's
+/// [`curve`](SplitClient::curve) keeps every step.
 ///
 /// # Panics
 ///
@@ -62,10 +64,15 @@ pub fn run_split_steps(
             DEFAULT_MAX_FRAME,
         )?)
     };
+    let first = client.curve().points().len();
     for _ in 0..steps {
         run_one_step(client, &mut exchange).expect("co-located split step");
     }
-    client.curve().clone()
+    let mut curve = LossCurve::new();
+    for &(step, loss) in &client.curve().points()[first..] {
+        curve.push(step, loss);
+    }
+    curve
 }
 
 /// Local (non-split) adapter fine-tuning of the full model — the dashed
@@ -102,7 +109,7 @@ pub fn local_finetune_returning_model(
     let client_params = inject_adapters(&mut model, split.client_range(), ft, &mut client_rng);
     let server_params = inject_adapters(&mut model, server_range, ft, &mut server_rng);
     // Two optimizers, mirroring the two parties (identical math to one
-    // optimizer over the union for element-wise rules like Adam/SGD).
+    // optimizer over the union: Adam's update is element-wise).
     let mut client_opt = build_optimizer(ft, client_params.tensors().cloned().collect());
     let mut server_opt = build_optimizer(ft, server_params.tensors().cloned().collect());
 
@@ -216,6 +223,19 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_client_gets_only_the_steps_each_call_ran() {
+        let (cfg, ps, ft, ds) = setup(Arch::Opt);
+        let (mut client, mut session) = make_pair(&cfg, &ps, &ft, &ds, 2);
+        let first = run_split_steps(&mut client, &mut session, ForwardMode::Cached, 3);
+        let second = run_split_steps(&mut client, &mut session, ForwardMode::Cached, 2);
+        let steps = |c: &LossCurve| c.points().iter().map(|&(s, _)| s).collect::<Vec<_>>();
+        assert_eq!(steps(&first), [0, 1, 2]);
+        assert_eq!(steps(&second), [3, 4]);
+        let both: Vec<_> = [first.points(), second.points()].concat();
+        assert_eq!(both, client.curve().points());
+    }
+
+    #[test]
     fn split_equals_local_exactly() {
         // The paper: "the fine-tuning results of Menos are identical to
         // single-device fine-tuning, as it only distributes computation
@@ -300,41 +320,6 @@ mod tests {
         let (_client, mut session) = make_pair(&cfg, &ps, &ft, &ds, 1);
         session.backward(&menos_tensor::Tensor::zeros([1, 1, 64]));
     }
-
-    #[test]
-    fn gradient_accumulation_defers_updates() {
-        let (cfg, ps, mut ft, ds) = setup(Arch::Opt);
-        ft.grad_accumulation = 3;
-        let (mut client, mut session) = make_pair(&cfg, &ps, &ft, &ds, 4);
-        let watch = session
-            .adapter_params()
-            .get("blocks.1.attn.q.lora.b")
-            .unwrap()
-            .clone();
-        let initial = watch.to_vec();
-
-        // Two micro-steps: no optimizer step yet on either side.
-        run_split_steps(&mut client, &mut session, ForwardMode::NoGradReforward, 2);
-        assert_eq!(watch.to_vec(), initial, "no update before k micro-steps");
-        // Third micro-step triggers the accumulated update.
-        run_split_steps(&mut client, &mut session, ForwardMode::NoGradReforward, 1);
-        assert_ne!(watch.to_vec(), initial, "update after k micro-steps");
-    }
-
-    #[test]
-    fn gradient_accumulation_still_learns() {
-        let (cfg, ps, mut ft, ds) = setup(Arch::Opt);
-        ft.grad_accumulation = 2;
-        ft.optimizer = menos_adapters::OptimKind::Adam { lr: 2e-3 };
-        let (mut client, mut session) = make_pair(&cfg, &ps, &ft, &ds, 4);
-        let curve = run_split_steps(&mut client, &mut session, ForwardMode::NoGradReforward, 30);
-        let head: f32 = curve.points()[..5].iter().map(|&(_, l)| l).sum::<f32>() / 5.0;
-        let tail = curve.tail_mean(5).unwrap();
-        assert!(
-            tail < head,
-            "no learning with accumulation: {head} -> {tail}"
-        );
-    }
 }
 
 #[cfg(test)]
@@ -376,65 +361,5 @@ mod eval_tests {
         let model = CausalLm::bind(&cfg, &init_params(&cfg, &mut rng));
         let ds = TokenDataset::new(vocab.encode(&text), 16, 3);
         evaluate_loss(&model, &ds, 2, 0);
-    }
-}
-
-#[cfg(test)]
-mod prefix_equivalence_tests {
-    use super::*;
-    use crate::message::ClientId;
-    use menos_adapters::{AdapterKind, OptimKind};
-    use menos_data::{wiki_corpus, Vocab};
-    use menos_models::{CausalLm, ModelConfig};
-
-    #[test]
-    fn prefix_tuning_split_equals_local() {
-        // The equivalence claim must hold for every adapter family,
-        // not just LoRA.
-        let cfg = ModelConfig::tiny_opt(33);
-        let mut rng = seeded_rng(400, "prefix-eq");
-        let ps = menos_models::init_params(&cfg, &mut rng);
-        let text = wiki_corpus(6, 4000);
-        let vocab = Vocab::from_text(&text);
-        let ds = TokenDataset::new(vocab.encode(&text), 16, 6);
-        let ft = FineTuneConfig {
-            adapter: AdapterKind::Prefix { len: 4 },
-            optimizer: OptimKind::Sgd {
-                lr: 0.05,
-                momentum: 0.0,
-            },
-            batch_size: 2,
-            seq_len: 16,
-            grad_accumulation: 1,
-        };
-        let split = SplitSpec::paper();
-
-        let local = local_finetune(
-            CausalLm::bind(&cfg, &ps.deep_copy(false)),
-            split,
-            &ft,
-            &ds,
-            11,
-            6,
-        );
-
-        let mut client = SplitClient::new(
-            ClientId(0),
-            CausalLm::bind(&cfg, &ps.shared_view(false)),
-            split,
-            ft.clone(),
-            ds.clone(),
-            11,
-        );
-        let mut session = ServerSession::new(
-            ClientId(0),
-            CausalLm::bind(&cfg, &ps.shared_view(false)),
-            split,
-            &ft,
-            11,
-        );
-        let split_curve =
-            run_split_steps(&mut client, &mut session, ForwardMode::NoGradReforward, 6);
-        assert_eq!(loss_bits(&local), loss_bits(&split_curve));
     }
 }

@@ -285,8 +285,8 @@ impl IdleBackoff {
     }
 }
 
-/// Where and how often the event loop persists the handler's durable
-/// state (see [`MessageHandler::snapshot_bytes`]).
+/// Where the event loop persists the handler's durable state (see
+/// [`MessageHandler::snapshot_bytes`]).
 ///
 /// Snapshots land in `dir` as a single `server.snap` file, written
 /// atomically: bytes go to `server.snap.tmp`, are fsynced, and the tmp
@@ -294,45 +294,24 @@ impl IdleBackoff {
 /// previous snapshot intact, so the file on disk is always a complete,
 /// CRC-sealed state (never a torn one).
 ///
-/// `every == 0` selects **durable** mode: a snapshot is taken after
-/// every state-advancing dispatch, *before* the corresponding replies
-/// are released to clients. That ordering is what makes
-/// kill-the-server recovery divergence-free — a client can only have
-/// observed a reply whose effects are already on disk, so replaying
-/// through the v1.1 `Resume` reconciliation lands on exactly the state
-/// the client saw. `every == N > 0` snapshots after every N
-/// dispatches (plus once at loop exit), trading bounded replay work
-/// for lower I/O.
+/// A snapshot is taken after every state-advancing dispatch, *before*
+/// the corresponding replies are released to clients, and once more
+/// at loop exit. That ordering is what makes kill-the-server recovery
+/// divergence-free — a client can only have observed a reply whose
+/// effects are already on disk, so replaying through the v1.1 `Resume`
+/// reconciliation lands on exactly the state the client saw.
 #[derive(Debug, Clone)]
 pub struct SnapshotPolicy {
     dir: PathBuf,
-    every: u64,
 }
 
 /// File name of the live snapshot inside the policy directory.
 const SNAPSHOT_FILE: &str = "server.snap";
 
 impl SnapshotPolicy {
-    /// Durable mode: snapshot before every reply release (`every = 0`).
+    /// Snapshot into `dir` before every reply release.
     pub fn durable(dir: impl Into<PathBuf>) -> Self {
-        SnapshotPolicy {
-            dir: dir.into(),
-            every: 0,
-        }
-    }
-
-    /// Periodic mode: snapshot after every `every` dispatches and at
-    /// loop exit. `every == 0` degenerates to [`durable`](Self::durable).
-    pub fn periodic(dir: impl Into<PathBuf>, every: u64) -> Self {
-        SnapshotPolicy {
-            dir: dir.into(),
-            every,
-        }
-    }
-
-    /// The dispatch cadence (0 = durable).
-    pub fn every(&self) -> u64 {
-        self.every
+        SnapshotPolicy { dir: dir.into() }
     }
 
     /// Path of the live snapshot file under this policy's directory.
@@ -508,7 +487,6 @@ impl<L: EventListener, H: BatchHandler> ServerEventLoop<L, H> {
             ready: Vec::new(),
             key_of: HashMap::new(),
             new_tensors: 0,
-            since_snapshot: 0,
             last_expiry_check: Instant::now(),
             progress: false,
         };
@@ -534,10 +512,9 @@ impl<L: EventListener, H: BatchHandler> ServerEventLoop<L, H> {
                 std::thread::sleep(backoff.next_sleep());
             }
         }
-        // Final snapshot at exit, whatever the cadence: a clean
-        // shutdown (including the shutdown-flag branch, which
-        // quarantines every live session first) always leaves the
-        // latest state on disk.
+        // Final snapshot at exit: a clean shutdown (including the
+        // shutdown-flag branch, which quarantines every live session
+        // first) always leaves the latest state on disk.
         pump.write_snapshot();
         (pump.handler, pump.stats)
     }
@@ -570,8 +547,6 @@ struct Pump<L: EventListener, H> {
     /// routing of one dispatch; both reused across sweeps.
     ready: Vec<ClientMessage>,
     key_of: HashMap<ClientId, u64>,
-    /// Dispatches since the last snapshot (periodic mode's counter).
-    since_snapshot: u64,
     last_expiry_check: Instant,
     /// Whether this sweep did anything; an idle sweep sleeps.
     progress: bool,
@@ -646,28 +621,16 @@ impl<L: EventListener, H: BatchHandler> Pump<L, H> {
 
     // -- snapshots -----------------------------------------------------
 
-    /// Persists the handler's state after a state-advancing dispatch,
-    /// *before* the replies it produced are queued. In durable mode
-    /// (`every == 0`) every dispatch snapshots — clients then can never
-    /// observe a reply whose effects are not on disk, which is the
-    /// invariant behind bit-identical kill-the-server recovery.
-    /// Periodic mode counts dispatches. Quarantine/eviction mutations
-    /// deliberately do NOT snapshot here: restoring a pre-quarantine
+    /// Persists the handler's state: after a state-advancing dispatch,
+    /// *before* the replies it produced are queued — clients then can
+    /// never observe a reply whose effects are not on disk, which is
+    /// the invariant behind bit-identical kill-the-server recovery —
+    /// and once at loop exit. Quarantine/eviction mutations
+    /// deliberately do NOT snapshot: restoring a pre-quarantine
     /// superset is safe (the restore path parks every session anyway).
-    fn snapshot_after_dispatch(&mut self) {
-        let Some(policy) = &self.snapshots else {
-            return;
-        };
-        self.since_snapshot += 1;
-        if policy.every() != 0 && self.since_snapshot < policy.every() {
-            return;
-        }
-        self.since_snapshot = 0;
-        self.write_snapshot();
-    }
-
-    /// One snapshot attempt. A failed write is counted and the loop
-    /// keeps serving — durability degrades, training does not stop.
+    ///
+    /// A failed write is counted and the loop keeps serving —
+    /// durability degrades, training does not stop.
     fn write_snapshot(&mut self) {
         let Some(policy) = &self.snapshots else {
             return;
@@ -793,7 +756,7 @@ impl<L: EventListener, H: BatchHandler> Pump<L, H> {
                 };
                 if import {
                     self.stats.sessions_imported += 1;
-                    self.snapshot_after_dispatch();
+                    self.write_snapshot();
                 } else {
                     self.stats.pings += 1;
                 }
@@ -809,7 +772,7 @@ impl<L: EventListener, H: BatchHandler> Pump<L, H> {
             }
             msg @ ClientMessage::Disconnect { .. } => {
                 let _ = self.handler.handle(msg);
-                self.snapshot_after_dispatch();
+                self.write_snapshot();
                 if self.conns.remove(&key).is_some() {
                     self.stats.served += 1;
                 }
@@ -836,7 +799,7 @@ impl<L: EventListener, H: BatchHandler> Pump<L, H> {
                 // Admission mutated durable state (session created or
                 // re-attached); persist before the reply can reach the
                 // client.
-                self.snapshot_after_dispatch();
+                self.write_snapshot();
                 self.conns
                     .get_mut(&key)
                     .expect("conn alive during handshake")
@@ -904,10 +867,9 @@ impl<L: EventListener, H: BatchHandler> Pump<L, H> {
         let results = self
             .handler
             .handle_batch(batch.into_iter().map(|(_, m)| m).collect());
-        // Training steps advanced; in durable mode the replies below
-        // must not leave before the state that produced them is on
-        // disk.
-        self.snapshot_after_dispatch();
+        // Training steps advanced; the replies below must not leave
+        // before the state that produced them is on disk.
+        self.write_snapshot();
         for (client, result) in results {
             let Some(&key) = self.key_of.get(&client) else {
                 continue;
@@ -1162,7 +1124,6 @@ mod tests {
         let dir = scratch_dir("policy");
         assert!(SnapshotPolicy::read(&dir).is_none());
         let policy = SnapshotPolicy::durable(&dir);
-        assert_eq!(policy.every(), 0);
         policy.write(b"first").expect("write");
         assert_eq!(SnapshotPolicy::read(&dir).unwrap(), b"first");
         // Replacement is whole-file: the longer payload fully
@@ -1173,7 +1134,6 @@ mod tests {
             b"second, longer payload"
         );
         assert!(!dir.join("server.snap.tmp").exists());
-        assert_eq!(SnapshotPolicy::periodic(&dir, 16).every(), 16);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1192,8 +1152,8 @@ mod tests {
         drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("training");
         let (handler, stats) = server.join().expect("loop thread");
         // Connect + 2×(activations, gradients) + Disconnect = 6
-        // dispatched messages; durable mode snapshots Connect,
-        // Disconnect, and each batch, plus the exit snapshot.
+        // dispatched messages; the loop snapshots Connect, Disconnect,
+        // and each batch, plus the exit snapshot.
         assert_eq!(handler.handled, 6);
         assert!(
             stats.snapshots >= 4,
@@ -1209,24 +1169,23 @@ mod tests {
     }
 
     #[test]
-    fn periodic_mode_counts_dispatches_but_always_snapshots_at_exit() {
-        let dir = scratch_dir("periodic");
-        let mut client = testkit::client(12);
-        let (dialer, listener) = event_channel_listener();
+    fn durable_mode_always_snapshots_at_exit() {
+        // Shut down before anything connects: no dispatch ever
+        // snapshots, so the one file on disk is the exit snapshot.
+        let dir = scratch_dir("exit");
+        let (_dialer, listener) = event_channel_listener();
         let handler = EchoHandler {
             durable: true,
             ..EchoHandler::default()
         };
-        let event_loop = ServerEventLoop::new(listener, handler, one_client())
-            // Cadence larger than the run's dispatch count: only the exit
-            // snapshot fires.
-            .with_snapshots(SnapshotPolicy::periodic(&dir, 1000));
-        let server = std::thread::spawn(move || event_loop.run());
-        drive_client(&mut client, |_| dialer.dial(), 2, &RetryPolicy::none()).expect("training");
-        let (handler, stats) = server.join().expect("loop thread");
+        let event_loop = ServerEventLoop::new(listener, handler, EventLoopOptions::default())
+            .with_snapshots(SnapshotPolicy::durable(&dir));
+        event_loop.shutdown_handle().store(true, Ordering::Relaxed);
+        let (handler, stats) = event_loop.run();
+        assert_eq!(handler.handled, 0);
         assert_eq!(stats.snapshots, 1, "only the exit snapshot");
         let bytes = SnapshotPolicy::read(&dir).expect("snapshot exists");
-        assert_eq!(bytes, handler.handled.to_le_bytes().to_vec());
+        assert_eq!(bytes, 0u32.to_le_bytes().to_vec());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

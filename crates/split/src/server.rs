@@ -3,13 +3,13 @@
 
 use std::ops::Range;
 
-use menos_adapters::{build_optimizer, inject_adapters, FineTuneConfig, OptimState, Optimizer};
+use menos_adapters::{build_optimizer, inject_adapters, Adam, FineTuneConfig, OptimState};
 use menos_models::CausalLm;
 use menos_net::TensorCodec;
 use menos_sim::seeded_rng;
 use menos_tensor::{
     load_checkpoint, no_grad, restore_into, save_checkpoint, ByteReader, CheckpointError,
-    GradStore, ParamStore, Sealed, SectionReader, SectionWriter, Tensor,
+    ParamStore, Sealed, SectionReader, SectionWriter, Tensor,
 };
 
 use crate::codec::{decode_config, encode_config};
@@ -45,12 +45,9 @@ pub struct ServerSession {
     split: SplitSpec,
     seed: u64,
     adapter_params: ParamStore,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Adam,
     cached: Option<CachedForward>,
     pending_input: Option<Tensor>,
-    accum: Option<GradStore>,
-    micro: usize,
-    grad_accumulation: usize,
     reforward_count: u64,
     steps: u64,
     codec: TensorCodec,
@@ -61,6 +58,8 @@ const TAG_SESSION_META: u32 = 1;
 const TAG_SESSION_CONFIG: u32 = 2;
 const TAG_SESSION_ADAPTERS: u32 = 3;
 const TAG_SESSION_OPTIM: u32 = 4;
+/// Retired: gradients pending a k-step accumulation. A session steps
+/// Adam after every batch, so a record carrying this section is refused.
 const TAG_SESSION_ACCUM: u32 = 5;
 const TAG_SESSION_CODEC: u32 = 6;
 
@@ -95,9 +94,6 @@ impl ServerSession {
             optimizer,
             cached: None,
             pending_input: None,
-            accum: None,
-            micro: 0,
-            grad_accumulation: ft.grad_accumulation.max(1),
             reforward_count: 0,
             steps: 0,
             codec: TensorCodec::default(),
@@ -107,8 +103,7 @@ impl ServerSession {
     /// Serializes everything needed to rebuild this session on a fresh
     /// server process: the fine-tune/split configuration and seed (so
     /// the deterministic structure can be re-derived), adapter values,
-    /// optimizer moments, counters, and any partial gradient
-    /// accumulation.
+    /// optimizer moments and counters.
     ///
     /// The in-flight autograd graph (`cached`/`pending_input`) is
     /// deliberately *not* serialized: the v1.1 `Resume` reconciliation
@@ -121,7 +116,8 @@ impl ServerSession {
         meta.extend(self.seed.to_le_bytes());
         meta.extend(self.steps.to_le_bytes());
         meta.extend(self.reforward_count.to_le_bytes());
-        meta.extend((self.micro as u64).to_le_bytes());
+        // The micro-step of a retired k-step accumulation: always 0.
+        meta.extend(0u64.to_le_bytes());
         let mut w = SectionWriter::new();
         w.section(TAG_SESSION_META, meta);
         w.section(TAG_SESSION_CONFIG, encode_config(&self.ft, self.split, 0));
@@ -133,18 +129,6 @@ impl ServerSession {
         // session state (DESIGN.md §4.12). Written unconditionally:
         // the raw default is 2 bytes and keeps restores simple.
         w.section(TAG_SESSION_CODEC, self.codec.to_state());
-        if let Some(acc) = &self.accum {
-            // Gradients are keyed by tensor identity, which does not
-            // survive a process restart — persist them by parameter
-            // name and re-key on restore.
-            let mut grads = ParamStore::new();
-            for (name, p) in self.adapter_params.iter() {
-                if let Some(g) = acc.get(p) {
-                    grads.insert(name.clone(), g.detach());
-                }
-            }
-            w.section(TAG_SESSION_ACCUM, save_checkpoint(&grads));
-        }
         w.finish()
     }
 
@@ -168,6 +152,12 @@ impl ServerSession {
         let (client, seed, steps, reforwards, micro) =
             (word()?, word()?, word()?, word()?, word()?);
         meta.finish()?;
+        if micro != 0 || r.find(TAG_SESSION_ACCUM).is_some() {
+            return Err(CheckpointError::Corrupt(format!(
+                "micro-step {micro} or pending gradients: gradient accumulation \
+                 is retired, sessions step once per batch"
+            )));
+        }
         let (ft, split, _) = decode_config(r.require(TAG_SESSION_CONFIG)?)
             .map_err(|e| CheckpointError::Corrupt(format!("session config: {e}")))?;
         ft.validate(&model.config)
@@ -189,34 +179,8 @@ impl ServerSession {
         session
             .optimizer
             .restore_state(OptimState::from_bytes(r.require(TAG_SESSION_OPTIM)?)?)?;
-        if micro >= session.grad_accumulation as u64 {
-            return Err(CheckpointError::Corrupt(format!(
-                "micro-step {micro} with grad_accumulation {}",
-                session.grad_accumulation
-            )));
-        }
         session.steps = steps;
         session.reforward_count = reforwards;
-        session.micro = micro as usize;
-        if let Some(acc_bytes) = r.find(TAG_SESSION_ACCUM) {
-            let grads = load_checkpoint(acc_bytes)?;
-            let mut acc = GradStore::new();
-            for (name, g) in grads.iter() {
-                let p = session
-                    .adapter_params
-                    .get(name)
-                    .ok_or_else(|| CheckpointError::MissingParam(name.clone()))?;
-                if p.dims() != g.dims() {
-                    return Err(CheckpointError::ShapeMismatch {
-                        name: name.clone(),
-                        expected: p.dims().to_vec(),
-                        actual: g.dims().to_vec(),
-                    });
-                }
-                acc.insert(p, g.detach());
-            }
-            session.accum = Some(acc);
-        }
         // Tolerant read: pre-v1.2 snapshots have no codec section and
         // restore as the raw baseline.
         if let Some(codec_bytes) = r.find(TAG_SESSION_CODEC) {
@@ -345,21 +309,7 @@ impl ServerSession {
         let g_s = grads
             .remove(&cached.x_c_leaf)
             .expect("gradient for client activations");
-        // Gradient accumulation mirrors the client's schedule: both
-        // sides step their optimizers on the same micro-step.
-        match &mut self.accum {
-            Some(acc) => acc.merge(grads),
-            None => self.accum = Some(grads),
-        }
-        self.micro += 1;
-        if self.micro >= self.grad_accumulation {
-            let mut acc = self.accum.take().expect("accumulated grads");
-            if self.grad_accumulation > 1 {
-                acc.scale(1.0 / self.grad_accumulation as f32);
-            }
-            self.optimizer.step(&acc);
-            self.micro = 0;
-        }
+        self.optimizer.step(&grads);
         self.steps += 1;
         g_s
     }

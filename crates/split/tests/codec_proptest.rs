@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use menos_adapters::{AdapterKind, FineTuneConfig, OptimKind};
+use menos_adapters::FineTuneConfig;
 use menos_models::{AdapterTarget, LoraSpec};
 use menos_net::DEFAULT_MAX_FRAME;
 use menos_split::{ClientId, ClientMessage, EvictionCode, ServerMessage, SplitSpec, WireMessage};
@@ -24,56 +24,31 @@ fn arb_target() -> BoxedStrategy<AdapterTarget> {
     .boxed()
 }
 
-fn arb_adapter() -> BoxedStrategy<AdapterKind> {
+fn arb_ft() -> BoxedStrategy<FineTuneConfig> {
     // Finite float ranges keep `PartialEq` round-trip assertions sound
     // (NaN never compares equal to itself).
-    let lora = (
-        1usize..64,
-        0.25f32..128.0,
-        1usize..8,
-        prop::collection::vec(arb_target(), 0..6),
-    )
-        .prop_map(
-            |(rank, alpha, targets_per_block, targets)| AdapterKind::Lora {
-                spec: LoraSpec {
-                    rank,
-                    alpha,
-                    targets_per_block,
-                },
-                targets,
-            },
-        );
-    let prefix = (1usize..64).prop_map(|len| AdapterKind::Prefix { len });
-    prop_oneof![lora.boxed(), prefix.boxed()].boxed()
-}
-
-fn arb_optimizer() -> BoxedStrategy<OptimKind> {
-    prop_oneof![
-        (1e-6f32..1.0).prop_map(|lr| OptimKind::Adam { lr }).boxed(),
-        (1e-6f32..1.0, 0.0f32..0.999)
-            .prop_map(|(lr, momentum)| OptimKind::Sgd { lr, momentum })
-            .boxed(),
-    ]
-    .boxed()
-}
-
-fn arb_ft() -> BoxedStrategy<FineTuneConfig> {
+    let lora =
+        (1usize..64, 0.25f32..128.0, 1usize..8).prop_map(|(rank, alpha, targets_per_block)| {
+            LoraSpec {
+                rank,
+                alpha,
+                targets_per_block,
+            }
+        });
     (
-        arb_adapter(),
-        arb_optimizer(),
+        lora,
+        prop::collection::vec(arb_target(), 0..6),
+        1e-6f32..1.0,
         1usize..64,
         1usize..512,
-        1usize..16,
     )
-        .prop_map(
-            |(adapter, optimizer, batch_size, seq_len, grad_accumulation)| FineTuneConfig {
-                adapter,
-                optimizer,
-                batch_size,
-                seq_len,
-                grad_accumulation,
-            },
-        )
+        .prop_map(|(lora, targets, lr, batch_size, seq_len)| FineTuneConfig {
+            lora,
+            targets,
+            lr,
+            batch_size,
+            seq_len,
+        })
         .boxed()
 }
 

@@ -74,16 +74,6 @@ impl GradStore {
         self.grads.values().map(Tensor::size_bytes).sum()
     }
 
-    /// Scales every gradient in place — used to average accumulated
-    /// micro-batch gradients before an optimizer step.
-    pub fn scale(&mut self, factor: f32) {
-        for grad in self.grads.values() {
-            for g in grad.storage().write().iter_mut() {
-                *g *= factor;
-            }
-        }
-    }
-
     /// Merges another store into this one, accumulating gradients for
     /// tensors present in both. Split-learning clients use this to
     /// combine the output-section and input-section backward passes of
@@ -603,14 +593,12 @@ mod tests {
     }
 
     #[test]
-    fn grad_store_scale_and_merge() {
+    fn grad_store_merge() {
         let x = Tensor::var_from_vec(vec![2.0], [1]);
         let mut a = (&x * &x).sum_all().backward(); // dx = 4
         let b = x.sum_all().backward(); // dx = 1
         a.merge(b);
         assert_eq!(a.get(&x).unwrap().to_vec(), vec![5.0]);
-        a.scale(0.5);
-        assert_eq!(a.get(&x).unwrap().to_vec(), vec![2.5]);
         // Merge of a disjoint store inserts.
         let y = Tensor::var_from_vec(vec![1.0], [1]);
         let c = y.sum_all().backward();

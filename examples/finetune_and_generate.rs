@@ -23,7 +23,7 @@ fn main() {
     let mut ft = FineTuneConfig::paper(&config);
     ft.batch_size = 4;
     ft.seq_len = 48;
-    ft.optimizer = menos::adapters::OptimKind::Adam { lr: 2e-3 };
+    ft.lr = 2e-3;
     let split = SplitSpec::paper();
 
     let prompt_text = "First Citizen: ";

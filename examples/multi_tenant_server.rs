@@ -1,5 +1,5 @@
-//! Multi-tenant serving: three clients with *different* fine-tuning
-//! methods (LoRA r=8, LoRA r=16, prefix tuning) and different cut
+//! Multi-tenant serving: three clients with *different* adapters (LoRA
+//! r=8 on Q,V; LoRA r=16 on Q,V; LoRA r=4 on Q,K,V,O) and different cut
 //! layers share one base model on the server — the scenario Fig. 2 of
 //! the paper illustrates.
 //!
@@ -7,7 +7,7 @@
 //! cargo run --example multi_tenant_server --release
 //! ```
 
-use menos::adapters::{AdapterKind, FineTuneConfig, OptimKind};
+use menos::adapters::FineTuneConfig;
 use menos::core::{profile_client, SharedBaseRegistry};
 use menos::data::{shakespeare_corpus, wiki_corpus, TokenDataset, Vocab};
 use menos::models::{AdapterTarget, CausalLm, LoraSpec, ModelConfig, ModelProfile};
@@ -28,18 +28,15 @@ fn main() {
     let mut registry = SharedBaseRegistry::initialize(config.clone(), 9);
 
     let base_ft = FineTuneConfig {
-        adapter: AdapterKind::Lora {
-            spec: LoraSpec {
-                rank: 8,
-                alpha: 16.0,
-                targets_per_block: 2,
-            },
-            targets: vec![AdapterTarget::Q, AdapterTarget::V],
+        lora: LoraSpec {
+            rank: 8,
+            alpha: 16.0,
+            targets_per_block: 2,
         },
-        optimizer: OptimKind::Adam { lr: 3e-4 },
+        targets: vec![AdapterTarget::Q, AdapterTarget::V],
+        lr: 3e-4,
         batch_size: 4,
         seq_len: 32,
-        grad_accumulation: 1,
     };
 
     // Three tenants with different adapters, cuts, and private corpora.
@@ -53,13 +50,10 @@ fn main() {
         Tenant {
             name: "law firm (LoRA r=16, deeper cut for privacy)",
             ft: FineTuneConfig {
-                adapter: AdapterKind::Lora {
-                    spec: LoraSpec {
-                        rank: 16,
-                        alpha: 32.0,
-                        targets_per_block: 2,
-                    },
-                    targets: vec![AdapterTarget::Q, AdapterTarget::V],
+                lora: LoraSpec {
+                    rank: 16,
+                    alpha: 32.0,
+                    targets_per_block: 2,
                 },
                 ..base_ft.clone()
             },
@@ -67,10 +61,20 @@ fn main() {
             corpus: wiki_corpus(200, 30_000),
         },
         Tenant {
-            name: "theatre (prefix tuning)",
+            name: "theatre (LoRA r=4 on Q,K,V,O)",
             ft: FineTuneConfig {
-                adapter: AdapterKind::Prefix { len: 8 },
-                optimizer: OptimKind::Adam { lr: 1e-3 },
+                lora: LoraSpec {
+                    rank: 4,
+                    alpha: 8.0,
+                    targets_per_block: 4,
+                },
+                targets: vec![
+                    AdapterTarget::Q,
+                    AdapterTarget::K,
+                    AdapterTarget::V,
+                    AdapterTarget::O,
+                ],
+                lr: 1e-3,
                 ..base_ft.clone()
             },
             split: SplitSpec::new(1),
@@ -153,5 +157,5 @@ fn main() {
         );
         assert!(curve.final_loss().unwrap() < curve.points()[0].1 + 0.05);
     }
-    println!("\nmulti-tenant serving OK — three adapter methods over one frozen base");
+    println!("\nmulti-tenant serving OK — three adapter sets over one frozen base");
 }

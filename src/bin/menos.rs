@@ -33,7 +33,7 @@ usage:
   menos server [--port P] [--accept-limit N] [--capacity N] [--model-seed S]
                [--client-timeout MS] [--max-session-idle MS]
                [--max-write-buffer BYTES] [--retry-after-ms MS]
-               [--snapshot-dir DIR] [--snapshot-every N]
+               [--snapshot-dir DIR]
                [--micro-model] [--cached]
   menos client --addr HOST:PORT [--steps N] [--seed S] [--model-seed S]
                [--retries R] [--backoff-ms MS] [--codec C] [--micro-model]
@@ -42,7 +42,7 @@ usage:
                [--model-seed S] [--snapshot-root DIR] [--duration-secs T]
                [--micro-model]
 
-An unknown flag, or a flag missing its value, exits with status 2.
+An unknown or repeated flag, or a flag missing its value, exits with status 2.
 
 options:
   --port P          listen port (default 7700)
@@ -69,11 +69,9 @@ options:
                     optimizer moments, cached replies) to DIR/server.snap with
                     atomic tmp-file+rename writes, and restore from it on
                     start if it exists; clients re-attach through the Resume
-                    handshake with zero training divergence
-  --snapshot-every N
-                    snapshot cadence in dispatches; 0 (the default) is durable
-                    mode — a snapshot lands before every reply is released,
-                    which is what makes kill -9 recovery bit-identical
+                    handshake with zero training divergence. A snapshot lands
+                    before every reply is released, which is what makes
+                    kill -9 recovery bit-identical
   --micro-model     derive a deliberately tiny base model (2 layers, 32-dim)
                     — fast enough for debug-profile restart tests; both sides
                     must pass it
@@ -117,7 +115,6 @@ const SERVER_FLAGS: &[(&str, bool)] = &[
     ("--max-write-buffer", true),
     ("--retry-after-ms", true),
     ("--snapshot-dir", true),
-    ("--snapshot-every", true),
     ("--micro-model", false),
     ("--cached", false),
 ];
@@ -145,14 +142,19 @@ const FLEET_FLAGS: &[(&str, bool)] = &[
 ];
 
 /// Checks a subcommand's arguments (after its name) against its flag
-/// list: every argument is a known flag, and every flag that takes a
-/// value has one that is not itself a flag.
+/// list: every argument is a known flag given at most once, and every
+/// flag that takes a value has one that is not itself a flag.
 fn check_flags(args: &[String], known: &[(&str, bool)]) -> Result<(), String> {
+    let mut seen = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         let Some(&(_, takes_value)) = known.iter().find(|(name, _)| name == arg) else {
             return Err(format!("unknown flag {arg}"));
         };
+        if seen.contains(&arg) {
+            return Err(format!("{arg} given more than once"));
+        }
+        seen.push(arg);
         if takes_value && rest.next().is_none_or(|v| v.starts_with("--")) {
             return Err(format!("{arg} needs a value"));
         }
@@ -238,9 +240,6 @@ fn run_server(args: &[String]) {
         Duration::from_millis(v.parse().expect("--max-session-idle must be milliseconds"))
     });
     let snapshot_dir = parse_flag(args, "--snapshot-dir");
-    let snapshot_every: u64 = parse_flag(args, "--snapshot-every")
-        .map(|v| v.parse().expect("--snapshot-every must be a number"))
-        .unwrap_or(0);
 
     let (_, config) = shared_model(model_seed, micro);
     println!(
@@ -288,7 +287,7 @@ fn run_server(args: &[String]) {
             handler,
             options,
             TcpOptions::default(),
-            SnapshotPolicy::periodic(dir, snapshot_every),
+            SnapshotPolicy::durable(dir),
         ),
         None => TcpEventServer::spawn(("0.0.0.0", port), handler, options, TcpOptions::default()),
     }
@@ -411,7 +410,6 @@ fn spawn_backend(
         // Heartbeat probes and migration imports each cost one accept;
         // the budget must outlive any realistic fleet run.
         .args(["--accept-limit", "1000000"])
-        .args(["--snapshot-every", "0"])
         .arg("--snapshot-dir")
         .arg(snapshot_dir)
         .args(["--model-seed", &model_seed.to_string()])
@@ -563,8 +561,6 @@ mod tests {
             "--micro-model",
             "--accept-limit",
             "1000000",
-            "--snapshot-every",
-            "0",
             "--model-seed",
             "21",
             "--snapshot-dir",
@@ -606,6 +602,17 @@ mod tests {
         assert_eq!(
             check_flags(&args(&["stray"]), CLIENT_FLAGS),
             Err("unknown flag stray".into())
+        );
+        assert_eq!(
+            check_flags(&args(&["--port", "1", "--port", "2"]), SERVER_FLAGS),
+            Err("--port given more than once".into())
+        );
+        assert_eq!(
+            check_flags(
+                &args(&["--cached", "--micro-model", "--cached"]),
+                SERVER_FLAGS
+            ),
+            Err("--cached given more than once".into())
         );
     }
 }

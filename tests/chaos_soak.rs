@@ -283,8 +283,6 @@ mod kill_the_server {
                     "--micro-model",
                     "--accept-limit",
                     "1024",
-                    "--snapshot-every",
-                    "0",
                     "--model-seed",
                     &model_seed.to_string(),
                 ])

@@ -2,7 +2,7 @@
 //! `session_migration.rs`, `hostile_lengths.rs`): a map of every
 //! length, count and dimension field inside a server snapshot or a
 //! migration blob, a way to overwrite one and *re-seal* every CRC
-//! around it, and the two smallest blobs that used to abort the server.
+//! around it, and the smallest blobs that used to abort the server.
 //!
 //! Truncations and bit flips die at the outermost CRC-32, which is not
 //! keyed: anyone can recompute it. The decoders behind the checksum are
@@ -36,15 +36,29 @@ pub fn checkpoint_declaring_2_pow_32_elements() -> Vec<u8> {
     blob
 }
 
-/// A 25-byte `OptimState::to_bytes` image: SGD with momentum and one
-/// velocity buffer of 2^32 elements, likewise without data.
-pub fn optimizer_state_declaring_2_pow_32_elements() -> Vec<u8> {
+/// A 25-byte optimizer-state image of the retired SGD kind: momentum
+/// and one velocity buffer of 2^32 elements, likewise without data.
+pub fn sgd_state_declaring_2_pow_32_elements() -> Vec<u8> {
     let mut blob = vec![0u8]; // kind: SGD
     blob.extend(0.1f32.to_le_bytes()); // lr
     blob.extend(0.9f32.to_le_bytes()); // momentum
     blob.extend(1u64.to_le_bytes()); // buffers
     blob.extend((1u64 << 32).to_le_bytes()); // elements in buffer 0
     assert_eq!(blob.len(), 25);
+    blob
+}
+
+/// A 41-byte `OptimState::to_bytes` image: Adam with one first-moment
+/// buffer of 2^32 elements, likewise without data.
+pub fn adam_state_declaring_2_pow_32_elements() -> Vec<u8> {
+    let mut blob = vec![1u8]; // kind: Adam
+    for hyper in [3e-4f32, 0.9, 0.999, 1e-8] {
+        blob.extend(hyper.to_le_bytes()); // lr, β1, β2, ε
+    }
+    blob.extend(1u64.to_le_bytes()); // t
+    blob.extend(1u64.to_le_bytes()); // first-moment buffers
+    blob.extend((1u64 << 32).to_le_bytes()); // elements in buffer 0
+    assert_eq!(blob.len(), 41);
     blob
 }
 
@@ -128,18 +142,18 @@ impl Layout {
         assert_eq!(p + 4, end, "container {path:?} walked to its CRC");
     }
 
-    /// A LoRA config: kind, rank, α, targets-per-block, target list,
-    /// optimizer, then batch size, sequence length, accumulation factor
-    /// and cut layer. (Targets-per-block and the accumulation factor
-    /// size nothing on the server: other values are legal.)
+    /// A config: adapter kind (LoRA), rank, α, targets-per-block,
+    /// target list, optimizer kind (Adam) and lr, then batch size,
+    /// sequence length, accumulation factor (always 1) and cut layer.
+    /// (Targets-per-block sizes nothing on the server: other values
+    /// are legal.)
     fn config(&mut self, b: &[u8], from: usize, path: &str) {
-        assert_eq!(b[from], 0, "the suites' sessions use LoRA");
         self.field(format!("{path}.rank"), from + 1, 8);
         self.field(format!("{path}.targets"), from + 21, 1);
-        let optimizer = from + 22 + b[from + 21] as usize;
-        let sizes = optimizer + if b[optimizer] == 0 { 5 } else { 9 };
+        let sizes = from + 22 + b[from + 21] as usize + 5;
         self.field(format!("{path}.batch_size"), sizes, 8);
         self.field(format!("{path}.seq_len"), sizes + 8, 8);
+        self.field(format!("{path}.accumulation"), sizes + 16, 8);
         self.field(format!("{path}.front_layers"), sizes + 24, 8);
     }
 
@@ -159,15 +173,10 @@ impl Layout {
         }
     }
 
-    /// Kind, then lr + momentum and one buffer list (SGD) or lr + β1 +
-    /// β2 + ε + t and two (Adam).
+    /// Kind (Adam), lr + β1 + β2 + ε + t, then two buffer lists.
     fn optim(&mut self, b: &[u8], from: usize, path: &str) {
-        let (mut p, lists) = if b[from] == 0 {
-            (from + 9, 1)
-        } else {
-            (from + 25, 2)
-        };
-        for list in 0..lists {
+        let mut p = from + 25;
+        for list in 0..2 {
             self.field(format!("{path}/list[{list}].buffers"), p, 8);
             let n = u64_at(b, p);
             p += 8;

@@ -129,8 +129,6 @@ impl ServerProc {
                 // accept; the budget must outlive the whole soak.
                 "--accept-limit",
                 "100000",
-                "--snapshot-every",
-                "0",
                 "--model-seed",
                 &model_seed.to_string(),
             ])

@@ -5,9 +5,11 @@
 //! hostile. Two blobs of 42 and 25 bytes (`tests/common`) made the
 //! previous parsers reserve 16 GiB before reading a byte of payload —
 //! on most hosts a failed allocation, i.e. a process abort taking
-//! every tenant's session with it. Through `ByteReader::f32s` they are
-//! `Truncated`, and this file's allocator checks the stronger claim:
-//! while decoding, no single allocation is larger than the input.
+//! every tenant's session with it. Through `ByteReader::f32s` the
+//! checkpoint and a 41-byte Adam image are `Truncated`; the 25-byte
+//! image is of the retired SGD kind and is refused at its kind tag.
+//! This file's allocator checks the stronger claim: while decoding, no
+//! single allocation is larger than the input.
 
 mod common;
 
@@ -63,10 +65,18 @@ fn declared_sizes_never_allocate_beyond_the_input() {
     assert_eq!(result, Err(CheckpointError::Truncated));
     assert!(largest <= checkpoint.len(), "allocated {largest} bytes");
 
-    let optimizer = common::optimizer_state_declaring_2_pow_32_elements();
-    let (result, largest) = watched(|| OptimState::from_bytes(&optimizer).map(|_| ()));
+    let adam = common::adam_state_declaring_2_pow_32_elements();
+    let (result, largest) = watched(|| OptimState::from_bytes(&adam).map(|_| ()));
     assert_eq!(result, Err(CheckpointError::Truncated));
-    assert!(largest <= optimizer.len(), "allocated {largest} bytes");
+    assert!(largest <= adam.len(), "allocated {largest} bytes");
+
+    let sgd = common::sgd_state_declaring_2_pow_32_elements();
+    let (result, largest) = watched(|| OptimState::from_bytes(&sgd).map(|_| ()));
+    assert!(
+        matches!(&result, Err(CheckpointError::Corrupt(why)) if why.contains("SGD")),
+        "{result:?}"
+    );
+    assert!(largest <= sgd.len(), "allocated {largest} bytes");
 
     // The watch itself works: it sees an allocation that does happen.
     let (_, largest) = watched(|| vec![0u8; 4096]);

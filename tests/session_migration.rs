@@ -217,7 +217,7 @@ fn a_resealed_hostile_import_costs_only_the_connection_that_pushed_it() {
     // of a well-formed blob replaced under valid CRCs.
     let (seed, rec) = decode_session_record(pristine_blob()).expect("own blob");
     let checkpoint = common::checkpoint_declaring_2_pow_32_elements();
-    let optimizer = common::optimizer_state_declaring_2_pow_32_elements();
+    let optimizer = common::adam_state_declaring_2_pow_32_elements();
     let hostile_blobs = [(3, checkpoint), (4, optimizer)].map(|(tag, payload)| {
         let mut rec = rec.clone();
         rec.session = with_section(&rec.session, tag, &payload);

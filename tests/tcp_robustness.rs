@@ -170,9 +170,7 @@ fn clients_with_different_configs_share_one_server() {
             let mut ft = FineTuneConfig::paper(&config);
             ft.batch_size = batch;
             ft.seq_len = 16;
-            if let menos::adapters::AdapterKind::Lora { spec, .. } = &mut ft.adapter {
-                spec.rank = rank;
-            }
+            ft.lora.rank = rank;
             let ds = TokenDataset::new(vocab.encode(&text), 16, k as u64);
             let view = base.lock().unwrap().shared_view(false);
             let mut client = SplitClient::new(

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use bytes::Bytes;
-use menos::adapters::{AdapterKind, FineTuneConfig, OptimKind};
+use menos::adapters::FineTuneConfig;
 use menos::models::{AdapterTarget, LoraSpec};
 use menos::net::{decode_tensor, encode_tensor, Codec};
 use menos::split::{
@@ -114,18 +114,15 @@ where
 fn golden_wire_frames() {
     let id = ClientId(7);
     let golden_ft = || FineTuneConfig {
-        adapter: AdapterKind::Lora {
-            spec: LoraSpec {
-                rank: 4,
-                alpha: 8.0,
-                targets_per_block: 2,
-            },
-            targets: vec![AdapterTarget::Q, AdapterTarget::V],
+        lora: LoraSpec {
+            rank: 4,
+            alpha: 8.0,
+            targets_per_block: 2,
         },
-        optimizer: OptimKind::Adam { lr: 0.5 },
+        targets: vec![AdapterTarget::Q, AdapterTarget::V],
+        lr: 0.5,
         batch_size: 2,
         seq_len: 16,
-        grad_accumulation: 1,
     };
     let up = encode_tensor(&Tensor::from_vec(vec![1.0, -2.0], [2]));
     let down = encode_tensor(&Tensor::from_vec(vec![0.5], [1]));
