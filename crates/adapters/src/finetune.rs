@@ -7,15 +7,13 @@
 //! sides use on their own model sections.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use menos_models::{AdapterTarget, CausalLm, LoraSpec, ModelConfig};
+use menos_models::{AdapterTarget, CausalLm, Lora, LoraSpec, ModelConfig};
 use menos_tensor::{ParamStore, Tensor};
 
-use crate::lora::LoraAdapter;
 use crate::optim::Adam;
 
 /// Everything a client reports to the server before fine-tuning starts
@@ -27,7 +25,8 @@ use crate::optim::Adam;
 pub struct FineTuneConfig {
     /// LoRA rank/alpha settings.
     pub lora: LoraSpec,
-    /// Projections to adapt in every block (paper: `[Q, V]`).
+    /// Projections to adapt in every block, each at most once (paper:
+    /// `[Q, V]`).
     pub targets: Vec<AdapterTarget>,
     /// Adam learning rate.
     pub lr: f32,
@@ -77,11 +76,21 @@ impl FineTuneConfig {
         if self.targets.is_empty() {
             return Err("LoRA needs at least one target projection".into());
         }
+        // A repeated target would draw a second adapter over the first
+        // and charge A for both while one trains.
+        for (i, t) in self.targets.iter().enumerate() {
+            if self.targets[..i].contains(t) {
+                return Err(format!("LoRA target {t:?} is listed twice"));
+            }
+        }
         if self.lora.rank == 0 || self.lora.rank > model.hidden {
             return Err(format!(
                 "LoRA rank {} invalid for hidden {}",
                 self.lora.rank, model.hidden
             ));
+        }
+        if !self.lora.alpha.is_finite() {
+            return Err(format!("LoRA alpha {} must be finite", self.lora.alpha));
         }
         // Written so that NaN fails too: a NaN lr from the wire would
         // otherwise reach `Adam::new` and panic there.
@@ -92,20 +101,9 @@ impl FineTuneConfig {
     }
 }
 
-/// Projection dimensions for an adapter target under `cfg`.
-fn target_dims(cfg: &ModelConfig, target: AdapterTarget) -> (usize, usize) {
-    let h = cfg.hidden;
-    let ffn = cfg.intermediate;
-    match target {
-        AdapterTarget::Q | AdapterTarget::K | AdapterTarget::V | AdapterTarget::O => (h, h),
-        AdapterTarget::MlpUp => (h, ffn),
-        AdapterTarget::MlpDown => (ffn, h),
-    }
-}
-
-/// Injects adapters into `model` for blocks `layers` and returns the
-/// trainable adapter parameters, named like
-/// [`CausalLm::adapter_params`].
+/// Injects a LoRA adapter on each target of each block in `layers`,
+/// drawing every `A` from `rng` in layer-then-target order, and returns
+/// the factors it built, named like [`CausalLm::adapter_params`].
 ///
 /// # Panics
 ///
@@ -123,48 +121,22 @@ pub fn inject_adapters<R: Rng>(
         layers.end <= model.num_blocks(),
         "layer range out of bounds"
     );
-    let cfg = model.config.clone();
-    let injected = layers.clone();
+    let mut store = ParamStore::new();
     for layer in layers {
         for &t in &ft.targets {
-            let (in_dim, out_dim) = target_dims(&cfg, t);
-            let adapter = Arc::new(LoraAdapter::new(rng, in_dim, out_dim, &ft.lora));
-            model.set_linear_adapter(layer, t, adapter);
+            let (in_dim, out_dim) = t.dims(&model.config);
+            let lora = Lora::new(rng, in_dim, out_dim, &ft.lora);
+            for (name, factor) in model.set_linear_adapter(layer, t, lora) {
+                store.insert(name, factor);
+            }
         }
     }
-    // Return only the params injected by THIS call: a model may carry
-    // adapters in other layer ranges (e.g. the local baseline injects
-    // client and server ranges separately and must not double-train).
-    model
-        .adapter_params()
-        .iter()
-        .filter(|(name, _)| {
-            injected
-                .clone()
-                .any(|l| name.starts_with(&format!("blocks.{l}.")))
-        })
-        .map(|(n, t)| (n.clone(), t.clone()))
-        .collect()
+    store
 }
 
 /// Builds the Adam optimizer described by `ft` over `params`.
 pub fn build_optimizer(ft: &FineTuneConfig, params: Vec<Tensor>) -> Adam {
     Adam::new(params, ft.lr)
-}
-
-/// Analytic adapter byte count for a config over `n_layers` blocks —
-/// used by the paper-scale memory accounting so the analytic and real
-/// paths agree.
-pub fn adapter_bytes(ft: &FineTuneConfig, model: &ModelConfig, n_layers: usize) -> u64 {
-    let per_layer: u64 = ft
-        .targets
-        .iter()
-        .map(|&t| {
-            let (i, o) = target_dims(model, t);
-            ((i + o) * ft.lora.rank) as u64 * 4
-        })
-        .sum();
-    n_layers as u64 * per_layer
 }
 
 #[cfg(test)]
@@ -222,15 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn adapter_bytes_agree_with_real_injection() {
-        let (cfg, mut lm) = tiny_model(Arch::Llama);
-        let ft = FineTuneConfig::paper(&cfg);
-        let mut rng = seeded_rng(4, "inject");
-        let params = inject_adapters(&mut lm, 1..4, &ft, &mut rng);
-        assert_eq!(params.size_bytes(), adapter_bytes(&ft, &cfg, 3));
-    }
-
-    #[test]
     fn build_optimizer_holds_two_moments() {
         let p = vec![Tensor::var_from_vec(vec![0.0], [1])];
         let ft = FineTuneConfig::paper(&ModelConfig::tiny_opt(13));
@@ -245,7 +208,6 @@ mod tests {
             lora: LoraSpec {
                 rank: 4,
                 alpha: 8.0,
-                targets_per_block: 2,
             },
             targets: vec![AdapterTarget::Q, AdapterTarget::V],
             lr: 0.01,
@@ -288,6 +250,17 @@ mod tests {
         let mut ft = FineTuneConfig::paper(&cfg);
         ft.targets.clear();
         assert!(ft.validate(&cfg).is_err());
+
+        let mut ft = FineTuneConfig::paper(&cfg);
+        ft.targets = vec![AdapterTarget::Q, AdapterTarget::V, AdapterTarget::Q];
+        let why = ft.validate(&cfg).unwrap_err();
+        assert!(why.contains("Q"), "{why}");
+
+        for alpha in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut ft = FineTuneConfig::paper(&cfg);
+            ft.lora.alpha = alpha;
+            assert!(ft.validate(&cfg).is_err(), "alpha {alpha}");
+        }
 
         for lr in [0.0, -1.0, f32::NAN, f32::INFINITY] {
             let mut ft = FineTuneConfig::paper(&cfg);

@@ -1,9 +1,9 @@
 //! # menos-adapters — parameter-efficient fine-tuning methods
 //!
-//! The paper's one fine-tuning recipe: LoRA adapters on the linear
-//! injection hook defined by `menos-models`, trained by Adam at one
-//! optimizer step per batch, and the [`FineTuneConfig`] clients report
-//! to the Menos server before profiling. Tenants differ in cut, LoRA
+//! The paper's one fine-tuning recipe: `menos-models`' LoRA adapters,
+//! injected by [`inject_adapters`] and trained by Adam at one optimizer
+//! step per batch, and the [`FineTuneConfig`] clients report to the
+//! Menos server before profiling. Tenants differ in cut, LoRA
 //! rank, alpha and target set.
 //!
 //! The central property exploited by Menos: adapters own their (tiny)
@@ -31,9 +31,7 @@
 #![warn(missing_docs)]
 
 mod finetune;
-mod lora;
 mod optim;
 
-pub use finetune::{adapter_bytes, build_optimizer, inject_adapters, FineTuneConfig};
-pub use lora::LoraAdapter;
+pub use finetune::{build_optimizer, inject_adapters, FineTuneConfig};
 pub use optim::{Adam, OptimState};

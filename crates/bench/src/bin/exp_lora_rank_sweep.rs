@@ -25,7 +25,6 @@ fn main() {
         ft.lora = LoraSpec {
             rank,
             alpha: 2.0 * rank as f32,
-            targets_per_block: 2,
         };
         let d = profile_client(&profile, &ft);
         rows.push(vec![
@@ -57,7 +56,6 @@ fn main() {
         ft.lora = LoraSpec {
             rank,
             alpha: 2.0 * rank as f32,
-            targets_per_block: 2,
         };
         let mut rng = seeded_rng(7, "rank-sweep");
         let base = menos_models::init_params(&tiny, &mut rng);

@@ -10,8 +10,8 @@
 //!   model structures aliasing one parameter copy.
 //! * [`MemoryPolicy`] — §3.2's Fig. 3 ladder of on-demand allocation
 //!   policies, with [`MemoryPolicy::menos`] the shipped one.
-//! * [`profile_client`] / [`probe_with_random_input`] — §3.3's
-//!   per-client memory profiling.
+//! * [`profile_client`] — §3.3's per-client memory profiling, done
+//!   analytically.
 //! * [`Scheduler`] — §4's Algorithm 2: event-driven FCFS + backfilling
 //!   over GPU memory at operation granularity.
 //! * [`run_experiment`] — the timed multi-client runtime (discrete-event
@@ -58,7 +58,7 @@ mod workload;
 
 pub use capacity::{plan_capacity, CapacityPlan};
 pub use policy::MemoryPolicy;
-pub use profiler::{probe_with_random_input, profile_client, MemoryDemands};
+pub use profiler::{profile_client, MemoryDemands};
 pub use runtime::{jain_fairness, run_experiment, run_experiment_traced, RunReport};
 pub use scheduler::{Decision, OpKind, Request, Scheduler};
 pub use server::MenosServer;

@@ -1,28 +1,82 @@
-//! Transformer building blocks with adapter injection points.
+//! Transformer building blocks, with LoRA as the one adapter a linear
+//! projection can carry.
 
-use std::sync::Arc;
+use rand::Rng;
 
 use menos_tensor::Tensor;
 
 use crate::config::Arch;
+use crate::profile::LoraSpec;
 
-/// Hook for adapters that modify a linear projection's output — LoRA
-/// attaches here.
+/// A LoRA adapter on one linear projection: the base output is
+/// adjusted by `(x A) B · (α / r)` where `A ∈ R^{in×r}` is
+/// Gaussian-initialized and `B ∈ R^{r×out}` starts at zero, so a fresh
+/// adapter is an exact no-op.
 ///
-/// Implementations live in `menos-adapters`; the model only knows the
-/// injection point. This is what lets *one* shared base structure
-/// definition serve clients with different fine-tuning methods.
-pub trait LinearAdapter: Send + Sync + std::fmt::Debug {
-    /// Adjusts the base projection output: given the layer input `x`
-    /// (`[.., in]`) and the frozen-path output `base` (`[.., out]`),
-    /// returns the adapted output.
-    fn adjust(&self, x: &Tensor, base: &Tensor) -> Tensor;
-
-    /// The adapter's trainable parameters as `(suffix, tensor)` pairs.
-    fn trainable_params(&self) -> Vec<(String, Tensor)>;
+/// Its factors are named `{projection}.lora.a` and `{projection}.lora.b`
+/// in [`Block::adapter_params`].
+///
+/// # Examples
+///
+/// ```
+/// use menos_models::{Linear, Lora, LoraSpec};
+/// use menos_tensor::Tensor;
+///
+/// let mut rng = menos_sim::seeded_rng(1, "doc");
+/// let mut lin = Linear::new(Tensor::randn(&mut rng, [16, 16], 0.1), None);
+/// let x = Tensor::ones([1, 16]);
+/// let before = lin.forward(&x).to_vec();
+/// lin.lora = Some(Lora::new(&mut rng, 16, 16, &LoraSpec::paper()));
+/// // Zero-initialized B makes the adapter transparent at first.
+/// assert_eq!(lin.forward(&x).to_vec(), before);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Lora {
+    a: Tensor,
+    b: Tensor,
+    scale: f32,
 }
 
-/// A linear projection `y = x W (+ b)` with an optional adapter hook.
+impl Lora {
+    /// Creates a LoRA adapter for a `[in_dim, out_dim]` projection,
+    /// drawing `A` from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rank is zero or does not fit the projection.
+    pub fn new<R: Rng>(rng: &mut R, in_dim: usize, out_dim: usize, spec: &LoraSpec) -> Self {
+        assert!(spec.rank > 0, "LoRA rank must be positive");
+        assert!(
+            spec.rank <= in_dim.min(out_dim),
+            "LoRA rank {} exceeds projection dims {in_dim}x{out_dim}",
+            spec.rank
+        );
+        // Kaiming-style init for A (as in the LoRA paper), zeros for B.
+        let std = 1.0 / (in_dim as f32).sqrt();
+        Lora {
+            a: Tensor::randn(rng, [in_dim, spec.rank], std).trainable(),
+            b: Tensor::zeros([spec.rank, out_dim]).trainable(),
+            scale: spec.scale(),
+        }
+    }
+
+    /// `base + (x A) B · scale`, where `base` is the frozen path's output
+    /// for input `x`.
+    fn adjust(&self, x: &Tensor, base: &Tensor) -> Tensor {
+        let delta = x.matmul(&self.a).matmul(&self.b).mul_scalar(self.scale);
+        base.add(&delta)
+    }
+
+    /// The factors named under the projection `prefix`.
+    pub(crate) fn named_factors(&self, prefix: &str) -> [(String, Tensor); 2] {
+        [
+            (format!("{prefix}.lora.a"), self.a.clone()),
+            (format!("{prefix}.lora.b"), self.b.clone()),
+        ]
+    }
+}
+
+/// A linear projection `y = x W (+ b)`, optionally adapted by LoRA.
 ///
 /// The weight is stored `[in, out]` so no transpose is needed on the
 /// forward path.
@@ -32,8 +86,8 @@ pub struct Linear {
     pub weight: Tensor,
     /// Optional bias, `[out]`.
     pub bias: Option<Tensor>,
-    /// Optional output adapter (e.g. LoRA).
-    pub adapter: Option<Arc<dyn LinearAdapter>>,
+    /// Optional LoRA adapter.
+    pub lora: Option<Lora>,
 }
 
 impl Linear {
@@ -42,7 +96,7 @@ impl Linear {
         Linear {
             weight,
             bias,
-            adapter: None,
+            lora: None,
         }
     }
 
@@ -52,8 +106,8 @@ impl Linear {
         if let Some(b) = &self.bias {
             y = y.add(b);
         }
-        match &self.adapter {
-            Some(a) => a.adjust(x, &y),
+        match &self.lora {
+            Some(lora) => lora.adjust(x, &y),
             None => y,
         }
     }
@@ -221,39 +275,30 @@ impl Block {
     /// Trainable adapter parameters attached to this block, prefixed by
     /// projection name.
     pub fn adapter_params(&self) -> Vec<(String, Tensor)> {
-        let mut out = Vec::new();
-        for (name, lin) in [
+        let mut linears = vec![
             ("attn.q", &self.attn.q),
             ("attn.k", &self.attn.k),
             ("attn.v", &self.attn.v),
             ("attn.o", &self.attn.o),
-        ] {
-            if let Some(a) = &lin.adapter {
-                for (suffix, t) in a.trainable_params() {
-                    out.push((format!("{name}.{suffix}"), t));
-                }
-            }
-        }
-        let mlp_linears: Vec<(&str, &Linear)> = match &self.mlp {
-            Mlp::Gelu { fc1, fc2 } => vec![("mlp.fc1", fc1), ("mlp.fc2", fc2)],
+        ];
+        match &self.mlp {
+            Mlp::Gelu { fc1, fc2 } => linears.extend([("mlp.fc1", fc1), ("mlp.fc2", fc2)]),
             Mlp::SwiGlu { gate, up, down } => {
-                vec![("mlp.gate", gate), ("mlp.up", up), ("mlp.down", down)]
-            }
-        };
-        for (name, lin) in mlp_linears {
-            if let Some(a) = &lin.adapter {
-                for (suffix, t) in a.trainable_params() {
-                    out.push((format!("{name}.{suffix}"), t));
-                }
+                linears.extend([("mlp.gate", gate), ("mlp.up", up), ("mlp.down", down)])
             }
         }
-        out
+        linears
+            .into_iter()
+            .filter_map(|(name, lin)| Some(lin.lora.as_ref()?.named_factors(name)))
+            .flatten()
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use menos_sim::seeded_rng;
 
     fn linear(in_dim: usize, out_dim: usize, scale: f32) -> Linear {
         let n = in_dim * out_dim;
@@ -275,23 +320,59 @@ mod tests {
         assert_eq!(lin.out_dim(), 2);
     }
 
-    #[derive(Debug)]
-    struct DoubleAdapter;
-    impl LinearAdapter for DoubleAdapter {
-        fn adjust(&self, _x: &Tensor, base: &Tensor) -> Tensor {
-            base.mul_scalar(2.0)
-        }
-        fn trainable_params(&self) -> Vec<(String, Tensor)> {
-            Vec::new()
+    #[test]
+    fn lora_factors_are_shaped_named_and_trainable() {
+        let mut rng = seeded_rng(4, "lora");
+        let lora = Lora::new(
+            &mut rng,
+            16,
+            12,
+            &LoraSpec {
+                rank: 4,
+                alpha: 8.0,
+            },
+        );
+        assert_eq!((lora.a.dims(), lora.b.dims()), (&[16, 4][..], &[4, 12][..]));
+        assert_eq!(lora.scale, 2.0);
+        assert!(lora.b.to_vec().iter().all(|&v| v == 0.0));
+        let [(na, a), (nb, b)] = lora.named_factors("attn.q");
+        assert_eq!(
+            (na.as_str(), nb.as_str()),
+            ("attn.q.lora.a", "attn.q.lora.b")
+        );
+        assert!(a.requires_grad() && b.requires_grad());
+    }
+
+    #[test]
+    fn a_nonzero_b_adapts_the_output_and_both_factors_get_gradients() {
+        let mut rng = seeded_rng(3, "lora");
+        let mut lin = Linear::new(Tensor::zeros([8, 8]), None);
+        let lora = Lora::new(&mut rng, 8, 8, &LoraSpec::paper());
+        lora.b.storage().write().iter_mut().for_each(|v| *v = 0.05);
+        lin.lora = Some(lora);
+        let y = lin.forward(&Tensor::randn(&mut rng, [2, 8], 1.0));
+        assert!(y.to_vec().iter().any(|&v| v.abs() > 1e-4));
+        let grads = y.powi(2).sum_all().backward();
+        let lora = lin.lora.as_ref().unwrap();
+        for factor in [&lora.a, &lora.b] {
+            let g = grads.get(factor).expect("a gradient").to_vec();
+            assert!(g.iter().any(|&g| g != 0.0));
         }
     }
 
     #[test]
-    fn linear_adapter_hook_applies() {
-        let mut lin = Linear::new(Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]), None);
-        lin.adapter = Some(Arc::new(DoubleAdapter));
-        let x = Tensor::from_vec(vec![3.0, 4.0], [1, 2]);
-        assert_eq!(lin.forward(&x).to_vec(), vec![6.0, 8.0]);
+    #[should_panic(expected = "rank")]
+    fn oversized_rank_rejected() {
+        let mut rng = seeded_rng(5, "lora");
+        Lora::new(
+            &mut rng,
+            4,
+            4,
+            &LoraSpec {
+                rank: 8,
+                alpha: 16.0,
+            },
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # menos-models — decoder-only transformers with adapter hooks
+//! # menos-models — decoder-only transformers with LoRA adapters
 //!
 //! From-scratch OPT-style and Llama-style causal language models built
 //! on `menos-tensor`, standing in for the paper's OPT-1.3B and
@@ -44,7 +44,7 @@ mod profile;
 
 pub use config::{Arch, ModelConfig};
 pub use generate::GenerateConfig;
-pub use layers::{Attention, Block, Linear, LinearAdapter, Mlp, Norm};
+pub use layers::{Attention, Block, Linear, Lora, Mlp, Norm};
 pub use model::{causal_lm_loss, init_params, AdapterTarget, CausalLm};
 pub use profile::{
     paper_batch_size, LoraSpec, ModelProfile, Precision, BYTES_PER_ELEM, PAPER_SEQ_LEN,

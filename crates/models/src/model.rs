@@ -3,14 +3,13 @@
 //! split fine-tuning cuts at).
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use rand::Rng;
 
 use menos_tensor::{ParamStore, Tensor};
 
 use crate::config::{Arch, ModelConfig};
-use crate::layers::{Attention, Block, Linear, LinearAdapter, Mlp, Norm};
+use crate::layers::{Attention, Block, Linear, Lora, Mlp, Norm};
 
 /// Initializes a fresh parameter store for `cfg` with canonical names.
 ///
@@ -247,34 +246,37 @@ impl CausalLm {
         self.head_forward(&x)
     }
 
-    /// Attaches a [`LinearAdapter`] to a projection of block `layer`.
+    /// Attaches `lora` to a projection of block `layer`, replacing any
+    /// adapter already there, and returns its factors named as in
+    /// [`CausalLm::adapter_params`].
     ///
     /// # Panics
     ///
-    /// Panics if `layer` is out of range or `target` names a projection
-    /// the architecture does not have.
+    /// Panics if `layer` is out of range.
     pub fn set_linear_adapter(
         &mut self,
         layer: usize,
         target: AdapterTarget,
-        adapter: Arc<dyn LinearAdapter>,
-    ) {
+        lora: Lora,
+    ) -> [(String, Tensor); 2] {
         let block = &mut self.blocks[layer];
-        let slot: &mut Linear = match target {
-            AdapterTarget::Q => &mut block.attn.q,
-            AdapterTarget::K => &mut block.attn.k,
-            AdapterTarget::V => &mut block.attn.v,
-            AdapterTarget::O => &mut block.attn.o,
+        let (name, slot): (&str, &mut Linear) = match target {
+            AdapterTarget::Q => ("attn.q", &mut block.attn.q),
+            AdapterTarget::K => ("attn.k", &mut block.attn.k),
+            AdapterTarget::V => ("attn.v", &mut block.attn.v),
+            AdapterTarget::O => ("attn.o", &mut block.attn.o),
             AdapterTarget::MlpUp => match &mut block.mlp {
-                Mlp::Gelu { fc1, .. } => fc1,
-                Mlp::SwiGlu { up, .. } => up,
+                Mlp::Gelu { fc1, .. } => ("mlp.fc1", fc1),
+                Mlp::SwiGlu { up, .. } => ("mlp.up", up),
             },
             AdapterTarget::MlpDown => match &mut block.mlp {
-                Mlp::Gelu { fc2, .. } => fc2,
-                Mlp::SwiGlu { down, .. } => down,
+                Mlp::Gelu { fc2, .. } => ("mlp.fc2", fc2),
+                Mlp::SwiGlu { down, .. } => ("mlp.down", down),
             },
         };
-        slot.adapter = Some(adapter);
+        let named = lora.named_factors(&format!("blocks.{layer}.{name}"));
+        slot.lora = Some(lora);
+        named
     }
 
     /// All trainable adapter parameters across blocks, named
@@ -342,7 +344,7 @@ impl CausalLm {
     }
 }
 
-/// Which projection a [`LinearAdapter`] attaches to.
+/// Which projection a [`Lora`] attaches to.
 ///
 /// The paper's LoRA configuration targets `Q` and `V` (r = 8, α = 16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -359,6 +361,19 @@ pub enum AdapterTarget {
     MlpUp,
     /// MLP down projection (`fc2` for OPT, `down` for Llama).
     MlpDown,
+}
+
+impl AdapterTarget {
+    /// The projection's `(in, out)` dimensions under `cfg`: the shape of
+    /// the weight a LoRA on this target adapts.
+    pub fn dims(self, cfg: &ModelConfig) -> (usize, usize) {
+        let (h, ffn) = (cfg.hidden, cfg.intermediate);
+        match self {
+            AdapterTarget::Q | AdapterTarget::K | AdapterTarget::V | AdapterTarget::O => (h, h),
+            AdapterTarget::MlpUp => (h, ffn),
+            AdapterTarget::MlpDown => (ffn, h),
+        }
+    }
 }
 
 /// Mean cross-entropy between logits `[batch, seq, vocab]` and shifted

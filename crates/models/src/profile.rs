@@ -17,6 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::{Arch, ModelConfig};
+use crate::model::AdapterTarget;
 
 /// Bytes per parameter / activation element (fp32).
 pub const BYTES_PER_ELEM: u64 = 4;
@@ -68,7 +69,8 @@ impl std::fmt::Display for Precision {
     }
 }
 
-/// LoRA adapter hyper-parameters used for sizing.
+/// LoRA adapter hyper-parameters. Which projections carry an adapter is
+/// a separate list of [`AdapterTarget`]s.
 ///
 /// The paper's configuration is `r = 8`, `α = 16`, targets = query and
 /// value projections.
@@ -78,17 +80,14 @@ pub struct LoraSpec {
     pub rank: usize,
     /// Scaling numerator (`α`); effective scale is `α / r`.
     pub alpha: f32,
-    /// Number of projections adapted per block (2 for q+v).
-    pub targets_per_block: usize,
 }
 
 impl LoraSpec {
-    /// The paper's configuration: r = 8, α = 16, q and v projections.
+    /// The paper's configuration: r = 8, α = 16.
     pub fn paper() -> Self {
         LoraSpec {
             rank: 8,
             alpha: 16.0,
-            targets_per_block: 2,
         }
     }
 
@@ -151,17 +150,18 @@ impl ModelProfile {
         total - self.server_param_bytes()
     }
 
-    /// Adapter parameter bytes on the server (A) for a LoRA spec: each
-    /// adapted projection adds `2 * hidden * rank` parameters.
-    fn lora_adapter_bytes(&self, lora: &LoraSpec) -> u64 {
-        let per_target = 2 * self.config.hidden as u64 * lora.rank as u64;
-        self.server_layers() as u64 * lora.targets_per_block as u64 * per_target * BYTES_PER_ELEM
-    }
-
-    /// Optimizer state bytes (O) for Adam over the adapter: two moment
-    /// buffers plus the gradient buffer, i.e. `3 × A`.
-    fn optimizer_bytes(&self, adapter_bytes: u64) -> u64 {
-        3 * adapter_bytes
+    /// Adapter parameter bytes on the server (A): in every server block,
+    /// each target's `[in, out]` projection adds `(in + out) · rank`
+    /// parameters.
+    pub fn adapter_bytes(&self, lora: &LoraSpec, targets: &[AdapterTarget]) -> u64 {
+        let per_block: u64 = targets
+            .iter()
+            .map(|t| {
+                let (i, o) = t.dims(&self.config);
+                ((i + o) * lora.rank) as u64
+            })
+            .sum();
+        self.server_layers() as u64 * per_block * BYTES_PER_ELEM
     }
 
     /// Intermediate-result bytes (I): activations cached by a
@@ -232,16 +232,15 @@ impl ModelProfile {
 
     /// The paper's per-client persistent footprint under **vanilla**
     /// split learning: `M + A + O`.
-    pub fn vanilla_persistent_bytes(&self, lora: &LoraSpec) -> u64 {
-        let a = self.lora_adapter_bytes(lora);
-        self.server_param_bytes() + a + self.optimizer_bytes(a)
+    pub fn vanilla_persistent_bytes(&self, lora: &LoraSpec, targets: &[AdapterTarget]) -> u64 {
+        self.server_param_bytes() + self.menos_per_client_bytes(lora, targets)
     }
 
     /// Per-client persistent footprint under Menos (excluding the
-    /// shared base): `A + O`.
-    pub fn menos_per_client_bytes(&self, lora: &LoraSpec) -> u64 {
-        let a = self.lora_adapter_bytes(lora);
-        a + self.optimizer_bytes(a)
+    /// shared base): `A + O`, where `O = 3A` is Adam's two moment
+    /// buffers plus the gradient buffer.
+    pub fn menos_per_client_bytes(&self, lora: &LoraSpec, targets: &[AdapterTarget]) -> u64 {
+        4 * self.adapter_bytes(lora, targets)
     }
 
     /// Peak memory demand of the gradient-ready re-forward + backward
@@ -283,6 +282,7 @@ mod tests {
     use super::*;
 
     const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+    const QV: [AdapterTarget; 2] = [AdapterTarget::Q, AdapterTarget::V];
 
     fn opt_profile() -> ModelProfile {
         ModelProfile::new(ModelConfig::opt_1_3b(), 1)
@@ -325,10 +325,10 @@ mod tests {
     fn adapter_is_much_smaller_than_base() {
         let lora = LoraSpec::paper();
         for p in [opt_profile(), llama_profile()] {
-            let a = p.lora_adapter_bytes(&lora);
+            let a = p.adapter_bytes(&lora, &QV);
             let m = p.server_param_bytes();
             assert!(a * 100 < m, "A should be <1% of M (A={a}, M={m})");
-            let per_client = p.menos_per_client_bytes(&lora);
+            let per_client = p.menos_per_client_bytes(&lora, &QV);
             assert_eq!(per_client, 4 * a); // A + 3A optimizer
         }
     }
@@ -345,12 +345,12 @@ mod tests {
     fn vanilla_scaling_is_linear() {
         let p = opt_profile();
         let lora = LoraSpec::paper();
-        let one = p.vanilla_persistent_bytes(&lora);
+        let one = p.vanilla_persistent_bytes(&lora, &QV);
         // Four clients cost exactly 4x in vanilla split learning (Eq. 2).
-        assert_eq!(4 * one, 4 * p.vanilla_persistent_bytes(&lora));
+        assert_eq!(4 * one, 4 * p.vanilla_persistent_bytes(&lora, &QV));
         // And Menos' shared-base saving at N=4 is at least 60% (paper: 64.1%).
         let vanilla4 = 4 * one;
-        let menos4 = p.server_param_bytes() + 4 * p.menos_per_client_bytes(&lora);
+        let menos4 = p.server_param_bytes() + 4 * p.menos_per_client_bytes(&lora, &QV);
         let saving = 1.0 - menos4 as f64 / vanilla4 as f64;
         assert!(saving > 0.6, "saving {saving}");
     }
@@ -360,8 +360,8 @@ mod tests {
         // Paper: 72.2% at 4 clients.
         let p = llama_profile();
         let lora = LoraSpec::paper();
-        let vanilla4 = 4 * p.vanilla_persistent_bytes(&lora);
-        let menos4 = p.server_param_bytes() + 4 * p.menos_per_client_bytes(&lora);
+        let vanilla4 = 4 * p.vanilla_persistent_bytes(&lora, &QV);
+        let menos4 = p.server_param_bytes() + 4 * p.menos_per_client_bytes(&lora, &QV);
         let saving = 1.0 - menos4 as f64 / vanilla4 as f64;
         assert!((0.70..0.76).contains(&saving), "saving {saving}");
     }

@@ -522,7 +522,9 @@ pub(crate) fn encode_config(ft: &FineTuneConfig, split: SplitSpec, epoch: u64) -
     let mut out = vec![ADAPTER_LORA];
     out.extend((ft.lora.rank as u64).to_le_bytes());
     out.extend(ft.lora.alpha.to_le_bytes());
-    out.extend((ft.lora.targets_per_block as u64).to_le_bytes());
+    // The target count, twice: this u64 slot (once a separate
+    // targets-per-block setting) and the u8 before the list.
+    out.extend((ft.targets.len() as u64).to_le_bytes());
     out.push(ft.targets.len() as u8);
     for t in &ft.targets {
         out.push(match t {
@@ -585,8 +587,13 @@ pub(crate) fn decode_config_v12(
     }
     let rank = c.u64()? as usize;
     let alpha = c.f32()?;
-    let targets_per_block = c.u64()? as usize;
+    let declared = c.u64()?;
     let n = c.u8()?;
+    if declared != u64::from(n) {
+        return Err(WireError::Malformed(format!(
+            "LoRA target count {declared} disagrees with the {n} targets listed"
+        )));
+    }
     let mut targets = Vec::new();
     for _ in 0..n {
         targets.push(match c.u8()? {
@@ -629,11 +636,7 @@ pub(crate) fn decode_config_v12(
     c.finish()?;
     Ok((
         FineTuneConfig {
-            lora: LoraSpec {
-                rank,
-                alpha,
-                targets_per_block,
-            },
+            lora: LoraSpec { rank, alpha },
             targets,
             lr,
             batch_size,
@@ -712,8 +715,7 @@ mod tests {
     }
 
     // Offsets in the paper config's body: adapter kind at 0; rank,
-    // alpha, targets-per-block, the target count and two targets up to
-    // 24; optimizer kind at 24; lr, batch size, sequence length;
+    // alpha, the u64 and u8 target counts and two targets up to 24; optimizer kind at 24; lr, batch size, sequence length;
     // accumulation at 45.
     #[test]
     fn a_connect_with_prefix_tuning_is_refused_by_name() {

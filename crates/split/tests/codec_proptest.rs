@@ -27,14 +27,7 @@ fn arb_target() -> BoxedStrategy<AdapterTarget> {
 fn arb_ft() -> BoxedStrategy<FineTuneConfig> {
     // Finite float ranges keep `PartialEq` round-trip assertions sound
     // (NaN never compares equal to itself).
-    let lora =
-        (1usize..64, 0.25f32..128.0, 1usize..8).prop_map(|(rank, alpha, targets_per_block)| {
-            LoraSpec {
-                rank,
-                alpha,
-                targets_per_block,
-            }
-        });
+    let lora = (1usize..64, 0.25f32..128.0).prop_map(|(rank, alpha)| LoraSpec { rank, alpha });
     (
         lora,
         prop::collection::vec(arb_target(), 0..6),

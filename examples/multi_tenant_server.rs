@@ -31,7 +31,6 @@ fn main() {
         lora: LoraSpec {
             rank: 8,
             alpha: 16.0,
-            targets_per_block: 2,
         },
         targets: vec![AdapterTarget::Q, AdapterTarget::V],
         lr: 3e-4,
@@ -53,7 +52,6 @@ fn main() {
                 lora: LoraSpec {
                     rank: 16,
                     alpha: 32.0,
-                    targets_per_block: 2,
                 },
                 ..base_ft.clone()
             },
@@ -66,7 +64,6 @@ fn main() {
                 lora: LoraSpec {
                     rank: 4,
                     alpha: 8.0,
-                    targets_per_block: 4,
                 },
                 targets: vec![
                     AdapterTarget::Q,

@@ -3,11 +3,10 @@
 
 use menos::adapters::FineTuneConfig;
 use menos::core::{
-    probe_with_random_input, profile_client, run_experiment, ServerMode, ServerSpec,
-    SharedBaseRegistry, WorkloadSpec,
+    profile_client, run_experiment, ServerMode, ServerSpec, SharedBaseRegistry, WorkloadSpec,
 };
 use menos::data::{wiki_corpus, TokenDataset, Vocab};
-use menos::models::{CausalLm, ModelConfig, ModelProfile};
+use menos::models::{AdapterTarget, CausalLm, ModelConfig, ModelProfile};
 use menos::sim::seeded_rng;
 use menos::split::{run_split_steps, ClientId, ForwardMode, ServerSession, SplitClient, SplitSpec};
 use menos::tensor::Tensor;
@@ -121,7 +120,9 @@ fn training_one_client_does_not_perturb_anothers_output() {
 
 #[test]
 fn random_probe_profiles_any_configuration() {
-    // §3.3: profiling needs no knowledge of the model being tuned.
+    // §3.3: a server session runs random input of the client's reported
+    // shape through the no-grad forward and the re-forward + backward
+    // with no knowledge of the model being tuned.
     let (vocab, _) = setup_corpus();
     for config in [
         ModelConfig::tiny_opt(vocab.size()),
@@ -134,25 +135,44 @@ fn random_probe_profiles_any_configuration() {
         let split = SplitSpec::paper();
         let mut session = ServerSession::new(ClientId(9), registry.new_instance(), split, &ft, 9);
         let mut rng = seeded_rng(9, "probe");
-        let reforwards = probe_with_random_input(&mut session, &ft, split, &mut rng);
-        assert_eq!(reforwards, 1);
+        let shape = [ft.batch_size, ft.seq_len, config.hidden];
+        let x_s = session.forward_nograd(&Tensor::randn(&mut rng, shape, 1.0));
+        assert_eq!(x_s.dims(), &shape);
+        let g_s = session.backward(&Tensor::randn(&mut rng, shape, 1.0));
+        assert_eq!(g_s.dims(), &shape);
+        assert_eq!(session.reforward_count(), 1);
     }
 }
 
 #[test]
 fn analytic_and_real_adapter_bytes_agree() {
-    // The analytic profiler (used by the simulated GPU) and the real
-    // engine must account the same A for the same configuration.
-    let config = ModelConfig::tiny_llama(32);
-    let mut registry = SharedBaseRegistry::initialize(config.clone(), 4);
-    let mut ft = FineTuneConfig::paper(&config);
-    ft.batch_size = 2;
-    ft.seq_len = 12;
-    let split = SplitSpec::paper();
-    let session = ServerSession::new(ClientId(0), registry.new_instance(), split, &ft, 0);
-
-    let analytic = menos::adapters::adapter_bytes(&ft, &config, config.layers - 1);
-    assert_eq!(session.adapter_params().size_bytes(), analytic);
+    // The analytic profiler (used by the simulated GPU and admission)
+    // and the real engine must account the same A for every target set,
+    // MLP projections included, and charge A + O = 4·A per client.
+    use AdapterTarget::*;
+    let all = [Q, K, V, O, MlpUp, MlpDown];
+    let target_sets: Vec<Vec<AdapterTarget>> = all
+        .map(|t| vec![t])
+        .into_iter()
+        .chain([all.to_vec()])
+        .collect();
+    for config in [ModelConfig::tiny_opt(32), ModelConfig::tiny_llama(32)] {
+        let mut registry = SharedBaseRegistry::initialize(config.clone(), 4);
+        let split = SplitSpec::paper();
+        let profile = ModelProfile::new(config.clone(), split.front_layers);
+        for targets in &target_sets {
+            let mut ft = FineTuneConfig::paper(&config);
+            ft.batch_size = 2;
+            ft.seq_len = 12;
+            ft.targets = targets.clone();
+            let session = ServerSession::new(ClientId(0), registry.new_instance(), split, &ft, 0);
+            let real = session.adapter_params().size_bytes();
+            let analytic = profile.adapter_bytes(&ft.lora, &ft.targets);
+            assert_eq!(analytic, real, "{} {targets:?}", config.name);
+            let persistent = profile_client(&profile, &ft).persistent;
+            assert_eq!(persistent, 4 * real, "{} {targets:?}", config.name);
+        }
+    }
 }
 
 #[test]

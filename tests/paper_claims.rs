@@ -7,16 +7,18 @@ use menos::adapters::FineTuneConfig;
 use menos::core::{
     profile_client, run_experiment, MemoryPolicy, ServerMode, ServerSpec, WorkloadSpec,
 };
-use menos::models::{LoraSpec, ModelConfig, ModelProfile};
+use menos::models::{ModelConfig, ModelProfile};
 
 /// Abstract §1: "reducing GPU memory consumption by up to 72%".
 #[test]
 fn claim_memory_reduction_up_to_72_percent() {
-    let profile = ModelProfile::new(ModelConfig::llama2_7b(), 1);
-    let lora = LoraSpec::paper();
+    let cfg = ModelConfig::llama2_7b();
+    let profile = ModelProfile::new(cfg.clone(), 1);
+    let ft = FineTuneConfig::paper(&cfg);
     let n = 4u64;
-    let vanilla = n * profile.vanilla_persistent_bytes(&lora);
-    let menos = profile.server_param_bytes() + n * profile.menos_per_client_bytes(&lora);
+    let vanilla = n * profile.vanilla_persistent_bytes(&ft.lora, &ft.targets);
+    let menos =
+        profile.server_param_bytes() + n * profile.menos_per_client_bytes(&ft.lora, &ft.targets);
     let saving = 1.0 - menos as f64 / vanilla as f64;
     assert!(
         saving >= 0.70,

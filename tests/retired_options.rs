@@ -6,6 +6,10 @@
 //! a typed error that names the option, and nothing of it is kept: the
 //! connection closes without a session, and a restore or import
 //! commits nothing.
+//!
+//! The same holds for the retired targets-per-block setting: its `u64`
+//! slot now repeats the target count, and a body whose slot disagrees
+//! with the target list is refused wherever it arrives.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -15,7 +19,7 @@ use std::time::Duration;
 use menos::adapters::FineTuneConfig;
 use menos::core::{encode_session_record, MenosServer, ServerMode, ServerSpec, ServerState};
 use menos::models::ModelConfig;
-use menos::net::encode_tensor;
+use menos::net::{encode_tensor, WireError};
 use menos::split::{
     ClientId, ClientMessage, EventLoopOptions, ServerMessage, SplitSpec, TcpEventServer,
     TcpOptions, WireMessage,
@@ -80,6 +84,7 @@ fn server_with_sessions() -> MenosServer {
 
 // Section tags of a `ServerSession::to_state` container.
 const SESSION_META: u32 = 1;
+const SESSION_CONFIG: u32 = 2;
 const SESSION_OPTIM: u32 = 4;
 const SESSION_ACCUM: u32 = 5;
 
@@ -233,4 +238,43 @@ fn a_connect_naming_a_retired_option_closes_its_connection_and_opens_no_session(
     let (_, stats) = server.join().expect("loop finished");
     assert_eq!(stats.conn_errors, 3, "{stats:?}");
     assert_eq!(handler.lock().unwrap().quarantined_clients(), 0);
+}
+
+#[test]
+fn a_target_count_that_disagrees_with_the_target_list_is_refused_everywhere() {
+    // The paper config lists two targets (Q, V); bytes 13..21 of its
+    // config body, after adapter tag, rank and alpha, claim three.
+    const SLOT: std::ops::Range<usize> = 13..21;
+    let three = 3u64.to_le_bytes();
+    let names = "target count 3 disagrees with the 2 targets";
+
+    let mut frame = connect(9).to_wire().to_vec();
+    let header = 18;
+    frame[header + SLOT.start..header + SLOT.end].copy_from_slice(&three);
+    match ClientMessage::from_wire(&frame.into(), 1 << 20) {
+        Err(WireError::Malformed(why)) => assert!(why.contains(names), "{why}"),
+        other => panic!("Connect decoded as {other:?}"),
+    }
+
+    let pristine = server_with_sessions().to_state();
+    let mut record = pristine.sessions[1].clone();
+    record.session = rewritten(&record.session, |sections| {
+        let config = sections.iter_mut().find(|(t, _)| *t == SESSION_CONFIG);
+        config.expect("config section").1[SLOT].copy_from_slice(&three);
+    });
+    let mut state = pristine.clone();
+    state.sessions[1] = record.clone();
+    let snapshot = ServerState::from_bytes(&state.to_bytes()).expect("structurally valid");
+    let mut restored = fresh_server();
+    assert_names(restored.restore(snapshot), names);
+    let mut imported = fresh_server();
+    assert_names(
+        imported.import_session(&encode_session_record(SEED, &record)),
+        names,
+    );
+    for target in [restored, imported] {
+        assert_eq!(target.active_clients(), 0);
+        assert_eq!(target.quarantined_clients(), 0);
+        assert_eq!(target.reserved_bytes(), 0);
+    }
 }

@@ -117,7 +117,6 @@ fn golden_wire_frames() {
         lora: LoraSpec {
             rank: 4,
             alpha: 8.0,
-            targets_per_block: 2,
         },
         targets: vec![AdapterTarget::Q, AdapterTarget::V],
         lr: 0.5,
